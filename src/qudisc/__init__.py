@@ -29,7 +29,6 @@ from .campaign import (
     CampaignReport,
     CampaignSummary,
     InstanceRecord,
-    emit_report,
     render_report,
     run_campaign,
 )
@@ -44,7 +43,6 @@ from .errors import (
 )
 from .geometry import (
     ArcResult,
-    HullQuery,
     arc_contains,
     fidelity_closed_form,
     fidelity_hull_oracle,
@@ -57,8 +55,6 @@ from .linalg import (
     eigen_system,
     haar_unitary,
     haar_unitary_from_rng,
-    is_unitary,
-    kron,
     relative_spectrum,
 )
 from .measurement import (
@@ -88,7 +84,6 @@ __all__ = [
     "DomainError",
     "ErrorBudget",
     "ErrorMode",
-    "HullQuery",
     "IndistinguishableError",
     "InstanceRecord",
     "NumericalError",
@@ -107,7 +102,6 @@ __all__ = [
     "build_parallel",
     "check_error_budget",
     "eigen_system",
-    "emit_report",
     "epsilon_floor",
     "evaluate_povm",
     "fidelity_closed_form",
@@ -116,8 +110,6 @@ __all__ = [
     "haar_unitary_from_rng",
     "helstrom_error",
     "helstrom_povm",
-    "is_unitary",
-    "kron",
     "optimize_protocol",
     "relative_spectrum",
     "render_report",

@@ -16,10 +16,10 @@ import numpy as np
 
 from .bounds import t_min_bounded
 from .errors import CapacityError, DomainError, IndistinguishableError, ValidationError
-from .geometry import smallest_arc, trace_distance_pure
+from .geometry import smallest_arc
 from .linalg import DIM_CAP, relative_spectrum, require_unitary
 from .measurement import helstrom_error
-from .protocol import Protocol, SimulationTrace, _overlap_for, apply_query, run_protocol
+from .protocol import Protocol, SimulationTrace, apply_query, record_trace, run_protocol
 
 # The search stops early once the overlap drops this low: the pair is
 # discriminated perfectly for every practical purpose.
@@ -101,17 +101,17 @@ def simulate_parallel(u1, u2, plan: ParallelPlan) -> SimulationTrace:
     b = require_unitary(u2, name="u2")
     d = a.shape[0]
     t = plan.copies
-    s1 = plan.probe.copy()
-    s2 = plan.probe.copy()
-    states_1, states_2 = [s1], [s2]
-    distances = [trace_distance_pure(s1, s2)]
-    for k in range(t):
-        s1 = _apply_on_factor(s1, a, k, t, d)
-        s2 = _apply_on_factor(s2, b, k, t, d)
-        states_1.append(s1)
-        states_2.append(s2)
-        distances.append(trace_distance_pure(s1, s2))
-    return SimulationTrace(states_1, states_2, distances, _overlap_for(s1, s2, distances[-1]))
+
+    def steps():
+        s1 = plan.probe.copy()
+        s2 = s1.copy()
+        yield s1, s2
+        for k in range(t):
+            s1 = _apply_on_factor(s1, a, k, t, d)
+            s2 = _apply_on_factor(s2, b, k, t, d)
+            yield s1, s2
+
+    return record_trace(steps())
 
 
 @dataclass(frozen=True)

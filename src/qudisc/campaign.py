@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -40,22 +40,6 @@ LEMMA_SLACK_TOL = -1e-9
 # The zero-query distance must vanish to this accuracy.
 D0_TOL = 1e-12
 
-# Column order of the CSV emitted by render_report/emit_report.
-CSV_COLUMNS = (
-    "index",
-    "theta",
-    "T",
-    "overlap",
-    "helstrom_error",
-    "inconclusive",
-    "bound_raw",
-    "bound_t",
-    "lemma2_min_slack",
-    "theorem1_slack",
-    "theorem1_slack_onesided",
-)
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     instances: int
@@ -68,8 +52,9 @@ class CampaignConfig:
     def validate(self) -> None:
         if self.instances < 1:
             raise ValidationError("instances must be >= 1")
-        if self.dim < 1:
-            raise ValidationError("dim must be >= 1")
+        if self.dim < 2:
+            # every 1x1 pair differs by a global phase at most: theta = 0
+            raise ValidationError("dim must be >= 2")
         lo, hi = self.t_range
         if lo > hi or lo < 0:
             raise ValidationError(f"t_range must be a nonempty interval of nonnegative"
@@ -109,6 +94,11 @@ class InstanceRecord:
     lemma2_min_slack: float | None
     theorem1_slack: float
     theorem1_slack_onesided: float
+
+
+# CSV columns follow the record's fields; the query count is headed "T".
+_RECORD_FIELDS = tuple(f.name for f in fields(InstanceRecord))
+CSV_COLUMNS = tuple("T" if name == "queries" else name for name in _RECORD_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -162,6 +152,22 @@ def _build_trace(u1, u2, queries: int, cfg: CampaignConfig, rng: np.random.Gener
     return run_protocol(u1, u2, protocol)
 
 
+def measure_pair(phi1, phi2, overlap: float) -> tuple[float, float | None]:
+    """Measured errors of the optimal measurements on a final state pair.
+
+    Returns the Helstrom error, clamped to [0, 0.5], and the larger
+    inconclusive rate of the unambiguous measurement. The latter is None
+    when the states coincide (``overlap`` within 1e-10 of 1), because no
+    unambiguous measurement exists then.
+    """
+    outcome = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
+    error = min(0.5, max(0.0, 1.0 - min(outcome.p_correct_1, outcome.p_correct_2)))
+    if overlap >= 1.0 - 1e-10:
+        return error, None
+    three = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
+    return error, max(three.p_inconclusive_1, three.p_inconclusive_2)
+
+
 def run_instance(cfg: CampaignConfig, index: int, pair_factory=None) -> tuple[InstanceRecord, float]:
     """Run one campaign instance; returns (record, observed D_0)."""
     rng = _instance_rng(cfg.seed, index)
@@ -178,21 +184,15 @@ def run_instance(cfg: CampaignConfig, index: int, pair_factory=None) -> tuple[In
     slacks = audit_step_slacks(trace, theta)
     lemma2_min = min(slacks) if slacks else None
 
-    phi1, phi2 = trace.states_1[-1], trace.states_2[-1]
     c = trace.final_overlap
-    outcome = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
-    eps = min(1.0, max(0.0, 1.0 - min(outcome.p_correct_1, outcome.p_correct_2)))
+    eps, eps0 = measure_pair(trace.states_1[-1], trace.states_2[-1], c)
+    if eps0 is None:
+        eps0 = 1.0  # only the always-inconclusive budget is available
     half_span = queries * theta / 2.0
     slack_bounded = half_span - np.sqrt(max(0.0, 1.0 - 4.0 * eps * (1.0 - eps)))
-
-    if c < 1.0 - 1e-10:
-        three = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
-        eps0 = min(1.0, max(three.p_inconclusive_1, three.p_inconclusive_2))
-    else:
-        eps0 = 1.0  # only the always-inconclusive budget is available
     slack_onesided = half_span - np.sqrt(max(0.0, 1.0 - eps0 * eps0))
 
-    bound = t_min_bounded(theta, min(0.5, eps))
+    bound = t_min_bounded(theta, eps)
     record = InstanceRecord(
         index=index,
         theta=theta,
@@ -283,20 +283,7 @@ def render_csv(report: CampaignReport) -> str:
     """Deterministic CSV: header plus one row per instance record."""
     lines = [",".join(CSV_COLUMNS)]
     for r in report.records:
-        row = (
-            r.index,
-            r.theta,
-            r.queries,
-            r.overlap,
-            r.helstrom_error,
-            r.inconclusive,
-            r.bound_raw,
-            r.bound_t,
-            r.lemma2_min_slack,
-            r.theorem1_slack,
-            r.theorem1_slack_onesided,
-        )
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(_fmt(getattr(r, name)) for name in _RECORD_FIELDS))
     return "\n".join(lines) + "\n"
 
 
@@ -340,34 +327,9 @@ def report_to_obj(report: CampaignReport) -> dict:
     }
 
 
-def report_from_obj(obj) -> CampaignReport:
-    try:
-        records = [InstanceRecord(**r) for r in obj["records"]]
-        summary = None if obj.get("summary") is None else CampaignSummary(**obj["summary"])
-        cfg_obj = dict(obj["config"])
-        cfg = CampaignConfig(
-            instances=int(cfg_obj["instances"]),
-            dim=int(cfg_obj["dim"]),
-            t_range=(int(cfg_obj["t_range"][0]), int(cfg_obj["t_range"][1])),
-            seed=int(cfg_obj["seed"]),
-            protocol_source=str(cfg_obj.get("protocol_source", "random")),
-            output_path=cfg_obj.get("output_path"),
-        )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed campaign report: {exc}") from exc
-    return CampaignReport(config=cfg, records=records, summary=summary)
-
-
 def render_report(report: CampaignReport, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report_to_obj(report), indent=2) + "\n"
     if fmt == "csv":
         return render_csv(report)
     raise UsageError(f"unknown report format {fmt!r}")
-
-
-def emit_report(report: CampaignReport, fmt: str, path: str) -> None:
-    """Write the rendered report to a file; I/O failures propagate as OSError."""
-    text = render_report(report, fmt)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

@@ -19,15 +19,14 @@ from .builder import optimize_protocol
 from .errors import NumericalError, UsageError
 from .geometry import fidelity_closed_form, fidelity_hull_oracle, smallest_arc
 from .linalg import relative_spectrum
-from .measurement import evaluate_povm, helstrom_povm, unambiguous_povm
 from .protocol import run_protocol
 
 _MODES = {"bounded": ErrorMode.BOUNDED, "onesided": ErrorMode.ONE_SIDED}
 
 
-def _write(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+def _write(path: str | None, text: str) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -36,7 +35,7 @@ def _write(args, text: str) -> None:
 def _emit_json(args, obj) -> None:
     if args.format == "csv":
         raise UsageError("csv output is only available for the verify subcommand")
-    _write(args, json.dumps(obj, indent=2) + "\n")
+    _write(args.output, json.dumps(obj, indent=2) + "\n")
 
 
 def _load_unitary_pair(args):
@@ -96,14 +95,9 @@ def _cmd_simulate(args) -> int:
     u1, u2 = _load_unitary_pair(args)
     protocol = serialize.protocol_from_obj(serialize.load_json(args.protocol))
     trace = run_protocol(u1, u2, protocol)
-    phi1, phi2 = trace.states_1[-1], trace.states_2[-1]
-    outcome = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
-    error = 1.0 - min(outcome.p_correct_1, outcome.p_correct_2)
-    if trace.final_overlap < 1.0 - 1e-10:
-        three = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
-        inconclusive = max(three.p_inconclusive_1, three.p_inconclusive_2)
-    else:
-        inconclusive = None  # identical final states: no unambiguous measurement
+    error, inconclusive = campaign_mod.measure_pair(
+        trace.states_1[-1], trace.states_2[-1], trace.final_overlap
+    )
     _emit_json(
         args,
         {
@@ -139,13 +133,7 @@ def _cmd_verify(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     report = campaign_mod.run_campaign(cfg)
-    out_path = args.output or cfg.output_path
-    text = campaign_mod.render_report(report, args.format)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output or cfg.output_path, campaign_mod.render_report(report, args.format))
     summary = report.summary
     print(
         f"instances={summary.instances} violations={summary.violation_count} "

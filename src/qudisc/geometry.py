@@ -25,36 +25,6 @@ class ArcResult:
     end_phase: float
 
 
-@dataclass(eq=False)
-class HullQuery:
-    """A convex combination of unit-circle points.
-
-    ``weights`` may be None when only the point set matters; when present
-    they must be nonnegative and sum to 1 within 1e-12.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=complex).ravel()
-        if self.points.size == 0:
-            raise DomainError("need at least one point")
-        _require_unit_circle(self.points)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float).ravel()
-            if w.shape != self.points.shape:
-                raise ShapeError("weights must align with points")
-            if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
-                raise DomainError("weights must be nonnegative and sum to 1")
-            self.weights = w
-
-    def combination(self) -> complex:
-        if self.weights is None:
-            raise DomainError("query carries no weights")
-        return complex(np.sum(self.weights * self.points))
-
-
 def _require_unit_circle(points: np.ndarray, tol: float = 1e-10) -> None:
     off = np.max(np.abs(np.abs(points) - 1.0))
     if off > tol:

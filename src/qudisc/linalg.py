@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import CapacityError, DomainError, NumericalError, ShapeError
+from .errors import DomainError, NumericalError, ShapeError
 
 # Hard cap on any dense matrix dimension handled by the toolkit.
 DIM_CAP = 4096
@@ -54,13 +54,6 @@ def unitarity_defect(m) -> float:
     """Elementwise max deviation of M†M from the identity."""
     a = as_complex_matrix(m)
     return float(np.max(np.abs(dagger(a) @ a - np.eye(a.shape[0]))))
-
-
-def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
-    """True iff ``max_ij |(M†M - I)_ij| <= tol``."""
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    return unitarity_defect(m) <= tol
 
 
 def require_unitary(m, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
@@ -179,13 +172,3 @@ def random_state_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:
         raise DomainError("dimension must be >= 1")
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product with the capacity cap enforced before allocation."""
-    ma = as_complex_matrix(a)
-    mb = as_complex_matrix(b)
-    out_dim = ma.shape[0] * mb.shape[0]
-    if out_dim > DIM_CAP:
-        raise CapacityError(f"tensor product dimension {out_dim} exceeds cap {DIM_CAP}")
-    return np.kron(ma, mb)

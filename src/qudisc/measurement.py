@@ -111,14 +111,6 @@ class ComplianceReport:
     margins: dict[str, float]
 
 
-def overlap_magnitude(phi1, phi2) -> float:
-    a = require_normalized(phi1)
-    b = require_normalized(phi2)
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return min(1.0, float(abs(np.vdot(a, b))))
-
-
 def helstrom_error(overlap: float) -> float:
     """Minimum achievable error probability at a given overlap magnitude."""
     if not 0.0 <= overlap <= 1.0:

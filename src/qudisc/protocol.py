@@ -8,6 +8,7 @@ trace distances that every bound audit in the toolkit consumes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,26 +104,39 @@ def run_protocol(u1, u2, protocol: Protocol) -> SimulationTrace:
         )
 
     anc = protocol.ancilla_dim
-    s1 = protocol.interleavers[0] @ protocol.probe
-    s2 = protocol.interleavers[0] @ protocol.probe
-    states_1, states_2 = [s1], [s2]
-    distances = [trace_distance_pure(s1, s2)]
-    for k in range(protocol.queries):
-        w = protocol.interleavers[k + 1]
-        s1 = w @ apply_query(s1, a, d, anc)
-        s2 = w @ apply_query(s2, b, d, anc)
+
+    def steps():
+        s1 = protocol.interleavers[0] @ protocol.probe
+        s2 = s1.copy()
+        yield s1, s2
+        for k in range(protocol.queries):
+            w = protocol.interleavers[k + 1]
+            s1 = w @ apply_query(s1, a, d, anc)
+            s2 = w @ apply_query(s2, b, d, anc)
+            yield s1, s2
+
+    return record_trace(steps())
+
+
+def record_trace(steps: Iterable[tuple[np.ndarray, np.ndarray]]) -> SimulationTrace:
+    """Trace of the state pairs a simulation passes through, the starting pair first.
+
+    Every simulator feeds its pairs through here, so distances and the
+    final overlap are computed one way for all of them.
+    """
+    states_1: list[np.ndarray] = []
+    states_2: list[np.ndarray] = []
+    distances: list[float] = []
+    for s1, s2 in steps:
         states_1.append(s1)
         states_2.append(s2)
         distances.append(trace_distance_pure(s1, s2))
-
-    return SimulationTrace(states_1, states_2, distances, _overlap_for(s1, s2, distances[-1]))
-
-
-def _overlap_for(s1: np.ndarray, s2: np.ndarray, distance: float) -> float:
-    """Final overlap consistent with the recorded distance at the parallel end."""
-    if distance < 1e-12:
-        return 1.0
-    return min(1.0, float(abs(np.vdot(s1, s2))))
+    # Coinciding final states report overlap exactly 1, consistent with distance 0.
+    if distances[-1] < 1e-12:
+        overlap = 1.0
+    else:
+        overlap = min(1.0, float(abs(np.vdot(states_1[-1], states_2[-1]))))
+    return SimulationTrace(states_1, states_2, distances, overlap)
 
 
 def audit_step_slacks(trace: SimulationTrace, theta: float) -> list[float]:

@@ -1,4 +1,4 @@
-"""JSON wire formats for matrices, states, protocols, POVMs, and configs.
+"""JSON wire formats for matrices, states, protocols, and search configs.
 
 Schemas (complex numbers are [re, im] pairs, matrices row-major):
 
@@ -6,7 +6,6 @@ Schemas (complex numbers are [re, im] pairs, matrices row-major):
     state    {"dim": d, "amplitudes": [[re, im], ...]}     len d
     protocol {"system_dim": d, "ancilla_dim": a, "queries": T,
               "probe": <state>, "interleavers": [<matrix>, ...]}
-    povm     {"effects": [<matrix>, ...], "labels": ["identify_1", ...]}
     search   {"queries": T, "restarts": n, "max_iterations": m,
               "step_tolerance": x, "seed": s}
 
@@ -21,7 +20,8 @@ import json
 import numpy as np
 
 from .builder import SearchConfig
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
+from .linalg import DIM_CAP
 from .protocol import Protocol
 
 
@@ -41,6 +41,16 @@ def _from_pairs(pairs, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _dim_of(obj, what: str) -> int:
+    """The declared dimension, checked against the cap before any entry is parsed."""
+    dim = int(obj["dim"])
+    if dim < 1:
+        raise ValidationError(f"{what}: dim must be positive")
+    if dim > DIM_CAP:
+        raise CapacityError(f"{what}: dim {dim} exceeds cap {DIM_CAP}")
+    return dim
+
+
 def matrix_to_obj(m: np.ndarray) -> dict:
     a = np.asarray(m, dtype=complex)
     return {"dim": int(a.shape[0]), "entries": _pairs(a.ravel())}
@@ -49,9 +59,7 @@ def matrix_to_obj(m: np.ndarray) -> dict:
 def matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValidationError(f"{what}: expected an object with 'dim' and 'entries'")
-    dim = int(obj["dim"])
-    if dim < 1:
-        raise ValidationError(f"{what}: dim must be positive")
+    dim = _dim_of(obj, what)
     flat = _from_pairs(obj["entries"], what)
     if flat.size != dim * dim:
         raise ValidationError(f"{what}: expected {dim * dim} entries, got {flat.size}")
@@ -66,9 +74,7 @@ def state_to_obj(v: np.ndarray) -> dict:
 def state_from_obj(obj, what: str = "state") -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "amplitudes" not in obj:
         raise ValidationError(f"{what}: expected an object with 'dim' and 'amplitudes'")
-    dim = int(obj["dim"])
-    if dim < 1:
-        raise ValidationError(f"{what}: dim must be positive")
+    dim = _dim_of(obj, what)
     amps = _from_pairs(obj["amplitudes"], what)
     if amps.size != dim:
         raise ValidationError(f"{what}: expected {dim} amplitudes, got {amps.size}")
@@ -101,28 +107,6 @@ def protocol_from_obj(obj) -> Protocol:
         )
     except KeyError as exc:
         raise ValidationError(f"protocol: missing field {exc}") from exc
-
-
-def povm_to_obj(effects: list[np.ndarray], labels: list[str]) -> dict:
-    return {"effects": [matrix_to_obj(e) for e in effects], "labels": list(labels)}
-
-
-def povm_from_obj(obj) -> tuple[list[np.ndarray], list[str]]:
-    if not isinstance(obj, dict) or "effects" not in obj or "labels" not in obj:
-        raise ValidationError("povm: expected an object with 'effects' and 'labels'")
-    effects = [matrix_from_obj(e, f"effect {k}") for k, e in enumerate(obj["effects"])]
-    labels = [str(x) for x in obj["labels"]]
-    return effects, labels
-
-
-def search_config_to_obj(cfg: SearchConfig) -> dict:
-    return {
-        "queries": cfg.queries,
-        "restarts": cfg.restarts,
-        "max_iterations": cfg.max_iterations,
-        "step_tolerance": cfg.step_tolerance,
-        "seed": cfg.seed,
-    }
 
 
 def search_config_from_obj(obj) -> SearchConfig:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qudisc import Protocol
-from qudisc.campaign import CampaignReport, run_campaign, summarize
+from qudisc.campaign import CampaignReport, config_from_obj, render_csv, run_campaign, summarize
 from qudisc.cli import main
 from qudisc.serialize import dump_json, matrix_to_obj, protocol_to_obj
 
@@ -177,6 +177,23 @@ class TestVerify:
         run_cli(capsys, ["verify", "--config", fixtures["campaign"],
                          "--format", "csv", "--output", str(b), "--seed", "1234"])
         assert a.read_bytes() != b.read_bytes()
+
+    def test_output_to_missing_directory_exits_2(self, fixtures, tmp_path, capsys):
+        code, _, err = run_cli(capsys, ["verify", "--config", fixtures["campaign"],
+                                        "--output", str(tmp_path / "missing" / "x.csv")])
+        assert code == 2
+        assert "error:" in err
+
+    def test_config_output_path_receives_the_report(self, tmp_path, capsys):
+        obj = {"instances": 2, "dim": 2, "t_range": [1, 2], "seed": 3,
+               "output_path": str(tmp_path / "report.csv")}
+        config = tmp_path / "campaign.json"
+        dump_json(obj, str(config))
+        code, out, _ = run_cli(capsys, ["verify", "--config", str(config), "--format", "csv"])
+        assert code == 0
+        assert out == ""
+        expected = render_csv(run_campaign(config_from_obj(obj)))
+        assert (tmp_path / "report.csv").read_text() == expected
 
     def test_json_to_stdout(self, fixtures, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--config", fixtures["campaign"]])
