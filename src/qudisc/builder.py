@@ -1,10 +1,11 @@
 """Construction of discrimination protocols.
 
 Two routes: an explicit parallel plan whose final overlap is known in
-closed form, and a derivative-free search over probes and interleavers at
-a fixed query count. The search makes no optimality promise; it is
-monotone within a restart, deterministic for a fixed seed, and asserts
-that whatever it returns respects the query-count lower bound.
+closed form, and a Gauss-Newton search over interleavers at a fixed query
+count, driven by the analytic derivative of the final overlap. The search
+makes no optimality promise; it is monotone within a restart,
+deterministic for a fixed seed, and asserts that whatever it returns
+respects the query-count lower bound.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ import numpy as np
 from .bounds import t_min_bounded
 from .errors import CapacityError, DomainError, IndistinguishableError, ValidationError
 from .geometry import smallest_arc
-from .linalg import DIM_CAP, relative_spectrum, require_unitary
+from .linalg import (
+    DIM_CAP,
+    haar_unitary_from_rng,
+    random_state_from_rng,
+    relative_spectrum,
+    require_unitary,
+)
 from .measurement import helstrom_error
 from .protocol import Protocol, SimulationTrace, apply_query, record_trace, run_protocol
 
@@ -116,7 +123,7 @@ def simulate_parallel(u1, u2, plan: ParallelPlan) -> SimulationTrace:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and seeding for the derivative-free protocol search."""
+    """Budget and seeding for the Gauss-Newton protocol search."""
 
     queries: int
     restarts: int = 8
@@ -144,143 +151,90 @@ class SearchResult:
     histories: list[list[float]]
 
 
-def _hermitian_from_params(p: np.ndarray, n: int) -> np.ndarray:
-    h = np.zeros((n, n), dtype=complex)
-    iu = np.triu_indices(n, 1)
-    m = iu[0].size
-    h[iu] = p[n : n + m] + 1j * p[n + m :]
-    h = h + h.conj().T
-    h[np.diag_indices(n)] = p[:n]
-    return h
+def _forward(ws: np.ndarray, probe: np.ndarray, u1, u2, d: int, anc: int):
+    """Both branches' states right after each interleaver, W_0 first."""
+    y1 = [ws[0] @ probe]
+    y2 = [y1[0]]
+    for w in ws[1:]:
+        y1.append(w @ apply_query(y1[-1], u1, d, anc))
+        y2.append(w @ apply_query(y2[-1], u2, d, anc))
+    return y1, y2
 
 
-def _unitary_from_params(p: np.ndarray, n: int) -> np.ndarray:
-    # exp(iH) via the eigenbasis; unitary to machine precision by construction
-    vals, vecs = np.linalg.eigh(_hermitian_from_params(p, n))
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+def _overlap_derivatives(ws: np.ndarray, y1, y2, u1, u2, d: int, anc: int) -> np.ndarray:
+    """N_k such that replacing W_k by exp(X)W_k changes <s1|s2> by tr(X N_k).
 
-
-class _Objective:
-    """Squared final overlap of a parametrized protocol, with block caching.
-
-    Parameter layout: 2n probe reals (real parts then imaginary parts),
-    then T+1 blocks of n^2 reals, one Hermitian generator per interleaver.
-    Only the block touched by a coordinate move is rebuilt.
+    ``b1``/``b2`` carry the other branch's final state back through this
+    branch's remaining steps, so one backward pass per branch gives every N_k.
     """
-
-    def __init__(self, u1: np.ndarray, u2: np.ndarray, ancilla_dim: int, queries: int):
-        self.u1 = u1
-        self.u2 = u2
-        self.d = u1.shape[0]
-        self.a = ancilla_dim
-        self.n = self.d * self.a
-        self.t = queries
-        self.n_params = 2 * self.n + (queries + 1) * self.n * self.n
-        self._probe: np.ndarray | None = None
-        self._ws: list[np.ndarray] = [np.eye(self.n, dtype=complex)] * (queries + 1)
-
-    def block_of(self, i: int) -> int:
-        """-1 for probe coordinates, else the interleaver index."""
-        if i < 2 * self.n:
-            return -1
-        return (i - 2 * self.n) // (self.n * self.n)
-
-    def set_block(self, block: int, x: np.ndarray) -> None:
-        n = self.n
-        if block == -1:
-            v = x[:n] + 1j * x[n : 2 * n]
-            norm = float(np.linalg.norm(v))
-            self._probe = None if norm < 1e-12 else v / norm
-        else:
-            lo = 2 * n + block * n * n
-            self._ws[block] = _unitary_from_params(x[lo : lo + n * n], n)
-
-    def refresh(self, x: np.ndarray) -> None:
-        self.set_block(-1, x)
-        for k in range(self.t + 1):
-            self.set_block(k, x)
-
-    def value(self) -> float:
-        if self._probe is None:
-            return 1.0  # degenerate probe parameters: report the worst objective
-        s1 = self._ws[0] @ self._probe
-        s2 = s1
-        for k in range(self.t):
-            w = self._ws[k + 1]
-            s1 = w @ apply_query(s1, self.u1, self.d, self.a)
-            s2 = w @ apply_query(s2, self.u2, self.d, self.a)
-        return float(abs(np.vdot(s1, s2)) ** 2)
-
-    def protocol(self) -> Protocol:
-        if self._probe is None:
-            raise ValidationError("degenerate probe parameters")
-        return Protocol(
-            system_dim=self.d,
-            ancilla_dim=self.a,
-            queries=self.t,
-            interleavers=[w.copy() for w in self._ws],
-            probe=self._probe.copy(),
-        )
+    b1, b2 = y2[-1], y1[-1]
+    ns = np.empty_like(ws)
+    for k in range(len(ws) - 1, -1, -1):
+        ns[k] = np.outer(y2[k], b2.conj()) - np.outer(b1, y1[k].conj())
+        if k:
+            b1 = apply_query(ws[k].conj().T @ b1, u1.conj().T, d, anc)
+            b2 = apply_query(ws[k].conj().T @ b2, u2.conj().T, d, anc)
+    return ns
 
 
-def _descend(obj: _Objective, x: np.ndarray, cfg: SearchConfig) -> tuple[np.ndarray, float, list[float], bool]:
-    """Coordinate descent with a three-point quadratic fit and shrinking step."""
-    obj.refresh(x)
-    f = obj.value()
-    h = 0.5
-    history = [math.sqrt(f)]
-    exhausted = True
+def _gauss_newton_step(c: complex, ns: np.ndarray) -> np.ndarray:
+    """Smallest skew-Hermitian (X_0..X_T) whose first-order change cancels c.
+
+    Re tr(X N) and Im tr(X N) are inner products of X with the skew-Hermitian
+    directions below, so the step lies in their span and one damped 2x2
+    system (Levenberg-Marquardt with lambda = |c|^2 * tr(G)) fixes it.
+    """
+    nh = ns.conj().transpose(0, 2, 1)
+    dirs = ((nh - ns) / 2.0, 0.5j * (nh + ns))
+    g = np.array([[np.vdot(p, q).real for q in dirs] for p in dirs])
+    g += abs(c) ** 2 * np.trace(g) * np.eye(2)
+    alpha, beta = np.linalg.lstsq(g, np.array([c.real, c.imag]), rcond=None)[0]
+    return -(alpha * dirs[0] + beta * dirs[1])
+
+
+def _descend(ws: np.ndarray, probe: np.ndarray, u1, u2, d: int, anc: int,
+             cfg: SearchConfig) -> tuple[np.ndarray, list[float], bool]:
+    """Gauss-Newton iterations on the final overlap.
+
+    Each step is halved until the overlap drops; the restart ends once the
+    step has shrunk below ``step_tolerance`` of the full Gauss-Newton step.
+    """
+    y1, y2 = _forward(ws, probe, u1, u2, d, anc)
+    c = np.vdot(y1[-1], y2[-1])
+    history = [float(abs(c))]
     for _ in range(cfg.max_iterations):
+        x = _gauss_newton_step(c, _overlap_derivatives(ws, y1, y2, u1, u2, d, anc))
+        # exp(tX) through the eigenbasis of the Hermitian -iX: unitary to machine precision
+        vals, vecs = np.linalg.eigh(-1j * x)
+        scale = 1.0
         improved = False
-        for i in range(x.size):
-            block = obj.block_of(i)
-            xi = x[i]
-
-            def trial(v: float) -> float:
-                x[i] = v
-                obj.set_block(block, x)
-                return obj.value()
-
-            fp = trial(xi + h)
-            fm = trial(xi - h)
-            best_v, best_f = xi, f
-            if fp < best_f:
-                best_v, best_f = xi + h, fp
-            if fm < best_f:
-                best_v, best_f = xi - h, fm
-            curvature = fp + fm - 2.0 * f
-            if curvature > 1e-15:
-                delta = -0.5 * h * (fp - fm) / curvature
-                if abs(delta) <= 2.0 * h and delta != 0.0:
-                    ft = trial(xi + delta)
-                    if ft < best_f:
-                        best_v, best_f = xi + delta, ft
-            x[i] = best_v
-            obj.set_block(block, x)
-            if best_f < f - 1e-18:
-                f = best_f
+        while scale >= cfg.step_tolerance:
+            rotations = (vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+            trial = rotations @ ws
+            t1, t2 = _forward(trial, probe, u1, u2, d, anc)
+            trial_c = np.vdot(t1[-1], t2[-1])
+            if abs(trial_c) < abs(c):
+                ws, y1, y2, c = trial, t1, t2, trial_c
                 improved = True
-        history.append(math.sqrt(f))
-        if f < _PERFECT_OVERLAP**2:
-            exhausted = False
-            break
-        if not improved:
-            h *= 0.5
-            if h < cfg.step_tolerance:
-                exhausted = False
                 break
-    return x, f, history, exhausted
+            vals = vals / 2.0
+            scale /= 2.0
+        history.append(float(abs(c)))
+        if abs(c) < _PERFECT_OVERLAP or not improved:
+            return ws, history, False
+    return ws, history, True
 
 
 def optimize_protocol(u1, u2, cfg: SearchConfig) -> SearchResult:
-    """Search probes and interleavers for the lowest final overlap at fixed T.
+    """Search interleavers for the lowest final overlap at fixed T.
 
-    Restart 0 starts from identity interleavers (enough for commuting
-    pairs); later restarts start from random generators. Restarts draw
-    from independent streams derived from (seed, restart), so the result
-    is reproducible and independent of evaluation order. The best
-    protocol is re-simulated and asserted against the query-count bound
-    before being returned.
+    The search keeps the T+1 interleavers themselves as its state; the
+    probe stays fixed per restart, since W_0 reaches every state. Restart
+    0 starts from identity interleavers (enough for commuting pairs);
+    later restarts start from Haar ones. Restarts draw from independent
+    streams derived from (seed, restart), so the result is reproducible
+    and independent of evaluation order. The best protocol is re-simulated
+    and asserted against the query-count bound before being returned.
     """
     a = require_unitary(u1, name="u1")
     b = require_unitary(u2, name="u2")
@@ -294,46 +248,41 @@ def optimize_protocol(u1, u2, cfg: SearchConfig) -> SearchResult:
         )
     d = a.shape[0]
     ancilla = d
-    if d * ancilla > DIM_CAP:
-        raise CapacityError(f"system*ancilla dimension {d * ancilla} exceeds cap {DIM_CAP}")
+    n = d * ancilla
+    if n > DIM_CAP:
+        raise CapacityError(f"system*ancilla dimension {n} exceeds cap {DIM_CAP}")
 
-    obj = _Objective(a, b, ancilla, cfg.queries)
+    identity = np.array([np.eye(n, dtype=complex)] * (cfg.queries + 1))
     if cfg.queries == 0:
         # The single interleaver cancels in the overlap: nothing to optimize.
-        rng = np.random.default_rng([cfg.seed, 0])
-        x = np.zeros(obj.n_params)
-        x[: 2 * obj.n] = rng.standard_normal(2 * obj.n)
-        obj.refresh(x)
+        probe = random_state_from_rng(n, np.random.default_rng([cfg.seed, 0]))
         return SearchResult(
-            protocol=obj.protocol(),
+            protocol=Protocol(d, ancilla, 0, list(identity), probe),
             overlap=1.0,
             budget_exhausted=False,
             best_restart=0,
             histories=[[1.0]],
         )
 
-    best: tuple[float, int] | None = None
-    best_x: np.ndarray | None = None
-    best_exhausted = False
+    best: tuple[float, int, np.ndarray, np.ndarray, bool] | None = None
     histories: list[list[float]] = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        x = np.zeros(obj.n_params)
-        x[: 2 * obj.n] = rng.standard_normal(2 * obj.n)
-        if r > 0:
-            x[2 * obj.n :] = rng.standard_normal(obj.n_params - 2 * obj.n) * 0.5
-        x, f, history, exhausted = _descend(obj, x, cfg)
+        probe = random_state_from_rng(n, rng)
+        if r == 0:
+            ws = identity
+        else:
+            ws = np.array([haar_unitary_from_rng(n, rng) for _ in range(cfg.queries + 1)])
+        ws, history, exhausted = _descend(ws, probe, a, b, d, ancilla, cfg)
         histories.append(history)
-        if best is None or f < best[0]:
-            best = (f, r)
-            best_x = x.copy()
-            best_exhausted = exhausted
-        if best[0] < _PERFECT_OVERLAP**2:
+        if best is None or history[-1] < best[0]:
+            best = (history[-1], r, ws, probe, exhausted)
+        if best[0] < _PERFECT_OVERLAP:
             break  # perfect discrimination found: later restarts cannot do better
 
-    assert best is not None and best_x is not None
-    obj.refresh(best_x)
-    protocol = obj.protocol()
+    assert best is not None
+    _, best_restart, ws, probe, best_exhausted = best
+    protocol = Protocol(d, ancilla, cfg.queries, list(ws), probe)
     trace = run_protocol(u1, u2, protocol)
     overlap = trace.final_overlap
 
@@ -348,6 +297,6 @@ def optimize_protocol(u1, u2, cfg: SearchConfig) -> SearchResult:
         protocol=protocol,
         overlap=overlap,
         budget_exhausted=best_exhausted,
-        best_restart=best[1],
+        best_restart=best_restart,
         histories=histories,
     )

@@ -13,7 +13,6 @@ index])``, so records are independent of execution order.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -80,7 +79,9 @@ class InstanceRecord:
 
     ``lemma2_min_slack`` is None for zero-query protocols (no steps to
     audit). ``inconclusive`` is 1.0 when the final states coincide and the
-    only compliant one-sided budget is the trivial one.
+    only compliant one-sided budget is the trivial one. A pair with
+    theta = 0 is recorded without a protocol: its bound is 0/0, so
+    ``bound_raw``, ``bound_t`` and ``lemma2_min_slack`` are None.
     """
 
     index: int
@@ -89,8 +90,8 @@ class InstanceRecord:
     overlap: float
     helstrom_error: float
     inconclusive: float
-    bound_raw: float
-    bound_t: int
+    bound_raw: float | None
+    bound_t: int | None
     lemma2_min_slack: float | None
     theorem1_slack: float
     theorem1_slack_onesided: float
@@ -113,7 +114,6 @@ class CampaignSummary:
     min_theorem1_slack_onesided: float | None
     min_lemma2_slack: float | None
     max_d0: float | None
-    runtime_seconds: float
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,22 @@ def run_instance(cfg: CampaignConfig, index: int, pair_factory=None) -> tuple[In
     queries = int(rng.integers(lo, hi + 1))
 
     theta = smallest_arc(relative_spectrum(u1, u2)).theta
+    if theta == 0.0:
+        # Every protocol ends at overlap 1 on such a pair: nothing to build.
+        record = InstanceRecord(
+            index=index,
+            theta=theta,
+            queries=queries,
+            overlap=1.0,
+            helstrom_error=0.5,
+            inconclusive=1.0,
+            bound_raw=None,
+            bound_t=None,
+            lemma2_min_slack=None,
+            theorem1_slack=0.0,
+            theorem1_slack_onesided=0.0,
+        )
+        return record, 0.0
     trace = _build_trace(u1, u2, queries, cfg, rng)
     slacks = audit_step_slacks(trace, theta)
     lemma2_min = min(slacks) if slacks else None
@@ -209,7 +225,7 @@ def run_instance(cfg: CampaignConfig, index: int, pair_factory=None) -> tuple[In
     return record, trace.distances[0]
 
 
-def summarize(records: list[InstanceRecord], max_d0: float | None, runtime: float) -> CampaignSummary:
+def summarize(records: list[InstanceRecord], max_d0: float | None) -> CampaignSummary:
     v_bounded = sum(1 for r in records if r.theorem1_slack < THEOREM_SLACK_TOL)
     v_onesided = sum(1 for r in records if r.theorem1_slack_onesided < THEOREM_SLACK_TOL)
     lemma = [r.lemma2_min_slack for r in records if r.lemma2_min_slack is not None]
@@ -228,7 +244,6 @@ def summarize(records: list[InstanceRecord], max_d0: float | None, runtime: floa
         ),
         min_lemma2_slack=min(lemma, default=None),
         max_d0=max_d0,
-        runtime_seconds=runtime,
     )
 
 
@@ -253,18 +268,16 @@ def run_campaign(cfg: CampaignConfig, pair_factory=None) -> CampaignReport:
     and is not part of the config file format.
     """
     cfg.validate()
-    start = time.perf_counter()
     records: list[InstanceRecord] = []
     max_d0: float | None = None
     for index in range(cfg.instances):
         record, d0 = run_instance(cfg, index, pair_factory=pair_factory)
         records.append(record)
         max_d0 = d0 if max_d0 is None else max(max_d0, d0)
-    runtime = time.perf_counter() - start
     return CampaignReport(
         config=cfg,
         records=records,
-        summary=summarize(records, max_d0, runtime),
+        summary=summarize(records, max_d0),
     )
 
 

@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "search",
         parents=[common],
-        help="derivative-free search for a low-overlap protocol at fixed queries",
+        help="Gauss-Newton search for a low-overlap protocol at fixed queries",
     )
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qudisc import (
     CapacityError,
@@ -19,6 +20,8 @@ from qudisc import (
     simulate_parallel,
     smallest_arc,
 )
+from qudisc.builder import _forward, _overlap_derivatives
+from qudisc.linalg import random_state_from_rng
 
 I2 = np.eye(2, dtype=complex)
 EIGHTH_TURN = np.diag([1.0, np.exp(1j * np.pi / 4)])
@@ -157,3 +160,53 @@ class TestOptimizeProtocol:
             # re-simulating the returned protocol reproduces the reported overlap
             trace = run_protocol(u1, u2, result.protocol)
             assert trace.final_overlap == pytest.approx(result.overlap, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_readme_example_reaches_perfection_for_every_seed(self, seed):
+        result = optimize_protocol(I2, EIGHTH_TURN, SearchConfig(queries=4, seed=seed))
+        assert result.overlap <= 1e-5
+
+    @pytest.mark.parametrize("dim, restarts, iterations, pairs", [(2, 8, 60, 8), (3, 2, 20, 4)])
+    def test_reaches_the_optimum_below_perfection(self, dim, restarts, iterations, pairs):
+        # Below t_perfect the best overlap over all protocols is cos(T*theta/2).
+        rng = np.random.default_rng(53 + dim)
+        checked = 0
+        while checked < pairs:
+            u1 = haar_unitary_from_rng(dim, rng)
+            u2 = haar_unitary_from_rng(dim, rng)
+            theta = smallest_arc(relative_spectrum(u1, u2)).theta
+            queries = math.ceil(np.pi / theta) - 1  # the most queries with T*theta < pi
+            if not 1 <= queries <= 4:
+                continue
+            cfg = SearchConfig(queries=queries, restarts=restarts,
+                               max_iterations=iterations, seed=checked)
+            result = optimize_protocol(u1, u2, cfg)
+            assert abs(result.overlap - math.cos(queries * theta / 2.0)) <= 1e-6
+            checked += 1
+
+
+class TestOverlapDerivative:
+    def test_matches_central_difference(self):
+        rng = np.random.default_rng(59)
+        d, queries = 2, 3
+        n = d * d
+        u1 = haar_unitary_from_rng(d, rng)
+        u2 = haar_unitary_from_rng(d, rng)
+        ws = np.array([haar_unitary_from_rng(n, rng) for _ in range(queries + 1)])
+        probe = random_state_from_rng(n, rng)
+
+        def overlap(interleavers):
+            y1, y2 = _forward(interleavers, probe, u1, u2, d, d)
+            return np.vdot(y1[-1], y2[-1])
+
+        y1, y2 = _forward(ws, probe, u1, u2, d, d)
+        ns = _overlap_derivatives(ws, y1, y2, u1, u2, d, d)
+        h = 1e-5
+        for k in range(queries + 1):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x = (g - g.conj().T) / 2.0
+            plus, minus = ws.copy(), ws.copy()
+            plus[k] = scipy.linalg.expm(h * x) @ ws[k]
+            minus[k] = scipy.linalg.expm(-h * x) @ ws[k]
+            numeric = (overlap(plus) - overlap(minus)) / (2.0 * h)
+            assert abs(numeric - np.trace(x @ ns[k])) <= 1e-8

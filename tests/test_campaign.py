@@ -84,6 +84,19 @@ class TestRunCampaign:
             assert 0.0 <= r.helstrom_error <= 0.5
             assert r.theorem1_slack == 0.0
 
+    @pytest.mark.parametrize("source", ["random", "parallel", "optimized"])
+    def test_theta_zero_pair_is_recorded_not_raised(self, source):
+        cfg = small_config(instances=2, t_range=(1, 2), seed=1, protocol_source=source)
+        report = run_campaign(cfg, pair_factory=lambda rng, d: (np.eye(d), np.eye(d)))
+        assert report.summary.violation_count == 0
+        for r in report.records:
+            assert (r.theta, r.overlap, r.helstrom_error, r.inconclusive) == (0.0, 1.0, 0.5, 1.0)
+            assert (r.theorem1_slack, r.theorem1_slack_onesided) == (0.0, 0.0)
+            assert (r.bound_raw, r.bound_t, r.lemma2_min_slack) == (None, None, None)
+        row = render_csv(report).split("\n")[1].split(",")
+        assert [row[CSV_COLUMNS.index(c)] for c in ("bound_raw", "bound_t", "lemma2_min_slack")] \
+            == ["", "", ""]
+
     def test_optimized_source_smoke(self):
         report = run_campaign(small_config(instances=2, t_range=(1, 2),
                                            protocol_source="optimized"))
@@ -146,7 +159,7 @@ class TestReportFormats:
 
     def test_empty_report_is_header_only(self):
         report = CampaignReport(config=small_config(), records=[],
-                                summary=summarize([], None, 0.0))
+                                summary=summarize([], None))
         text = render_csv(report)
         assert text == ",".join(CSV_COLUMNS) + "\n"
 

@@ -170,6 +170,14 @@ class TestVerify:
                          "--format", "csv", "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_two_json_runs_are_byte_identical(self, fixtures, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        run_cli(capsys, ["verify", "--config", fixtures["campaign"],
+                         "--format", "json", "--output", str(a)])
+        run_cli(capsys, ["verify", "--config", fixtures["campaign"],
+                         "--format", "json", "--output", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
     def test_seed_override_changes_records(self, fixtures, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, ["verify", "--config", fixtures["campaign"],
@@ -209,7 +217,7 @@ class TestVerify:
             bad = dataclasses.replace(report.records[0], theorem1_slack=-1.0)
             records = [bad] + report.records[1:]
             return CampaignReport(config=cfg, records=records,
-                                  summary=summarize(records, 0.0, 0.0))
+                                  summary=summarize(records, 0.0))
 
         monkeypatch.setattr("qudisc.cli.campaign_mod.run_campaign", doctored)
         code, _, err = run_cli(capsys, ["verify", "--config", fixtures["campaign"]])
