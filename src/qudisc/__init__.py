@@ -58,10 +58,8 @@ from .linalg import (
     relative_spectrum,
 )
 from .measurement import (
-    ComplianceReport,
     DiscriminationOutcome,
     Povm,
-    check_error_budget,
     evaluate_povm,
     helstrom_error,
     helstrom_povm,
@@ -78,7 +76,6 @@ __all__ = [
     "CampaignReport",
     "CampaignSummary",
     "CapacityError",
-    "ComplianceReport",
     "DIM_CAP",
     "DiscriminationOutcome",
     "DomainError",
@@ -100,7 +97,6 @@ __all__ = [
     "arc_contains",
     "audit_step_slacks",
     "build_parallel",
-    "check_error_budget",
     "eigen_system",
     "epsilon_floor",
     "evaluate_povm",

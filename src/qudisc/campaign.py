@@ -27,7 +27,7 @@ from .linalg import (
     relative_spectrum,
 )
 from .geometry import smallest_arc
-from .measurement import evaluate_povm, helstrom_povm, unambiguous_povm
+from .measurement import COINCIDE_TOL, evaluate_povm, helstrom_povm, unambiguous_povm
 from .protocol import Protocol, run_protocol, audit_step_slacks
 
 PROTOCOL_SOURCES = ("random", "parallel", "optimized")
@@ -157,12 +157,12 @@ def measure_pair(phi1, phi2, overlap: float) -> tuple[float, float | None]:
 
     Returns the Helstrom error, clamped to [0, 0.5], and the larger
     inconclusive rate of the unambiguous measurement. The latter is None
-    when the states coincide (``overlap`` within 1e-10 of 1), because no
-    unambiguous measurement exists then.
+    when the states coincide (``overlap`` within ``COINCIDE_TOL`` of 1),
+    because no unambiguous measurement exists then.
     """
     outcome = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
     error = min(0.5, max(0.0, 1.0 - min(outcome.p_correct_1, outcome.p_correct_2)))
-    if overlap >= 1.0 - 1e-10:
+    if overlap >= 1.0 - COINCIDE_TOL:
         return error, None
     three = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
     return error, max(three.p_inconclusive_1, three.p_inconclusive_2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, NumericalError, ShapeError
+from .errors import CapacityError, DomainError, NumericalError, ShapeError
 
 # Hard cap on any dense matrix dimension handled by the toolkit.
 DIM_CAP = 4096
@@ -25,22 +25,26 @@ TWO_PI = 2.0 * np.pi
 
 
 def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting bad shapes and non-finite entries."""
+    """Coerce to a square complex matrix, rejecting bad shapes, sizes and non-finite entries."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ShapeError("matrix dimension must be positive")
+    if a.shape[0] > DIM_CAP:
+        raise CapacityError(f"matrix dimension {a.shape[0]} exceeds cap {DIM_CAP}")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
     return a
 
 
 def as_state(v) -> np.ndarray:
-    """Coerce to a 1-D complex vector with finite entries."""
+    """Coerce to a nonempty 1-D complex vector within the cap, with finite entries."""
     a = np.asarray(v, dtype=complex)
     if a.ndim != 1 or a.shape[0] == 0:
         raise ShapeError(f"expected a nonempty vector, got shape {a.shape}")
+    if a.shape[0] > DIM_CAP:
+        raise CapacityError(f"state dimension {a.shape[0]} exceeds cap {DIM_CAP}")
     if not np.all(np.isfinite(a)):
         raise DomainError("state amplitudes must be finite")
     return a

@@ -1,12 +1,14 @@
 """Optimal measurements for a pair of pure final states.
 
 Constructs the minimum-error two-outcome measurement and the zero-
-misidentification three-outcome measurement for equiprobable states,
-evaluates arbitrary POVMs on a state pair, and checks the result against
-an error budget. Equal priors are assumed throughout.
+misidentification three-outcome measurement for equiprobable states, and
+evaluates POVMs on a state pair. Equal priors are assumed throughout.
 
-All constructions work inside the two-dimensional span of the state pair
-and embed back, so they stay numerically stable at any ambient dimension.
+Both optimal measurements act only on the two-dimensional span of the
+pair, so they are built, validated and evaluated there: each effect is a
+2x2 block in an orthonormal basis of the span (1x1 for a parallel pair)
+plus a weight on the projector onto the complement. No n x n array is
+formed, at any ambient dimension n; ``Povm.effect`` gives the dense view.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ErrorBudget, ErrorMode
-from .errors import DomainError, ShapeError, UsageError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError
 from .linalg import require_normalized
 
 IDENTIFY_1 = "identify_1"
@@ -29,18 +30,27 @@ _ALLOWED_LABELS = (IDENTIFY_1, IDENTIFY_2, INCONCLUSIVE)
 PSD_TOL = -1e-9
 # Elementwise tolerance for the completeness (sum to identity) check.
 COMPLETENESS_TOL = 1e-9
-# Margin tolerance for budget compliance.
-COMPLIANCE_TOL = 1e-9
+# Two states whose overlap magnitude is within this of 1 coincide up to phase.
+COINCIDE_TOL = 1e-10
 # Below this residual the two states are treated as identical up to phase.
 _PARALLEL_TOL = 1e-9
 
 
 @dataclass(eq=False)
 class Povm:
-    """Measurement as labelled positive effects summing to the identity."""
+    """Measurement as labelled positive effects summing to the identity.
+
+    Effect j is ``basis @ effects[j] @ basis^H + rest[j] * (I - basis @ basis^H)``:
+    a k x k block on the span of the orthonormal columns of ``basis`` (n x k)
+    and a weight on the complement of that span. Without a basis the POVM
+    covers the whole space: ``basis`` is the n x n identity, every effect is
+    the full operator and every weight is 0.
+    """
 
     effects: list[np.ndarray]
     labels: list[str]
+    basis: np.ndarray | None = None
+    rest: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.effects) != len(self.labels):
@@ -53,34 +63,56 @@ class Povm:
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("outcome labels must be unique")
         self.effects = [np.asarray(e, dtype=complex) for e in self.effects]
+        if self.basis is None:
+            self.basis = np.eye(self.effects[0].shape[0])
+        self.basis = np.asarray(self.basis, dtype=complex)
+        if self.basis.ndim != 2:
+            raise ValidationError(f"basis must be an n x k matrix, got shape {self.basis.shape}")
+        if self.rest is None:
+            self.rest = np.zeros(len(self.effects))
+        self.rest = np.asarray(self.rest, dtype=float)
+        if self.rest.shape != (len(self.effects),):
+            raise ValidationError("one complement weight per effect required")
 
     @property
     def dim(self) -> int:
-        return int(self.effects[0].shape[0])
+        return int(self.basis.shape[0])
 
     def validate(self) -> None:
-        """Check hermiticity, positivity, and completeness of the effect set."""
-        dim = self.dim
-        total = np.zeros((dim, dim), dtype=complex)
-        for k, e in enumerate(self.effects):
-            if e.shape != (dim, dim):
-                raise ValidationError(f"effect {k} ({self.labels[k]}) has shape {e.shape}")
-            if np.max(np.abs(e - e.conj().T)) > 1e-9:
-                raise ValidationError(f"effect {k} ({self.labels[k]}) is not Hermitian")
-            lo = float(np.min(np.linalg.eigvalsh((e + e.conj().T) / 2.0)))
+        """Check the basis, then hermiticity, positivity and completeness of the effects."""
+        n, k = self.basis.shape
+        names = [f"effect {j} ({lab})" for j, lab in enumerate(self.labels)]
+        for name, e in zip(names, self.effects):
+            if e.shape != (k, k):
+                raise ValidationError(f"{name} has shape {e.shape}")
+        if np.abs(self.basis.conj().T @ self.basis - np.eye(k)).max() > COMPLETENESS_TOL:
+            raise ValidationError("basis columns are not orthonormal")
+        blocks = np.array(self.effects)
+        adjoints = blocks.conj().transpose(0, 2, 1)
+        asymmetry = np.abs(blocks - adjoints).max(axis=(1, 2))
+        lowest = np.linalg.eigvalsh((blocks + adjoints) / 2.0)[:, 0]
+        for name, asym, lo, weight in zip(names, asymmetry, lowest, self.rest):
+            if asym > 1e-9:
+                raise ValidationError(f"{name} is not Hermitian")
             if lo < PSD_TOL:
-                raise ValidationError(
-                    f"effect {k} ({self.labels[k]}) has negative eigenvalue {lo:.3e}"
-                )
-            total += e
-        defect = float(np.max(np.abs(total - np.eye(dim))))
+                raise ValidationError(f"{name} has negative eigenvalue {lo:.3e}")
+            if weight < PSD_TOL:
+                raise ValidationError(f"{name} has negative complement weight {weight:.3e}")
+        defect = float(np.abs(blocks.sum(axis=0) - np.eye(k)).max())
         if defect > COMPLETENESS_TOL:
             raise ValidationError(f"effects sum to identity only within {defect:.3e}")
+        total = float(self.rest.sum())
+        if k < n and abs(total - 1.0) > COMPLETENESS_TOL:
+            raise ValidationError(f"complement weights sum to {total:.12g}, not 1")
 
     def effect(self, label: str) -> np.ndarray | None:
-        if label in self.labels:
-            return self.effects[self.labels.index(label)]
-        return None
+        """The full n x n operator of an outcome, or None when the POVM lacks it."""
+        if label not in self.labels:
+            return None
+        j = self.labels.index(label)
+        b = self.basis
+        outside = np.eye(self.dim) - b @ b.conj().T
+        return b @ self.effects[j] @ b.conj().T + self.rest[j] * outside
 
 
 @dataclass(frozen=True)
@@ -92,23 +124,6 @@ class DiscriminationOutcome:
     p_inconclusive_1: float
     p_inconclusive_2: float
     p_s: float
-    labels: tuple[str, ...]
-
-    @property
-    def p_misidentify_1(self) -> float:
-        """Probability that state 2 triggers the identify-1 outcome."""
-        return max(0.0, 1.0 - self.p_correct_2 - self.p_inconclusive_2)
-
-    @property
-    def p_misidentify_2(self) -> float:
-        """Probability that state 1 triggers the identify-2 outcome."""
-        return max(0.0, 1.0 - self.p_correct_1 - self.p_inconclusive_1)
-
-
-@dataclass(frozen=True)
-class ComplianceReport:
-    ok: bool
-    margins: dict[str, float]
 
 
 def helstrom_error(overlap: float) -> float:
@@ -118,47 +133,42 @@ def helstrom_error(overlap: float) -> float:
     return 0.5 * (1.0 - math.sqrt(1.0 - overlap * overlap))
 
 
-def _span_basis(phi1: np.ndarray, phi2: np.ndarray):
-    """Orthonormal basis (e1=phi1, e2) of the span, or None when parallel."""
-    e1 = phi1
-    resid = phi2 - np.vdot(e1, phi2) * e1
+def _normalized_pair(phi1, phi2) -> tuple[np.ndarray, np.ndarray]:
+    a = require_normalized(phi1)
+    b = require_normalized(phi2)
+    if a.shape != b.shape:
+        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    return a, b
+
+
+def _span(a: np.ndarray, b: np.ndarray):
+    """Basis (a, e2) of the pair's span, n x 1 when parallel, and both states in it."""
+    resid = b - np.vdot(a, b) * a
     rnorm = float(np.linalg.norm(resid))
-    if rnorm < _PARALLEL_TOL:
-        return e1, None
-    return e1, resid / rnorm
+    basis = np.column_stack([a] if rnorm < _PARALLEL_TOL else [a, resid / rnorm])
+    adjoint = basis.conj().T
+    return basis, adjoint @ a, adjoint @ b
 
 
 def helstrom_povm(phi1, phi2) -> Povm:
     """Two-outcome measurement minimizing the average discrimination error.
 
     The identify-1 effect projects onto the nonnegative eigenspace of
-    |phi1><phi1| - |phi2><phi2| (the ambient kernel included), which makes
-    both states succeed with probability (1 + sqrt(1-c^2))/2 for overlap c.
-    For a parallel pair the difference operator vanishes and the fair coin
-    {I/2, I/2} is returned so that both states still succeed at rate 1/2.
+    |phi1><phi1| - |phi2><phi2| (the complement of the span included),
+    which makes both states succeed with probability (1 + sqrt(1-c^2))/2
+    for overlap c. For a parallel pair the difference operator vanishes and
+    the fair coin {I/2, I/2} is returned so that both states still succeed
+    at rate 1/2.
     """
-    a = require_normalized(phi1)
-    b = require_normalized(phi2)
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    dim = a.shape[0]
-    eye = np.eye(dim, dtype=complex)
-
-    e1, e2 = _span_basis(a, b)
-    if e2 is None:
-        half = eye / 2.0
-        return Povm(effects=[half, half.copy()], labels=[IDENTIFY_1, IDENTIFY_2])
-
-    basis = np.column_stack([e1, e2])  # dim x 2, orthonormal columns
-    a2 = basis.conj().T @ a
-    b2 = basis.conj().T @ b
-    diff = np.outer(a2, a2.conj()) - np.outer(b2, b2.conj())
+    basis, x1, x2 = _span(*_normalized_pair(phi1, phi2))
+    if basis.shape[1] == 1:
+        half = np.full((1, 1), 0.5, dtype=complex)
+        return Povm([half, half.copy()], [IDENTIFY_1, IDENTIFY_2], basis, [0.5, 0.5])
+    diff = np.outer(x1, x1.conj()) - np.outer(x2, x2.conj())
     vals, vecs = np.linalg.eigh(diff)
-    plus = basis @ vecs[:, int(np.argmax(vals))]  # eigenvector of the +sqrt(1-c^2) eigenvalue
-    span_proj = basis @ basis.conj().T
-    pi1 = np.outer(plus, plus.conj()) + (eye - span_proj)
-    pi2 = eye - pi1
-    return Povm(effects=[pi1, pi2], labels=[IDENTIFY_1, IDENTIFY_2])
+    plus = vecs[:, int(np.argmax(vals))]  # eigenvector of the +sqrt(1-c^2) eigenvalue
+    pi1 = np.outer(plus, plus.conj())
+    return Povm([pi1, np.eye(2) - pi1], [IDENTIFY_1, IDENTIFY_2], basis, [1.0, 0.0])
 
 
 def unambiguous_povm(phi1, phi2) -> Povm:
@@ -168,83 +178,53 @@ def unambiguous_povm(phi1, phi2) -> Povm:
     of phi_i orthogonal to the other state inside their span; both states
     then hit the inconclusive outcome with probability exactly c.
     """
-    a = require_normalized(phi1)
-    b = require_normalized(phi2)
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    c = min(1.0, float(abs(np.vdot(a, b))))
-    if c >= 1.0 - 1e-10:
+    basis, x1, x2 = _span(*_normalized_pair(phi1, phi2))
+    c = min(1.0, float(abs(x2[0])))  # x2[0] = <phi1|phi2>
+    if c >= 1.0 - COINCIDE_TOL:
         raise DomainError(
-            f"unambiguous discrimination impossible: overlap {c:.12f} is 1 within 1e-10"
+            f"unambiguous discrimination impossible: overlap {c:.12f} is 1 within {COINCIDE_TOL:g}"
         )
-    dim = a.shape[0]
-
-    u1 = a - np.vdot(b, a) * b  # component of phi1 orthogonal to phi2
+    u1 = x1 - np.vdot(x2, x1) * x2  # component of phi1 orthogonal to phi2
     u1 /= np.linalg.norm(u1)
-    u2 = b - np.vdot(a, b) * a
+    u2 = x2 - np.vdot(x1, x2) * x1
     u2 /= np.linalg.norm(u2)
     scale = 1.0 / (1.0 + c)
     pi1 = scale * np.outer(u1, u1.conj())
     pi2 = scale * np.outer(u2, u2.conj())
-    pi0 = np.eye(dim, dtype=complex) - pi1 - pi2
-    return Povm(effects=[pi1, pi2, pi0], labels=[IDENTIFY_1, IDENTIFY_2, INCONCLUSIVE])
+    labels = [IDENTIFY_1, IDENTIFY_2, INCONCLUSIVE]
+    return Povm([pi1, pi2, np.eye(2) - pi1 - pi2], labels, basis, [0.0, 0.0, 1.0])
 
 
 def _clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
 
 
-def _born(effect: np.ndarray | None, state: np.ndarray) -> float:
-    if effect is None:
+def _born(povm: Povm, label: str, x: np.ndarray, outside: float) -> float:
+    """Probability of an outcome for a state with span coordinates x and mass outside the span."""
+    if label not in povm.labels:
         return 0.0
-    return _clamp01(float(np.real(np.vdot(state, effect @ state))))
+    j = povm.labels.index(label)
+    inside = float(np.vdot(x, povm.effects[j] @ x).real)
+    return _clamp01(inside + float(povm.rest[j]) * outside)
 
 
 def evaluate_povm(povm: Povm, phi1, phi2) -> DiscriminationOutcome:
     """Born probabilities of a POVM on a state pair, after validating the POVM."""
-    a = require_normalized(phi1)
-    b = require_normalized(phi2)
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    a, b = _normalized_pair(phi1, phi2)
     if povm.dim != a.shape[0]:
         raise ShapeError(f"POVM dimension {povm.dim} does not match states ({a.shape[0]})")
     povm.validate()
 
-    p1 = _born(povm.effect(IDENTIFY_1), a)
-    p2 = _born(povm.effect(IDENTIFY_2), b)
-    inc = povm.effect(INCONCLUSIVE)
+    adjoint = povm.basis.conj().T
+    x1, x2 = adjoint @ a, adjoint @ b
+    out1 = 1.0 - float(np.vdot(x1, x1).real)
+    out2 = 1.0 - float(np.vdot(x2, x2).real)
+    p1 = _born(povm, IDENTIFY_1, x1, out1)
+    p2 = _born(povm, IDENTIFY_2, x2, out2)
     return DiscriminationOutcome(
         p_correct_1=p1,
         p_correct_2=p2,
-        p_inconclusive_1=_born(inc, a),
-        p_inconclusive_2=_born(inc, b),
+        p_inconclusive_1=_born(povm, INCONCLUSIVE, x1, out1),
+        p_inconclusive_2=_born(povm, INCONCLUSIVE, x2, out2),
         p_s=p1 + p2,
-        labels=tuple(povm.labels),
     )
-
-
-def check_error_budget(outcome: DiscriminationOutcome, budget: ErrorBudget) -> ComplianceReport:
-    """Whether an outcome meets an error budget, with the margins that decide it.
-
-    Bounded mode: both correct-identification probabilities must reach
-    1 - epsilon. One-sided mode: misidentification must vanish and the
-    inconclusive rate must stay within epsilon; requires a three-outcome
-    measurement. Margins >= 0 mean satisfied (tolerance 1e-9).
-    """
-    if budget.mode is ErrorMode.BOUNDED:
-        margins = {
-            "correctness": min(outcome.p_correct_1, outcome.p_correct_2)
-            - (1.0 - budget.epsilon)
-        }
-    else:
-        if INCONCLUSIVE not in outcome.labels:
-            raise UsageError(
-                "one-sided budget requires a measurement with an inconclusive outcome"
-            )
-        margins = {
-            "misidentification": -max(outcome.p_misidentify_1, outcome.p_misidentify_2),
-            "inconclusive": budget.epsilon
-            - max(outcome.p_inconclusive_1, outcome.p_inconclusive_2),
-        }
-    ok = all(m >= -COMPLIANCE_TOL for m in margins.values())
-    return ComplianceReport(ok=ok, margins=margins)

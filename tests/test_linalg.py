@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qudisc import (
+    DIM_CAP,
+    CapacityError,
     DomainError,
     ShapeError,
     eigen_system,
@@ -10,7 +12,10 @@ from qudisc import (
 )
 from qudisc.linalg import (
     TWO_PI,
+    as_complex_matrix,
+    as_state,
     random_state_from_rng,
+    require_normalized,
     require_unitary,
     unitarity_defect,
     wrap_phase,
@@ -31,6 +36,24 @@ class TestIsUnitary:
     def test_non_square_raises(self):
         with pytest.raises(ShapeError):
             unitarity_defect(np.ones((2, 3)))
+
+
+class TestDimCap:
+    def test_state_above_cap_rejected(self):
+        with pytest.raises(CapacityError):
+            as_state(np.ones(5000))
+        n = DIM_CAP + 1
+        with pytest.raises(CapacityError):
+            require_normalized(np.ones(n) / np.sqrt(n))
+        assert as_state(np.ones(DIM_CAP)).shape == (DIM_CAP,)
+
+    def test_matrix_above_cap_rejected_before_reading_entries(self):
+        # a zero-stride view: the cap must reject it before the finiteness scan
+        big = np.broadcast_to(np.complex128(np.nan), (DIM_CAP + 1, DIM_CAP + 1))
+        with pytest.raises(CapacityError):
+            as_complex_matrix(big)
+        with pytest.raises(CapacityError):
+            require_unitary(big)
 
 
 class TestEigenSystem:

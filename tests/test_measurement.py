@@ -1,32 +1,45 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qudisc import (
+    DIM_CAP,
     DomainError,
-    ErrorBudget,
-    ErrorMode,
     Povm,
-    UsageError,
     ValidationError,
-    check_error_budget,
     evaluate_povm,
     helstrom_error,
     helstrom_povm,
     unambiguous_povm,
 )
 
-from .oracles import random_two_effect_povm, state_pair_with_overlap
+from .oracles import random_state, random_two_effect_povm, state_pair_with_overlap
 
 E0 = np.array([1, 0, 0, 0], dtype=complex)
 E1 = np.array([0, 1, 0, 0], dtype=complex)
 COS8 = math.cos(math.pi / 8)
 SIN8 = math.sin(math.pi / 8)
+# An error budget counts as met when its margin is at least -BUDGET_TOL.
+BUDGET_TOL = 1e-9
 
 
 def achieved_error(outcome):
     return 1.0 - min(outcome.p_correct_1, outcome.p_correct_2)
+
+
+def misidentification(outcome):
+    """Largest chance that one state triggers the other state's identify outcome."""
+    return max(
+        0.0,
+        1.0 - outcome.p_correct_1 - outcome.p_inconclusive_1,
+        1.0 - outcome.p_correct_2 - outcome.p_inconclusive_2,
+    )
+
+
+def inconclusive(outcome):
+    return max(outcome.p_inconclusive_1, outcome.p_inconclusive_2)
 
 
 class TestHelstrom:
@@ -145,26 +158,26 @@ class TestEvaluateAndCheck:
             evaluate_povm(negative, E0, E1)
 
     def test_bounded_budget_pass_and_fail(self):
+        # the budget 1 - epsilon on both correct-identification probabilities
         out = evaluate_povm(helstrom_povm(E0, E1), E0, E1)
-        report = check_error_budget(out, ErrorBudget(0.0, ErrorMode.BOUNDED))
-        assert report.ok
-        assert report.margins["correctness"] == pytest.approx(0.0, abs=1e-12)
+        margin = min(out.p_correct_1, out.p_correct_2) - 1.0
+        assert margin >= -BUDGET_TOL
+        assert margin == pytest.approx(0.0, abs=1e-12)
 
         rng = np.random.default_rng(37)
         phi1, phi2 = state_pair_with_overlap(COS8, 4, rng)
         out = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
-        report = check_error_budget(out, ErrorBudget(0.25, ErrorMode.BOUNDED))
-        assert not report.ok  # achieved error ~0.30866 exceeds 0.25
+        assert achieved_error(out) == pytest.approx(0.30866, abs=1e-5)
+        assert 0.25 - achieved_error(out) < -BUDGET_TOL  # fails epsilon = 0.25
 
     def test_one_sided_budget_saturation(self):
         rng = np.random.default_rng(38)
         phi1, phi2 = state_pair_with_overlap(0.5, 4, rng)
         out = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
-        passing = check_error_budget(out, ErrorBudget(0.5, ErrorMode.ONE_SIDED))
-        assert passing.ok
-        assert passing.margins["inconclusive"] == pytest.approx(0.0, abs=1e-9)
-        failing = check_error_budget(out, ErrorBudget(0.5 - 1e-3, ErrorMode.ONE_SIDED))
-        assert not failing.ok
+        assert misidentification(out) <= BUDGET_TOL
+        assert 0.5 - inconclusive(out) >= -BUDGET_TOL
+        assert 0.5 - inconclusive(out) == pytest.approx(0.0, abs=1e-9)
+        assert (0.5 - 1e-3) - inconclusive(out) < -BUDGET_TOL
 
     def test_one_sided_saturation_at_random_overlaps(self):
         # the inconclusive rate sits exactly at the overlap: budget c passes,
@@ -174,15 +187,9 @@ class TestEvaluateAndCheck:
             c = rng.uniform(1e-3, 0.99)
             phi1, phi2 = state_pair_with_overlap(c, 4, rng)
             out = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
-            assert check_error_budget(out, ErrorBudget(c, ErrorMode.ONE_SIDED)).ok
-            assert not check_error_budget(
-                out, ErrorBudget(c - 1e-3, ErrorMode.ONE_SIDED)
-            ).ok
-
-    def test_two_effect_povm_in_one_sided_mode_is_a_usage_error(self):
-        out = evaluate_povm(helstrom_povm(E0, E1), E0, E1)
-        with pytest.raises(UsageError):
-            check_error_budget(out, ErrorBudget(0.5, ErrorMode.ONE_SIDED))
+            assert misidentification(out) <= BUDGET_TOL
+            assert c - inconclusive(out) >= -BUDGET_TOL
+            assert (c - 1e-3) - inconclusive(out) < -BUDGET_TOL
 
 
 class TestPovmStructure:
@@ -199,3 +206,67 @@ class TestPovmStructure:
             phi1, phi2 = state_pair_with_overlap(c, 4, rng)
             helstrom_povm(phi1, phi2).validate()
             unambiguous_povm(phi1, phi2).validate()
+
+
+def _pair_cases(n, rng):
+    """Random pairs of ambient dimension n, plus a parallel pair."""
+    pairs = [(random_state(n, rng), random_state(n, rng)) for _ in range(5)]
+    pairs += [state_pair_with_overlap(c, n, rng) for c in (0.0, 0.5, 0.999)]
+    phi = random_state(n, rng)
+    return pairs, (phi, phi * np.exp(0.7j))
+
+
+def _outcome_tuple(out):
+    return np.array([out.p_correct_1, out.p_correct_2, out.p_inconclusive_1,
+                     out.p_inconclusive_2, out.p_s])
+
+
+class TestSpanForm:
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_dense_rebuild_is_the_reference(self, n):
+        rng = np.random.default_rng(41 + n)
+        pairs, parallel = _pair_cases(n, rng)
+        cases = [(helstrom_povm(*p), p) for p in pairs + [parallel]]
+        cases += [(unambiguous_povm(*p), p) for p in pairs]
+        for povm, (phi1, phi2) in cases:
+            dense = Povm(effects=[povm.effect(lab) for lab in povm.labels], labels=povm.labels)
+            assert dense.basis.shape == (n, n)
+            dense.validate()
+            span_out = _outcome_tuple(evaluate_povm(povm, phi1, phi2))
+            dense_out = _outcome_tuple(evaluate_povm(dense, phi1, phi2))
+            assert np.max(np.abs(span_out - dense_out)) <= 1e-12
+
+    def test_blocks_stay_two_dimensional_at_the_cap(self):
+        rng = np.random.default_rng(43)
+        phi1, phi2 = state_pair_with_overlap(COS8, DIM_CAP, rng)
+        tracemalloc.start()
+        try:
+            povms = [helstrom_povm(phi1, phi2), unambiguous_povm(phi1, phi2),
+                     helstrom_povm(phi1, -phi1)]
+            outs = [evaluate_povm(p, phi1, phi2) for p in povms[:2]]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * DIM_CAP * DIM_CAP // 100  # far below one n x n complex array
+        for povm in povms:
+            assert all(max(e.shape) <= 2 for e in povm.effects)
+            assert povm.basis.shape[0] == DIM_CAP
+        assert povms[2].effects[0].shape == (1, 1)
+        assert achieved_error(outs[0]) == pytest.approx((1 - SIN8) / 2, abs=1e-12)
+        assert inconclusive(outs[1]) == pytest.approx(COS8, abs=1e-12)
+
+    def test_validate_rejects_bad_complement_weights(self):
+        rng = np.random.default_rng(44)
+        phi1, phi2 = state_pair_with_overlap(0.5, 4, rng)
+        good = unambiguous_povm(phi1, phi2)
+
+        def with_rest(rest):
+            return Povm(effects=good.effects, labels=good.labels, basis=good.basis, rest=rest)
+
+        with pytest.raises(ValidationError, match=r"effect 2 \(inconclusive\).*negative"):
+            with_rest([1.1, 0.0, -0.1]).validate()
+        with pytest.raises(ValidationError, match="weights sum to 0.9"):
+            with_rest([0.0, 0.0, 0.9]).validate()
+        with pytest.raises(ValidationError, match="orthonormal"):
+            Povm(effects=good.effects, labels=good.labels, basis=2 * good.basis,
+                 rest=good.rest).validate()
