@@ -53,19 +53,19 @@ from .linalg import (
     DIM_CAP,
     PhaseSpectrum,
     eigen_system,
-    haar_unitary,
     haar_unitary_from_rng,
     relative_spectrum,
 )
 from .measurement import (
     DiscriminationOutcome,
     Povm,
+    StatePair,
     evaluate_povm,
     helstrom_error,
     helstrom_povm,
     unambiguous_povm,
 )
-from .protocol import Protocol, SimulationTrace, audit_step_slacks, run_protocol
+from .protocol import Protocol, SimulationTrace, audit_step_slacks, run_protocol, simulate_random
 
 __version__ = "0.1.0"
 
@@ -92,6 +92,7 @@ __all__ = [
     "SearchResult",
     "ShapeError",
     "SimulationTrace",
+    "StatePair",
     "UsageError",
     "ValidationError",
     "arc_contains",
@@ -102,7 +103,6 @@ __all__ = [
     "evaluate_povm",
     "fidelity_closed_form",
     "fidelity_hull_oracle",
-    "haar_unitary",
     "haar_unitary_from_rng",
     "helstrom_error",
     "helstrom_povm",
@@ -112,6 +112,7 @@ __all__ = [
     "run_campaign",
     "run_protocol",
     "simulate_parallel",
+    "simulate_random",
     "smallest_arc",
     "t_min",
     "t_min_bounded",

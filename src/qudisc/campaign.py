@@ -20,15 +20,10 @@ import numpy as np
 from .bounds import t_min_bounded
 from .builder import SearchConfig, build_parallel, optimize_protocol, simulate_parallel
 from .errors import UsageError, ValidationError
-from .linalg import (
-    DIM_CAP,
-    haar_unitary_from_rng,
-    random_state_from_rng,
-    relative_spectrum,
-)
+from .linalg import DIM_CAP, haar_unitary_from_rng, relative_spectrum
 from .geometry import smallest_arc
-from .measurement import COINCIDE_TOL, evaluate_povm, helstrom_povm, unambiguous_povm
-from .protocol import Protocol, run_protocol, audit_step_slacks
+from .measurement import COINCIDE_TOL, StatePair, evaluate_povm, helstrom_povm, unambiguous_povm
+from .protocol import audit_step_slacks, run_protocol, simulate_random
 
 PROTOCOL_SOURCES = ("random", "parallel", "optimized")
 
@@ -141,15 +136,8 @@ def _build_trace(u1, u2, queries: int, cfg: CampaignConfig, rng: np.random.Gener
         )
         result = optimize_protocol(u1, u2, search)
         return run_protocol(u1, u2, result.protocol)
-    total = cfg.dim * cfg.dim  # ancilla matches the system dimension
-    protocol = Protocol(
-        system_dim=cfg.dim,
-        ancilla_dim=cfg.dim,
-        queries=queries,
-        interleavers=[haar_unitary_from_rng(total, rng) for _ in range(queries + 1)],
-        probe=random_state_from_rng(total, rng),
-    )
-    return run_protocol(u1, u2, protocol)
+    # the ancilla matches the system dimension
+    return simulate_random(u1, u2, cfg.dim, queries, rng)
 
 
 def measure_pair(phi1, phi2, overlap: float) -> tuple[float, float | None]:
@@ -158,13 +146,15 @@ def measure_pair(phi1, phi2, overlap: float) -> tuple[float, float | None]:
     Returns the Helstrom error, clamped to [0, 0.5], and the larger
     inconclusive rate of the unambiguous measurement. The latter is None
     when the states coincide (``overlap`` within ``COINCIDE_TOL`` of 1),
-    because no unambiguous measurement exists then.
+    because no unambiguous measurement exists then. Each state is checked,
+    and the pair's span built, once for both measurements.
     """
-    outcome = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
+    pair = StatePair.of(phi1, phi2)
+    outcome = evaluate_povm(helstrom_povm(pair), pair)
     error = min(0.5, max(0.0, 1.0 - min(outcome.p_correct_1, outcome.p_correct_2)))
     if overlap >= 1.0 - COINCIDE_TOL:
         return error, None
-    three = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
+    three = evaluate_povm(unambiguous_povm(pair), pair)
     return error, max(three.p_inconclusive_1, three.p_inconclusive_2)
 
 

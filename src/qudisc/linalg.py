@@ -151,23 +151,24 @@ def relative_spectrum(u1, u2) -> PhaseSpectrum:
     return eigen_system(dagger(a) @ b)
 
 
-def haar_unitary_from_rng(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary drawn from an existing generator.
+def haar_isometry_from_rng(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed n x k isometry: the first k columns of a Haar unitary.
 
-    QR of a complex Gaussian matrix, with the triangular factor's diagonal
-    phases folded into Q so the distribution is exactly left-invariant.
+    QR of an n x k complex Gaussian matrix, with the triangular factor's
+    diagonal phases folded into Q so the distribution is exactly
+    left-invariant (Mezzadri, Notices AMS 54, 592, 2007).
     """
-    if d < 1:
-        raise DomainError("dimension must be >= 1")
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if not 1 <= k <= n:
+        raise DomainError(f"isometry needs 1 <= k <= n, got k={k} for n={n}")
+    z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     q, r = np.linalg.qr(z)
     diag = np.diag(r)
     return q * (diag / np.abs(diag))
 
 
-def haar_unitary(d: int, seed: int) -> np.ndarray:
-    """Deterministic Haar-random unitary: equal (d, seed) gives bit-equal output."""
-    return haar_unitary_from_rng(d, np.random.default_rng(seed))
+def haar_unitary_from_rng(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary drawn from an existing generator."""
+    return haar_isometry_from_rng(d, d, rng)
 
 
 def random_state_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -141,16 +141,35 @@ def _normalized_pair(phi1, phi2) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _span(a: np.ndarray, b: np.ndarray):
-    """Basis (a, e2) of the pair's span, n x 1 when parallel, and both states in it."""
-    resid = b - np.vdot(a, b) * a
-    rnorm = float(np.linalg.norm(resid))
-    basis = np.column_stack([a] if rnorm < _PARALLEL_TOL else [a, resid / rnorm])
-    adjoint = basis.conj().T
-    return basis, adjoint @ a, adjoint @ b
+@dataclass(frozen=True)
+class StatePair:
+    """Two checked states with an orthonormal basis (a, e2) of their span.
+
+    ``basis`` is n x 2, or n x 1 for a parallel pair, and ``coords`` holds
+    both states' coordinates in it. Build it with ``StatePair.of``. The
+    functions below accept a StatePair in place of the two states, so a pair
+    measured twice is checked and spanned once.
+    """
+
+    states: tuple[np.ndarray, np.ndarray]
+    basis: np.ndarray
+    coords: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(cls, phi1, phi2) -> "StatePair":
+        a, b = _normalized_pair(phi1, phi2)
+        resid = b - np.vdot(a, b) * a
+        rnorm = float(np.linalg.norm(resid))
+        basis = np.column_stack([a] if rnorm < _PARALLEL_TOL else [a, resid / rnorm])
+        adjoint = basis.conj().T
+        return cls((a, b), basis, (adjoint @ a, adjoint @ b))
 
 
-def helstrom_povm(phi1, phi2) -> Povm:
+def _state_pair(phi1, phi2) -> StatePair:
+    return phi1 if isinstance(phi1, StatePair) else StatePair.of(phi1, phi2)
+
+
+def helstrom_povm(phi1, phi2=None) -> Povm:
     """Two-outcome measurement minimizing the average discrimination error.
 
     The identify-1 effect projects onto the nonnegative eigenspace of
@@ -160,7 +179,8 @@ def helstrom_povm(phi1, phi2) -> Povm:
     the fair coin {I/2, I/2} is returned so that both states still succeed
     at rate 1/2.
     """
-    basis, x1, x2 = _span(*_normalized_pair(phi1, phi2))
+    pair = _state_pair(phi1, phi2)
+    basis, (x1, x2) = pair.basis, pair.coords
     if basis.shape[1] == 1:
         half = np.full((1, 1), 0.5, dtype=complex)
         return Povm([half, half.copy()], [IDENTIFY_1, IDENTIFY_2], basis, [0.5, 0.5])
@@ -171,14 +191,15 @@ def helstrom_povm(phi1, phi2) -> Povm:
     return Povm([pi1, np.eye(2) - pi1], [IDENTIFY_1, IDENTIFY_2], basis, [1.0, 0.0])
 
 
-def unambiguous_povm(phi1, phi2) -> Povm:
+def unambiguous_povm(phi1, phi2=None) -> Povm:
     """Three-outcome measurement that never misidentifies either state.
 
     The identify-i effect is (1/(1+c)) times the projector onto the part
     of phi_i orthogonal to the other state inside their span; both states
     then hit the inconclusive outcome with probability exactly c.
     """
-    basis, x1, x2 = _span(*_normalized_pair(phi1, phi2))
+    pair = _state_pair(phi1, phi2)
+    basis, (x1, x2) = pair.basis, pair.coords
     c = min(1.0, float(abs(x2[0])))  # x2[0] = <phi1|phi2>
     if c >= 1.0 - COINCIDE_TOL:
         raise DomainError(
@@ -208,9 +229,12 @@ def _born(povm: Povm, label: str, x: np.ndarray, outside: float) -> float:
     return _clamp01(inside + float(povm.rest[j]) * outside)
 
 
-def evaluate_povm(povm: Povm, phi1, phi2) -> DiscriminationOutcome:
-    """Born probabilities of a POVM on a state pair, after validating the POVM."""
-    a, b = _normalized_pair(phi1, phi2)
+def evaluate_povm(povm: Povm, phi1, phi2=None) -> DiscriminationOutcome:
+    """Born probabilities of a POVM on a state pair, after validating the POVM.
+
+    The pair is two states, or a StatePair passed as ``phi1`` alone.
+    """
+    a, b = phi1.states if isinstance(phi1, StatePair) else _normalized_pair(phi1, phi2)
     if povm.dim != a.shape[0]:
         raise ShapeError(f"POVM dimension {povm.dim} does not match states ({a.shape[0]})")
     povm.validate()

@@ -13,9 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ShapeError, ValidationError
+from .errors import CapacityError, NumericalError, ShapeError, ValidationError
 from .geometry import fidelity_closed_form, trace_distance_pure
-from .linalg import DIM_CAP, require_normalized, require_unitary
+from .linalg import (
+    DIM_CAP,
+    UNITARY_TOL,
+    haar_isometry_from_rng,
+    random_state_from_rng,
+    require_normalized,
+    require_unitary,
+)
 
 # Per-step growth allowance for the distance audit.
 AUDIT_TOL = 1e-9
@@ -113,6 +120,54 @@ def run_protocol(u1, u2, protocol: Protocol) -> SimulationTrace:
             w = protocol.interleavers[k + 1]
             s1 = w @ apply_query(s1, a, d, anc)
             s2 = w @ apply_query(s2, b, d, anc)
+            yield s1, s2
+
+    return record_trace(steps())
+
+
+def simulate_random(u1, u2, ancilla_dim: int, queries: int,
+                    rng: np.random.Generator) -> SimulationTrace:
+    """Run a protocol with a Haar-random probe and Haar interleavers on both candidates.
+
+    Only the pair's span is sampled. A Haar W_0 turns any probe into a
+    uniform random state. Before interleaver k+1 the branches hold t_1 and
+    t_2 = c t_1 + r e with c = <t_1|t_2>, r = ||t_2 - c t_1|| and e a unit
+    vector orthogonal to t_1; a Haar W maps the orthonormal pair (t_1, e)
+    to the columns of a Haar n x 2 isometry V. So the next pair is
+    (V[:, 0], c V[:, 0] + r V[:, 1]), distributed exactly as under a dense
+    Haar W, at O(n) memory and no n x n array.
+    """
+    a = require_unitary(u1, name="u1")
+    b = require_unitary(u2, name="u2")
+    if a.shape != b.shape:
+        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    if ancilla_dim < 1:
+        raise ValidationError("ancilla dimension must be >= 1")
+    if queries < 0:
+        raise ValidationError("query count must be nonnegative")
+    d = a.shape[0]
+    n = d * ancilla_dim
+    if n > DIM_CAP:
+        raise CapacityError(f"system*ancilla dimension {n} exceeds cap {DIM_CAP}")
+
+    def steps():
+        s1 = random_state_from_rng(n, rng)
+        s2 = s1.copy()
+        yield s1, s2
+        for k in range(queries):
+            t1 = apply_query(s1, a, d, ancilla_dim)
+            t2 = apply_query(s2, b, d, ancilla_dim)
+            c = np.vdot(t1, t2)
+            r = np.linalg.norm(t2 - c * t1)
+            v = haar_isometry_from_rng(n, 2, rng)
+            defect = float(np.abs(v.conj().T @ v - np.eye(2)).max())
+            if defect > UNITARY_TOL:
+                raise NumericalError(
+                    f"interleaver {k + 1} is not an isometry within {UNITARY_TOL:g} "
+                    f"(defect {defect:.3e})"
+                )
+            s1 = v[:, 0]
+            s2 = c * s1 + r * v[:, 1]
             yield s1, s2
 
     return record_trace(steps())

@@ -1,15 +1,26 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qudisc import UsageError, ValidationError
+from qudisc import (
+    DIM_CAP,
+    Povm,
+    UsageError,
+    ValidationError,
+    evaluate_povm,
+    helstrom_povm,
+    unambiguous_povm,
+)
+from qudisc import measurement
 from qudisc.campaign import (
     CSV_COLUMNS,
     CampaignConfig,
     CampaignReport,
     InstanceRecord,
     config_from_obj,
+    measure_pair,
     render_csv,
     render_report,
     report_to_obj,
@@ -17,6 +28,8 @@ from qudisc.campaign import (
     run_instance,
     summarize,
 )
+
+from .oracles import state_pair_with_overlap
 
 
 def small_config(**overrides):
@@ -96,6 +109,17 @@ class TestRunCampaign:
         row = render_csv(report).split("\n")[1].split(",")
         assert [row[CSV_COLUMNS.index(c)] for c in ("bound_raw", "bound_t", "lemma2_min_slack")] \
             == ["", "", ""]
+
+    def test_random_source_at_the_cap_forms_no_dense_array(self):
+        cfg = small_config(instances=2, dim=64, t_range=(1, 3), seed=1)  # n = 64 * 64 = DIM_CAP
+        tracemalloc.start()
+        try:
+            report = run_campaign(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * DIM_CAP * DIM_CAP // 100  # far below one n x n complex array
+        assert report.summary.violation_count == 0
 
     def test_optimized_source_smoke(self):
         report = run_campaign(small_config(instances=2, t_range=(1, 2),
@@ -204,3 +228,33 @@ class TestReportFormats:
         with pytest.raises(UsageError):
             render_report(report, "xml")
 
+
+class TestMeasurePair:
+    @pytest.mark.parametrize("overlap", [0.0, 0.3, 0.9])
+    def test_equals_the_public_measurements(self, overlap):
+        phi1, phi2 = state_pair_with_overlap(overlap, 4, np.random.default_rng(41))
+        helstrom = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
+        three = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
+        error, inconclusive = measure_pair(phi1, phi2, abs(np.vdot(phi1, phi2)))
+        assert error == min(0.5, max(0.0, 1.0 - min(helstrom.p_correct_1, helstrom.p_correct_2)))
+        assert inconclusive == max(three.p_inconclusive_1, three.p_inconclusive_2)
+
+    @pytest.mark.parametrize("overlap, povms", [(0.3, 2), (1.0, 1)])
+    def test_checks_each_state_once_and_validates_each_povm_once(self, monkeypatch, overlap,
+                                                                 povms):
+        calls = {"states": 0, "povms": 0}
+        check, validate = measurement.require_normalized, Povm.validate
+
+        def counted_check(v, *args, **kwargs):
+            calls["states"] += 1
+            return check(v, *args, **kwargs)
+
+        def counted_validate(povm):
+            calls["povms"] += 1
+            return validate(povm)
+
+        monkeypatch.setattr(measurement, "require_normalized", counted_check)
+        monkeypatch.setattr(Povm, "validate", counted_validate)
+        phi1, phi2 = state_pair_with_overlap(overlap, 4, np.random.default_rng(41))
+        measure_pair(phi1, phi2, overlap)
+        assert calls == {"states": 2, "povms": povms}

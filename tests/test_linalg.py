@@ -7,13 +7,13 @@ from qudisc import (
     DomainError,
     ShapeError,
     eigen_system,
-    haar_unitary,
     haar_unitary_from_rng,
 )
 from qudisc.linalg import (
     TWO_PI,
     as_complex_matrix,
     as_state,
+    haar_isometry_from_rng,
     random_state_from_rng,
     require_normalized,
     require_unitary,
@@ -111,11 +111,14 @@ class TestEigenSystem:
 
 class TestHaarUnitary:
     def test_determinism(self):
-        assert np.array_equal(haar_unitary(2, 42), haar_unitary(2, 42))
+        assert np.array_equal(
+            haar_unitary_from_rng(2, np.random.default_rng(42)),
+            haar_unitary_from_rng(2, np.random.default_rng(42)),
+        )
 
     def test_output_is_unitary(self):
         for d, seed in [(1, 0), (2, 1), (5, 2), (9, 3)]:
-            assert unitarity_defect(haar_unitary(d, seed)) <= 1e-10
+            assert unitarity_defect(haar_unitary_from_rng(d, np.random.default_rng(seed))) <= 1e-10
 
     def test_first_entry_moment(self):
         # E|u_00|^2 = 1/d for Haar measure; Monte Carlo at d=2
@@ -125,7 +128,38 @@ class TestHaarUnitary:
 
     def test_zero_dim_raises(self):
         with pytest.raises(DomainError):
-            haar_unitary(0, 1)
+            haar_unitary_from_rng(0, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 64])
+    def test_bit_identical_to_the_square_qr_formula(self, d):
+        # the dense formula the isometry sampler replaced, spelled out
+        ref = np.random.default_rng([d, 9])
+        z = ref.standard_normal((d, d)) + 1j * ref.standard_normal((d, d))
+        q, r = np.linalg.qr(z)
+        expected = q * (np.diag(r) / np.abs(np.diag(r)))
+        assert np.array_equal(haar_unitary_from_rng(d, np.random.default_rng([d, 9])), expected)
+
+
+class TestHaarIsometry:
+    def test_columns_are_orthonormal(self):
+        rng = np.random.default_rng(12)
+        for n, k in [(1, 1), (4, 2), (64, 2), (9, 9)]:
+            v = haar_isometry_from_rng(n, k, rng)
+            assert v.shape == (n, k)
+            assert np.max(np.abs(v.conj().T @ v - np.eye(k))) <= 1e-12
+
+    def test_column_moments_match_haar(self):
+        # E|v_00|^2 = 1/n and E|v_00|^2 |v_01|^2 = 1/(n(n+1)) for the first two Haar columns
+        rng = np.random.default_rng(13)
+        v = np.array([haar_isometry_from_rng(3, 2, rng)[0] for _ in range(20_000)])
+        p = np.abs(v) ** 2
+        assert abs(np.mean(p[:, 0]) - 1 / 3) <= 0.01
+        assert abs(np.mean(p[:, 0] * p[:, 1]) - 1 / 12) <= 0.005
+
+    @pytest.mark.parametrize("n, k", [(0, 1), (3, 0), (3, 4)])
+    def test_bad_shape_raises(self, n, k):
+        with pytest.raises(DomainError):
+            haar_isometry_from_rng(n, k, np.random.default_rng(1))
 
 
 def test_unitaries_preserve_norm():

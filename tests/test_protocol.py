@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.stats
 
 from qudisc import (
     CapacityError,
+    NumericalError,
     Protocol,
     ShapeError,
     ValidationError,
@@ -11,8 +13,10 @@ from qudisc import (
     haar_unitary_from_rng,
     relative_spectrum,
     run_protocol,
+    simulate_random,
     smallest_arc,
 )
+from qudisc import protocol as protocol_mod
 from qudisc.linalg import random_state_from_rng
 
 I2 = np.eye(2, dtype=complex)
@@ -167,3 +171,72 @@ def test_swapping_an_interleaver_leaves_earlier_distances_alone():
     # the new interleaver multiplies both branches equally: D_{k+1} is unchanged
     for j in range(k + 2):
         assert t2.distances[j] == pytest.approx(t1.distances[j], abs=1e-9)
+
+
+def haar_pair(rng, dim):
+    return haar_unitary_from_rng(dim, rng), haar_unitary_from_rng(dim, rng)
+
+
+class TestSimulateRandom:
+    def test_each_step_keeps_the_overlap_of_the_queried_pair(self):
+        # interleavers are unitary: <s1|s2> after a step equals <(U1 x I)s1|(U2 x I)s2> before it
+        rng = np.random.default_rng(31)
+        u1, u2 = haar_pair(rng, 3)
+        trace = simulate_random(u1, u2, 3, 4, rng)
+        assert trace.queries == 4
+        assert trace.distances[0] == 0.0
+        for k in range(4):
+            t1 = (u1 @ trace.states_1[k].reshape(3, 3)).ravel()
+            t2 = (u2 @ trace.states_2[k].reshape(3, 3)).ravel()
+            after = np.vdot(trace.states_1[k + 1], trace.states_2[k + 1])
+            assert abs(after - np.vdot(t1, t2)) <= 1e-12
+        for s in trace.states_1 + trace.states_2:
+            assert s.shape == (9,)
+            assert abs(np.linalg.norm(s) - 1.0) <= 1e-12
+
+    def test_same_generator_state_gives_identical_traces(self):
+        rng = np.random.default_rng(32)
+        u1, u2 = haar_pair(rng, 2)
+        a = simulate_random(u1, u2, 2, 3, np.random.default_rng(5))
+        b = simulate_random(u1, u2, 2, 3, np.random.default_rng(5))
+        assert a.distances == b.distances and a.final_overlap == b.final_overlap
+
+    def test_audit_holds(self):
+        rng = np.random.default_rng(33)
+        for _ in range(50):
+            u1, u2 = haar_pair(rng, 2)
+            theta = smallest_arc(relative_spectrum(u1, u2)).theta
+            trace = simulate_random(u1, u2, 2, int(rng.integers(0, 6)), rng)
+            assert all(s >= -1e-9 for s in audit_step_slacks(trace, theta))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_overlaps_match_dense_haar_interleavers(self, d):
+        """Two-sample KS test: span sampling and dense Haar interleavers, same pairs."""
+        dense, span = [], []
+        for i in range(1000):
+            u1, u2 = haar_pair(np.random.default_rng([d, i, 0]), d)
+            rng = np.random.default_rng([d, i, 1])
+            protocol = random_protocol(rng, system_dim=d, ancilla_dim=d, queries=3)
+            dense.append(run_protocol(u1, u2, protocol).final_overlap)
+            rng = np.random.default_rng([d, i, 2])
+            span.append(simulate_random(u1, u2, d, 3, rng).final_overlap)
+        assert scipy.stats.ks_2samp(dense, span).pvalue > 0.01
+
+    def test_rejects_bad_arguments(self):
+        rng = np.random.default_rng(34)
+        with pytest.raises(ShapeError):
+            simulate_random(I2, np.eye(3), 2, 1, rng)
+        with pytest.raises(ValidationError):
+            simulate_random(I2, Z, 0, 1, rng)
+        with pytest.raises(ValidationError):
+            simulate_random(I2, Z, 2, -1, rng)
+        with pytest.raises(CapacityError):
+            simulate_random(I2, Z, 2049, 1, rng)
+
+    def test_non_isometry_is_refused(self, monkeypatch):
+        def stretched(n, k, rng):
+            return 1.001 * np.eye(n, k, dtype=complex)
+
+        monkeypatch.setattr(protocol_mod, "haar_isometry_from_rng", stretched)
+        with pytest.raises(NumericalError, match="interleaver 1 is not an isometry"):
+            simulate_random(I2, Z, 2, 1, np.random.default_rng(35))

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qudisc import CapacityError, Protocol, ValidationError, haar_unitary
+from qudisc import CapacityError, Protocol, ValidationError, haar_unitary_from_rng
 from qudisc.serialize import (
     matrix_from_obj,
     matrix_to_obj,
@@ -17,7 +17,7 @@ from qudisc.builder import SearchConfig
 
 
 def test_matrix_round_trip_is_exact():
-    m = haar_unitary(3, 99)
+    m = haar_unitary_from_rng(3, np.random.default_rng(99))
     assert np.array_equal(matrix_from_obj(matrix_to_obj(m)), m)
 
 
@@ -57,7 +57,10 @@ def test_protocol_round_trip():
         system_dim=2,
         ancilla_dim=2,
         queries=1,
-        interleavers=[haar_unitary(4, 1), haar_unitary(4, 2)],
+        interleavers=[
+            haar_unitary_from_rng(4, np.random.default_rng(1)),
+            haar_unitary_from_rng(4, np.random.default_rng(2)),
+        ],
         probe=probe,
     )
     q = protocol_from_obj(protocol_to_obj(p))
