@@ -8,10 +8,8 @@ runs randomized campaigns checking that nothing ever beats the bounds.
 
 from .bounds import (
     BoundReport,
-    ErrorBudget,
     ErrorMode,
     epsilon_floor,
-    t_min,
     t_min_bounded,
     t_min_onesided,
     t_perfect,
@@ -43,7 +41,7 @@ from .errors import (
 )
 from .geometry import (
     ArcResult,
-    arc_contains,
+    closest_hull_point,
     fidelity_closed_form,
     fidelity_hull_oracle,
     smallest_arc,
@@ -52,6 +50,7 @@ from .geometry import (
 from .linalg import (
     DIM_CAP,
     PhaseSpectrum,
+    UnitaryPair,
     eigen_system,
     haar_unitary_from_rng,
     relative_spectrum,
@@ -79,7 +78,6 @@ __all__ = [
     "DIM_CAP",
     "DiscriminationOutcome",
     "DomainError",
-    "ErrorBudget",
     "ErrorMode",
     "IndistinguishableError",
     "InstanceRecord",
@@ -93,11 +91,12 @@ __all__ = [
     "ShapeError",
     "SimulationTrace",
     "StatePair",
+    "UnitaryPair",
     "UsageError",
     "ValidationError",
-    "arc_contains",
     "audit_step_slacks",
     "build_parallel",
+    "closest_hull_point",
     "eigen_system",
     "epsilon_floor",
     "evaluate_povm",
@@ -114,7 +113,6 @@ __all__ = [
     "simulate_parallel",
     "simulate_random",
     "smallest_arc",
-    "t_min",
     "t_min_bounded",
     "t_min_onesided",
     "t_perfect",

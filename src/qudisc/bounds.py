@@ -25,17 +25,6 @@ class ErrorMode(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class ErrorBudget:
-    """A failure-probability budget together with its interpretation."""
-
-    epsilon: float
-    mode: ErrorMode
-
-    def __post_init__(self):
-        _check_epsilon(self.epsilon, self.mode)
-
-
-@dataclass(frozen=True)
 class BoundReport:
     theta: float
     epsilon: float
@@ -83,12 +72,6 @@ def t_min_onesided(theta: float, epsilon: float) -> BoundReport:
     _check_epsilon(epsilon, ErrorMode.ONE_SIDED)
     raw = 2.0 * math.sqrt(1.0 - epsilon * epsilon) / theta
     return BoundReport(theta, epsilon, ErrorMode.ONE_SIDED, _ceil_guarded(raw), raw)
-
-
-def t_min(theta: float, budget: ErrorBudget) -> BoundReport:
-    if budget.mode is ErrorMode.BOUNDED:
-        return t_min_bounded(theta, budget.epsilon)
-    return t_min_onesided(theta, budget.epsilon)
 
 
 def t_perfect(theta: float) -> int:

@@ -1,11 +1,11 @@
 """Construction of discrimination protocols.
 
-Two routes: an explicit parallel plan whose final overlap is known in
-closed form, and a Gauss-Newton search over interleavers at a fixed query
-count, driven by the analytic derivative of the final overlap. The search
-makes no optimality promise; it is monotone within a restart,
-deterministic for a fixed seed, and asserts that whatever it returns
-respects the query-count lower bound.
+Two routes: an explicit parallel plan whose final overlap is the optimum
+at every query count, and a Gauss-Newton search over interleavers at a
+fixed query count, driven by the analytic derivative of the final overlap.
+The search makes no optimality promise; it is monotone within a
+restart, deterministic for a fixed seed, and asserts that whatever it
+returns respects the query-count lower bound.
 """
 
 from __future__ import annotations
@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import t_min_bounded
-from .errors import CapacityError, DomainError, IndistinguishableError, ValidationError
-from .geometry import smallest_arc
+from .errors import CapacityError, DomainError, IndistinguishableError, ShapeError, ValidationError
+from .geometry import closest_hull_point, smallest_arc
 from .linalg import (
     DIM_CAP,
     haar_unitary_from_rng,
+    pair_args,
     random_state_from_rng,
     relative_spectrum,
-    require_unitary,
 )
 from .measurement import helstrom_error
 from .protocol import Protocol, SimulationTrace, apply_query, record_trace, run_protocol
@@ -37,34 +37,37 @@ _BOUND_SAFETY_TOL = 1e-6
 
 @dataclass(eq=False)
 class ParallelPlan:
-    """Probe T copies at once with an equal superposition of extremal eigenvectors.
+    """Probe T copies at once with a superposition of eigenvector product strings.
 
-    The probe (|a>^T + |b>^T)/sqrt(2) built from the endpoints of the
-    smallest covering arc gives final overlap |cos(T*theta/2)| exactly.
+    Row s of ``strings`` names, per copy, a column of ``eigenvectors`` (the
+    eigenbasis of U1†U2); the probe is sum_s sqrt(weights[s]) |string s>,
+    over at most 3 strings. Each string only picks up its product phase, so
+    the final overlap is |sum_s weights[s] e^{i Phi_s}|: the distance from
+    the origin to the hull of the chosen phases. For the strings
+    ``build_parallel`` picks that is cos(T*theta/2) while T*theta < pi and 0
+    from there on, the optimum over all protocols (Acin, PRL 87, 177901, 2001).
     """
 
     copies: int
     extremal_phases: tuple[float, float]
     extremal_vectors: tuple[np.ndarray, np.ndarray]
-    probe: np.ndarray
+    eigenvectors: np.ndarray
+    strings: np.ndarray
+    weights: np.ndarray
     predicted_overlap: float
 
 
-def build_parallel(u1, u2, t: int) -> ParallelPlan:
+def build_parallel(u1, u2=None, t=None) -> ParallelPlan:
     """Parallel plan for t simultaneous copies of the unknown unitary.
 
-    Raises IndistinguishableError when the pair has zero phase spread and
-    CapacityError when d**t exceeds the dense-dimension cap.
+    Takes the two unitaries, or a UnitaryPair in their place:
+    ``build_parallel(pair, t)``. Raises IndistinguishableError when the
+    pair has zero phase spread.
     """
-    a = require_unitary(u1, name="u1")
-    require_unitary(u2, name="u2")
+    pair, t = pair_args(u1, u2, t)
     if t < 1:
         raise DomainError(f"copy count must be >= 1, got {t!r}")
-    d = a.shape[0]
-    if d**t > DIM_CAP:
-        raise CapacityError(f"tensor power dimension {d}**{t} exceeds cap {DIM_CAP}")
-
-    spectrum = relative_spectrum(u1, u2)
+    spectrum = pair.spectrum
     arc = smallest_arc(spectrum)
     if arc.theta == 0.0:
         raise IndistinguishableError(
@@ -73,50 +76,73 @@ def build_parallel(u1, u2, t: int) -> ParallelPlan:
     # First exact match in spectrum order; arc endpoints come from this array.
     i_start = int(np.argmax(spectrum.phases == arc.start_phase))
     i_end = int(np.argmax(spectrum.phases == arc.end_phase))
-    va = spectrum.vectors[:, i_start]
-    vb = spectrum.vectors[:, i_end]
 
-    pa = va
-    pb = vb
-    for _ in range(t - 1):
-        pa = np.kron(pa, va)
-        pb = np.kron(pb, vb)
-    probe = (pa + pb) / math.sqrt(2.0)
+    # Candidates a^(T-j) b^j, j = 0..T, for the arc endpoints a, b: their
+    # phases, taken relative to a^T, step by theta from 0 to T*theta. From
+    # theta >= pi a step can jump over the origin, so x_k a^(T-1) joins for
+    # every other eigenvector x_k (x_a gives a^T again, and at T = 1 x_b
+    # gives b): those phases are the spectrum's own, turned. No two
+    # candidates are the same string, so the chosen ones are orthonormal.
+    phases = np.arange(t + 1) * arc.theta
+    others = []
+    if arc.theta >= math.pi:
+        taken = (i_start,) if t > 1 else (i_start, i_end)
+        others = [k for k in range(spectrum.dim) if k not in taken]
+        phases = np.concatenate([phases, spectrum.phases[others] - arc.start_phase])
+    _, weights = closest_hull_point(np.exp(1j * phases))
+    chosen = np.flatnonzero(weights)
+    strings = np.full((chosen.size, t), i_start)
+    for row, c in zip(strings, chosen):
+        if c <= t:
+            row[t - c:] = i_end
+        else:
+            row[0] = others[c - t - 1]
     return ParallelPlan(
         copies=t,
         extremal_phases=(arc.start_phase, arc.end_phase),
-        extremal_vectors=(va, vb),
-        probe=probe,
-        predicted_overlap=abs(math.cos(t * arc.theta / 2.0)),
+        extremal_vectors=(spectrum.vectors[:, i_start], spectrum.vectors[:, i_end]),
+        eigenvectors=spectrum.vectors,
+        strings=strings,
+        weights=weights[chosen],
+        predicted_overlap=0.0 if t * arc.theta >= math.pi else math.cos(t * arc.theta / 2.0),
     )
 
 
-def _apply_on_factor(state: np.ndarray, u: np.ndarray, axis: int, copies: int, d: int) -> np.ndarray:
-    tensor = state.reshape((d,) * copies)
-    moved = np.tensordot(u, tensor, axes=(1, axis))
-    return np.moveaxis(moved, 0, axis).ravel()
-
-
-def simulate_parallel(u1, u2, plan: ParallelPlan) -> SimulationTrace:
+def simulate_parallel(u1, u2=None, plan=None) -> SimulationTrace:
     """Run the parallel plan one copy at a time so step audits apply.
 
-    Applying the unknown unitary to successive tensor factors is the same
-    procedure as the swap-interleaver realization up to fixed unitaries,
-    which leave every recorded distance unchanged.
+    Takes the two unitaries, or a UnitaryPair in their place:
+    ``simulate_parallel(pair, plan)``. The plan must come from
+    ``build_parallel`` on the same pair.
+
+    After j queries branch i holds (U_i^{x j} x I)|probe>. In the frame
+    of the strings moved by U_1^{x j}, branch 1 is sqrt(weights) and branch
+    2 is M_j sqrt(weights), with M_j[s, s'] the product over copies m < j
+    of <s_m|U1†U2|s'_m> and over m >= j of <s_m|s'_m>. These Gram entries
+    come from the matrices, not from the phases, so the simulation checks
+    the plan independently; distances and overlaps do not depend on the
+    frame. Cost O(T) for at most 3 strings: no d**T vector is formed.
     """
-    a = require_unitary(u1, name="u1")
-    b = require_unitary(u2, name="u2")
-    d = a.shape[0]
-    t = plan.copies
+    pair, plan = pair_args(u1, u2, plan)
+    if plan.eigenvectors.shape[0] != pair.dim:
+        raise ShapeError(
+            f"plan has dimension {plan.eigenvectors.shape[0]}, the unitaries {pair.dim}"
+        )
+    used = np.unique(plan.strings)
+    index = np.searchsorted(used, plan.strings)
+    x = plan.eigenvectors[:, used]
+    query = (pair.u1 @ x).conj().T @ (pair.u2 @ x)
+    idle = x.conj().T @ x
+    rows, cols = index[:, None, :], index[None, :, :]
+    queried = np.cumprod(query[rows, cols], axis=2)  # [..., j-1]: copies 0..j-1
+    waiting = np.cumprod(idle[rows, cols][..., ::-1], axis=2)[..., ::-1]  # [..., j]: copies j..
+    waiting = np.concatenate([waiting, np.ones_like(waiting[..., :1])], axis=2)
+    amp = np.sqrt(plan.weights).astype(complex)
 
     def steps():
-        s1 = plan.probe.copy()
-        s2 = s1.copy()
-        yield s1, s2
-        for k in range(t):
-            s1 = _apply_on_factor(s1, a, k, t, d)
-            s2 = _apply_on_factor(s2, b, k, t, d)
-            yield s1, s2
+        yield amp, amp.copy()
+        for j in range(1, plan.copies + 1):
+            yield amp, (queried[..., j - 1] * waiting[..., j]) @ amp
 
     return record_trace(steps())
 
@@ -225,8 +251,11 @@ def _descend(ws: np.ndarray, probe: np.ndarray, u1, u2, d: int, anc: int,
     return ws, history, True
 
 
-def optimize_protocol(u1, u2, cfg: SearchConfig) -> SearchResult:
+def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
     """Search interleavers for the lowest final overlap at fixed T.
+
+    Takes the two unitaries, or a UnitaryPair in their place:
+    ``optimize_protocol(pair, cfg)``.
 
     The search keeps the T+1 interleavers themselves as its state; the
     probe stays fixed per restart, since W_0 reaches every state. Restart
@@ -236,12 +265,9 @@ def optimize_protocol(u1, u2, cfg: SearchConfig) -> SearchResult:
     and independent of evaluation order. The best protocol is re-simulated
     and asserted against the query-count bound before being returned.
     """
-    a = require_unitary(u1, name="u1")
-    b = require_unitary(u2, name="u2")
-    if a.shape != b.shape:
-        raise ValidationError("candidate unitaries must have equal dimensions")
-    spectrum = relative_spectrum(u1, u2)
-    theta = smallest_arc(spectrum).theta
+    pair, cfg = pair_args(u1, u2, cfg)
+    a, b = pair.u1, pair.u2
+    theta = smallest_arc(relative_spectrum(pair)).theta
     if theta == 0.0:
         raise IndistinguishableError(
             "the pair differs by a global phase at most; no protocol separates it"
@@ -283,7 +309,7 @@ def optimize_protocol(u1, u2, cfg: SearchConfig) -> SearchResult:
     assert best is not None
     _, best_restart, ws, probe, best_exhausted = best
     protocol = Protocol(d, ancilla, cfg.queries, list(ws), probe)
-    trace = run_protocol(u1, u2, protocol)
+    trace = run_protocol(pair, protocol)
     overlap = trace.final_overlap
 
     eps = min(0.5, helstrom_error(overlap))

@@ -60,12 +60,6 @@ def smallest_arc(spectrum) -> ArcResult:
     return ArcResult(theta=theta, start_phase=start, end_phase=end)
 
 
-def arc_contains(arc: ArcResult, phase: float, tol: float = 1e-9) -> bool:
-    """Whether a phase lies on the closed arc, up to tolerance."""
-    d = (phase - arc.start_phase) % TWO_PI
-    return d <= arc.theta + tol or d >= TWO_PI - tol
-
-
 def fidelity_closed_form(theta: float) -> float:
     """Fidelity of a unitary pair from its eigenphase spread.
 
@@ -82,11 +76,22 @@ def fidelity_closed_form(theta: float) -> float:
 def fidelity_hull_oracle(points) -> float:
     """Distance from the origin to the convex hull of unit-circle points.
 
+    Independent of the arc-based closed form by construction; see
+    ``closest_hull_point``.
+    """
+    return closest_hull_point(points)[0]
+
+
+def closest_hull_point(points) -> tuple[float, np.ndarray]:
+    """Distance from the origin to the convex hull of unit-circle points, with weights.
+
+    The weights are convex weights over the input points whose combination
+    is the hull point nearest the origin; at most 3 of them are nonzero.
     Computed exactly from the polygon geometry: points on a circle are all
     extreme, so sorting by angle yields the hull boundary in CCW order.
-    If the origin passes the left-of-every-edge test it is inside and the
-    distance is 0; otherwise the minimum is attained on an edge or vertex.
-    Independent of the arc-based closed form by construction.
+    If the origin lies in a triangle of the fan from the first vertex, the
+    distance is 0 and the weights are its barycentric coordinates there.
+    Otherwise the minimum is attained on an edge or vertex.
     """
     pts = np.asarray(points, dtype=complex).ravel()
     if pts.size == 0:
@@ -94,28 +99,69 @@ def fidelity_hull_oracle(points) -> float:
     _require_unit_circle(pts)
 
     order = np.argsort(wrap_phase(np.angle(pts)))
-    pts = pts[order]
-    if pts.size == 1:
-        return 1.0
-    if pts.size == 2:
-        return _segment_distance(pts[0], pts[1])
+    p = pts[order]
+    weights = np.zeros(pts.size)
+    if p.size == 1:
+        weights[order[0]] = 1.0
+        return 1.0, weights
 
-    nxt = np.roll(pts, -1)
-    # cross(v_i, v_{i+1}) >= 0 for every CCW edge <=> origin inside (or on) the hull
-    if np.all((np.conj(pts) * nxt).imag >= 0.0):
-        return 0.0
-    return float(min(_segment_distance(a, b) for a, b in zip(pts, nxt)))
+    if p.size > 2:
+        weights_in = _fan_weights(p)
+        if weights_in is not None:
+            weights[order] = weights_in
+            return 0.0, weights
+
+    # two points bound a single segment, not two edges
+    edges = [(k, (k + 1) % p.size) for k in range(1 if p.size == 2 else p.size)]
+    dist, t, (i, j) = min(_closest_on_segment(p[i], p[j]) + ((i, j),) for i, j in edges)
+    weights[order[i]] += 1.0 - t
+    weights[order[j]] += t
+    return float(dist), weights
 
 
-def _segment_distance(a: complex, b: complex) -> float:
-    """Distance from the origin to the segment [a, b] in the complex plane."""
+def _fan_weights(p: np.ndarray) -> np.ndarray | None:
+    """Convex weights over CCW-sorted circle points that sum them to the origin, or None.
+
+    Looks for the origin in the fan of triangles (p_0, p_i, p_i+1). Twice
+    the areas the origin cuts from a triangle are its barycentric weights
+    unnormalised; the triangle whose smallest one is largest holds the
+    origin deepest. The weights come from a pivoted solve, which leaves a
+    residual of rounding size whenever they are all nonnegative. None when
+    the origin lies outside, or on the boundary within rounding, where the
+    nearest edge answers to rounding as well.
+    """
+    a, b, c = p[0], p[1:-1], p[2:]
+    areas = np.array([_cross(b, c), _cross(c, a), _cross(a, b)])
+    best = int(np.argmax(areas.min(axis=0)))
+    if areas[:, best].min() < 0.0:
+        return None
+    tri = [0, best + 1, best + 2]
+    system = np.array([p[tri].real, p[tri].imag, np.ones(3)])
+    try:
+        w = np.linalg.solve(system, np.array([0.0, 0.0, 1.0]))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(w >= 0.0):
+        return None
+    out = np.zeros(p.size)
+    out[tri] = w / w.sum()
+    return out
+
+
+def _cross(u, v):
+    """z-component of the cross product of complex numbers as plane vectors."""
+    return (np.conj(u) * v).imag
+
+
+def _closest_on_segment(a: complex, b: complex) -> tuple[float, float]:
+    """Distance from the origin to the segment [a, b], and t of its nearest point a + t(b - a)."""
     ab = b - a
     denom = abs(ab) ** 2
     if denom == 0.0:
-        return abs(a)
+        return abs(a), 0.0
     t = -(a.real * ab.real + a.imag * ab.imag) / denom
     t = min(1.0, max(0.0, t))
-    return abs(a + t * ab)
+    return abs(a + t * ab), t
 
 
 def trace_distance_pure(a, b) -> float:

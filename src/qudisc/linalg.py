@@ -8,7 +8,9 @@ All dense objects are capped at dimension ``DIM_CAP`` to bound memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -33,7 +35,7 @@ def as_complex_matrix(m) -> np.ndarray:
         raise ShapeError("matrix dimension must be positive")
     if a.shape[0] > DIM_CAP:
         raise CapacityError(f"matrix dimension {a.shape[0]} exceeds cap {DIM_CAP}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     return a
 
@@ -45,7 +47,7 @@ def as_state(v) -> np.ndarray:
         raise ShapeError(f"expected a nonempty vector, got shape {a.shape}")
     if a.shape[0] > DIM_CAP:
         raise CapacityError(f"state dimension {a.shape[0]} exceeds cap {DIM_CAP}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError("state amplitudes must be finite")
     return a
 
@@ -57,7 +59,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def unitarity_defect(m) -> float:
     """Elementwise max deviation of M†M from the identity."""
     a = as_complex_matrix(m)
-    return float(np.max(np.abs(dagger(a) @ a - np.eye(a.shape[0]))))
+    return float(np.abs(dagger(a) @ a - np.eye(a.shape[0])).max())
 
 
 def require_unitary(m, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
@@ -70,7 +72,7 @@ def require_unitary(m, tol: float = UNITARY_TOL, name: str = "matrix") -> np.nda
 
 def require_normalized(v, tol: float = UNITARY_TOL, name: str = "state") -> np.ndarray:
     a = as_state(v)
-    norm = float(np.linalg.norm(a))
+    norm = math.sqrt(np.vdot(a, a).real)
     if abs(norm - 1.0) > tol:
         raise DomainError(f"{name} is not normalized within {tol:g} (norm {norm:.12f})")
     return a
@@ -142,13 +144,60 @@ def eigen_system(u) -> PhaseSpectrum:
     return PhaseSpectrum(phases=phases, vectors=vectors)
 
 
-def relative_spectrum(u1, u2) -> PhaseSpectrum:
-    """Spectrum of U1†U2, the object all discrimination quantities derive from."""
-    a = require_unitary(u1, name="u1")
-    b = require_unitary(u2, name="u2")
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return eigen_system(dagger(a) @ b)
+@dataclass(frozen=True, eq=False)
+class UnitaryPair:
+    """Two checked candidate unitaries of equal dimension.
+
+    Build it with ``UnitaryPair.of``. ``spectrum``, the relative spectrum of
+    U1†U2, is decomposed on first use and kept. The functions that take two
+    candidate unitaries accept a UnitaryPair in their place, so a pair used
+    by several of them is checked and decomposed once.
+    """
+
+    u1: np.ndarray
+    u2: np.ndarray
+
+    @classmethod
+    def of(cls, u1, u2) -> "UnitaryPair":
+        a = require_unitary(u1, name="u1")
+        b = require_unitary(u2, name="u2")
+        if a.shape != b.shape:
+            raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+        return cls(a, b)
+
+    @property
+    def dim(self) -> int:
+        return int(self.u1.shape[0])
+
+    @cached_property
+    def spectrum(self) -> PhaseSpectrum:
+        return eigen_system(dagger(self.u1) @ self.u2)
+
+
+def pair_args(u1, u2=None, *rest) -> tuple:
+    """``(pair, *rest)`` for a call ``f(u1, u2, *rest)`` or ``f(pair, *rest)``.
+
+    A UnitaryPair fills the places of both unitaries, so whether the later
+    arguments come by position or by keyword, one parameter of ``f`` is
+    left at its default of None; it is dropped here.
+    """
+    if not isinstance(u1, UnitaryPair):
+        return (UnitaryPair.of(u1, u2), *rest)
+    args = [u2, *rest]
+    unfilled = [k for k, a in enumerate(args) if a is None]
+    if not unfilled:
+        raise TypeError("a UnitaryPair stands for both unitaries: one argument too many")
+    del args[unfilled[0]]
+    return (u1, *args)
+
+
+def relative_spectrum(u1, u2=None) -> PhaseSpectrum:
+    """Spectrum of U1†U2, the object all discrimination quantities derive from.
+
+    Takes the two unitaries, or a UnitaryPair alone.
+    """
+    (pair,) = pair_args(u1, u2)
+    return pair.spectrum
 
 
 def haar_isometry_from_rng(n: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,13 +19,11 @@ from .linalg import (
     DIM_CAP,
     UNITARY_TOL,
     haar_isometry_from_rng,
+    pair_args,
     random_state_from_rng,
     require_normalized,
     require_unitary,
 )
-
-# Per-step growth allowance for the distance audit.
-AUDIT_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -95,14 +93,16 @@ def apply_query(state: np.ndarray, u: np.ndarray, system_dim: int, ancilla_dim: 
     return (u @ state.reshape(system_dim, ancilla_dim)).ravel()
 
 
-def run_protocol(u1, u2, protocol: Protocol) -> SimulationTrace:
+def run_protocol(u1, u2=None, protocol=None) -> SimulationTrace:
     """Run the protocol against both candidate unitaries and record the trace.
 
-    Evolution per branch i: state_0 = W_0 |probe>, then
-    state_{k+1} = W_{k+1} (U_i x I) state_k for k = 0..T-1.
+    Takes the two unitaries, or a UnitaryPair in their place:
+    ``run_protocol(pair, protocol)``. Evolution per branch i:
+    state_0 = W_0 |probe>, then state_{k+1} = W_{k+1} (U_i x I) state_k for
+    k = 0..T-1.
     """
-    a = require_unitary(u1, name="u1")
-    b = require_unitary(u2, name="u2")
+    pair, protocol = pair_args(u1, u2, protocol)
+    a, b = pair.u1, pair.u2
     d = protocol.system_dim
     if a.shape[0] != d or b.shape[0] != d:
         raise ShapeError(
@@ -125,9 +125,11 @@ def run_protocol(u1, u2, protocol: Protocol) -> SimulationTrace:
     return record_trace(steps())
 
 
-def simulate_random(u1, u2, ancilla_dim: int, queries: int,
-                    rng: np.random.Generator) -> SimulationTrace:
+def simulate_random(u1, u2=None, ancilla_dim=None, queries=None, rng=None) -> SimulationTrace:
     """Run a protocol with a Haar-random probe and Haar interleavers on both candidates.
+
+    Takes the two unitaries, or a UnitaryPair in their place:
+    ``simulate_random(pair, ancilla_dim, queries, rng)``.
 
     Only the pair's span is sampled. A Haar W_0 turns any probe into a
     uniform random state. Before interleaver k+1 the branches hold t_1 and
@@ -137,10 +139,8 @@ def simulate_random(u1, u2, ancilla_dim: int, queries: int,
     (V[:, 0], c V[:, 0] + r V[:, 1]), distributed exactly as under a dense
     Haar W, at O(n) memory and no n x n array.
     """
-    a = require_unitary(u1, name="u1")
-    b = require_unitary(u2, name="u2")
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    pair, ancilla_dim, queries, rng = pair_args(u1, u2, ancilla_dim, queries, rng)
+    a, b = pair.u1, pair.u2
     if ancilla_dim < 1:
         raise ValidationError("ancilla dimension must be >= 1")
     if queries < 0:

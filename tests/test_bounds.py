@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from qudisc import (
     DomainError,
-    ErrorBudget,
     ErrorMode,
     IndistinguishableError,
     epsilon_floor,
-    t_min,
     t_min_bounded,
     t_min_onesided,
     t_perfect,
@@ -68,11 +66,11 @@ class TestOneSidedBound:
         assert t_min_onesided(PI / 4, 0.0).t_lower == t_min_bounded(PI / 4, 0.0).t_lower == 3
 
 
-def test_budget_dispatch():
-    assert t_min(0.1, ErrorBudget(0.25, ErrorMode.BOUNDED)) == t_min_bounded(0.1, 0.25)
-    assert t_min(0.2, ErrorBudget(0.6, ErrorMode.ONE_SIDED)) == t_min_onesided(0.2, 0.6)
+def test_each_mode_reports_itself_and_its_epsilon_domain():
+    assert t_min_bounded(0.1, 0.25).mode is ErrorMode.BOUNDED
+    assert t_min_onesided(0.2, 0.6).mode is ErrorMode.ONE_SIDED
     with pytest.raises(DomainError):
-        ErrorBudget(0.6, ErrorMode.BOUNDED)
+        t_min_bounded(0.1, 0.6)  # a bounded error above 1/2 is no budget
 
 
 class TestPerfectCount:

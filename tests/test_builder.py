@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qudisc import (
-    CapacityError,
     DomainError,
     IndistinguishableError,
     SearchConfig,
@@ -19,6 +21,7 @@ from qudisc import (
     run_protocol,
     simulate_parallel,
     smallest_arc,
+    t_perfect,
 )
 from qudisc.builder import _forward, _overlap_derivatives
 from qudisc.linalg import random_state_from_rng
@@ -45,8 +48,15 @@ class TestParallelPlan:
         assert simulate_parallel(I2, Z, plan).final_overlap <= 1e-12
 
     def test_probe_is_normalized(self):
-        plan = build_parallel(I2, EIGHTH_TURN, 3)
-        assert abs(np.linalg.norm(plan.probe) - 1.0) <= 1e-10
+        # the probe sum_s sqrt(w_s)|s> has norm 1 iff the weights sum to 1 over orthonormal strings
+        wide = np.diag(np.exp(1j * np.array([0.0, 2.2, 4.4])))  # theta > pi
+        for u1, u2, t in [(I2, EIGHTH_TURN, 3), (I2, EIGHTH_TURN, 6), (np.eye(3), wide, 2)]:
+            plan = build_parallel(u1, u2, t)
+            assert abs(plan.weights.sum() - 1.0) <= 1e-12
+            assert np.all(plan.weights > 0.0) and len(plan.weights) <= 3
+            factors = plan.eigenvectors[:, plan.strings]  # d x strings x copies
+            gram = np.einsum("dsm,dtm->stm", factors.conj(), factors).prod(axis=2)
+            assert np.abs(gram - np.eye(len(plan.weights))).max() <= 1e-12
 
     def test_extremal_phases_span_theta(self):
         rng = np.random.default_rng(41)
@@ -62,9 +72,55 @@ class TestParallelPlan:
         with pytest.raises(IndistinguishableError):
             build_parallel(I2, I2, 2)
 
-    def test_capacity_cap(self):
-        with pytest.raises(CapacityError):
-            build_parallel(I2, EIGHTH_TURN, 13)  # 2**13 > 4096
+    def test_sixty_four_copies_need_no_tensor_power(self):
+        # 2**64 amplitudes could never be formed; the plan stays O(T)
+        plan = build_parallel(I2, EIGHTH_TURN, 64)
+        assert plan.strings.shape[1] == 64
+        trace = simulate_parallel(I2, EIGHTH_TURN, plan)
+        assert trace.final_overlap <= 1e-12
+        assert all(s.size <= 3 for s in trace.states_1 + trace.states_2)
+
+    def test_memory_stays_linear_in_copies(self):
+        u2 = np.diag([1.0, np.exp(2e-3j)])  # t_perfect = 1571
+        tracemalloc.start()
+        try:
+            trace = simulate_parallel(I2, u2, build_parallel(I2, u2, 2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # a (T+1) x T table of candidate strings alone takes 32 MB
+        assert trace.final_overlap <= 1e-12
+
+    def test_perfect_at_t_perfect_where_the_even_split_was_not(self):
+        # theta = 1 wraps |cos(T*theta/2)| to 0.416 at t_perfect = 4
+        u2 = np.diag([1.0, np.exp(1.0j)])
+        plan = build_parallel(I2, u2, t_perfect(1.0))
+        trace = simulate_parallel(I2, u2, plan)
+        assert trace.final_overlap <= 1e-12
+        assert trace.distances[0] == 0.0
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        theta=st.floats(0.05, 2 * np.pi - 0.05),
+        dim=st.sampled_from([2, 3, 4]),
+        inner=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+        offset=st.floats(0.0, 2 * np.pi),
+    )
+    @example(theta=4.4, dim=3, inner=[0.5, 0.5], offset=0.0)  # theta > pi: T = 1 is perfect
+    def test_optimal_for_every_t_on_diagonal_pairs(self, theta, dim, inner, offset):
+        # phases 0 and theta plus dim - 2 inside [0, theta], on a diagonal u1
+        phases = np.array([0.0, theta] + [f * theta for f in inner[: dim - 2]])
+        u1 = np.diag(np.exp(1j * (offset + np.arange(dim))))
+        u2 = u1 @ np.diag(np.exp(1j * phases))
+        spread = smallest_arc(relative_spectrum(u1, u2)).theta
+        perfect = t_perfect(spread)
+        for t in range(1, 2 * perfect + 1):  # the optimum is 0 from t = perfect on
+            plan = build_parallel(u1, u2, t)
+            trace = simulate_parallel(u1, u2, plan)
+            optimum = 0.0 if t * spread >= np.pi else math.cos(t * spread / 2.0)
+            assert abs(plan.predicted_overlap - optimum) <= 1e-12
+            assert abs(trace.final_overlap - optimum) <= 1e-12
+            assert trace.distances[0] == 0.0
 
     def test_prediction_matches_simulation(self):
         rng = np.random.default_rng(42)

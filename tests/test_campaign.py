@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qudisc import (
     DIM_CAP,
@@ -13,7 +14,7 @@ from qudisc import (
     helstrom_povm,
     unambiguous_povm,
 )
-from qudisc import measurement
+from qudisc import linalg, measurement
 from qudisc.campaign import (
     CSV_COLUMNS,
     CampaignConfig,
@@ -78,8 +79,9 @@ class TestRunCampaign:
         report = run_campaign(cfg, pair_factory=commuting_diagonal_pair)
         assert report.summary.violation_count == 0
         for r in report.records:
-            predicted = abs(np.cos(r.queries * r.theta / 2.0))
-            assert abs(r.overlap - predicted) <= 1e-8
+            # the optimum: cos(T*theta/2) below perfect discrimination, 0 from there on
+            predicted = 0.0 if r.queries * r.theta >= np.pi else np.cos(r.queries * r.theta / 2.0)
+            assert abs(r.overlap - predicted) <= 1e-12
 
     def test_zero_query_instance(self):
         report = run_campaign(small_config(instances=1, t_range=(0, 0)))
@@ -121,6 +123,28 @@ class TestRunCampaign:
         assert peak < 16 * DIM_CAP * DIM_CAP // 100  # far below one n x n complex array
         assert report.summary.violation_count == 0
 
+    @pytest.mark.parametrize("source", ["random", "parallel"])
+    def test_one_check_per_unitary_and_one_schur_per_instance(self, monkeypatch, source):
+        counts = {"checks": 0, "schur": 0}
+        defect, schur = linalg.unitarity_defect, scipy.linalg.schur
+
+        def counted_defect(m):
+            counts["checks"] += 1
+            return defect(m)
+
+        def counted_schur(*args, **kwargs):
+            counts["schur"] += 1
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "unitarity_defect", counted_defect)
+        monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+        cfg = small_config(instances=6, t_range=(1, 8), protocol_source=source)
+        for index in range(cfg.instances):
+            counts.update(checks=0, schur=0)
+            run_instance(cfg, index)
+            # u1, u2 and eigen_system's check of U1†U2
+            assert counts == {"checks": 3, "schur": 1}
+
     def test_optimized_source_smoke(self):
         report = run_campaign(small_config(instances=2, t_range=(1, 2),
                                            protocol_source="optimized"))
@@ -152,9 +176,15 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             run_campaign(small_config(dim=1))
 
-    def test_parallel_respects_cap(self):
-        with pytest.raises(ValidationError):
-            small_config(protocol_source="parallel", t_range=(1, 13)).validate()
+    def test_parallel_has_no_copy_cap(self):
+        cfg = small_config(instances=40, protocol_source="parallel", t_range=(1, 64))
+        cfg.validate()
+        report = run_campaign(cfg)
+        assert report.summary.violation_count == 0
+        assert report.summary.max_d0 == 0.0
+        for r in report.records:
+            if r.queries * r.theta >= np.pi:
+                assert r.overlap <= 1e-12
 
     def test_config_from_obj(self):
         cfg = config_from_obj(

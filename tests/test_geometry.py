@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qudisc import (
     DomainError,
     ShapeError,
-    arc_contains,
+    closest_hull_point,
     eigen_system,
     fidelity_closed_form,
     fidelity_hull_oracle,
@@ -65,7 +65,9 @@ class TestSmallestArc:
             wrapped = np.mod(phases, TWO_PI)
             assert any(abs(p - arc.start_phase) <= 1e-12 for p in wrapped)
             assert any(abs(p - arc.end_phase) <= 1e-12 for p in wrapped)
-            assert all(arc_contains(arc, p) for p in wrapped)
+            # every phase lies on the closed arc from start_phase, up to 1e-9
+            offsets = np.mod(wrapped - arc.start_phase, TWO_PI)
+            assert np.all((offsets <= arc.theta + 1e-9) | (offsets >= TWO_PI - 1e-9))
 
     def test_matches_anchored_oracle(self):
         rng = np.random.default_rng(11)
@@ -147,6 +149,32 @@ class TestHullOracle:
             mini = fidelity_hull_oracle(points)
             sampled = min_combination_sampled(points, rng, samples=500)
             assert sampled >= mini - 1e-12
+
+
+class TestHullWeights:
+    def test_weights_are_convex_sparse_and_reach_the_distance(self):
+        rng = np.random.default_rng(16)
+        for _ in range(2000):
+            points = np.exp(1j * random_phases(rng))
+            distance, w = closest_hull_point(points)
+            assert distance == fidelity_hull_oracle(points)
+            assert np.all(w >= 0.0)
+            assert abs(w.sum() - 1.0) <= 1e-12
+            assert np.count_nonzero(w) <= 3
+            assert abs(abs(np.dot(w, points)) - distance) <= 1e-12
+
+    def test_duplicate_points_inside_keep_weights_exact(self):
+        # equal product phases from different strings: the plan builder meets these
+        points = np.exp(1j * np.array([1.883, 4.083, 4.083, 0.0, 2.2]))
+        distance, w = closest_hull_point(points)
+        assert distance == 0.0
+        assert abs(np.dot(w, points)) <= 1e-15
+
+    def test_origin_on_an_edge(self):
+        points = np.array([1.0, 1.0, -1.0])
+        distance, w = closest_hull_point(points)
+        assert distance == 0.0
+        assert abs(np.dot(w, points)) == 0.0
 
 
 class TestHullQuery:

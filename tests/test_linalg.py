@@ -6,9 +6,16 @@ from qudisc import (
     CapacityError,
     DomainError,
     ShapeError,
+    UnitaryPair,
+    build_parallel,
     eigen_system,
     haar_unitary_from_rng,
+    relative_spectrum,
+    run_protocol,
+    simulate_parallel,
+    simulate_random,
 )
+from qudisc.protocol import Protocol
 from qudisc.linalg import (
     TWO_PI,
     as_complex_matrix,
@@ -175,3 +182,38 @@ def test_wrap_phase_folds_endpoint():
     assert wrap_phase(np.array([-1e-18]))[0] == 0.0
     assert wrap_phase(np.array([TWO_PI]))[0] == 0.0
     assert abs(wrap_phase(np.array([-np.pi / 2]))[0] - 1.5 * np.pi) <= 1e-15
+
+
+class TestUnitaryPair:
+    def test_checks_at_construction(self):
+        with pytest.raises(DomainError):
+            UnitaryPair.of(np.eye(2), np.diag([1.0, 0.5]))
+        with pytest.raises(ShapeError):
+            UnitaryPair.of(np.eye(2), np.eye(3))
+
+    def test_spectrum_is_decomposed_once_and_kept(self):
+        rng = np.random.default_rng(60)
+        u1, u2 = haar_unitary_from_rng(3, rng), haar_unitary_from_rng(3, rng)
+        pair = UnitaryPair.of(u1, u2)
+        assert relative_spectrum(pair) is pair.spectrum
+        assert np.array_equal(pair.spectrum.phases, relative_spectrum(u1, u2).phases)
+
+    def test_stands_in_for_both_unitaries(self):
+        rng = np.random.default_rng(61)
+        u1, u2 = haar_unitary_from_rng(2, rng), haar_unitary_from_rng(2, rng)
+        pair = UnitaryPair.of(u1, u2)
+        plan = build_parallel(u1, u2, 3)
+        assert np.array_equal(build_parallel(pair, 3).weights, plan.weights)
+        assert np.array_equal(build_parallel(pair, t=3).weights, plan.weights)
+        assert simulate_parallel(pair, plan).distances == simulate_parallel(u1, u2, plan).distances
+        protocol = Protocol(2, 1, 1, [np.eye(2), np.eye(2)], np.array([1.0, 0.0]))
+        assert run_protocol(pair, protocol).distances == run_protocol(u1, u2, protocol).distances
+        by_matrices = simulate_random(u1, u2, 2, 3, np.random.default_rng(5)).distances
+        assert simulate_random(pair, 2, 3, np.random.default_rng(5)).distances == by_matrices
+        assert simulate_random(pair, 2, queries=3, rng=np.random.default_rng(5)).distances \
+            == by_matrices
+
+    def test_one_argument_too_many(self):
+        pair = UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0]))
+        with pytest.raises(TypeError):
+            build_parallel(pair, 3, 4)
