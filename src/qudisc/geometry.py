@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import TWO_PI, PhaseSpectrum, require_normalized, wrap_phase
+from .linalg import TWO_PI, PhaseSpectrum, require_normalized_stack, wrap_phase
 
 
 @dataclass(frozen=True)
@@ -164,17 +164,26 @@ def _closest_on_segment(a: complex, b: complex) -> tuple[float, float]:
     return abs(a + t * ab), t
 
 
-def trace_distance_pure(a, b) -> float:
-    """Trace distance of two normalized pure states: 2*sqrt(1 - |<a|b>|^2).
+def trace_distance_pure(a, b):
+    """Trace distance of normalized pure states: 2*sqrt(1 - |<a|b>|^2).
+
+    Takes two states, giving a float, or two equal-shape stacks of states
+    as rows, giving an array with one distance per row. All states are
+    checked in one pass over their common stack.
 
     Evaluated as twice the norm of the component of b orthogonal to a,
     which equals the same quantity without the catastrophic cancellation
-    of 1 - |<a|b>|^2 near identical states: equal inputs give exactly 0.
+    of 1 - |<a|b>|^2 near identical states. The projection divides by
+    <a|a> itself, formed as <a|b> is, so equal inputs give exactly 0.
     """
-    va = require_normalized(a)
-    vb = require_normalized(b)
-    if va.shape != vb.shape:
-        raise ShapeError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    perp = vb - va * (np.vdot(va, vb) / np.vdot(va, va).real)
-    d = 2.0 * float(np.linalg.norm(perp)) / float(np.linalg.norm(vb))
-    return min(2.0, d)
+    try:
+        pair = np.array([a, b], dtype=complex)
+    except ValueError as exc:
+        raise ShapeError("dimension mismatch: the states do not all have one shape") from exc
+    if pair.ndim not in (2, 3):
+        raise ShapeError(f"expected two states or two stacks of states, got shape {pair.shape}")
+    (va, vb), (aa, bb) = require_normalized_stack(pair)
+    perp = vb - va * ((va.conj() * vb).sum(axis=-1) / aa)[..., None]
+    perp_norm = np.sqrt((perp.conj() * perp).sum(axis=-1).real)
+    d = np.minimum(2.0, 2.0 * perp_norm / np.sqrt(bb.real))
+    return float(d) if d.ndim == 0 else d

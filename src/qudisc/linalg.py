@@ -78,6 +78,37 @@ def require_normalized(v, tol: float = UNITARY_TOL, name: str = "state") -> np.n
     return a
 
 
+def require_normalized_stack(m) -> tuple[np.ndarray, np.ndarray]:
+    """States along the last axis of an array, each checked as ``require_normalized`` checks one.
+
+    One pass covers every state; an error names the first failing one by
+    its index over the leading axes. Returns the array and each state's
+    <v|v>, complex as formed, for callers that divide by it.
+    """
+    a = np.asarray(m, dtype=complex)
+    if a.ndim == 0 or 0 in a.shape:
+        raise ShapeError(f"expected a nonempty stack of nonempty vectors, got shape {a.shape}")
+    if a.shape[-1] > DIM_CAP:
+        raise CapacityError(f"state dimension {a.shape[-1]} exceeds cap {DIM_CAP}")
+    if not np.isfinite(a).all():
+        where = _first(~np.isfinite(a).all(axis=-1))
+        raise DomainError(f"state ({where}) amplitudes must be finite")
+    inner = (a.conj() * a).sum(axis=-1)
+    off = np.abs(np.sqrt(inner.real) - 1.0)
+    if off.max() > UNITARY_TOL:
+        bad = off > UNITARY_TOL
+        norm = math.sqrt(inner.real[bad][0])
+        raise DomainError(
+            f"state ({_first(bad)}) is not normalized within {UNITARY_TOL:g} (norm {norm:.12f})"
+        )
+    return a, inner
+
+
+def _first(mask: np.ndarray) -> str:
+    """Index of the first True entry of a boolean array, as "i, j"."""
+    return ", ".join(str(i) for i in np.argwhere(mask)[0])
+
+
 @dataclass(eq=False)
 class PhaseSpectrum:
     """Eigenphases of a unitary matrix with an aligned orthonormal eigenbasis.
@@ -200,19 +231,25 @@ def relative_spectrum(u1, u2=None) -> PhaseSpectrum:
     return pair.spectrum
 
 
-def haar_isometry_from_rng(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+def haar_isometry_from_rng(n: int, k: int, rng: np.random.Generator,
+                           batch: tuple[int, ...] = ()) -> np.ndarray:
     """Haar-distributed n x k isometry: the first k columns of a Haar unitary.
 
     QR of an n x k complex Gaussian matrix, with the triangular factor's
     diagonal phases folded into Q so the distribution is exactly
     left-invariant (Mezzadri, Notices AMS 54, 592, 2007).
+
+    A ``batch`` shape gives independent isometries of shape batch + (n, k)
+    from one draw and one stacked QR. They take the real, then the
+    imaginary, Gaussians of each isometry in turn from the stream, as one
+    call per isometry does, so they equal such calls bit for bit.
     """
     if not 1 <= k <= n:
         raise DomainError(f"isometry needs 1 <= k <= n, got k={k} for n={n}")
-    z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    q, r = np.linalg.qr(z)
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    g = rng.standard_normal((*batch, 2, n, k))
+    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def haar_unitary_from_rng(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,6 +9,8 @@ pair, so they are built, validated and evaluated there: each effect is a
 2x2 block in an orthonormal basis of the span (1x1 for a parallel pair)
 plus a weight on the projector onto the complement. No n x n array is
 formed, at any ambient dimension n; ``Povm.effect`` gives the dense view.
+The 2x2 blocks are built and checked in closed form on Python scalars,
+since numpy's per-call overhead would dwarf the arithmetic.
 """
 
 from __future__ import annotations
@@ -79,31 +81,36 @@ class Povm:
         return int(self.basis.shape[0])
 
     def validate(self) -> None:
-        """Check the basis, then hermiticity, positivity and completeness of the effects."""
+        """Check the basis, then hermiticity, positivity and completeness of the effects.
+
+        Each property is checked for all blocks at once, on their stack.
+        """
         n, k = self.basis.shape
-        names = [f"effect {j} ({lab})" for j, lab in enumerate(self.labels)]
-        for name, e in zip(names, self.effects):
+        for j, e in enumerate(self.effects):
             if e.shape != (k, k):
-                raise ValidationError(f"{name} has shape {e.shape}")
-        if np.abs(self.basis.conj().T @ self.basis - np.eye(k)).max() > COMPLETENESS_TOL:
+                raise ValidationError(f"{self._name(j)} has shape {e.shape}")
+        gram = self.basis.conj().T @ self.basis
+        basis_defect, asymmetry, lowest, defect = _validation_figures(gram, np.array(self.effects))
+        if basis_defect > COMPLETENESS_TOL:
             raise ValidationError("basis columns are not orthonormal")
-        blocks = np.array(self.effects)
-        adjoints = blocks.conj().transpose(0, 2, 1)
-        asymmetry = np.abs(blocks - adjoints).max(axis=(1, 2))
-        lowest = np.linalg.eigvalsh((blocks + adjoints) / 2.0)[:, 0]
-        for name, asym, lo, weight in zip(names, asymmetry, lowest, self.rest):
+        rest = self.rest.tolist()
+        for j, (asym, lo, weight) in enumerate(zip(asymmetry, lowest, rest)):
             if asym > 1e-9:
-                raise ValidationError(f"{name} is not Hermitian")
+                raise ValidationError(f"{self._name(j)} is not Hermitian")
             if lo < PSD_TOL:
-                raise ValidationError(f"{name} has negative eigenvalue {lo:.3e}")
+                raise ValidationError(f"{self._name(j)} has negative eigenvalue {lo:.3e}")
             if weight < PSD_TOL:
-                raise ValidationError(f"{name} has negative complement weight {weight:.3e}")
-        defect = float(np.abs(blocks.sum(axis=0) - np.eye(k)).max())
+                raise ValidationError(
+                    f"{self._name(j)} has negative complement weight {weight:.3e}"
+                )
         if defect > COMPLETENESS_TOL:
             raise ValidationError(f"effects sum to identity only within {defect:.3e}")
-        total = float(self.rest.sum())
+        total = sum(rest)
         if k < n and abs(total - 1.0) > COMPLETENESS_TOL:
             raise ValidationError(f"complement weights sum to {total:.12g}, not 1")
+
+    def _name(self, j: int) -> str:
+        return f"effect {j} ({self.labels[j]})"
 
     def effect(self, label: str) -> np.ndarray | None:
         """The full n x n operator of an outcome, or None when the POVM lacks it."""
@@ -113,6 +120,55 @@ class Povm:
         b = self.basis
         outside = np.eye(self.dim) - b @ b.conj().T
         return b @ self.effects[j] @ b.conj().T + self.rest[j] * outside
+
+
+def _validation_figures(gram: np.ndarray,
+                        blocks: np.ndarray) -> tuple[float, list[float], list[float], float]:
+    """The figures ``Povm.validate`` checks, for a basis Gram matrix and a stack of k x k blocks.
+
+    Returns the largest entry of |gram - I|, each block's largest entry of
+    |B - B^H|, the lowest eigenvalue of each block's Hermitian part
+    (B + B^H)/2, and the largest entry of |sum of blocks - I|. The span
+    form's 2x2 blocks take the closed form on Python scalars, free of
+    per-call array overhead: the eigenvalues of [[a, c], [c*, d]] are
+    (a + d)/2 -+ sqrt(((a - d)/2)^2 + |c|^2). Other sizes (1x1 for a
+    parallel pair, the full effects of a dense POVM) take one batched eigvalsh.
+    """
+    k = blocks.shape[1]
+    if k != 2:
+        eye = np.eye(k)
+        adjoints = blocks.conj().swapaxes(1, 2)
+        asymmetry = np.abs(blocks - adjoints).max(axis=(1, 2)).tolist()
+        lowest = (np.linalg.eigvalsh(blocks + adjoints)[:, 0] / 2.0).tolist()
+        return (float(np.abs(gram - eye).max()), asymmetry, lowest,
+                float(np.abs(blocks.sum(axis=0) - eye).max()))
+    asymmetry, lowest = [], []
+    s00 = s01 = s10 = s11 = 0j
+    for (a, c), (c_low, d) in blocks.tolist():
+        asymmetry.append(max(2.0 * abs(a.imag), 2.0 * abs(d.imag), abs(c - c_low.conjugate())))
+        half_gap = math.hypot((a.real - d.real) / 2.0, abs(c + c_low.conjugate()) / 2.0)
+        lowest.append((a.real + d.real) / 2.0 - half_gap)
+        s00, s01, s10, s11 = s00 + a, s01 + c, s10 + c_low, s11 + d
+    (g00, g01), (g10, g11) = gram.tolist()
+    return (_identity_defect(g00, g01, g10, g11), asymmetry, lowest,
+            _identity_defect(s00, s01, s10, s11))
+
+
+def _identity_defect(m00: complex, m01: complex, m10: complex, m11: complex) -> float:
+    """Largest entry of |M - I| for the 2x2 matrix [[m00, m01], [m10, m11]]."""
+    return max(abs(m00 - 1.0), abs(m01), abs(m10), abs(m11 - 1.0))
+
+
+def _born(blocks: np.ndarray, rest: np.ndarray, x: np.ndarray) -> list[list[float]]:
+    """Probability of each outcome (row) for each state (column), clamped into [0, 1].
+
+    Row s of ``x`` holds state s's coordinates in the basis; the state's
+    mass outside the span, 1 - |x_s|^2, meets each effect's complement weight.
+    """
+    x_conj = x.conj()
+    inside = np.einsum("si,eik,sk->es", x_conj, blocks, x).real
+    outside = 1.0 - np.einsum("si,si->s", x_conj, x).real
+    return (inside + rest[:, None] * outside).clip(0.0, 1.0).tolist()
 
 
 @dataclass(frozen=True)
@@ -146,27 +202,36 @@ class StatePair:
     """Two checked states with an orthonormal basis (a, e2) of their span.
 
     ``basis`` is n x 2, or n x 1 for a parallel pair, and ``coords`` holds
-    both states' coordinates in it. Build it with ``StatePair.of``. The
-    functions below accept a StatePair in place of the two states, so a pair
-    measured twice is checked and spanned once.
+    both states' coordinates in it, one state per row. Build it with
+    ``StatePair.of``. The functions below accept a StatePair in place of the
+    two states, so a pair measured twice is checked and spanned once.
     """
 
     states: tuple[np.ndarray, np.ndarray]
     basis: np.ndarray
-    coords: tuple[np.ndarray, np.ndarray]
+    coords: np.ndarray
 
     @classmethod
     def of(cls, phi1, phi2) -> "StatePair":
         a, b = _normalized_pair(phi1, phi2)
         resid = b - np.vdot(a, b) * a
-        rnorm = float(np.linalg.norm(resid))
-        basis = np.column_stack([a] if rnorm < _PARALLEL_TOL else [a, resid / rnorm])
-        adjoint = basis.conj().T
-        return cls((a, b), basis, (adjoint @ a, adjoint @ b))
+        rnorm = math.sqrt(np.vdot(resid, resid).real)
+        basis = np.array([a] if rnorm < _PARALLEL_TOL else [a, resid / rnorm]).T
+        return cls((a, b), basis, _coords(a, b, basis))
+
+
+def _coords(a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coordinates of two states in the orthonormal columns of ``basis``, one row each."""
+    return np.array([a, b]) @ basis.conj()
 
 
 def _state_pair(phi1, phi2) -> StatePair:
     return phi1 if isinstance(phi1, StatePair) else StatePair.of(phi1, phi2)
+
+
+def _block(m00: float, m01: complex, m11: float) -> np.ndarray:
+    """The 2x2 Hermitian block [[m00, m01], [conj(m01), m11]]."""
+    return np.array([[m00, m01], [m01.conjugate(), m11]], dtype=complex)
 
 
 def helstrom_povm(phi1, phi2=None) -> Povm:
@@ -178,17 +243,25 @@ def helstrom_povm(phi1, phi2=None) -> Povm:
     for overlap c. For a parallel pair the difference operator vanishes and
     the fair coin {I/2, I/2} is returned so that both states still succeed
     at rate 1/2.
+
+    In the span the difference is a 2x2 Hermitian matrix M. With
+    N = M - tr(M)/2 its eigenvalues are tr(M)/2 +- lam, where
+    lam = sqrt(h^2 + |M01|^2) and h = (M00 - M11)/2, so the projector onto
+    the top eigenvector is I/2 + N/(2 lam), in closed form.
     """
     pair = _state_pair(phi1, phi2)
-    basis, (x1, x2) = pair.basis, pair.coords
+    basis = pair.basis
     if basis.shape[1] == 1:
         half = np.full((1, 1), 0.5, dtype=complex)
         return Povm([half, half.copy()], [IDENTIFY_1, IDENTIFY_2], basis, [0.5, 0.5])
-    diff = np.outer(x1, x1.conj()) - np.outer(x2, x2.conj())
-    vals, vecs = np.linalg.eigh(diff)
-    plus = vecs[:, int(np.argmax(vals))]  # eigenvector of the +sqrt(1-c^2) eigenvalue
-    pi1 = np.outer(plus, plus.conj())
-    return Povm([pi1, np.eye(2) - pi1], [IDENTIFY_1, IDENTIFY_2], basis, [1.0, 0.0])
+    (a1, b1), (a2, b2) = pair.coords.tolist()
+    h = (abs(a1) ** 2 - abs(a2) ** 2 - abs(b1) ** 2 + abs(b2) ** 2) / 2.0
+    m01 = a1 * b1.conjugate() - a2 * b2.conjugate()
+    scale = 0.5 / math.hypot(h, abs(m01))
+    tilt, off = h * scale, m01 * scale
+    pi1 = _block(0.5 + tilt, off, 0.5 - tilt)
+    pi2 = _block(0.5 - tilt, -off, 0.5 + tilt)
+    return Povm([pi1, pi2], [IDENTIFY_1, IDENTIFY_2], basis, [1.0, 0.0])
 
 
 def unambiguous_povm(phi1, phi2=None) -> Povm:
@@ -196,59 +269,58 @@ def unambiguous_povm(phi1, phi2=None) -> Povm:
 
     The identify-i effect is (1/(1+c)) times the projector onto the part
     of phi_i orthogonal to the other state inside their span; both states
-    then hit the inconclusive outcome with probability exactly c.
+    then hit the inconclusive outcome with probability exactly c. In the
+    span that part is the 2-vector orthogonal to the other state's
+    coordinates (p, q), along (q*, -p*): its projector comes in closed form,
+    free of the cancellation in 1 - |<phi1|phi2>|^2 as the states coincide.
     """
     pair = _state_pair(phi1, phi2)
-    basis, (x1, x2) = pair.basis, pair.coords
-    c = min(1.0, float(abs(x2[0])))  # x2[0] = <phi1|phi2>
+    x1, x2 = pair.coords.tolist()
+    c = min(1.0, abs(x2[0]))  # x2[0] = <phi1|phi2>
     if c >= 1.0 - COINCIDE_TOL:
         raise DomainError(
             f"unambiguous discrimination impossible: overlap {c:.12f} is 1 within {COINCIDE_TOL:g}"
         )
-    u1 = x1 - np.vdot(x2, x1) * x2  # component of phi1 orthogonal to phi2
-    u1 /= np.linalg.norm(u1)
-    u2 = x2 - np.vdot(x1, x2) * x1
-    u2 /= np.linalg.norm(u2)
     scale = 1.0 / (1.0 + c)
-    pi1 = scale * np.outer(u1, u1.conj())
-    pi2 = scale * np.outer(u2, u2.conj())
+    a00, a01, a11 = _orthogonal_projector(x2, scale)
+    b00, b01, b11 = _orthogonal_projector(x1, scale)
+    effects = [_block(a00, a01, a11), _block(b00, b01, b11),
+               _block(1.0 - a00 - b00, -a01 - b01, 1.0 - a11 - b11)]
     labels = [IDENTIFY_1, IDENTIFY_2, INCONCLUSIVE]
-    return Povm([pi1, pi2, np.eye(2) - pi1 - pi2], labels, basis, [0.0, 0.0, 1.0])
+    return Povm(effects, labels, pair.basis, [0.0, 0.0, 1.0])
 
 
-def _clamp01(x: float) -> float:
-    return 0.0 if x < 0.0 else (1.0 if x > 1.0 else x)
-
-
-def _born(povm: Povm, label: str, x: np.ndarray, outside: float) -> float:
-    """Probability of an outcome for a state with span coordinates x and mass outside the span."""
-    if label not in povm.labels:
-        return 0.0
-    j = povm.labels.index(label)
-    inside = float(np.vdot(x, povm.effects[j] @ x).real)
-    return _clamp01(inside + float(povm.rest[j]) * outside)
+def _orthogonal_projector(x: list[complex], scale: float) -> tuple[float, complex, float]:
+    """Entries 00, 01, 11 of scale times the projector onto the 2-vectors orthogonal to (p, q)."""
+    p, q = x
+    pp, qq = abs(p) ** 2, abs(q) ** 2
+    weight = scale / (pp + qq)
+    return weight * qq, -weight * p * q.conjugate(), weight * pp
 
 
 def evaluate_povm(povm: Povm, phi1, phi2=None) -> DiscriminationOutcome:
     """Born probabilities of a POVM on a state pair, after validating the POVM.
 
-    The pair is two states, or a StatePair passed as ``phi1`` alone.
+    The pair is two states, or a StatePair passed as ``phi1`` alone. A POVM
+    built on that StatePair's basis reuses its coordinates. All outcomes are
+    evaluated on both states at once and clamped into [0, 1].
     """
-    a, b = phi1.states if isinstance(phi1, StatePair) else _normalized_pair(phi1, phi2)
+    pair = phi1 if isinstance(phi1, StatePair) else None
+    a, b = pair.states if pair is not None else _normalized_pair(phi1, phi2)
     if povm.dim != a.shape[0]:
         raise ShapeError(f"POVM dimension {povm.dim} does not match states ({a.shape[0]})")
     povm.validate()
 
-    adjoint = povm.basis.conj().T
-    x1, x2 = adjoint @ a, adjoint @ b
-    out1 = 1.0 - float(np.vdot(x1, x1).real)
-    out2 = 1.0 - float(np.vdot(x2, x2).real)
-    p1 = _born(povm, IDENTIFY_1, x1, out1)
-    p2 = _born(povm, IDENTIFY_2, x2, out2)
+    x = pair.coords if pair is not None and povm.basis is pair.basis else _coords(a, b, povm.basis)
+    by_label = dict(zip(povm.labels, _born(np.array(povm.effects), povm.rest, x)))
+    absent = (0.0, 0.0)
+    p1, _ = by_label.get(IDENTIFY_1, absent)
+    _, p2 = by_label.get(IDENTIFY_2, absent)
+    inc1, inc2 = by_label.get(INCONCLUSIVE, absent)
     return DiscriminationOutcome(
         p_correct_1=p1,
         p_correct_2=p2,
-        p_inconclusive_1=_born(povm, INCONCLUSIVE, x1, out1),
-        p_inconclusive_2=_born(povm, INCONCLUSIVE, x2, out2),
+        p_inconclusive_1=inc1,
+        p_inconclusive_2=inc2,
         p_s=p1 + p2,
     )

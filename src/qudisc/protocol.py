@@ -138,6 +138,11 @@ def simulate_random(u1, u2=None, ancilla_dim=None, queries=None, rng=None) -> Si
     to the columns of a Haar n x 2 isometry V. So the next pair is
     (V[:, 0], c V[:, 0] + r V[:, 1]), distributed exactly as under a dense
     Haar W, at O(n) memory and no n x n array.
+
+    The probe is drawn first, then the isometries in stacked draws of up to
+    64 queries each, one QR and one Gram check per draw. They take the
+    stream in the order one draw per query would, and what the draws hold
+    beyond the recorded states stays O(n) for any T.
     """
     pair, ancilla_dim, queries, rng = pair_args(u1, u2, ancilla_dim, queries, rng)
     a, b = pair.u1, pair.u2
@@ -154,18 +159,11 @@ def simulate_random(u1, u2=None, ancilla_dim=None, queries=None, rng=None) -> Si
         s1 = random_state_from_rng(n, rng)
         s2 = s1.copy()
         yield s1, s2
-        for k in range(queries):
+        for v in _haar_isometries(n, queries, rng):
             t1 = apply_query(s1, a, d, ancilla_dim)
             t2 = apply_query(s2, b, d, ancilla_dim)
             c = np.vdot(t1, t2)
             r = np.linalg.norm(t2 - c * t1)
-            v = haar_isometry_from_rng(n, 2, rng)
-            defect = float(np.abs(v.conj().T @ v - np.eye(2)).max())
-            if defect > UNITARY_TOL:
-                raise NumericalError(
-                    f"interleaver {k + 1} is not an isometry within {UNITARY_TOL:g} "
-                    f"(defect {defect:.3e})"
-                )
             s1 = v[:, 0]
             s2 = c * s1 + r * v[:, 1]
             yield s1, s2
@@ -173,19 +171,39 @@ def simulate_random(u1, u2=None, ancilla_dim=None, queries=None, rng=None) -> Si
     return record_trace(steps())
 
 
+_DRAW_BLOCK = 64  # queries per stacked isometry draw
+
+
+def _haar_isometries(n: int, queries: int, rng: np.random.Generator):
+    """The checked n x 2 isometries of the T queries in order, drawn and Gram-checked in blocks."""
+    for first in range(0, queries, _DRAW_BLOCK):
+        block = haar_isometry_from_rng(n, 2, rng, (min(_DRAW_BLOCK, queries - first),))
+        defects = np.abs(block.conj().swapaxes(1, 2) @ block - np.eye(2)).max(axis=(1, 2))
+        if defects.max() > UNITARY_TOL:
+            k = int(np.argmax(defects > UNITARY_TOL))
+            raise NumericalError(
+                f"interleaver {first + k + 1} is not an isometry within {UNITARY_TOL:g} "
+                f"(defect {defects[k]:.3e})"
+            )
+        yield from block
+
+
 def record_trace(steps: Iterable[tuple[np.ndarray, np.ndarray]]) -> SimulationTrace:
     """Trace of the state pairs a simulation passes through, the starting pair first.
 
     Every simulator feeds its pairs through here, so distances and the
-    final overlap are computed one way for all of them.
+    final overlap are computed one way for all of them. Both branches go to
+    ``trace_distance_pure`` as one stack, which checks every state and forms
+    every distance in one pass. That pass holds a stacked copy of the
+    recorded states and temporaries of their size, so its peak memory is
+    O(T n), about twice that of the states themselves.
     """
     states_1: list[np.ndarray] = []
     states_2: list[np.ndarray] = []
-    distances: list[float] = []
     for s1, s2 in steps:
         states_1.append(s1)
         states_2.append(s2)
-        distances.append(trace_distance_pure(s1, s2))
+    distances = trace_distance_pure(states_1, states_2).tolist()
     # Coinciding final states report overlap exactly 1, consistent with distance 0.
     if distances[-1] < 1e-12:
         overlap = 1.0

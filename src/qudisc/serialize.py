@@ -130,9 +130,3 @@ def load_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def dump_json(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")

@@ -4,6 +4,7 @@ Each test prints one pass/fail line; run ``pytest tests/test_acceptance.py
 -v -s`` to see them alongside the test outcomes.
 """
 
+import json
 import math
 import time
 
@@ -15,7 +16,6 @@ from qudisc import (
     evaluate_povm,
     fidelity_closed_form,
     fidelity_hull_oracle,
-    haar_unitary_from_rng,
     helstrom_povm,
     relative_spectrum,
     run_protocol,
@@ -30,7 +30,6 @@ from qudisc import (
 )
 from qudisc.campaign import CampaignConfig, run_campaign
 from qudisc.cli import main as cli_main
-from qudisc.serialize import dump_json
 
 from .oracles import (
     anchored_arc_theta,
@@ -222,11 +221,9 @@ def test_criterion_8_hand_fixtures():
 
 def test_criterion_9_verify_is_byte_deterministic(tmp_path):
     cfg_path = tmp_path / "campaign.json"
-    dump_json(
-        {"instances": 1000, "dim": 2, "t_range": [1, 5], "seed": 7,
-         "protocol_source": "random"},
-        str(cfg_path),
-    )
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        json.dump({"instances": 1000, "dim": 2, "t_range": [1, 5], "seed": 7,
+                   "protocol_source": "random"}, fh)
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     code_a = cli_main(["verify", "--config", str(cfg_path), "--format", "csv",

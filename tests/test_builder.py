@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qudisc import (
-    DomainError,
     IndistinguishableError,
     SearchConfig,
     ValidationError,

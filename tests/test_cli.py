@@ -7,11 +7,16 @@ import pytest
 from qudisc import Protocol
 from qudisc.campaign import CampaignReport, config_from_obj, render_csv, run_campaign, summarize
 from qudisc.cli import main
-from qudisc.serialize import dump_json, matrix_to_obj, protocol_to_obj
+from qudisc.serialize import matrix_to_obj, protocol_to_obj
 
 I2 = np.eye(2, dtype=complex)
 EIGHTH_TURN = np.diag([1.0, np.exp(1j * np.pi / 4)])
 Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def write_json(obj, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
 
 
 @pytest.fixture
@@ -19,20 +24,20 @@ def fixtures(tmp_path):
     paths = {}
     for name, m in [("i2", I2), ("eighth", EIGHTH_TURN), ("z", Z)]:
         path = tmp_path / f"{name}.json"
-        dump_json(matrix_to_obj(m), str(path))
+        write_json(matrix_to_obj(m), str(path))
         paths[name] = str(path)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     protocol = Protocol(2, 1, 1, [I2.copy(), I2.copy()], plus)
     paths["protocol"] = str(tmp_path / "protocol.json")
-    dump_json(protocol_to_obj(protocol), paths["protocol"])
+    write_json(protocol_to_obj(protocol), paths["protocol"])
     paths["campaign"] = str(tmp_path / "campaign.json")
-    dump_json(
+    write_json(
         {"instances": 8, "dim": 2, "t_range": [1, 3], "seed": 21,
          "protocol_source": "random"},
         paths["campaign"],
     )
     paths["search"] = str(tmp_path / "search.json")
-    dump_json(
+    write_json(
         {"queries": 1, "restarts": 2, "max_iterations": 10,
          "step_tolerance": 1e-3, "seed": 5},
         paths["search"],
@@ -58,7 +63,7 @@ class TestTheta:
 
     def test_rejects_non_unitary(self, fixtures, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        dump_json(matrix_to_obj(np.diag([1.0, 0.5])), str(bad))
+        write_json(matrix_to_obj(np.diag([1.0, 0.5])), str(bad))
         code, _, err = run_cli(capsys, ["theta", "--u1", str(bad), "--u2", fixtures["i2"]])
         assert code == 2
         assert "error:" in err
@@ -196,7 +201,7 @@ class TestVerify:
         obj = {"instances": 2, "dim": 2, "t_range": [1, 2], "seed": 3,
                "output_path": str(tmp_path / "report.csv")}
         config = tmp_path / "campaign.json"
-        dump_json(obj, str(config))
+        write_json(obj, str(config))
         code, out, _ = run_cli(capsys, ["verify", "--config", str(config), "--format", "csv"])
         assert code == 0
         assert out == ""
@@ -210,8 +215,6 @@ class TestVerify:
         assert obj["summary"]["violation_count"] == 0
 
     def test_violation_forces_nonzero_exit(self, fixtures, capsys, monkeypatch):
-        from qudisc import campaign as campaign_mod
-
         def doctored(cfg, pair_factory=None):
             report = run_campaign(cfg)
             bad = dataclasses.replace(report.records[0], theorem1_slack=-1.0)

@@ -163,6 +163,16 @@ class TestHaarIsometry:
         assert abs(np.mean(p[:, 0]) - 1 / 3) <= 0.01
         assert abs(np.mean(p[:, 0] * p[:, 1]) - 1 / 12) <= 0.005
 
+    @pytest.mark.parametrize("n, batch", [(4, (5,)), (64, (3,)), (9, (2, 3)), (4, (0,))])
+    def test_batch_equals_one_call_per_isometry(self, n, batch):
+        # same isometries bit for bit, and the stream left at the same place
+        batched, single = np.random.default_rng([n, 14]), np.random.default_rng([n, 14])
+        v = haar_isometry_from_rng(n, 2, batched, batch)
+        assert v.shape == (*batch, n, 2)
+        for index in np.ndindex(*batch):
+            assert np.array_equal(v[index], haar_isometry_from_rng(n, 2, single))
+        assert batched.random() == single.random()
+
     @pytest.mark.parametrize("n, k", [(0, 1), (3, 0), (3, 4)])
     def test_bad_shape_raises(self, n, k):
         with pytest.raises(DomainError):

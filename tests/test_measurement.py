@@ -270,3 +270,85 @@ class TestSpanForm:
         with pytest.raises(ValidationError, match="orthonormal"):
             Povm(effects=good.effects, labels=good.labels, basis=2 * good.basis,
                  rest=good.rest).validate()
+
+
+def _helstrom_reference(phi1, phi2):
+    """Dense Helstrom effects from eigh: identify-2 projects on the negative eigenvector."""
+    diff = np.outer(phi1, phi1.conj()) - np.outer(phi2, phi2.conj())
+    _, vecs = np.linalg.eigh(diff)
+    low = np.outer(vecs[:, 0], vecs[:, 0].conj())
+    return [np.eye(phi1.size) - low, low]
+
+
+def _unambiguous_reference(phi1, phi2):
+    """Dense unambiguous effects from eigh: identify-i is 1/(1+c) times the projector
+    on the null vector of the other state's projector, inside a QR basis of the span."""
+    c = abs(np.vdot(phi1, phi2))
+    span, _ = np.linalg.qr(np.column_stack([phi1, phi2]))
+    effects = []
+    for other in (phi2, phi1):
+        y = span.conj().T @ other
+        _, vecs = np.linalg.eigh(np.outer(y, y.conj()))
+        u = span @ vecs[:, 0]
+        effects.append(np.outer(u, u.conj()) / (1.0 + c))
+    return effects + [np.eye(phi1.size) - effects[0] - effects[1]]
+
+
+def _near_parallel(n):
+    """Overlap 1 - 1e-9 in the standard frame, where both states are exact.
+
+    In a random frame, the rounding of the embedding alone moves the true
+    effects by about eps / sqrt(1 - c^2) ~ 5e-12, for any method.
+    """
+    c = 1.0 - 1e-9
+    phi1, phi2 = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    phi1[0] = 1.0
+    phi2[0], phi2[1] = c * np.exp(0.3j), np.sqrt(1.0 - c * c) * np.exp(0.3j)
+    return phi1, phi2
+
+
+class TestTwoByTwoKernel:
+    """The closed-form 2x2 blocks against dense eigh references, rebuilt through Povm.effect."""
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_blocks_match_the_eigh_reference(self, n):
+        rng = np.random.default_rng(45 + n)
+        pairs = [(random_state(n, rng), random_state(n, rng)) for _ in range(20)]
+        pairs += [state_pair_with_overlap(0.0, n, rng), _near_parallel(n)]
+        for phi1, phi2 in pairs:
+            for povm, reference in ((helstrom_povm(phi1, phi2), _helstrom_reference),
+                                    (unambiguous_povm(phi1, phi2), _unambiguous_reference)):
+                assert all(e.shape == (2, 2) for e in povm.effects)
+                for label, expected in zip(povm.labels, reference(phi1, phi2)):
+                    assert np.abs(povm.effect(label) - expected).max() <= 1e-12
+
+    def test_parallel_pair_is_the_fair_coin(self):
+        rng = np.random.default_rng(46)
+        phi = random_state(4, rng)
+        povm = helstrom_povm(phi, phi * np.exp(0.7j))
+        assert [e.shape for e in povm.effects] == [(1, 1), (1, 1)]
+        for label in povm.labels:
+            assert np.abs(povm.effect(label) - np.eye(4) / 2).max() <= 1e-12
+
+    def test_span_and_dense_forms_fail_validation_alike(self):
+        """The closed-form block checks and the batched eigvalsh give one verdict."""
+        rng = np.random.default_rng(47)
+        phi1, phi2 = state_pair_with_overlap(0.4, 4, rng)
+        good = unambiguous_povm(phi1, phi2)
+        skew = np.array([[0.0, 1e-6], [0.0, 0.0]], dtype=complex)
+        cases = [
+            ([good.effects[0] - 2e-6 * np.eye(2), good.effects[1],
+              good.effects[2] + 2e-6 * np.eye(2)], "effect 0 .* negative eigenvalue -2.000e-06"),
+            ([good.effects[0] + 2e-6 * np.eye(2), good.effects[1],
+              good.effects[2] - 2e-6 * np.eye(2)], "effect 2 .* negative eigenvalue -2.000e-06"),
+            ([good.effects[0] + skew, good.effects[1], good.effects[2] - skew],
+             "effect 0 .* not Hermitian"),
+            ([good.effects[0] + 1e-6 * np.eye(2), good.effects[1], good.effects[2]],
+             "effects sum to identity only within"),
+        ]
+        for effects, message in cases:
+            span = Povm(effects=effects, labels=good.labels, basis=good.basis, rest=good.rest)
+            dense = Povm(effects=[span.effect(lab) for lab in span.labels], labels=span.labels)
+            for povm in (span, dense):
+                with pytest.raises(ValidationError, match=message):
+                    povm.validate()

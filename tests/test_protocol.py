@@ -4,6 +4,7 @@ import scipy.stats
 
 from qudisc import (
     CapacityError,
+    DomainError,
     NumericalError,
     Protocol,
     ShapeError,
@@ -15,9 +16,11 @@ from qudisc import (
     run_protocol,
     simulate_random,
     smallest_arc,
+    trace_distance_pure,
 )
 from qudisc import protocol as protocol_mod
-from qudisc.linalg import random_state_from_rng
+from qudisc.linalg import haar_isometry_from_rng, random_state_from_rng
+from qudisc.protocol import record_trace
 
 I2 = np.eye(2, dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -234,9 +237,102 @@ class TestSimulateRandom:
             simulate_random(I2, Z, 2049, 1, rng)
 
     def test_non_isometry_is_refused(self, monkeypatch):
-        def stretched(n, k, rng):
-            return 1.001 * np.eye(n, k, dtype=complex)
+        def stretched(n, k, rng, batch):
+            return np.broadcast_to(1.001 * np.eye(n, k, dtype=complex), (*batch, n, k))
 
         monkeypatch.setattr(protocol_mod, "haar_isometry_from_rng", stretched)
         with pytest.raises(NumericalError, match="interleaver 1 is not an isometry"):
             simulate_random(I2, Z, 2, 1, np.random.default_rng(35))
+
+    def test_batched_draw_names_the_first_bad_interleaver(self, monkeypatch):
+        def second_stretched(n, k, rng, batch):
+            v = haar_isometry_from_rng(n, k, rng, batch)
+            v[1] *= 1.001  # interleaver 2; interleaver 3 is stretched less and comes later
+            v[2] *= 1.0001
+            return v
+
+        monkeypatch.setattr(protocol_mod, "haar_isometry_from_rng", second_stretched)
+        with pytest.raises(NumericalError, match="interleaver 2 is not an isometry"):
+            simulate_random(I2, Z, 2, 4, np.random.default_rng(36))
+
+    def test_bad_interleaver_in_a_later_draw_is_named_by_its_query(self, monkeypatch):
+        draws = []
+
+        def stretched_in_second_draw(n, k, rng, batch):
+            v = haar_isometry_from_rng(n, k, rng, batch)
+            draws.append(batch)
+            if len(draws) == 2:
+                v[1] *= 1.001  # interleaver 64 + 2
+            return v
+
+        monkeypatch.setattr(protocol_mod, "haar_isometry_from_rng", stretched_in_second_draw)
+        with pytest.raises(NumericalError, match="interleaver 66 is not an isometry"):
+            simulate_random(I2, Z, 2, 70, np.random.default_rng(36))
+        assert draws == [(64,), (6,)]
+
+    @pytest.mark.parametrize("d", [2, 8])
+    @pytest.mark.parametrize("queries", [0, 1, 5, 70])
+    def test_states_equal_one_draw_per_query(self, d, queries):
+        """Bit for bit against the per-query loop the stacked draw replaced, n = d*d."""
+        u1, u2 = haar_pair(np.random.default_rng([d, queries, 37]), d)
+        stacked, looped = np.random.default_rng([d, 38]), np.random.default_rng([d, 38])
+        trace = simulate_random(u1, u2, d, queries, stacked)
+
+        s1 = random_state_from_rng(d * d, looped)
+        s2 = s1.copy()
+        expected = [(s1, s2)]
+        for _ in range(queries):
+            t1 = (u1 @ s1.reshape(d, d)).ravel()
+            t2 = (u2 @ s2.reshape(d, d)).ravel()
+            c = np.vdot(t1, t2)
+            r = np.linalg.norm(t2 - c * t1)
+            v = haar_isometry_from_rng(d * d, 2, looped)
+            s1, s2 = v[:, 0], c * v[:, 0] + r * v[:, 1]
+            expected.append((s1, s2))
+
+        assert len(trace.states_1) == queries + 1
+        for (e1, e2), a1, a2 in zip(expected, trace.states_1, trace.states_2):
+            assert np.array_equal(a1, e1) and np.array_equal(a2, e2)
+        assert stacked.random() == looped.random()
+
+
+class TestRecordTrace:
+    """One pass over both stacks still checks every state of every step."""
+
+    @pytest.mark.parametrize("step", [0, 2, 4])
+    @pytest.mark.parametrize("branch", [0, 1])
+    @pytest.mark.parametrize("bad", ["unnormalized", "nan", "inf"])
+    def test_refuses_a_bad_state_at_any_step(self, step, branch, bad):
+        rng = np.random.default_rng(39)
+        pairs = [[random_state_from_rng(4, rng), random_state_from_rng(4, rng)]
+                 for _ in range(5)]
+        state = pairs[step][branch]
+        if bad == "unnormalized":
+            state *= 1.0 + 1e-8
+        else:
+            state[1] = np.nan if bad == "nan" else np.inf
+        with pytest.raises(DomainError, match=rf"state \({branch}, {step}\)"):
+            record_trace(pairs)
+
+    def test_refuses_states_of_different_dimension(self):
+        rng = np.random.default_rng(40)
+        a, b, c = (random_state_from_rng(n, rng) for n in (4, 4, 6))
+        for pairs in ([(a, c)], [(a, b), (a, c)], [(a, b), (c, c)]):
+            with pytest.raises(ShapeError):
+                record_trace(pairs)
+
+    def test_equal_states_are_exactly_zero_apart(self):
+        rng = np.random.default_rng(42)
+        states = [random_state_from_rng(9, rng) for _ in range(6)]
+        trace = record_trace((s, s.copy()) for s in states)
+        assert trace.distances == [0.0] * 6
+        assert trace.final_overlap == 1.0
+
+    def test_distances_match_one_call_per_step(self):
+        rng = np.random.default_rng(43)
+        pairs = [(random_state_from_rng(16, rng), random_state_from_rng(16, rng))
+                 for _ in range(7)]
+        trace = record_trace(pairs)
+        for (a, b), d in zip(pairs, trace.distances):
+            assert d == pytest.approx(trace_distance_pure(a, b), abs=1e-15)
+            assert d == pytest.approx(2.0 * np.sqrt(1.0 - abs(np.vdot(a, b)) ** 2), abs=1e-12)
