@@ -32,6 +32,13 @@ class BoundReport:
     t_lower: int
     raw_value: float
 
+    def slack(self, t: int) -> float:
+        """Slack of t queries against the bound: t*theta/2 minus the half-span the budget needs.
+
+        Negative when a protocol making t queries meets the budget below the bound.
+        """
+        return t * self.theta / 2.0 - _needed_half_span(self.epsilon, self.mode)
+
 
 def _check_theta(theta: float) -> None:
     if theta == 0.0:
@@ -52,15 +59,29 @@ def _ceil_guarded(raw: float) -> int:
     return max(0, math.ceil(raw - CEILING_GUARD))
 
 
+def _needed_half_span(epsilon: float, mode: ErrorMode) -> float:
+    """Half-span T*theta/2 that budget epsilon needs; every bound and slack derives from it.
+
+    sqrt(1 - 4*eps*(1-eps)) for bounded error, sqrt(1 - eps^2) one-sided.
+    """
+    if mode is ErrorMode.BOUNDED:
+        return math.sqrt(max(0.0, 1.0 - 4.0 * epsilon * (1.0 - epsilon)))
+    return math.sqrt(max(0.0, 1.0 - epsilon * epsilon))
+
+
+def _t_min(theta: float, epsilon: float, mode: ErrorMode) -> BoundReport:
+    _check_theta(theta)
+    _check_epsilon(epsilon, mode)
+    raw = 2.0 * _needed_half_span(epsilon, mode) / theta
+    return BoundReport(theta, epsilon, mode, _ceil_guarded(raw), raw)
+
+
 def t_min_bounded(theta: float, epsilon: float) -> BoundReport:
     """Minimum query count for bounded-error discrimination at budget epsilon.
 
     raw_value = 2*sqrt(1 - 4*eps*(1-eps)) / theta.
     """
-    _check_theta(theta)
-    _check_epsilon(epsilon, ErrorMode.BOUNDED)
-    raw = 2.0 * math.sqrt(1.0 - 4.0 * epsilon * (1.0 - epsilon)) / theta
-    return BoundReport(theta, epsilon, ErrorMode.BOUNDED, _ceil_guarded(raw), raw)
+    return _t_min(theta, epsilon, ErrorMode.BOUNDED)
 
 
 def t_min_onesided(theta: float, epsilon: float) -> BoundReport:
@@ -68,10 +89,7 @@ def t_min_onesided(theta: float, epsilon: float) -> BoundReport:
 
     raw_value = 2*sqrt(1 - eps^2) / theta.
     """
-    _check_theta(theta)
-    _check_epsilon(epsilon, ErrorMode.ONE_SIDED)
-    raw = 2.0 * math.sqrt(1.0 - epsilon * epsilon) / theta
-    return BoundReport(theta, epsilon, ErrorMode.ONE_SIDED, _ceil_guarded(raw), raw)
+    return _t_min(theta, epsilon, ErrorMode.ONE_SIDED)
 
 
 def t_perfect(theta: float) -> int:

@@ -31,8 +31,9 @@ from .protocol import Protocol, SimulationTrace, apply_query, record_trace, run_
 # The search stops early once the overlap drops this low: the pair is
 # discriminated perfectly for every practical purpose.
 _PERFECT_OVERLAP = 1e-5
-# Slack allowed when asserting the returned protocol against the bound.
-_BOUND_SAFETY_TOL = 1e-6
+# Slack allowed, in the half-span T*theta/2, when asserting the returned
+# protocol against the bound.
+_BOUND_SAFETY_TOL = 5e-7
 
 
 @dataclass(eq=False)
@@ -314,7 +315,7 @@ def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
 
     eps = min(0.5, helstrom_error(overlap))
     bound = t_min_bounded(theta, eps)
-    if bound.raw_value * theta > cfg.queries * theta + _BOUND_SAFETY_TOL:
+    if bound.slack(cfg.queries) < -_BOUND_SAFETY_TOL:
         raise AssertionError(
             f"search produced a protocol beating the query bound "
             f"({bound.raw_value:.9f} > {cfg.queries} at theta {theta:.9f}): this is a bug"

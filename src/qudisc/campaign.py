@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .bounds import t_min_bounded
+from .bounds import t_min_bounded, t_min_onesided
 from .builder import SearchConfig, build_parallel, optimize_protocol, simulate_parallel
 from .errors import UsageError, ValidationError
 from .linalg import DIM_CAP, UnitaryPair, haar_unitary_from_rng, relative_spectrum
@@ -162,14 +162,13 @@ def run_instance(cfg: CampaignConfig, index: int, pair_factory=None) -> tuple[In
     """Run one campaign instance; returns (record, observed D_0)."""
     rng = _instance_rng(cfg.seed, index)
     if pair_factory is None:
-        u1 = haar_unitary_from_rng(cfg.dim, rng)
-        u2 = haar_unitary_from_rng(cfg.dim, rng)
+        u1, u2 = haar_unitary_from_rng(cfg.dim, rng, (2,))
     else:
         u1, u2 = pair_factory(rng, cfg.dim)
     lo, hi = cfg.t_range
     queries = int(rng.integers(lo, hi + 1))
 
-    # Each unitary is checked, and U1†U2 decomposed, once for the whole instance.
+    # The pair is checked, and U1†U2 decomposed and given its arc, once for the whole instance.
     pair = UnitaryPair.of(u1, u2)
     theta = smallest_arc(relative_spectrum(pair)).theta
     if theta == 0.0:
@@ -196,10 +195,6 @@ def run_instance(cfg: CampaignConfig, index: int, pair_factory=None) -> tuple[In
     eps, eps0 = measure_pair(trace.states_1[-1], trace.states_2[-1], c)
     if eps0 is None:
         eps0 = 1.0  # only the always-inconclusive budget is available
-    half_span = queries * theta / 2.0
-    slack_bounded = half_span - np.sqrt(max(0.0, 1.0 - 4.0 * eps * (1.0 - eps)))
-    slack_onesided = half_span - np.sqrt(max(0.0, 1.0 - eps0 * eps0))
-
     bound = t_min_bounded(theta, eps)
     record = InstanceRecord(
         index=index,
@@ -211,8 +206,8 @@ def run_instance(cfg: CampaignConfig, index: int, pair_factory=None) -> tuple[In
         bound_raw=bound.raw_value,
         bound_t=bound.t_lower,
         lemma2_min_slack=lemma2_min,
-        theorem1_slack=float(slack_bounded),
-        theorem1_slack_onesided=float(slack_onesided),
+        theorem1_slack=bound.slack(queries),
+        theorem1_slack_onesided=t_min_onesided(theta, eps0).slack(queries),
     )
     return record, trace.distances[0]
 

@@ -39,25 +39,34 @@ def smallest_arc(spectrum) -> ArcResult:
     the max gap are broken toward the gap with the smallest starting
     phase; theta is unaffected, only the reported endpoints.
 
-    Accepts a PhaseSpectrum or a bare sequence of phases (radians).
+    Accepts a PhaseSpectrum or a bare sequence of phases (radians). A
+    spectrum's phases are already wrapped and ascending, so they are used
+    as they are, and its arc is found once and kept on the spectrum.
     """
     if isinstance(spectrum, PhaseSpectrum):
-        phases = spectrum.phases
-    else:
-        phases = np.asarray(spectrum, dtype=float).ravel()
+        if spectrum.arc is None:
+            spectrum.arc = _covering_arc(spectrum.phases)
+        return spectrum.arc
+    phases = np.asarray(spectrum, dtype=float).ravel()
     if phases.size == 0:
         raise DomainError("spectrum is empty")
-    p = np.sort(wrap_phase(phases))
-    k = p.size
-    if k == 1:
-        return ArcResult(theta=0.0, start_phase=float(p[0]), end_phase=float(p[0]))
+    if not np.isfinite(phases).all():
+        raise DomainError("phases must be finite")
+    return _covering_arc(np.sort(wrap_phase(phases)))
 
-    gaps = np.diff(p, append=p[0] + TWO_PI)  # gap i runs from p[i] to its successor
-    best = int(np.argmax(gaps))  # argmax keeps the first (smallest start) on ties
-    theta = float(TWO_PI - gaps[best])
-    start = float(p[(best + 1) % k])
-    end = float(p[best])
-    return ArcResult(theta=theta, start_phase=start, end_phase=end)
+
+def _covering_arc(p: np.ndarray) -> ArcResult:
+    """Smallest covering arc of nonempty phases, wrapped into [0, 2*pi) and ascending.
+
+    On Python floats: the same subtractions numpy would make, without its
+    per-call overhead on the few phases of a small spectrum.
+    """
+    ps = p.tolist()
+    gaps = [b - a for a, b in zip(ps, ps[1:])]  # gap i runs from ps[i] to its successor
+    gaps.append(ps[0] + TWO_PI - ps[-1])
+    best = max(range(len(ps)), key=gaps.__getitem__)  # max keeps the first (smallest start) on ties
+    theta = 0.0 if len(ps) == 1 else TWO_PI - gaps[best]
+    return ArcResult(theta=theta, start_phase=ps[(best + 1) % len(ps)], end_phase=ps[best])
 
 
 def fidelity_closed_form(theta: float) -> float:

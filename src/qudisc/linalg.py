@@ -9,8 +9,8 @@ All dense objects are capped at dimension ``DIM_CAP`` to bound memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -26,17 +26,23 @@ UNITARY_TOL = 1e-10
 TWO_PI = 2.0 * np.pi
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting bad shapes, sizes and non-finite entries."""
+def as_complex_matrix(m, name="matrix") -> np.ndarray:
+    """Coerce to a square complex matrix, or a stack of equal ones along a leading axis.
+
+    Rejects bad shapes and sizes, then non-finite entries in one test over
+    the whole stack; its error names the first bad member as
+    ``require_unitary`` does.
+    """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 0:
-        raise ShapeError("matrix dimension must be positive")
-    if a.shape[0] > DIM_CAP:
-        raise CapacityError(f"matrix dimension {a.shape[0]} exceeds cap {DIM_CAP}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ShapeError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if 0 in a.shape:
+        raise ShapeError(f"matrix dimension and stack size must be positive, got shape {a.shape}")
+    if a.shape[-1] > DIM_CAP:
+        raise CapacityError(f"matrix dimension {a.shape[-1]} exceeds cap {DIM_CAP}")
     if not np.isfinite(a).all():
-        raise DomainError("matrix entries must be finite")
+        bad = int(np.argmax(~np.isfinite(a).all(axis=(-2, -1)))) if a.ndim == 3 else None
+        raise DomainError(f"{_member(name, bad)} entries must be finite")
     return a
 
 
@@ -56,17 +62,43 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
-def unitarity_defect(m) -> float:
-    """Elementwise max deviation of M†M from the identity."""
-    a = as_complex_matrix(m)
-    return float(np.abs(dagger(a) @ a - np.eye(a.shape[0])).max())
+def _member(name, k: int | None) -> str:
+    """Name of stack member k (None: the lone matrix): name[k] for a sequence, else "name k"."""
+    if k is None:
+        return name
+    return f"{name} {k}" if isinstance(name, str) else name[k]
 
 
-def require_unitary(m, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
-    a = as_complex_matrix(m)
-    defect = unitarity_defect(a)
-    if defect > tol:
-        raise DomainError(f"{name} is not unitary within {tol:g} (defect {defect:.3e})")
+def _defects(a: np.ndarray) -> np.ndarray:
+    """Elementwise max deviation of M†M from the identity, per matrix of a checked array."""
+    gram = a.conj().swapaxes(-2, -1) @ a
+    return np.abs(gram - np.eye(a.shape[-1])).max(axis=(-2, -1))
+
+
+def unitarity_defect(m):
+    """Elementwise max deviation of M†M from the identity.
+
+    A float for one matrix; for a stack, an array with one per matrix.
+    """
+    defects = _defects(as_complex_matrix(m))
+    return float(defects) if defects.ndim == 0 else defects
+
+
+def require_unitary(m, name="matrix") -> np.ndarray:
+    """One square matrix, or a stack of them, checked unitary within ``UNITARY_TOL``.
+
+    A stack is checked in one pass: one finiteness test, one batched
+    M†M - I and one max. An error names the first bad member: ``name[k]``
+    when ``name`` is a sequence of names, else "name k".
+    """
+    a = as_complex_matrix(m, name)
+    defects = _defects(a)
+    if defects.max() > UNITARY_TOL:
+        k = int(np.argmax(defects > UNITARY_TOL)) if a.ndim == 3 else None
+        worst = defects if k is None else defects[k]
+        raise DomainError(
+            f"{_member(name, k)} is not unitary within {UNITARY_TOL:g} (defect {worst:.3e})"
+        )
     return a
 
 
@@ -119,6 +151,9 @@ class PhaseSpectrum:
 
     phases: np.ndarray
     vectors: np.ndarray
+    # The smallest covering arc (a geometry.ArcResult), kept by
+    # geometry.smallest_arc the first time it is asked for this spectrum.
+    arc: object = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -137,12 +172,30 @@ def wrap_phase(phases) -> np.ndarray:
     return p
 
 
+# LAPACK's complex Schur routine, called directly: scipy.linalg.schur would
+# query the workspace and re-check finiteness on every call.
+_gees, = scipy.linalg.get_lapack_funcs(("gees",), dtype=np.complex128)
+
+
+def _no_sort(_):
+    """Eigenvalue selector for an unsorted Schur form; LAPACK never calls it."""
+
+
+@cache
+def _gees_lwork(n: int) -> int:
+    """Optimal zgees workspace for dimension n, which depends on n alone."""
+    work = _gees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2]
+    return int(work[0].real)
+
+
 def eigen_system(u) -> PhaseSpectrum:
     """Orthonormal eigendecomposition of a unitary matrix.
 
     Uses the complex Schur form: for a normal matrix the Schur factor is
     diagonal and the Schur vectors form an exactly orthonormal eigenbasis,
-    which plain ``eig`` does not guarantee on degenerate spectra.
+    which plain ``eig`` does not guarantee on degenerate spectra. LAPACK's
+    ``zgees`` is called directly, with its workspace size queried once per
+    dimension, and gives the same bits as ``scipy.linalg.schur``.
 
     Args:
         u: square matrix, unitary within 1e-10.
@@ -152,21 +205,20 @@ def eigen_system(u) -> PhaseSpectrum:
 
     Raises:
         DomainError: input not unitary.
-        NumericalError: residuals exceed the accuracy contract.
+        NumericalError: the Schur form did not converge, or residuals exceed
+            the accuracy contract.
     """
     a = require_unitary(u)
-    try:
-        t, q = scipy.linalg.schur(a, output="complex")
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    eigvals = np.diag(t)
+    _, _, eigvals, q, _, info = _gees(_no_sort, a, lwork=_gees_lwork(a.shape[0]))
+    if info != 0:
+        raise NumericalError(f"eigendecomposition did not converge (zgees info {info})")
     phases = wrap_phase(np.angle(eigvals))
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     vectors = q[:, order]
 
     residual = float(np.max(np.linalg.norm(a @ vectors - vectors * np.exp(1j * phases), axis=0)))
-    ortho = float(np.max(np.abs(dagger(vectors) @ vectors - np.eye(a.shape[0]))))
+    ortho = float(_defects(vectors))
     if residual > 1e-8 or ortho > 1e-8:
         raise NumericalError(
             f"eigendecomposition failed accuracy contract: "
@@ -179,10 +231,12 @@ def eigen_system(u) -> PhaseSpectrum:
 class UnitaryPair:
     """Two checked candidate unitaries of equal dimension.
 
-    Build it with ``UnitaryPair.of``. ``spectrum``, the relative spectrum of
-    U1†U2, is decomposed on first use and kept. The functions that take two
+    Build it with ``UnitaryPair.of``, which checks both as one stack.
+    ``spectrum``, the relative spectrum of U1†U2, is decomposed on first
+    use and kept, and the spectrum keeps its smallest covering arc once
+    ``geometry.smallest_arc`` has found it. The functions that take two
     candidate unitaries accept a UnitaryPair in their place, so a pair used
-    by several of them is checked and decomposed once.
+    by several of them is checked, decomposed and given its arc once.
     """
 
     u1: np.ndarray
@@ -190,10 +244,9 @@ class UnitaryPair:
 
     @classmethod
     def of(cls, u1, u2) -> "UnitaryPair":
-        a = require_unitary(u1, name="u1")
-        b = require_unitary(u2, name="u2")
-        if a.shape != b.shape:
-            raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+        if np.shape(u1) != np.shape(u2):
+            raise ShapeError(f"dimension mismatch: shapes {np.shape(u1)} vs {np.shape(u2)}")
+        a, b = require_unitary((u1, u2), name=("u1", "u2"))
         return cls(a, b)
 
     @property
@@ -252,9 +305,14 @@ def haar_isometry_from_rng(n: int, k: int, rng: np.random.Generator,
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def haar_unitary_from_rng(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary drawn from an existing generator."""
-    return haar_isometry_from_rng(d, d, rng)
+def haar_unitary_from_rng(d: int, rng: np.random.Generator,
+                          batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-distributed unitary drawn from an existing generator.
+
+    A ``batch`` shape gives a stack of independent ones, as
+    ``haar_isometry_from_rng`` does, equal bit for bit to one call each.
+    """
+    return haar_isometry_from_rng(d, d, rng, batch)
 
 
 def random_state_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -81,7 +81,7 @@ class Povm:
         return int(self.basis.shape[0])
 
     def validate(self) -> None:
-        """Check the basis, then hermiticity, positivity and completeness of the effects.
+        """Check finiteness, the basis, then hermiticity, positivity and completeness.
 
         Each property is checked for all blocks at once, on their stack.
         """
@@ -89,11 +89,21 @@ class Povm:
         for j, e in enumerate(self.effects):
             if e.shape != (k, k):
                 raise ValidationError(f"{self._name(j)} has shape {e.shape}")
+        # every tolerance comparison below is False for NaN: refuse non-finite input first
+        blocks = np.array(self.effects)
+        if not np.isfinite(blocks).all():
+            j = int(np.argmax(~np.isfinite(blocks).all(axis=(1, 2))))
+            raise ValidationError(f"{self._name(j)} has non-finite entries")
+        rest = self.rest.tolist()
+        if not math.isfinite(sum(rest)):
+            j = next(j for j, w in enumerate(rest) if not math.isfinite(w))
+            raise ValidationError(f"{self._name(j)} has non-finite complement weight {rest[j]}")
+        if not np.isfinite(self.basis).all():
+            raise ValidationError("basis entries must be finite")
         gram = self.basis.conj().T @ self.basis
-        basis_defect, asymmetry, lowest, defect = _validation_figures(gram, np.array(self.effects))
+        basis_defect, asymmetry, lowest, defect = _validation_figures(gram, blocks)
         if basis_defect > COMPLETENESS_TOL:
             raise ValidationError("basis columns are not orthonormal")
-        rest = self.rest.tolist()
         for j, (asym, lo, weight) in enumerate(zip(asymmetry, lowest, rest)):
             if asym > 1e-9:
                 raise ValidationError(f"{self._name(j)} is not Hermitian")

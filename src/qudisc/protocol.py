@@ -54,12 +54,13 @@ class Protocol:
                 f"need {self.queries + 1} interleavers for {self.queries} queries, "
                 f"got {len(self.interleavers)}"
             )
-        self.interleavers = [
-            require_unitary(w, name=f"interleaver {k}") for k, w in enumerate(self.interleavers)
-        ]
         for k, w in enumerate(self.interleavers):
-            if w.shape[0] != total:
-                raise ShapeError(f"interleaver {k} has dimension {w.shape[0]}, expected {total}")
+            if np.shape(w) != (total, total):
+                raise ShapeError(
+                    f"interleaver {k} has shape {np.shape(w)}, expected ({total}, {total})"
+                )
+        # one stacked check of all T+1; an error names the first bad interleaver k
+        self.interleavers = list(require_unitary(self.interleavers, name="interleaver"))
         self.probe = require_normalized(self.probe, name="probe")
         if self.probe.shape[0] != total:
             raise ShapeError(f"probe has dimension {self.probe.shape[0]}, expected {total}")

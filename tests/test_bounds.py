@@ -66,6 +66,16 @@ class TestOneSidedBound:
         assert t_min_onesided(PI / 4, 0.0).t_lower == t_min_bounded(PI / 4, 0.0).t_lower == 3
 
 
+@pytest.mark.parametrize("bound, needed", [
+    (t_min_bounded(0.3, 0.1), math.sqrt(1.0 - 4.0 * 0.1 * 0.9)),
+    (t_min_onesided(0.3, 0.4), math.sqrt(1.0 - 0.4 * 0.4)),
+])
+def test_slack_is_the_half_span_beyond_the_need(bound, needed):
+    for t in range(8):
+        assert bound.slack(t) == t * 0.3 / 2.0 - needed
+        assert (bound.slack(t) >= 0.0) == (t >= bound.raw_value)
+
+
 def test_each_mode_reports_itself_and_its_epsilon_domain():
     assert t_min_bounded(0.1, 0.25).mode is ErrorMode.BOUNDED
     assert t_min_onesided(0.2, 0.6).mode is ErrorMode.ONE_SIDED

@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from qudisc import (
     DIM_CAP,
@@ -14,7 +13,7 @@ from qudisc import (
     helstrom_povm,
     unambiguous_povm,
 )
-from qudisc import linalg, measurement
+from qudisc import geometry, linalg, measurement
 from qudisc.campaign import (
     CSV_COLUMNS,
     CampaignConfig,
@@ -125,25 +124,32 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("source", ["random", "parallel"])
     def test_one_check_per_unitary_and_one_schur_per_instance(self, monkeypatch, source):
-        counts = {"checks": 0, "schur": 0}
-        defect, schur = linalg.unitarity_defect, scipy.linalg.schur
+        counts = {"checks": 0, "schur": 0, "arcs": 0}
+        require, gees, covering_arc = linalg.require_unitary, linalg._gees, geometry._covering_arc
 
-        def counted_defect(m):
-            counts["checks"] += 1
-            return defect(m)
+        def counted_require(m, *args, **kwargs):
+            counts["checks"] += len(m) if np.ndim(m) == 3 else 1  # matrices checked
+            return require(m, *args, **kwargs)
 
-        def counted_schur(*args, **kwargs):
+        def counted_gees(*args, **kwargs):
             counts["schur"] += 1
-            return schur(*args, **kwargs)
+            return gees(*args, **kwargs)
 
-        monkeypatch.setattr(linalg, "unitarity_defect", counted_defect)
-        monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+        def counted_arc(p):
+            counts["arcs"] += 1
+            return covering_arc(p)
+
         cfg = small_config(instances=6, t_range=(1, 8), protocol_source=source)
+        linalg._gees_lwork(cfg.dim)  # the once-per-dimension workspace query is not a Schur
+        monkeypatch.setattr(linalg, "require_unitary", counted_require)
+        monkeypatch.setattr(linalg, "_gees", counted_gees)
+        monkeypatch.setattr(geometry, "_covering_arc", counted_arc)
         for index in range(cfg.instances):
-            counts.update(checks=0, schur=0)
+            counts.update(checks=0, schur=0, arcs=0)
             run_instance(cfg, index)
-            # u1, u2 and eigen_system's check of U1†U2
-            assert counts == {"checks": 3, "schur": 1}
+            # u1 and u2 as one stack, and eigen_system's check of U1†U2;
+            # the arc is found once although the parallel plan asks for it again
+            assert counts == {"checks": 3, "schur": 1, "arcs": 1}
 
     def test_optimized_source_smoke(self):
         report = run_campaign(small_config(instances=2, t_range=(1, 2),

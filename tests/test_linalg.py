@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qudisc import (
     DIM_CAP,
     CapacityError,
     DomainError,
+    NumericalError,
     ShapeError,
     UnitaryPair,
     build_parallel,
@@ -15,6 +17,8 @@ from qudisc import (
     simulate_parallel,
     simulate_random,
 )
+from qudisc import linalg
+from qudisc.geometry import smallest_arc
 from qudisc.protocol import Protocol
 from qudisc.linalg import (
     TWO_PI,
@@ -38,11 +42,53 @@ class TestIsUnitary:
 
     def test_shrinking_column_fails(self):
         with pytest.raises(DomainError):
-            require_unitary(np.diag([1.0, 0.5]), 1e-10)
+            require_unitary(np.diag([1.0, 0.5]))
 
     def test_non_square_raises(self):
         with pytest.raises(ShapeError):
             unitarity_defect(np.ones((2, 3)))
+
+    def test_stack_gives_one_defect_per_matrix(self):
+        stack = [np.eye(2), np.diag([1.0, 0.5]), np.diag([1.0, -1.0])]
+        assert np.array_equal(unitarity_defect(stack), [0.0, 0.75, 0.0])
+        assert require_unitary(stack[::2]).shape == (2, 2, 2)
+
+
+class TestStackedChecks:
+    BAD = np.diag([1.0, 1.001])
+
+    @pytest.mark.parametrize("u1, u2, named", [
+        (np.eye(2), BAD, "u2"),
+        (BAD, np.eye(2), "u1"),
+        (BAD, 2.0 * BAD, "u1"),  # both bad: the first is named
+    ])
+    def test_pair_names_the_first_bad_unitary(self, u1, u2, named):
+        with pytest.raises(DomainError, match=rf"^{named} is not unitary"):
+            UnitaryPair.of(u1, u2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("member", [0, 1])
+    def test_pair_refuses_non_finite_entries(self, value, member):
+        pair = [np.eye(2), np.eye(2)]
+        pair[member] = np.array([[1.0, 0.0], [0.0, value]])
+        with pytest.raises(DomainError, match=rf"^u{member + 1} entries must be finite"):
+            UnitaryPair.of(*pair)
+
+    def test_protocol_names_the_first_bad_interleaver(self):
+        ws = [np.eye(2), np.eye(2), self.BAD, 3.0 * np.eye(2)]
+        with pytest.raises(DomainError, match=r"^interleaver 2 is not unitary"):
+            Protocol(2, 1, 3, ws, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_protocol_refuses_non_finite_interleavers(self, value):
+        ws = [np.eye(2), np.eye(2), np.eye(2)]
+        ws[1] = np.array([[value, 0.0], [0.0, 1.0]])
+        with pytest.raises(DomainError, match=r"^interleaver 1 entries must be finite"):
+            Protocol(2, 1, 2, ws, np.array([1.0, 0.0]))
+
+    def test_protocol_names_an_interleaver_of_the_wrong_shape(self):
+        with pytest.raises(ShapeError, match=r"^interleaver 1 has shape \(3, 3\)"):
+            Protocol(2, 1, 1, [np.eye(2), np.eye(3)], np.array([1.0, 0.0]))
 
 
 class TestDimCap:
@@ -115,6 +161,29 @@ class TestEigenSystem:
         with pytest.raises(DomainError):
             eigen_system(np.diag([1.0, 0.5]))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    def test_direct_schur_equals_scipy_bit_for_bit(self, d):
+        u = haar_unitary_from_rng(d, np.random.default_rng([d, 15]))
+        t, q = scipy.linalg.schur(u, output="complex")
+        direct = linalg._gees(linalg._no_sort, u, lwork=linalg._gees_lwork(d))
+        assert np.array_equal(direct[0], t) and np.array_equal(direct[3], q)
+        # eigen_system as it read on scipy.linalg.schur, spelled out
+        phases = wrap_phase(np.angle(np.diag(t)))
+        order = np.argsort(phases, kind="stable")
+        spec = eigen_system(u)
+        assert np.array_equal(spec.phases, phases[order])
+        assert np.array_equal(spec.vectors, q[:, order])
+
+    def test_schur_failure_is_a_numerical_error(self, monkeypatch):
+        gees = linalg._gees
+
+        def failing(*args, **kwargs):
+            return (*gees(*args, **kwargs)[:-1], 1)  # zgees: the QR algorithm did not converge
+
+        monkeypatch.setattr(linalg, "_gees", failing)
+        with pytest.raises(NumericalError, match="did not converge"):
+            eigen_system(np.diag([1.0, -1.0]))
+
 
 class TestHaarUnitary:
     def test_determinism(self):
@@ -145,6 +214,16 @@ class TestHaarUnitary:
         q, r = np.linalg.qr(z)
         expected = q * (np.diag(r) / np.abs(np.diag(r)))
         assert np.array_equal(haar_unitary_from_rng(d, np.random.default_rng([d, 9])), expected)
+
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_stacked_pair_equals_two_calls(self, d):
+        # same unitaries bit for bit, and the stream left at the same place
+        stacked, single = np.random.default_rng([d, 16]), np.random.default_rng([d, 16])
+        u1, u2 = haar_unitary_from_rng(d, stacked, (2,))
+        assert np.array_equal(u1, haar_unitary_from_rng(d, single))
+        assert np.array_equal(u2, haar_unitary_from_rng(d, single))
+        assert stacked.random() == single.random()
 
 
 class TestHaarIsometry:
@@ -222,6 +301,14 @@ class TestUnitaryPair:
         assert simulate_random(pair, 2, 3, np.random.default_rng(5)).distances == by_matrices
         assert simulate_random(pair, 2, queries=3, rng=np.random.default_rng(5)).distances \
             == by_matrices
+
+    def test_spectrum_keeps_its_arc(self):
+        rng = np.random.default_rng(62)
+        pair = UnitaryPair.of(haar_unitary_from_rng(4, rng), haar_unitary_from_rng(4, rng))
+        arc = smallest_arc(pair.spectrum)
+        assert smallest_arc(relative_spectrum(pair)) is arc
+        # the spectrum's phases are taken as they are: same bits as from the bare phases
+        assert arc == smallest_arc(list(pair.spectrum.phases))
 
     def test_one_argument_too_many(self):
         pair = UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0]))

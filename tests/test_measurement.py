@@ -271,6 +271,37 @@ class TestSpanForm:
             Povm(effects=good.effects, labels=good.labels, basis=2 * good.basis,
                  rest=good.rest).validate()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_validate_refuses_a_non_finite_two_by_two_block(self, value):
+        good = unambiguous_povm(*state_pair_with_overlap(0.5, 4, np.random.default_rng(45)))
+        effects = [e.copy() for e in good.effects]
+        effects[1][0, 1] = value
+        with pytest.raises(ValidationError, match=r"effect 1 \(identify_2\) has non-finite"):
+            Povm(effects=effects, labels=good.labels, basis=good.basis, rest=good.rest).validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_validate_refuses_a_non_finite_dense_effect(self, value):
+        # a 3x3 effect used to reach eigvalsh, which raised LinAlgError on NaN
+        effects = [np.eye(3) / 2, np.eye(3) / 2]
+        effects[0][2, 2] = value
+        with pytest.raises(ValidationError, match=r"effect 0 \(identify_1\) has non-finite"):
+            Povm(effects=effects, labels=["identify_1", "identify_2"]).validate()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_validate_refuses_a_non_finite_complement_weight(self, value):
+        good = unambiguous_povm(*state_pair_with_overlap(0.5, 4, np.random.default_rng(46)))
+        rest = np.array(good.rest)
+        rest[2] = value
+        with pytest.raises(ValidationError, match=r"effect 2 \(inconclusive\) has non-finite"):
+            Povm(effects=good.effects, labels=good.labels, basis=good.basis, rest=rest).validate()
+
+    def test_validate_refuses_a_non_finite_basis(self):
+        good = helstrom_povm(*state_pair_with_overlap(0.5, 4, np.random.default_rng(47)))
+        basis = good.basis.copy()
+        basis[3, 1] = np.nan
+        with pytest.raises(ValidationError, match="basis entries must be finite"):
+            Povm(effects=good.effects, labels=good.labels, basis=basis, rest=good.rest).validate()
+
 
 def _helstrom_reference(phi1, phi2):
     """Dense Helstrom effects from eigh: identify-2 projects on the negative eigenvector."""
