@@ -2,8 +2,9 @@
 
 Everything here is a function of theta, the eigenphase spread of U1†U2,
 and the tolerated failure probability. ``raw_value`` is the real-valued
-bound before rounding; ``t_lower`` applies the ceiling with a 1e-9 guard
-so analytically exact integers are not bumped by floating-point noise.
+bound before rounding; ``t_lower`` applies the ceiling after subtracting
+``CEILING_GUARD``, so analytically exact integers are not bumped by
+floating-point noise.
 """
 
 from __future__ import annotations
@@ -14,9 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, IndistinguishableError
 from .linalg import TWO_PI
-
-# Subtracted before taking the ceiling; keeps exact-integer bounds exact.
-CEILING_GUARD = 1e-9
+from .tolerances import CEILING_GUARD
 
 
 class ErrorMode(str, enum.Enum):

@@ -26,14 +26,9 @@ from .linalg import (
     relative_spectrum,
 )
 from .measurement import helstrom_error
-from .protocol import Protocol, SimulationTrace, apply_query, record_trace, run_protocol
-
-# The search stops early once the overlap drops this low: the pair is
-# discriminated perfectly for every practical purpose.
-_PERFECT_OVERLAP = 1e-5
-# Slack allowed, in the half-span T*theta/2, when asserting the returned
-# protocol against the bound.
-_BOUND_SAFETY_TOL = 5e-7
+from .protocol import (Protocol, SimulationTrace, apply_query, evolve_branches, record_trace,
+                       run_protocol)
+from .tolerances import BOUND_SAFETY_TOL, PERFECT_OVERLAP
 
 
 @dataclass(eq=False)
@@ -178,16 +173,6 @@ class SearchResult:
     histories: list[list[float]]
 
 
-def _forward(ws: np.ndarray, probe: np.ndarray, u1, u2, d: int, anc: int):
-    """Both branches' states right after each interleaver, W_0 first."""
-    y1 = [ws[0] @ probe]
-    y2 = [y1[0]]
-    for w in ws[1:]:
-        y1.append(w @ apply_query(y1[-1], u1, d, anc))
-        y2.append(w @ apply_query(y2[-1], u2, d, anc))
-    return y1, y2
-
-
 def _overlap_derivatives(ws: np.ndarray, y1, y2, u1, u2, d: int, anc: int) -> np.ndarray:
     """N_k such that replacing W_k by exp(X)W_k changes <s1|s2> by tr(X N_k).
 
@@ -226,7 +211,7 @@ def _descend(ws: np.ndarray, probe: np.ndarray, u1, u2, d: int, anc: int,
     Each step is halved until the overlap drops; the restart ends once the
     step has shrunk below ``step_tolerance`` of the full Gauss-Newton step.
     """
-    y1, y2 = _forward(ws, probe, u1, u2, d, anc)
+    y1, y2 = evolve_branches(ws, probe, u1, u2, d, anc)
     c = np.vdot(y1[-1], y2[-1])
     history = [float(abs(c))]
     for _ in range(cfg.max_iterations):
@@ -238,7 +223,7 @@ def _descend(ws: np.ndarray, probe: np.ndarray, u1, u2, d: int, anc: int,
         while scale >= cfg.step_tolerance:
             rotations = (vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
             trial = rotations @ ws
-            t1, t2 = _forward(trial, probe, u1, u2, d, anc)
+            t1, t2 = evolve_branches(trial, probe, u1, u2, d, anc)
             trial_c = np.vdot(t1[-1], t2[-1])
             if abs(trial_c) < abs(c):
                 ws, y1, y2, c = trial, t1, t2, trial_c
@@ -247,7 +232,7 @@ def _descend(ws: np.ndarray, probe: np.ndarray, u1, u2, d: int, anc: int,
             vals = vals / 2.0
             scale /= 2.0
         history.append(float(abs(c)))
-        if abs(c) < _PERFECT_OVERLAP or not improved:
+        if abs(c) < PERFECT_OVERLAP or not improved:
             return ws, history, False
     return ws, history, True
 
@@ -304,7 +289,7 @@ def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
         histories.append(history)
         if best is None or history[-1] < best[0]:
             best = (history[-1], r, ws, probe, exhausted)
-        if best[0] < _PERFECT_OVERLAP:
+        if best[0] < PERFECT_OVERLAP:
             break  # perfect discrimination found: later restarts cannot do better
 
     assert best is not None
@@ -315,7 +300,7 @@ def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
 
     eps = min(0.5, helstrom_error(overlap))
     bound = t_min_bounded(theta, eps)
-    if bound.slack(cfg.queries) < -_BOUND_SAFETY_TOL:
+    if bound.slack(cfg.queries) < -BOUND_SAFETY_TOL:
         raise AssertionError(
             f"search produced a protocol beating the query bound "
             f"({bound.raw_value:.9f} > {cfg.queries} at theta {theta:.9f}): this is a bug"

@@ -22,17 +22,12 @@ from .builder import SearchConfig, build_parallel, optimize_protocol, simulate_p
 from .errors import UsageError, ValidationError
 from .linalg import DIM_CAP, UnitaryPair, haar_unitary_from_rng, relative_spectrum
 from .geometry import smallest_arc
-from .measurement import COINCIDE_TOL, StatePair, evaluate_povm, helstrom_povm, unambiguous_povm
+from .measurement import StatePair, evaluate_povm, helstrom_povm, unambiguous_povm
 from .protocol import audit_step_slacks, run_protocol, simulate_random
+from .tolerances import D0_TOL, LEMMA_SLACK_TOL, THEOREM_SLACK_TOL
 
 PROTOCOL_SOURCES = ("random", "parallel", "optimized")
 
-# A record violates the query-count bound when its slack drops below this.
-THEOREM_SLACK_TOL = -1e-6
-# A trace violates the step audit when any per-step slack drops below this.
-LEMMA_SLACK_TOL = -1e-9
-# The zero-query distance must vanish to this accuracy.
-D0_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -140,19 +135,19 @@ def _build_trace(pair: UnitaryPair, queries: int, cfg: CampaignConfig,
     return simulate_random(pair, cfg.dim, queries, rng)
 
 
-def measure_pair(phi1, phi2, overlap: float) -> tuple[float, float | None]:
+def measure_pair(phi1, phi2) -> tuple[float, float | None]:
     """Measured errors of the optimal measurements on a final state pair.
 
     Returns the Helstrom error, clamped to [0, 0.5], and the larger
     inconclusive rate of the unambiguous measurement. The latter is None
-    when the states coincide (``overlap`` within ``COINCIDE_TOL`` of 1),
-    because no unambiguous measurement exists then. Each state is checked,
-    and the pair's span built, once for both measurements.
+    when the states coincide (``StatePair.coincide``), because no
+    unambiguous measurement exists then. Each state is checked, and the
+    pair's span built, once for both measurements.
     """
     pair = StatePair.of(phi1, phi2)
     outcome = evaluate_povm(helstrom_povm(pair), pair)
     error = min(0.5, max(0.0, 1.0 - min(outcome.p_correct_1, outcome.p_correct_2)))
-    if overlap >= 1.0 - COINCIDE_TOL:
+    if pair.coincide:
         return error, None
     three = evaluate_povm(unambiguous_povm(pair), pair)
     return error, max(three.p_inconclusive_1, three.p_inconclusive_2)
@@ -192,7 +187,7 @@ def run_instance(cfg: CampaignConfig, index: int, pair_factory=None) -> tuple[In
     lemma2_min = min(slacks) if slacks else None
 
     c = trace.final_overlap
-    eps, eps0 = measure_pair(trace.states_1[-1], trace.states_2[-1], c)
+    eps, eps0 = measure_pair(trace.states_1[-1], trace.states_2[-1])
     if eps0 is None:
         eps0 = 1.0  # only the always-inconclusive budget is available
     bound = t_min_bounded(theta, eps)
@@ -212,11 +207,19 @@ def run_instance(cfg: CampaignConfig, index: int, pair_factory=None) -> tuple[In
     return record, trace.distances[0]
 
 
+def violations(r: InstanceRecord) -> tuple[bool, bool, bool]:
+    """The checks a record breaks: (bounded-error bound, one-sided bound, step audit)."""
+    return (
+        r.theorem1_slack < THEOREM_SLACK_TOL,
+        r.theorem1_slack_onesided < THEOREM_SLACK_TOL,
+        r.lemma2_min_slack is not None and r.lemma2_min_slack < LEMMA_SLACK_TOL,
+    )
+
+
 def summarize(records: list[InstanceRecord], max_d0: float | None) -> CampaignSummary:
-    v_bounded = sum(1 for r in records if r.theorem1_slack < THEOREM_SLACK_TOL)
-    v_onesided = sum(1 for r in records if r.theorem1_slack_onesided < THEOREM_SLACK_TOL)
+    flags = [violations(r) for r in records]
+    v_bounded, v_onesided, v_lemma = (sum(f[k] for f in flags) for k in range(3))
     lemma = [r.lemma2_min_slack for r in records if r.lemma2_min_slack is not None]
-    v_lemma = sum(1 for s in lemma if s < LEMMA_SLACK_TOL)
     v_d0 = 1 if (max_d0 is not None and max_d0 > D0_TOL) else 0
     return CampaignSummary(
         instances=len(records),
@@ -236,15 +239,7 @@ def summarize(records: list[InstanceRecord], max_d0: float | None) -> CampaignSu
 
 def violating_indices(report: CampaignReport) -> list[int]:
     """Indices of records that break any bound; (config.seed, index) replays them."""
-    out = []
-    for r in report.records:
-        if (
-            r.theorem1_slack < THEOREM_SLACK_TOL
-            or r.theorem1_slack_onesided < THEOREM_SLACK_TOL
-            or (r.lemma2_min_slack is not None and r.lemma2_min_slack < LEMMA_SLACK_TOL)
-        ):
-            out.append(r.index)
-    return out
+    return [r.index for r in report.records if any(violations(r))]
 
 
 def run_campaign(cfg: CampaignConfig, pair_factory=None) -> CampaignReport:

@@ -20,6 +20,7 @@ from .errors import NumericalError, UsageError
 from .geometry import fidelity_closed_form, fidelity_hull_oracle, smallest_arc
 from .linalg import relative_spectrum
 from .protocol import run_protocol
+from .tolerances import CEILING_GUARD
 
 _MODES = {"bounded": ErrorMode.BOUNDED, "onesided": ErrorMode.ONE_SIDED}
 
@@ -95,9 +96,7 @@ def _cmd_simulate(args) -> int:
     u1, u2 = _load_unitary_pair(args)
     protocol = serialize.protocol_from_obj(serialize.load_json(args.protocol))
     trace = run_protocol(u1, u2, protocol)
-    error, inconclusive = campaign_mod.measure_pair(
-        trace.states_1[-1], trace.states_2[-1], trace.final_overlap
-    )
+    error, inconclusive = campaign_mod.measure_pair(trace.states_1[-1], trace.states_2[-1])
     _emit_json(
         args,
         {
@@ -194,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="minimum query count at a given phase spread and error budget",
         epilog=(
-            "t_lower = ceil(raw_value - 1e-9): the small subtraction keeps "
+            "t_lower = ceil(raw_value - CEILING_GUARD), with CEILING_GUARD = "
+            f"{CEILING_GUARD:g} from qudisc.tolerances: the small subtraction keeps "
             "analytically exact integer bounds from being bumped up by "
             "floating-point noise."
         ),

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .linalg import TWO_PI, PhaseSpectrum, require_normalized_stack, wrap_phase
+from .tolerances import UNITARY_TOL
 
 
 @dataclass(frozen=True)
@@ -25,9 +26,9 @@ class ArcResult:
     end_phase: float
 
 
-def _require_unit_circle(points: np.ndarray, tol: float = 1e-10) -> None:
+def _require_unit_circle(points: np.ndarray) -> None:
     off = np.max(np.abs(np.abs(points) - 1.0))
-    if off > tol:
+    if off > UNITARY_TOL:
         raise DomainError(f"points must lie on the unit circle (max modulus error {off:.3e})")
 
 

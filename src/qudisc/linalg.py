@@ -16,12 +16,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CapacityError, DomainError, NumericalError, ShapeError
+from .tolerances import EIGEN_TOL, UNITARY_TOL
 
 # Hard cap on any dense matrix dimension handled by the toolkit.
 DIM_CAP = 4096
-
-# Default elementwise tolerance for unitarity checks.
-UNITARY_TOL = 1e-10
 
 TWO_PI = 2.0 * np.pi
 
@@ -75,15 +73,6 @@ def _defects(a: np.ndarray) -> np.ndarray:
     return np.abs(gram - np.eye(a.shape[-1])).max(axis=(-2, -1))
 
 
-def unitarity_defect(m):
-    """Elementwise max deviation of M†M from the identity.
-
-    A float for one matrix; for a stack, an array with one per matrix.
-    """
-    defects = _defects(as_complex_matrix(m))
-    return float(defects) if defects.ndim == 0 else defects
-
-
 def require_unitary(m, name="matrix") -> np.ndarray:
     """One square matrix, or a stack of them, checked unitary within ``UNITARY_TOL``.
 
@@ -102,11 +91,11 @@ def require_unitary(m, name="matrix") -> np.ndarray:
     return a
 
 
-def require_normalized(v, tol: float = UNITARY_TOL, name: str = "state") -> np.ndarray:
+def require_normalized(v, name: str = "state") -> np.ndarray:
     a = as_state(v)
     norm = math.sqrt(np.vdot(a, a).real)
-    if abs(norm - 1.0) > tol:
-        raise DomainError(f"{name} is not normalized within {tol:g} (norm {norm:.12f})")
+    if abs(norm - 1.0) > UNITARY_TOL:
+        raise DomainError(f"{name} is not normalized within {UNITARY_TOL:g} (norm {norm:.12f})")
     return a
 
 
@@ -198,15 +187,15 @@ def eigen_system(u) -> PhaseSpectrum:
     dimension, and gives the same bits as ``scipy.linalg.schur``.
 
     Args:
-        u: square matrix, unitary within 1e-10.
+        u: square matrix, unitary within ``UNITARY_TOL``.
 
     Returns:
         PhaseSpectrum with phases sorted ascending in [0, 2*pi).
 
     Raises:
         DomainError: input not unitary.
-        NumericalError: the Schur form did not converge, or residuals exceed
-            the accuracy contract.
+        NumericalError: the Schur form did not converge, or the largest
+            eigenvector residual or orthonormality defect exceeds ``EIGEN_TOL``.
     """
     a = require_unitary(u)
     _, _, eigvals, q, _, info = _gees(_no_sort, a, lwork=_gees_lwork(a.shape[0]))
@@ -219,7 +208,7 @@ def eigen_system(u) -> PhaseSpectrum:
 
     residual = float(np.max(np.linalg.norm(a @ vectors - vectors * np.exp(1j * phases), axis=0)))
     ortho = float(_defects(vectors))
-    if residual > 1e-8 or ortho > 1e-8:
+    if residual > EIGEN_TOL or ortho > EIGEN_TOL:
         raise NumericalError(
             f"eigendecomposition failed accuracy contract: "
             f"max residual {residual:.3e}, orthonormality defect {ortho:.3e}"

@@ -6,7 +6,7 @@ evaluates POVMs on a state pair. Equal priors are assumed throughout.
 
 Both optimal measurements act only on the two-dimensional span of the
 pair, so they are built, validated and evaluated there: each effect is a
-2x2 block in an orthonormal basis of the span (1x1 for a parallel pair)
+2x2 block in an orthonormal basis of the span (1x1 for coinciding states)
 plus a weight on the projector onto the complement. No n x n array is
 formed, at any ambient dimension n; ``Povm.effect`` gives the dense view.
 The 2x2 blocks are built and checked in closed form on Python scalars,
@@ -22,20 +22,12 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
 from .linalg import require_normalized
+from .tolerances import COINCIDE_TOL, POVM_TOL
 
 IDENTIFY_1 = "identify_1"
 IDENTIFY_2 = "identify_2"
 INCONCLUSIVE = "inconclusive"
 _ALLOWED_LABELS = (IDENTIFY_1, IDENTIFY_2, INCONCLUSIVE)
-
-# Eigenvalue floor for the positive-semidefiniteness check.
-PSD_TOL = -1e-9
-# Elementwise tolerance for the completeness (sum to identity) check.
-COMPLETENESS_TOL = 1e-9
-# Two states whose overlap magnitude is within this of 1 coincide up to phase.
-COINCIDE_TOL = 1e-10
-# Below this residual the two states are treated as identical up to phase.
-_PARALLEL_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -102,21 +94,21 @@ class Povm:
             raise ValidationError("basis entries must be finite")
         gram = self.basis.conj().T @ self.basis
         basis_defect, asymmetry, lowest, defect = _validation_figures(gram, blocks)
-        if basis_defect > COMPLETENESS_TOL:
+        if basis_defect > POVM_TOL:
             raise ValidationError("basis columns are not orthonormal")
         for j, (asym, lo, weight) in enumerate(zip(asymmetry, lowest, rest)):
-            if asym > 1e-9:
+            if asym > POVM_TOL:
                 raise ValidationError(f"{self._name(j)} is not Hermitian")
-            if lo < PSD_TOL:
+            if lo < -POVM_TOL:
                 raise ValidationError(f"{self._name(j)} has negative eigenvalue {lo:.3e}")
-            if weight < PSD_TOL:
+            if weight < -POVM_TOL:
                 raise ValidationError(
                     f"{self._name(j)} has negative complement weight {weight:.3e}"
                 )
-        if defect > COMPLETENESS_TOL:
+        if defect > POVM_TOL:
             raise ValidationError(f"effects sum to identity only within {defect:.3e}")
         total = sum(rest)
-        if k < n and abs(total - 1.0) > COMPLETENESS_TOL:
+        if k < n and abs(total - 1.0) > POVM_TOL:
             raise ValidationError(f"complement weights sum to {total:.12g}, not 1")
 
     def _name(self, j: int) -> str:
@@ -142,7 +134,7 @@ def _validation_figures(gram: np.ndarray,
     form's 2x2 blocks take the closed form on Python scalars, free of
     per-call array overhead: the eigenvalues of [[a, c], [c*, d]] are
     (a + d)/2 -+ sqrt(((a - d)/2)^2 + |c|^2). Other sizes (1x1 for a
-    parallel pair, the full effects of a dense POVM) take one batched eigvalsh.
+    coinciding pair, the full effects of a dense POVM) take one batched eigvalsh.
     """
     k = blocks.shape[1]
     if k != 2:
@@ -211,8 +203,10 @@ def _normalized_pair(phi1, phi2) -> tuple[np.ndarray, np.ndarray]:
 class StatePair:
     """Two checked states with an orthonormal basis (a, e2) of their span.
 
-    ``basis`` is n x 2, or n x 1 for a parallel pair, and ``coords`` holds
-    both states' coordinates in it, one state per row. Build it with
+    ``basis`` is n x 2, or n x 1 when the states coincide: when the part of
+    the second orthogonal to the first has norm below ``COINCIDE_TOL``.
+    This is the toolkit's one test of coinciding states. ``coords`` holds
+    both states' coordinates in the basis, one state per row. Build it with
     ``StatePair.of``. The functions below accept a StatePair in place of the
     two states, so a pair measured twice is checked and spanned once.
     """
@@ -226,8 +220,13 @@ class StatePair:
         a, b = _normalized_pair(phi1, phi2)
         resid = b - np.vdot(a, b) * a
         rnorm = math.sqrt(np.vdot(resid, resid).real)
-        basis = np.array([a] if rnorm < _PARALLEL_TOL else [a, resid / rnorm]).T
+        basis = np.array([a] if rnorm < COINCIDE_TOL else [a, resid / rnorm]).T
         return cls((a, b), basis, _coords(a, b, basis))
+
+    @property
+    def coincide(self) -> bool:
+        """Whether the states coincide up to phase, so their span is one-dimensional."""
+        return self.basis.shape[1] == 1
 
 
 def _coords(a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -250,9 +249,9 @@ def helstrom_povm(phi1, phi2=None) -> Povm:
     The identify-1 effect projects onto the nonnegative eigenspace of
     |phi1><phi1| - |phi2><phi2| (the complement of the span included),
     which makes both states succeed with probability (1 + sqrt(1-c^2))/2
-    for overlap c. For a parallel pair the difference operator vanishes and
-    the fair coin {I/2, I/2} is returned so that both states still succeed
-    at rate 1/2.
+    for overlap c. For coinciding states the difference operator vanishes
+    and the fair coin {I/2, I/2} is returned so that both states still
+    succeed at rate 1/2.
 
     In the span the difference is a 2x2 Hermitian matrix M. With
     N = M - tr(M)/2 its eigenvalues are tr(M)/2 +- lam, where
@@ -261,7 +260,7 @@ def helstrom_povm(phi1, phi2=None) -> Povm:
     """
     pair = _state_pair(phi1, phi2)
     basis = pair.basis
-    if basis.shape[1] == 1:
+    if pair.coincide:
         half = np.full((1, 1), 0.5, dtype=complex)
         return Povm([half, half.copy()], [IDENTIFY_1, IDENTIFY_2], basis, [0.5, 0.5])
     (a1, b1), (a2, b2) = pair.coords.tolist()
@@ -282,15 +281,19 @@ def unambiguous_povm(phi1, phi2=None) -> Povm:
     then hit the inconclusive outcome with probability exactly c. In the
     span that part is the 2-vector orthogonal to the other state's
     coordinates (p, q), along (q*, -p*): its projector comes in closed form,
-    free of the cancellation in 1 - |<phi1|phi2>|^2 as the states coincide.
+    free of the cancellation in 1 - |<phi1|phi2>|^2 as the states approach.
+
+    Raises:
+        DomainError: the states coincide (``StatePair.coincide``), so no
+            such measurement exists.
     """
     pair = _state_pair(phi1, phi2)
+    if pair.coincide:
+        raise DomainError(
+            f"unambiguous discrimination impossible: the states coincide within {COINCIDE_TOL:g}"
+        )
     x1, x2 = pair.coords.tolist()
     c = min(1.0, abs(x2[0]))  # x2[0] = <phi1|phi2>
-    if c >= 1.0 - COINCIDE_TOL:
-        raise DomainError(
-            f"unambiguous discrimination impossible: overlap {c:.12f} is 1 within {COINCIDE_TOL:g}"
-        )
     scale = 1.0 / (1.0 + c)
     a00, a01, a11 = _orthogonal_projector(x2, scale)
     b00, b01, b11 = _orthogonal_projector(x1, scale)

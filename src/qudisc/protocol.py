@@ -17,13 +17,13 @@ from .errors import CapacityError, NumericalError, ShapeError, ValidationError
 from .geometry import fidelity_closed_form, trace_distance_pure
 from .linalg import (
     DIM_CAP,
-    UNITARY_TOL,
     haar_isometry_from_rng,
     pair_args,
     random_state_from_rng,
     require_normalized,
     require_unitary,
 )
+from .tolerances import COINCIDE_TOL, UNITARY_TOL
 
 
 @dataclass(eq=False)
@@ -65,10 +65,6 @@ class Protocol:
         if self.probe.shape[0] != total:
             raise ShapeError(f"probe has dimension {self.probe.shape[0]}, expected {total}")
 
-    @property
-    def total_dim(self) -> int:
-        return self.system_dim * self.ancilla_dim
-
 
 @dataclass(eq=False)
 class SimulationTrace:
@@ -94,13 +90,24 @@ def apply_query(state: np.ndarray, u: np.ndarray, system_dim: int, ancilla_dim: 
     return (u @ state.reshape(system_dim, ancilla_dim)).ravel()
 
 
+def evolve_branches(ws, probe: np.ndarray, u1: np.ndarray, u2: np.ndarray, d: int, anc: int):
+    """Both branches' states right after each interleaver W_k of ``ws``, W_0 first.
+
+    Branch i: state_0 = W_0 |probe>, then state_{k+1} = W_{k+1} (U_i x I) state_k.
+    """
+    y1 = [ws[0] @ probe]
+    y2 = [y1[0]]
+    for w in ws[1:]:
+        y1.append(w @ apply_query(y1[-1], u1, d, anc))
+        y2.append(w @ apply_query(y2[-1], u2, d, anc))
+    return y1, y2
+
+
 def run_protocol(u1, u2=None, protocol=None) -> SimulationTrace:
     """Run the protocol against both candidate unitaries and record the trace.
 
     Takes the two unitaries, or a UnitaryPair in their place:
-    ``run_protocol(pair, protocol)``. Evolution per branch i:
-    state_0 = W_0 |probe>, then state_{k+1} = W_{k+1} (U_i x I) state_k for
-    k = 0..T-1.
+    ``run_protocol(pair, protocol)``. The states are those of ``evolve_branches``.
     """
     pair, protocol = pair_args(u1, u2, protocol)
     a, b = pair.u1, pair.u2
@@ -110,20 +117,8 @@ def run_protocol(u1, u2=None, protocol=None) -> SimulationTrace:
             f"candidate unitaries have dimension {a.shape[0]}/{b.shape[0]}, "
             f"protocol expects {d}"
         )
-
-    anc = protocol.ancilla_dim
-
-    def steps():
-        s1 = protocol.interleavers[0] @ protocol.probe
-        s2 = s1.copy()
-        yield s1, s2
-        for k in range(protocol.queries):
-            w = protocol.interleavers[k + 1]
-            s1 = w @ apply_query(s1, a, d, anc)
-            s2 = w @ apply_query(s2, b, d, anc)
-            yield s1, s2
-
-    return record_trace(steps())
+    y1, y2 = evolve_branches(protocol.interleavers, protocol.probe, a, b, d, protocol.ancilla_dim)
+    return record_trace(zip(y1, y2))
 
 
 def simulate_random(u1, u2=None, ancilla_dim=None, queries=None, rng=None) -> SimulationTrace:
@@ -205,8 +200,8 @@ def record_trace(steps: Iterable[tuple[np.ndarray, np.ndarray]]) -> SimulationTr
         states_1.append(s1)
         states_2.append(s2)
     distances = trace_distance_pure(states_1, states_2).tolist()
-    # Coinciding final states report overlap exactly 1, consistent with distance 0.
-    if distances[-1] < 1e-12:
+    # Coinciding final states (orthogonal part below COINCIDE_TOL) report overlap exactly 1.
+    if distances[-1] < 2.0 * COINCIDE_TOL:
         overlap = 1.0
     else:
         overlap = min(1.0, float(abs(np.vdot(states_1[-1], states_2[-1]))))
@@ -218,8 +213,8 @@ def audit_step_slacks(trace: SimulationTrace, theta: float) -> list[float]:
 
     Each query can grow the trace distance by at most 2*sqrt(1 - F^2)
     with F the fidelity at spread theta; returns
-    D_k + 2*sqrt(1 - F^2) - D_{k+1} for every step, all of which must be
-    >= -1e-9 on a correct simulation.
+    D_k + 2*sqrt(1 - F^2) - D_{k+1} for every step; a correct simulation
+    keeps all of them at or above ``tolerances.LEMMA_SLACK_TOL``.
     """
     if len(trace.distances) != len(trace.states_1) or len(trace.distances) != len(trace.states_2):
         raise ShapeError("trace distances and state lists are inconsistent")

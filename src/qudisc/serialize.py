@@ -109,18 +109,17 @@ def protocol_from_obj(obj) -> Protocol:
         raise ValidationError(f"protocol: missing field {exc}") from exc
 
 
+# Search config keys and their types; absent keys take SearchConfig's defaults.
+_SEARCH_FIELDS = {"queries": int, "restarts": int, "max_iterations": int,
+                  "step_tolerance": float, "seed": int}
+
+
 def search_config_from_obj(obj) -> SearchConfig:
     if not isinstance(obj, dict):
         raise ValidationError("search config: expected a JSON object")
     try:
-        return SearchConfig(
-            queries=int(obj["queries"]),
-            restarts=int(obj.get("restarts", 8)),
-            max_iterations=int(obj.get("max_iterations", 60)),
-            step_tolerance=float(obj.get("step_tolerance", 1e-4)),
-            seed=int(obj.get("seed", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        return SearchConfig(**{k: cast(obj[k]) for k, cast in _SEARCH_FIELDS.items() if k in obj})
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed search config: {exc}") from exc
 
 

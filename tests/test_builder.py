@@ -22,8 +22,9 @@ from qudisc import (
     smallest_arc,
     t_perfect,
 )
-from qudisc.builder import _forward, _overlap_derivatives
+from qudisc.builder import _overlap_derivatives
 from qudisc.linalg import random_state_from_rng
+from qudisc.protocol import evolve_branches
 
 I2 = np.eye(2, dtype=complex)
 EIGHTH_TURN = np.diag([1.0, np.exp(1j * np.pi / 4)])
@@ -251,10 +252,10 @@ class TestOverlapDerivative:
         probe = random_state_from_rng(n, rng)
 
         def overlap(interleavers):
-            y1, y2 = _forward(interleavers, probe, u1, u2, d, d)
+            y1, y2 = evolve_branches(interleavers, probe, u1, u2, d, d)
             return np.vdot(y1[-1], y2[-1])
 
-        y1, y2 = _forward(ws, probe, u1, u2, d, d)
+        y1, y2 = evolve_branches(ws, probe, u1, u2, d, d)
         ns = _overlap_derivatives(ws, y1, y2, u1, u2, d, d)
         h = 1e-5
         for k in range(queries + 1):

@@ -27,6 +27,8 @@ from qudisc.campaign import (
     run_campaign,
     run_instance,
     summarize,
+    violating_indices,
+    violations,
 )
 
 from .oracles import state_pair_with_overlap
@@ -271,7 +273,7 @@ class TestMeasurePair:
         phi1, phi2 = state_pair_with_overlap(overlap, 4, np.random.default_rng(41))
         helstrom = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
         three = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
-        error, inconclusive = measure_pair(phi1, phi2, abs(np.vdot(phi1, phi2)))
+        error, inconclusive = measure_pair(phi1, phi2)
         assert error == min(0.5, max(0.0, 1.0 - min(helstrom.p_correct_1, helstrom.p_correct_2)))
         assert inconclusive == max(three.p_inconclusive_1, three.p_inconclusive_2)
 
@@ -292,5 +294,32 @@ class TestMeasurePair:
         monkeypatch.setattr(measurement, "require_normalized", counted_check)
         monkeypatch.setattr(Povm, "validate", counted_validate)
         phi1, phi2 = state_pair_with_overlap(overlap, 4, np.random.default_rng(41))
-        measure_pair(phi1, phi2, overlap)
+        measure_pair(phi1, phi2)
         assert calls == {"states": 2, "povms": povms}
+
+    def test_coinciding_states_have_no_unambiguous_rate(self):
+        # normalized within tolerance, yet <a|a> = 1 - 1.8e-10: the pair spans one dimension
+        a = (1.0 - 0.9e-10) * np.eye(4, dtype=complex)[0]
+        assert measure_pair(a, a) == (0.5, None)
+
+
+def test_one_predicate_counts_and_names_violations():
+    clean = dict(theta=1.0, queries=1, overlap=0.5, helstrom_error=0.1, inconclusive=0.5,
+                 bound_raw=1.0, bound_t=1, lemma2_min_slack=0.0, theorem1_slack=0.0,
+                 theorem1_slack_onesided=0.0)
+    records = [
+        InstanceRecord(index=0, **clean),
+        InstanceRecord(index=1, **{**clean, "theorem1_slack": -2e-6}),
+        InstanceRecord(index=2, **{**clean, "theorem1_slack_onesided": -2e-6}),
+        InstanceRecord(index=3, **{**clean, "lemma2_min_slack": -2e-9}),
+        InstanceRecord(index=4, **{**clean, "lemma2_min_slack": None}),
+    ]
+    assert [violations(r) for r in records] == [
+        (False, False, False), (True, False, False), (False, True, False),
+        (False, False, True), (False, False, False),
+    ]
+    summary = summarize(records, 0.0)
+    assert (summary.violations_bounded, summary.violations_onesided,
+            summary.violations_lemma2, summary.violation_count) == (1, 1, 1, 3)
+    report = CampaignReport(config=small_config(), records=records, summary=summary)
+    assert violating_indices(report) == [1, 2, 3]

@@ -28,17 +28,17 @@ from qudisc.linalg import (
     random_state_from_rng,
     require_normalized,
     require_unitary,
-    unitarity_defect,
     wrap_phase,
 )
 
 
 class TestIsUnitary:
     def test_identity(self):
-        assert unitarity_defect(np.eye(4)) <= 1e-10
+        assert np.array_equal(require_unitary(np.eye(4)), np.eye(4))
 
     def test_diagonal_phases(self):
-        assert unitarity_defect(np.diag([1.0, np.exp(1j * np.pi / 3)])) <= 1e-10
+        u = np.diag([1.0, np.exp(1j * np.pi / 3)])
+        assert np.array_equal(require_unitary(u), u)
 
     def test_shrinking_column_fails(self):
         with pytest.raises(DomainError):
@@ -46,12 +46,14 @@ class TestIsUnitary:
 
     def test_non_square_raises(self):
         with pytest.raises(ShapeError):
-            unitarity_defect(np.ones((2, 3)))
+            require_unitary(np.ones((2, 3)))
 
-    def test_stack_gives_one_defect_per_matrix(self):
-        stack = [np.eye(2), np.diag([1.0, 0.5]), np.diag([1.0, -1.0])]
-        assert np.array_equal(unitarity_defect(stack), [0.0, 0.75, 0.0])
-        assert require_unitary(stack[::2]).shape == (2, 2, 2)
+    def test_stack_names_its_first_bad_member_and_defect(self):
+        good, shrunk = [np.eye(2), np.diag([1.0, -1.0])], np.diag([1.0, 0.5])
+        for stack, k in (([good[0], shrunk, good[1]], 1), ([*good, shrunk], 2)):
+            with pytest.raises(DomainError, match=rf"matrix {k} is not unitary .*defect 7.500e-01"):
+                require_unitary(stack)
+        assert require_unitary(good).shape == (2, 2, 2)
 
 
 class TestStackedChecks:
@@ -194,7 +196,7 @@ class TestHaarUnitary:
 
     def test_output_is_unitary(self):
         for d, seed in [(1, 0), (2, 1), (5, 2), (9, 3)]:
-            assert unitarity_defect(haar_unitary_from_rng(d, np.random.default_rng(seed))) <= 1e-10
+            require_unitary(haar_unitary_from_rng(d, np.random.default_rng(seed)))
 
     def test_first_entry_moment(self):
         # E|u_00|^2 = 1/d for Haar measure; Monte Carlo at d=2

@@ -134,6 +134,24 @@ class TestUnambiguous:
             unambiguous_povm(E0, E0 * np.exp(0.3j))
 
 
+class TestCoincidence:
+    """StatePair's one rule decides whether two states coincide, for every measurement."""
+
+    # passes the normalization check, yet <a|a> = 1 - 1.8e-10: a 1-D pair
+    A = (1.0 - 0.9e-10) * E0
+
+    def test_unambiguous_povm_refuses_exactly_the_one_dimensional_pair(self):
+        with pytest.raises(DomainError, match="coincide"):
+            unambiguous_povm(self.A, self.A)
+
+    def test_nearly_coinciding_pair_gets_an_unambiguous_povm(self):
+        c = 1.0 - 1e-11
+        phi2 = c * E0 + math.sqrt(1.0 - c * c) * E1
+        out = evaluate_povm(unambiguous_povm(E0, phi2), E0, phi2)
+        assert misidentification(out) <= 1e-12
+        assert abs(inconclusive(out) - c) <= 1e-12
+
+
 class TestEvaluateAndCheck:
     def test_uniform_povm_is_a_coin_flip(self):
         half = np.eye(4, dtype=complex) / 2

@@ -92,6 +92,19 @@ class TestRunProtocol:
             for s in trace.states_1 + trace.states_2:
                 assert abs(np.linalg.norm(s) - 1.0) <= 1e-9
 
+    def test_states_equal_the_branch_loop_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        u1, u2 = haar_unitary_from_rng(2, rng, (2,))
+        protocol = random_protocol(rng, queries=4)
+        trace = run_protocol(u1, u2, protocol)
+        s1 = s2 = protocol.interleavers[0] @ protocol.probe
+        assert np.array_equal(trace.states_1[0], s1) and np.array_equal(trace.states_2[0], s2)
+        for k, w in enumerate(protocol.interleavers[1:], start=1):
+            s1 = w @ (u1 @ s1.reshape(2, 2)).ravel()
+            s2 = w @ (u2 @ s2.reshape(2, 2)).ravel()
+            assert np.array_equal(trace.states_1[k], s1)
+            assert np.array_equal(trace.states_2[k], s2)
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ShapeError):
             run_protocol(np.eye(3), np.eye(3), identity_protocol(1))

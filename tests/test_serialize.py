@@ -87,3 +87,11 @@ def test_search_config_defaults_and_errors():
         search_config_from_obj({"restarts": 2})
     with pytest.raises(ValidationError):
         search_config_from_obj("queries=2")
+
+
+def test_search_config_takes_absent_keys_from_the_dataclass():
+    assert search_config_from_obj({"queries": 3}) == SearchConfig(queries=3)
+    for bad in ({"queries": "three"}, {"queries": 3, "restarts": None},
+                {"queries": 3, "step_tolerance": [1e-3]}):
+        with pytest.raises(ValidationError, match="malformed search config"):
+            search_config_from_obj(bad)
