@@ -24,6 +24,7 @@ from .linalg import DIM_CAP, UnitaryPair, haar_unitary_from_rng, relative_spectr
 from .geometry import smallest_arc
 from .measurement import StatePair, evaluate_povm, helstrom_povm, unambiguous_povm
 from .protocol import audit_step_slacks, run_protocol, simulate_random
+from .serialize import integer_field
 from .tolerances import D0_TOL, LEMMA_SLACK_TOL, THEOREM_SLACK_TOL
 
 PROTOCOL_SOURCES = ("random", "parallel", "optimized")
@@ -298,17 +299,24 @@ def config_to_obj(cfg: CampaignConfig) -> dict:
 def config_from_obj(obj) -> CampaignConfig:
     if not isinstance(obj, dict):
         raise ValidationError("campaign config must be a JSON object")
+    output_path = obj.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        # open() would take an integer as a file descriptor
+        raise ValidationError(f"output_path must be a string, got {output_path!r}")
     try:
         t_range = obj["t_range"]
+        if not isinstance(t_range, list) or len(t_range) != 2:
+            raise ValidationError(f"t_range must be a [lo, hi] pair, got {t_range!r}")
         cfg = CampaignConfig(
-            instances=int(obj["instances"]),
-            dim=int(obj["dim"]),
-            t_range=(int(t_range[0]), int(t_range[1])),
-            seed=int(obj["seed"]),
+            instances=integer_field(obj["instances"], "instances"),
+            dim=integer_field(obj["dim"], "dim"),
+            t_range=(integer_field(t_range[0], "t_range[0]"),
+                     integer_field(t_range[1], "t_range[1]")),
+            seed=integer_field(obj["seed"], "seed"),
             protocol_source=str(obj.get("protocol_source", "random")),
-            output_path=obj.get("output_path"),
+            output_path=output_path,
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed campaign config: {exc}") from exc
     cfg.validate()
     return cfg

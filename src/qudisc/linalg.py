@@ -14,6 +14,7 @@ from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import _umath_linalg
 
 from .errors import CapacityError, DomainError, NumericalError, ShapeError
 from .tolerances import EIGEN_TOL, UNITARY_TOL
@@ -68,9 +69,14 @@ def _member(name, k: int | None) -> str:
 
 
 def _defects(a: np.ndarray) -> np.ndarray:
-    """Elementwise max deviation of M†M from the identity, per matrix of a checked array."""
+    """Elementwise max deviation of M†M from the identity, per matrix of an array.
+
+    A matrix with a NaN entry has a NaN defect, which no ``defect <= tol``
+    test accepts.
+    """
     gram = a.conj().swapaxes(-2, -1) @ a
-    return np.abs(gram - np.eye(a.shape[-1])).max(axis=(-2, -1))
+    np.einsum("...ii->...i", gram)[...] -= 1  # M†M - I in place, no identity built
+    return np.abs(gram).max(axis=(-2, -1))
 
 
 def require_unitary(m, name="matrix") -> np.ndarray:
@@ -193,11 +199,14 @@ def eigen_system(u) -> PhaseSpectrum:
         PhaseSpectrum with phases sorted ascending in [0, 2*pi).
 
     Raises:
-        DomainError: input not unitary.
+        ShapeError: input not one square matrix.
+        DomainError: input not unitary, or with a non-finite entry.
         NumericalError: the Schur form did not converge, or the largest
             eigenvector residual or orthonormality defect exceeds ``EIGEN_TOL``.
     """
     a = require_unitary(u)
+    if a.ndim != 2:
+        raise ShapeError(f"expected one square matrix, got shape {a.shape}")
     _, _, eigvals, q, _, info = _gees(_no_sort, a, lwork=_gees_lwork(a.shape[0]))
     if info != 0:
         raise NumericalError(f"eigendecomposition did not converge (zgees info {info})")
@@ -206,9 +215,11 @@ def eigen_system(u) -> PhaseSpectrum:
     phases = phases[order]
     vectors = q[:, order]
 
-    residual = float(np.max(np.linalg.norm(a @ vectors - vectors * np.exp(1j * phases), axis=0)))
+    # largest column norm of the eigen-equation residual
+    diff = a @ vectors - vectors * np.exp(1j * phases)
+    residual = math.sqrt(np.add.reduce(diff.real * diff.real + diff.imag * diff.imag).max())
     ortho = float(_defects(vectors))
-    if residual > EIGEN_TOL or ortho > EIGEN_TOL:
+    if not (residual <= EIGEN_TOL and ortho <= EIGEN_TOL):
         raise NumericalError(
             f"eigendecomposition failed accuracy contract: "
             f"max residual {residual:.3e}, orthonormality defect {ortho:.3e}"
@@ -289,8 +300,12 @@ def haar_isometry_from_rng(n: int, k: int, rng: np.random.Generator,
     if not 1 <= k <= n:
         raise DomainError(f"isometry needs 1 <= k <= n, got k={k} for n={n}")
     g = rng.standard_normal((*batch, 2, n, k))
-    q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    # numpy's QR kernels, the LAPACK calls its qr wrapper makes, called directly:
+    # qr_r_raw factors the fresh stack in place (R on and above the diagonal)
+    a = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
     return q * (diag / np.abs(diag))[..., None, :]
 
 
@@ -309,4 +324,5 @@ def random_state_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:
     if dim < 1:
         raise DomainError("dimension must be >= 1")
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    # the 2-norm as np.linalg.norm forms it, without its wrapper
+    return v / math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))

@@ -8,6 +8,7 @@ trace distances that every bound audit in the toolkit consumes.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from .errors import CapacityError, NumericalError, ShapeError, ValidationError
 from .geometry import fidelity_closed_form, trace_distance_pure
 from .linalg import (
     DIM_CAP,
+    _defects,
     haar_isometry_from_rng,
     pair_args,
     random_state_from_rng,
@@ -159,7 +161,8 @@ def simulate_random(u1, u2=None, ancilla_dim=None, queries=None, rng=None) -> Si
             t1 = apply_query(s1, a, d, ancilla_dim)
             t2 = apply_query(s2, b, d, ancilla_dim)
             c = np.vdot(t1, t2)
-            r = np.linalg.norm(t2 - c * t1)
+            x = t2 - c * t1
+            r = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))  # as np.linalg.norm forms it
             s1 = v[:, 0]
             s2 = c * s1 + r * v[:, 1]
             yield s1, s2
@@ -174,9 +177,9 @@ def _haar_isometries(n: int, queries: int, rng: np.random.Generator):
     """The checked n x 2 isometries of the T queries in order, drawn and Gram-checked in blocks."""
     for first in range(0, queries, _DRAW_BLOCK):
         block = haar_isometry_from_rng(n, 2, rng, (min(_DRAW_BLOCK, queries - first),))
-        defects = np.abs(block.conj().swapaxes(1, 2) @ block - np.eye(2)).max(axis=(1, 2))
-        if defects.max() > UNITARY_TOL:
-            k = int(np.argmax(defects > UNITARY_TOL))
+        defects = _defects(block)
+        if not defects.max() <= UNITARY_TOL:  # a NaN defect is refused too
+            k = int(np.argmax(~(defects <= UNITARY_TOL)))
             raise NumericalError(
                 f"interleaver {first + k + 1} is not an isometry within {UNITARY_TOL:g} "
                 f"(defect {defects[k]:.3e})"

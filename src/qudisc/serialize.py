@@ -41,9 +41,25 @@ def _from_pairs(pairs, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def integer_field(value, what: str) -> int:
+    """A JSON integer field: an int, or a float with no fractional part; not a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _real_field(value, what: str) -> float:
+    """A JSON number field, as a float; not a bool."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValidationError(f"{what} must be a number, got {value!r}")
+
+
 def _dim_of(obj, what: str) -> int:
     """The declared dimension, checked against the cap before any entry is parsed."""
-    dim = int(obj["dim"])
+    dim = integer_field(obj["dim"], f"{what}: dim")
     if dim < 1:
         raise ValidationError(f"{what}: dim must be positive")
     if dim > DIM_CAP:
@@ -95,13 +111,15 @@ def protocol_from_obj(obj) -> Protocol:
     if not isinstance(obj, dict):
         raise ValidationError("protocol: expected a JSON object")
     try:
+        interleavers = obj["interleavers"]
+        if not isinstance(interleavers, list):
+            raise ValidationError("protocol: interleavers must be a list of matrices")
         return Protocol(
-            system_dim=int(obj["system_dim"]),
-            ancilla_dim=int(obj["ancilla_dim"]),
-            queries=int(obj["queries"]),
+            system_dim=integer_field(obj["system_dim"], "protocol: system_dim"),
+            ancilla_dim=integer_field(obj["ancilla_dim"], "protocol: ancilla_dim"),
+            queries=integer_field(obj["queries"], "protocol: queries"),
             interleavers=[
-                matrix_from_obj(w, f"interleaver {k}")
-                for k, w in enumerate(obj["interleavers"])
+                matrix_from_obj(w, f"interleaver {k}") for k, w in enumerate(interleavers)
             ],
             probe=state_from_obj(obj["probe"], "probe"),
         )
@@ -109,16 +127,18 @@ def protocol_from_obj(obj) -> Protocol:
         raise ValidationError(f"protocol: missing field {exc}") from exc
 
 
-# Search config keys and their types; absent keys take SearchConfig's defaults.
-_SEARCH_FIELDS = {"queries": int, "restarts": int, "max_iterations": int,
-                  "step_tolerance": float, "seed": int}
+# Search config keys and their parsers; absent keys take SearchConfig's defaults.
+_SEARCH_FIELDS = {"queries": integer_field, "restarts": integer_field,
+                  "max_iterations": integer_field, "step_tolerance": _real_field,
+                  "seed": integer_field}
 
 
 def search_config_from_obj(obj) -> SearchConfig:
     if not isinstance(obj, dict):
         raise ValidationError("search config: expected a JSON object")
     try:
-        return SearchConfig(**{k: cast(obj[k]) for k, cast in _SEARCH_FIELDS.items() if k in obj})
+        fields = {k: parse(obj[k], k) for k, parse in _SEARCH_FIELDS.items() if k in obj}
+        return SearchConfig(**fields)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed search config: {exc}") from exc
 

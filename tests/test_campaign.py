@@ -204,6 +204,12 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             config_from_obj([1, 2, 3])
 
+    @pytest.mark.parametrize("t_range", [[1, 2, 99], [1], {"0": 1, "1": 2}, "12"])
+    def test_t_range_must_be_a_pair(self, t_range):
+        # [1, 2, 99] was read as (1, 2)
+        with pytest.raises(ValidationError, match="t_range must be a"):
+            config_from_obj({"instances": 3, "dim": 2, "t_range": t_range, "seed": 5})
+
 
 class TestReportFormats:
     def test_csv_is_deterministic(self):

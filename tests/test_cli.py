@@ -229,6 +229,58 @@ class TestVerify:
         assert "seed=21, index): [0]" in err  # replay provenance
 
 
+class TestWireFormatTypes:
+    """A JSON field of the wrong type exits 2 with an error naming the field, not a traceback."""
+
+    def test_theta_with_null_dim(self, fixtures, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        write_json({**matrix_to_obj(I2), "dim": None}, str(bad))
+        code, _, err = run_cli(capsys, ["theta", "--u1", str(bad), "--u2", fixtures["i2"]])
+        assert code == 2
+        assert err.startswith("error: u1: dim must be an integer, got None")
+
+    def test_theta_with_non_integral_dim(self, fixtures, tmp_path, capsys):
+        # 2.7 was read as dim 2
+        bad = tmp_path / "bad.json"
+        write_json({**matrix_to_obj(I2), "dim": 2.7}, str(bad))
+        code, _, err = run_cli(capsys, ["theta", "--u1", fixtures["i2"], "--u2", str(bad)])
+        assert code == 2
+        assert err.startswith("error: u2: dim must be an integer, got 2.7")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("system_dim", None, "protocol: system_dim must be an integer, got None"),
+        ("queries", 1.5, "protocol: queries must be an integer, got 1.5"),
+        ("ancilla_dim", True, "protocol: ancilla_dim must be an integer, got True"),
+        ("interleavers", 5, "protocol: interleavers must be a list of matrices"),
+    ])
+    def test_simulate_with_a_mistyped_protocol_field(self, fixtures, tmp_path, capsys,
+                                                     field, value, message):
+        with open(fixtures["protocol"], encoding="utf-8") as fh:
+            obj = json.load(fh)
+        bad = tmp_path / "bad_protocol.json"
+        write_json({**obj, field: value}, str(bad))
+        code, _, err = run_cli(capsys, ["simulate", "--u1", fixtures["i2"],
+                                        "--u2", fixtures["z"], "--protocol", str(bad)])
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+
+    def test_verify_with_a_file_descriptor_as_output_path(self, tmp_path, capsys):
+        # open(1, "w") wrote the report to stdout and then closed it
+        bad = tmp_path / "campaign.json"
+        write_json({"instances": 1, "dim": 2, "t_range": [1, 1], "seed": 1, "output_path": 1},
+                   str(bad))
+        code, out, err = run_cli(capsys, ["verify", "--config", str(bad)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: output_path must be a string, got 1")
+
+    def test_verify_with_non_integral_dim(self, tmp_path, capsys):
+        bad = tmp_path / "campaign.json"
+        write_json({"instances": 2, "dim": 2.7, "t_range": [1, 2], "seed": 1}, str(bad))
+        code, _, err = run_cli(capsys, ["verify", "--config", str(bad)])
+        assert code == 2
+        assert "dim must be an integer, got 2.7" in err
+
+
 class TestGlobalFlags:
     def test_csv_format_rejected_outside_verify(self, fixtures, capsys):
         code, _, err = run_cli(capsys, ["bound", "--theta", "0.5", "--epsilon", "0.1",

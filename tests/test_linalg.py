@@ -176,6 +176,33 @@ class TestEigenSystem:
         assert np.array_equal(spec.phases, phases[order])
         assert np.array_equal(spec.vectors, q[:, order])
 
+    def test_non_unitary_input_is_refused_before_a_schur_failure(self, monkeypatch):
+        gees = linalg._gees
+        monkeypatch.setattr(linalg, "_gees", lambda *a, **kw: (*gees(*a, **kw)[:-1], 1))
+        with pytest.raises(DomainError, match="matrix is not unitary within 1e-10"):
+            eigen_system(np.diag([1.0, 0.5]))
+
+    def test_nan_eigenbasis_fails_the_accuracy_contract(self, monkeypatch):
+        # a NaN defect compared False against the tolerance and was accepted
+        gees = linalg._gees
+
+        def nan_vectors(*args, **kwargs):
+            out = list(gees(*args, **kwargs))
+            out[3] = np.full_like(out[3], np.nan)
+            return tuple(out)
+
+        monkeypatch.setattr(linalg, "_gees", nan_vectors)
+        with pytest.raises(NumericalError, match="accuracy contract"):
+            eigen_system(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([np.eye(2)] * 2), ShapeError),
+        (np.diag([1.0, np.nan]), DomainError),
+    ])
+    def test_stack_and_non_finite_inputs_are_refused(self, bad, error):
+        with pytest.raises(error):
+            eigen_system(bad)
+
     def test_schur_failure_is_a_numerical_error(self, monkeypatch):
         gees = linalg._gees
 
@@ -208,14 +235,31 @@ class TestHaarUnitary:
         with pytest.raises(DomainError):
             haar_unitary_from_rng(0, np.random.default_rng(1))
 
-    @pytest.mark.parametrize("d", [1, 2, 5, 64])
-    def test_bit_identical_to_the_square_qr_formula(self, d):
-        # the dense formula the isometry sampler replaced, spelled out
-        ref = np.random.default_rng([d, 9])
-        z = ref.standard_normal((d, d)) + 1j * ref.standard_normal((d, d))
-        q, r = np.linalg.qr(z)
-        expected = q * (np.diag(r) / np.abs(np.diag(r)))
-        assert np.array_equal(haar_unitary_from_rng(d, np.random.default_rng([d, 9])), expected)
+    @pytest.mark.parametrize("n, k, batch", [
+        pytest.param(1, 1, (), id="1"),
+        pytest.param(2, 2, (), id="2"),
+        pytest.param(5, 5, (), id="5"),
+        pytest.param(64, 64, (), id="64"),
+        pytest.param(4, 2, (), id="4x2"),
+        pytest.param(64, 2, (), id="64x2"),
+        pytest.param(4096, 2, (), id="4096x2"),
+        pytest.param(2, 2, (2,), id="pair-stack"),
+        pytest.param(4, 2, (0,), id="empty-batch"),
+    ])
+    def test_bit_identical_to_the_square_qr_formula(self, n, k, batch):
+        # the sampler calls numpy's QR kernels without np.linalg.qr's wrapper;
+        # the formula it replaced, spelled out on np.linalg.qr, gives the same bits
+        ref = np.random.default_rng([n, k, 9])
+        g = ref.standard_normal((*batch, 2, n, k))
+        q, r = np.linalg.qr(g[..., 0, :, :] + 1j * g[..., 1, :, :])
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        expected = q * (diag / np.abs(diag))[..., None, :]
+        drawn = haar_isometry_from_rng(n, k, np.random.default_rng([n, k, 9]), batch)
+        assert drawn.shape == (*batch, n, k)
+        assert np.array_equal(drawn, expected)
+        if n == k and not batch:
+            assert np.array_equal(haar_unitary_from_rng(n, np.random.default_rng([n, k, 9])),
+                                  expected)
 
 
     @pytest.mark.parametrize("d", [1, 2, 8])
@@ -267,6 +311,14 @@ def test_unitaries_preserve_norm():
         u = haar_unitary_from_rng(d, rng)
         s = random_state_from_rng(d, rng)
         assert abs(np.linalg.norm(u @ s) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 4, 4096])
+def test_random_state_is_normalized_as_np_linalg_norm_does(dim):
+    ref = np.random.default_rng([dim, 10])
+    v = ref.standard_normal(dim) + 1j * ref.standard_normal(dim)
+    assert np.array_equal(random_state_from_rng(dim, np.random.default_rng([dim, 10])),
+                          v / np.linalg.norm(v))
 
 
 def test_wrap_phase_folds_endpoint():

@@ -257,6 +257,17 @@ class TestSimulateRandom:
         with pytest.raises(NumericalError, match="interleaver 1 is not an isometry"):
             simulate_random(I2, Z, 2, 1, np.random.default_rng(35))
 
+    def test_nan_isometry_is_refused(self, monkeypatch):
+        # a NaN Gram defect compared False against the tolerance and was accepted
+        def nan_block(n, k, rng, batch):
+            v = haar_isometry_from_rng(n, k, rng, batch)
+            v[0, 1, 0] = np.nan
+            return v
+
+        monkeypatch.setattr(protocol_mod, "haar_isometry_from_rng", nan_block)
+        with pytest.raises(NumericalError, match="interleaver 1 is not an isometry"):
+            simulate_random(I2, Z, 2, 3, np.random.default_rng(37))
+
     def test_batched_draw_names_the_first_bad_interleaver(self, monkeypatch):
         def second_stretched(n, k, rng, batch):
             v = haar_isometry_from_rng(n, k, rng, batch)

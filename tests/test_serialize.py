@@ -95,3 +95,25 @@ def test_search_config_takes_absent_keys_from_the_dataclass():
                 {"queries": 3, "step_tolerance": [1e-3]}):
         with pytest.raises(ValidationError, match="malformed search config"):
             search_config_from_obj(bad)
+
+
+@pytest.mark.parametrize("value", [None, 2.7, "2", True, float("nan"), float("inf"), [2]])
+def test_dim_must_be_an_integer(value):
+    with pytest.raises(ValidationError, match="matrix: dim must be an integer"):
+        matrix_from_obj({"dim": value, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]})
+    with pytest.raises(ValidationError, match="state: dim must be an integer"):
+        state_from_obj({"dim": value, "amplitudes": [[1, 0], [0, 0]]})
+
+
+def test_integral_float_fields_are_read_as_integers():
+    assert matrix_from_obj({"dim": 1.0, "entries": [[1, 0]]}).shape == (1, 1)
+    cfg = search_config_from_obj({"queries": 2.0, "restarts": 3, "step_tolerance": 1})
+    assert (cfg.queries, cfg.restarts, cfg.step_tolerance) == (2, 3, 1.0)
+    assert type(cfg.queries) is int and type(cfg.step_tolerance) is float
+
+
+def test_search_config_refuses_non_integral_counts():
+    for bad in ({"queries": 2.5}, {"queries": 2, "seed": 1.5}, {"queries": False},
+                {"queries": 2, "step_tolerance": True}):
+        with pytest.raises(ValidationError, match="malformed search config"):
+            search_config_from_obj(bad)
