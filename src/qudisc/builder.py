@@ -143,6 +143,12 @@ def simulate_parallel(u1, u2=None, plan=None) -> SimulationTrace:
     return record_trace(steps())
 
 
+def check_seed(seed: int) -> None:
+    """Every config seed is a u64: it lies in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Budget and seeding for the Gauss-Newton protocol search."""
@@ -162,6 +168,7 @@ class SearchConfig:
             raise ValidationError("max_iterations must be >= 1")
         if not self.step_tolerance > 0.0:
             raise ValidationError("step_tolerance must be positive")
+        check_seed(self.seed)
 
 
 @dataclass(eq=False)

@@ -18,13 +18,14 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .bounds import t_min_bounded, t_min_onesided
-from .builder import SearchConfig, build_parallel, optimize_protocol, simulate_parallel
+from .builder import (SearchConfig, build_parallel, check_seed, optimize_protocol,
+                      simulate_parallel)
 from .errors import UsageError, ValidationError
 from .linalg import DIM_CAP, UnitaryPair, haar_unitary_from_rng, relative_spectrum
 from .geometry import smallest_arc
 from .measurement import StatePair, evaluate_povm, helstrom_povm, unambiguous_povm
 from .protocol import audit_step_slacks, run_protocol, simulate_random
-from .serialize import integer_field
+from .serialize import config_from_fields, integer_field, integer_pair_field, string_field
 from .tolerances import D0_TOL, LEMMA_SLACK_TOL, THEOREM_SLACK_TOL
 
 PROTOCOL_SOURCES = ("random", "parallel", "optimized")
@@ -32,6 +33,8 @@ PROTOCOL_SOURCES = ("random", "parallel", "optimized")
 
 @dataclass(frozen=True)
 class CampaignConfig:
+    """What a campaign runs; checked when built, so every copy made by replace() is too."""
+
     instances: int
     dim: int
     t_range: tuple[int, int]
@@ -39,7 +42,7 @@ class CampaignConfig:
     protocol_source: str = "random"
     output_path: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.instances < 1:
             raise ValidationError("instances must be >= 1")
         if self.dim < 2:
@@ -61,6 +64,7 @@ class CampaignConfig:
                 raise ValidationError(f"dim must stay within the cap {DIM_CAP}")
         elif self.dim * self.dim > DIM_CAP:
             raise ValidationError(f"dim**2 must stay within the cap {DIM_CAP}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -250,7 +254,6 @@ def run_campaign(cfg: CampaignConfig, pair_factory=None) -> CampaignReport:
     tests that need structured pairs (for example commuting diagonal ones)
     and is not part of the config file format.
     """
-    cfg.validate()
     records: list[InstanceRecord] = []
     max_d0: float | None = None
     for index in range(cfg.instances):
@@ -283,43 +286,21 @@ def render_csv(report: CampaignReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Config keys and their parsers; absent keys take CampaignConfig's defaults.
+_CONFIG_FIELDS = {"instances": integer_field, "dim": integer_field, "t_range": integer_pair_field,
+                  "seed": integer_field, "protocol_source": string_field,
+                  "output_path": string_field}
+
+
 def config_to_obj(cfg: CampaignConfig) -> dict:
-    obj = {
-        "instances": cfg.instances,
-        "dim": cfg.dim,
-        "t_range": [cfg.t_range[0], cfg.t_range[1]],
-        "seed": cfg.seed,
-        "protocol_source": cfg.protocol_source,
-    }
-    if cfg.output_path is not None:
-        obj["output_path"] = cfg.output_path
+    obj = {**asdict(cfg), "t_range": list(cfg.t_range)}
+    if cfg.output_path is None:
+        del obj["output_path"]
     return obj
 
 
 def config_from_obj(obj) -> CampaignConfig:
-    if not isinstance(obj, dict):
-        raise ValidationError("campaign config must be a JSON object")
-    output_path = obj.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        # open() would take an integer as a file descriptor
-        raise ValidationError(f"output_path must be a string, got {output_path!r}")
-    try:
-        t_range = obj["t_range"]
-        if not isinstance(t_range, list) or len(t_range) != 2:
-            raise ValidationError(f"t_range must be a [lo, hi] pair, got {t_range!r}")
-        cfg = CampaignConfig(
-            instances=integer_field(obj["instances"], "instances"),
-            dim=integer_field(obj["dim"], "dim"),
-            t_range=(integer_field(t_range[0], "t_range[0]"),
-                     integer_field(t_range[1], "t_range[1]")),
-            seed=integer_field(obj["seed"], "seed"),
-            protocol_source=str(obj.get("protocol_source", "random")),
-            output_path=output_path,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed campaign config: {exc}") from exc
-    cfg.validate()
-    return cfg
+    return config_from_fields(obj, CampaignConfig, _CONFIG_FIELDS, "campaign config")
 
 
 def report_to_obj(report: CampaignReport) -> dict:

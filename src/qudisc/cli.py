@@ -14,15 +14,15 @@ import sys
 
 from . import campaign as campaign_mod
 from . import serialize
-from .bounds import ErrorMode, t_min_bounded, t_min_onesided, t_perfect
+from .bounds import t_min_bounded, t_min_onesided, t_perfect
 from .builder import optimize_protocol
-from .errors import NumericalError, UsageError
+from .errors import NumericalError
 from .geometry import fidelity_closed_form, fidelity_hull_oracle, smallest_arc
 from .linalg import relative_spectrum
 from .protocol import run_protocol
 from .tolerances import CEILING_GUARD
 
-_MODES = {"bounded": ErrorMode.BOUNDED, "onesided": ErrorMode.ONE_SIDED}
+_MODES = {"bounded": t_min_bounded, "onesided": t_min_onesided}
 
 
 def _write(path: str | None, text: str) -> None:
@@ -34,9 +34,13 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _emit_json(args, obj) -> None:
-    if args.format == "csv":
-        raise UsageError("csv output is only available for the verify subcommand")
     _write(args.output, json.dumps(obj, indent=2) + "\n")
+
+
+def _load_config(args, from_obj):
+    """The config read by ``from_obj``; a --seed goes in by replace(), which checks it again."""
+    cfg = from_obj(serialize.load_json(args.config))
+    return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
 def _load_unitary_pair(args):
@@ -69,11 +73,7 @@ def _cmd_fidelity(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    mode = _MODES[args.mode]
-    if mode is ErrorMode.BOUNDED:
-        report = t_min_bounded(args.theta, args.epsilon)
-    else:
-        report = t_min_onesided(args.theta, args.epsilon)
+    report = _MODES[args.mode](args.theta, args.epsilon)
     _emit_json(
         args,
         {
@@ -111,9 +111,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_search(args) -> int:
     u1, u2 = _load_unitary_pair(args)
-    cfg = serialize.search_config_from_obj(serialize.load_json(args.config))
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _load_config(args, serialize.search_config_from_obj)
     result = optimize_protocol(u1, u2, cfg)
     _emit_json(
         args,
@@ -128,9 +126,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = campaign_mod.config_from_obj(serialize.load_json(args.config))
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _load_config(args, campaign_mod.config_from_obj)
     report = campaign_mod.run_campaign(cfg)
     _write(args.output or cfg.output_path, campaign_mod.render_report(report, args.format))
     summary = report.summary
@@ -152,14 +148,14 @@ def _cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--output", default=None, help="write the result to this path")
-    common.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="output format (csv applies to verify only)",
-    )
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--u1", required=True, help="matrix JSON file")
+    pair.add_argument("--u2", required=True, help="matrix JSON file")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", required=True, help="config JSON file")
+    configured.add_argument("--seed", type=int, default=None,
+                            help="override the config seed, in [0, 2**64)")
 
     parser = argparse.ArgumentParser(
         prog="qudisc",
@@ -172,15 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "theta", parents=[common], help="eigenphase spread of u1-dagger u2 with arc endpoints"
+        "theta", parents=[common, pair],
+        help="eigenphase spread of u1-dagger u2 with arc endpoints",
     )
-    p.add_argument("--u1", required=True, help="matrix JSON file")
-    p.add_argument("--u2", required=True, help="matrix JSON file")
     p.set_defaults(func=_cmd_theta)
 
-    p = sub.add_parser("fidelity", parents=[common], help="fidelity of a unitary pair")
-    p.add_argument("--u1", required=True)
-    p.add_argument("--u2", required=True)
+    p = sub.add_parser("fidelity", parents=[common, pair], help="fidelity of a unitary pair")
     p.add_argument(
         "--oracle",
         action="store_true",
@@ -212,30 +205,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "simulate",
-        parents=[common],
+        parents=[common, pair],
         help="run a protocol file against both candidates and measure the outcome",
     )
-    p.add_argument("--u1", required=True)
-    p.add_argument("--u2", required=True)
     p.add_argument("--protocol", required=True, help="protocol JSON file")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
         "search",
-        parents=[common],
+        parents=[common, pair, configured],
         help="Gauss-Newton search for a low-overlap protocol at fixed queries",
     )
-    p.add_argument("--u1", required=True)
-    p.add_argument("--u2", required=True)
-    p.add_argument("--config", required=True, help="search config JSON file")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser(
         "verify",
-        parents=[common],
+        parents=[common, configured],
         help="run a randomized verification campaign; nonzero exit on any violation",
     )
-    p.add_argument("--config", required=True, help="campaign config JSON file")
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -219,6 +219,9 @@ class StatePair:
     def of(cls, phi1, phi2) -> "StatePair":
         a, b = _normalized_pair(phi1, phi2)
         resid = b - np.vdot(a, b) * a
+        # A second projection: when b nearly equals a, the first cancels and leaves
+        # a residual whose rounding error is not orthogonal to a within POVM_TOL.
+        resid -= np.vdot(a, resid) * a
         rnorm = math.sqrt(np.vdot(resid, resid).real)
         basis = np.array([a] if rnorm < COINCIDE_TOL else [a, resid / rnorm]).T
         return cls((a, b), basis, _coords(a, b, basis))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, NumericalError, ShapeError, ValidationError
-from .geometry import fidelity_closed_form, trace_distance_pure
+from .geometry import trace_distance_pure
 from .linalg import (
     DIM_CAP,
     _defects,
@@ -221,7 +221,7 @@ def audit_step_slacks(trace: SimulationTrace, theta: float) -> list[float]:
     """
     if len(trace.distances) != len(trace.states_1) or len(trace.distances) != len(trace.states_2):
         raise ShapeError("trace distances and state lists are inconsistent")
-    f = fidelity_closed_form(theta)
-    step = 2.0 * np.sqrt(max(0.0, 1.0 - f * f))
+    # sqrt(1 - F^2) with F = cos(theta/2), written as a sine: 1 - F^2 cancels for small theta.
+    step = 2.0 * math.sin(min(theta, math.pi) / 2.0)
     d = trace.distances
     return [float(d[k] + step - d[k + 1]) for k in range(len(d) - 1)]

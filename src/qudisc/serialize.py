@@ -1,4 +1,4 @@
-"""JSON wire formats for matrices, states, protocols, and search configs.
+"""JSON wire formats for matrices, states, protocols, and configs.
 
 Schemas (complex numbers are [re, im] pairs, matrices row-major):
 
@@ -10,7 +10,8 @@ Schemas (complex numbers are [re, im] pairs, matrices row-major):
               "step_tolerance": x, "seed": s}
 
 Floats are emitted with Python's shortest round-trip representation, so
-parsing back reproduces every value bit for bit.
+parsing back reproduces every value bit for bit. ``config_from_fields``
+reads every config, the campaign's through the table in ``campaign``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,20 @@ def _real_field(value, what: str) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise ValidationError(f"{what} must be a number, got {value!r}")
+
+
+def string_field(value, what: str) -> str:
+    """A JSON string field."""
+    if isinstance(value, str):
+        return value
+    raise ValidationError(f"{what} must be a string, got {value!r}")
+
+
+def integer_pair_field(value, what: str) -> tuple[int, int]:
+    """A JSON [lo, hi] pair of integer fields."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValidationError(f"{what} must be a [lo, hi] pair, got {value!r}")
+    return integer_field(value[0], f"{what}[0]"), integer_field(value[1], f"{what}[1]")
 
 
 def _dim_of(obj, what: str) -> int:
@@ -127,20 +142,24 @@ def protocol_from_obj(obj) -> Protocol:
         raise ValidationError(f"protocol: missing field {exc}") from exc
 
 
-# Search config keys and their parsers; absent keys take SearchConfig's defaults.
+def config_from_fields(obj, cls, parsers: dict, what: str):
+    """Read a config object: each key present goes through its parser, absent keys
+    take ``cls``'s defaults, and ``cls`` checks the result when it is built."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what}: expected a JSON object")
+    try:
+        return cls(**{k: parse(obj[k], k) for k, parse in parsers.items() if k in obj})
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
 _SEARCH_FIELDS = {"queries": integer_field, "restarts": integer_field,
                   "max_iterations": integer_field, "step_tolerance": _real_field,
                   "seed": integer_field}
 
 
 def search_config_from_obj(obj) -> SearchConfig:
-    if not isinstance(obj, dict):
-        raise ValidationError("search config: expected a JSON object")
-    try:
-        fields = {k: parse(obj[k], k) for k, parse in _SEARCH_FIELDS.items() if k in obj}
-        return SearchConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed search config: {exc}") from exc
+    return config_from_fields(obj, SearchConfig, _SEARCH_FIELDS, "search config")
 
 
 def load_json(path: str):

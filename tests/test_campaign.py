@@ -162,19 +162,19 @@ class TestRunCampaign:
 class TestConfigValidation:
     def test_bad_instances(self):
         with pytest.raises(ValidationError):
-            small_config(instances=0).validate()
+            small_config(instances=0)
 
     def test_bad_t_range(self):
         with pytest.raises(ValidationError):
-            small_config(t_range=(3, 1)).validate()
+            small_config(t_range=(3, 1))
 
     def test_bad_source(self):
         with pytest.raises(ValidationError):
-            small_config(protocol_source="psychic").validate()
+            small_config(protocol_source="psychic")
 
     def test_parallel_needs_a_query(self):
         with pytest.raises(ValidationError):
-            small_config(protocol_source="parallel", t_range=(0, 2)).validate()
+            small_config(protocol_source="parallel", t_range=(0, 2))
 
     def test_dim_below_two_rejected(self):
         # a 1x1 pair has theta = 0, which would abort the campaign at instance 0
@@ -185,14 +185,22 @@ class TestConfigValidation:
             run_campaign(small_config(dim=1))
 
     def test_parallel_has_no_copy_cap(self):
-        cfg = small_config(instances=40, protocol_source="parallel", t_range=(1, 64))
-        cfg.validate()
-        report = run_campaign(cfg)
+        report = run_campaign(small_config(instances=40, protocol_source="parallel",
+                                           t_range=(1, 64)))
         assert report.summary.violation_count == 0
         assert report.summary.max_d0 == 0.0
         for r in report.records:
             if r.queries * r.theta >= np.pi:
                 assert r.overlap <= 1e-12
+
+    def test_seed_outside_u64_refused(self):
+        # numpy refused it later with a message that named no field
+        for seed in (-1, 2**64):
+            with pytest.raises(ValidationError, match="seed"):
+                small_config(seed=seed)
+            with pytest.raises(ValidationError, match="seed"):
+                config_from_obj({"instances": 3, "dim": 2, "t_range": [1, 2], "seed": seed})
+        assert small_config(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_config_from_obj(self):
         cfg = config_from_obj(
@@ -273,7 +281,31 @@ class TestReportFormats:
             render_report(report, "xml")
 
 
+def tiny_phase_pair(rng, dim):
+    """I against diag(1, e^{i phi}) with phi in [1e-8, 1e-7]: theta = phi."""
+    return np.eye(dim, dtype=complex), np.diag([1.0, np.exp(1j * rng.uniform(1e-8, 1e-7))])
+
+
+@pytest.mark.parametrize("source", ["random", "parallel", "optimized"])
+def test_small_theta_campaign_runs_clean(source):
+    # the span basis of a nearly coinciding final pair failed its orthonormality check, and
+    # the step audit's 2*sqrt(1 - F^2) cancelled into false violations
+    report = run_campaign(CampaignConfig(20, 2, (1, 3), 5, source), pair_factory=tiny_phase_pair)
+    assert report.summary.violation_count == 0
+
+
 class TestMeasurePair:
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("delta", [2e-9, 1e-8, 1e-7])
+    def test_nearly_coinciding_states(self, n, delta):
+        # b - <a|b>a cancels here; one projection left e2 off orthogonal to a beyond POVM_TOL
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            e1, e2 = np.linalg.qr(rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))[0].T
+            phi2 = np.exp(1j * rng.uniform(0.0, 2 * np.pi)) * (np.cos(delta) * e1 + np.sin(delta) * e2)
+            _, inconclusive = measure_pair(e1, phi2)
+            assert abs(inconclusive - np.cos(delta)) <= 1e-12
+
     @pytest.mark.parametrize("overlap", [0.0, 0.3, 0.9])
     def test_equals_the_public_measurements(self, overlap):
         phi1, phi2 = state_pair_with_overlap(overlap, 4, np.random.default_rng(41))

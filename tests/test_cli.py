@@ -137,6 +137,24 @@ class TestSimulate:
         assert obj["helstrom_error"] == pytest.approx(0.5, abs=1e-12)
 
 
+class TestSimulateSmallTheta:
+    def test_bell_probe_at_tiny_theta(self, tmp_path, capsys):
+        # the final states nearly coincide; their span basis failed its orthonormality check
+        theta = 5e-8
+        paths = {}
+        for name, m in [("u1", I2), ("u2", np.diag([1.0, np.exp(1j * theta)]))]:
+            paths[name] = str(tmp_path / f"{name}.json")
+            write_json(matrix_to_obj(m), paths[name])
+        bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+        paths["protocol"] = str(tmp_path / "protocol.json")
+        write_json(protocol_to_obj(Protocol(2, 2, 1, [np.eye(4)] * 2, bell)), paths["protocol"])
+        code, out, _ = run_cli(capsys, ["simulate", "--u1", paths["u1"], "--u2", paths["u2"],
+                                        "--protocol", paths["protocol"]])
+        assert code == 0
+        assert json.loads(out)["unambiguous_inconclusive"] == pytest.approx(np.cos(theta / 2),
+                                                                            abs=1e-12)
+
+
 class TestSearch:
     def test_search_outputs_protocol(self, fixtures, capsys):
         code, out, _ = run_cli(capsys, ["search", "--u1", fixtures["i2"],
@@ -271,7 +289,7 @@ class TestWireFormatTypes:
                    str(bad))
         code, out, err = run_cli(capsys, ["verify", "--config", str(bad)])
         assert code == 2 and out == ""
-        assert err.startswith("error: output_path must be a string, got 1")
+        assert err.startswith("error: malformed campaign config: output_path must be a string, got 1")
 
     def test_verify_with_non_integral_dim(self, tmp_path, capsys):
         bad = tmp_path / "campaign.json"
@@ -283,10 +301,37 @@ class TestWireFormatTypes:
 
 class TestGlobalFlags:
     def test_csv_format_rejected_outside_verify(self, fixtures, capsys):
-        code, _, err = run_cli(capsys, ["bound", "--theta", "0.5", "--epsilon", "0.1",
-                                        "--mode", "bounded", "--format", "csv"])
+        # --format exists on verify alone, so argparse refuses it before any work is done
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--theta", "0.5", "--epsilon", "0.1", "--mode", "bounded",
+                  "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--theta", "1", "--epsilon", "0.1", "--mode", "bounded", "--seed", "5"],
+        ["perfect", "--theta", "1", "--format", "csv"],
+    ])
+    def test_flags_exist_only_where_they_act(self, capsys, argv):
+        # the seed was ignored, and csv refused only once the command had run
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_seed_outside_u64_refused(self, fixtures, tmp_path, capsys):
+        # numpy refused -2 later with a message that named no field
+        for argv in (["verify", "--config", fixtures["campaign"]],
+                     ["search", "--u1", fixtures["i2"], "--u2", fixtures["z"],
+                      "--config", fixtures["search"]]):
+            for seed in ("-2", str(2**64)):
+                code, out, err = run_cli(capsys, argv + ["--seed", seed])
+                assert code == 2 and out == ""
+                assert err.startswith("error: seed must lie in [0, 2**64)")
+        bad = tmp_path / "campaign.json"
+        write_json({"instances": 1, "dim": 2, "t_range": [1, 1], "seed": -1}, str(bad))
+        code, _, err = run_cli(capsys, ["verify", "--config", str(bad)])
         assert code == 2
-        assert "verify" in err
+        assert err.startswith("error: malformed campaign config: seed must lie in")
 
     def test_output_flag_writes_file(self, fixtures, tmp_path, capsys):
         path = tmp_path / "theta.json"

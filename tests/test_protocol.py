@@ -10,10 +10,12 @@ from qudisc import (
     ShapeError,
     ValidationError,
     audit_step_slacks,
+    build_parallel,
     fidelity_closed_form,
     haar_unitary_from_rng,
     relative_spectrum,
     run_protocol,
+    simulate_parallel,
     simulate_random,
     smallest_arc,
     trace_distance_pure,
@@ -148,6 +150,14 @@ class TestStepAudit:
         expected = 2.0 * np.sqrt(1.0 - f * f)
         for slack in audit_step_slacks(trace, theta):
             assert slack == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 40])
+    def test_optimal_parallel_plan_at_tiny_theta(self, t):
+        # 2*sqrt(1 - cos(theta/2)**2) cancelled and read -1e-8 here, past LEMMA_SLACK_TOL
+        theta = 1e-8
+        u2 = np.diag([1.0, np.exp(1j * theta)])
+        trace = simulate_parallel(I2, u2, build_parallel(I2, u2, t))
+        assert min(audit_step_slacks(trace, theta)) >= -1e-15
 
     def test_monte_carlo_never_negative(self):
         rng = np.random.default_rng(25)

@@ -117,3 +117,12 @@ def test_search_config_refuses_non_integral_counts():
                 {"queries": 2, "step_tolerance": True}):
         with pytest.raises(ValidationError, match="malformed search config"):
             search_config_from_obj(bad)
+
+
+def test_search_config_seed_is_a_u64():
+    # numpy refused a negative seed later with a message that named no field
+    for seed in (-4, 2**64):
+        with pytest.raises(ValidationError, match="seed"):
+            search_config_from_obj({"queries": 2, "seed": seed})
+        with pytest.raises(ValidationError, match="seed"):
+            SearchConfig(queries=2, seed=seed)
