@@ -140,16 +140,14 @@ def _build_trace(pair: UnitaryPair, queries: int, cfg: CampaignConfig,
     return simulate_random(pair, cfg.dim, queries, rng)
 
 
-def measure_pair(phi1, phi2) -> tuple[float, float | None]:
-    """Measured errors of the optimal measurements on a final state pair.
+def measure_pair(pair: StatePair) -> tuple[float, float | None]:
+    """Measured errors of the optimal measurements on a checked final state pair.
 
     Returns the Helstrom error, clamped to [0, 0.5], and the larger
     inconclusive rate of the unambiguous measurement. The latter is None
     when the states coincide (``StatePair.coincide``), because no
-    unambiguous measurement exists then. Each state is checked, and the
-    pair's span built, once for both measurements.
+    unambiguous measurement exists then.
     """
-    pair = StatePair.of(phi1, phi2)
     outcome = evaluate_povm(helstrom_povm(pair), pair)
     error = min(0.5, max(0.0, 1.0 - min(outcome.p_correct_1, outcome.p_correct_2)))
     if pair.coincide:
@@ -191,8 +189,7 @@ def run_instance(cfg: CampaignConfig, index: int, pair_factory=None) -> tuple[In
     slacks = audit_step_slacks(trace, theta)
     lemma2_min = min(slacks) if slacks else None
 
-    c = trace.final_overlap
-    eps, eps0 = measure_pair(trace.states_1[-1], trace.states_2[-1])
+    eps, eps0 = measure_pair(trace.final)
     if eps0 is None:
         eps0 = 1.0  # only the always-inconclusive budget is available
     bound = t_min_bounded(theta, eps)
@@ -200,7 +197,7 @@ def run_instance(cfg: CampaignConfig, index: int, pair_factory=None) -> tuple[In
         index=index,
         theta=theta,
         queries=queries,
-        overlap=c,
+        overlap=trace.final_overlap,
         helstrom_error=eps,
         inconclusive=eps0,
         bound_raw=bound.raw_value,

@@ -96,7 +96,7 @@ def _cmd_simulate(args) -> int:
     u1, u2 = _load_unitary_pair(args)
     protocol = serialize.protocol_from_obj(serialize.load_json(args.protocol))
     trace = run_protocol(u1, u2, protocol)
-    error, inconclusive = campaign_mod.measure_pair(trace.states_1[-1], trace.states_2[-1])
+    error, inconclusive = campaign_mod.measure_pair(trace.final)
     _emit_json(
         args,
         {

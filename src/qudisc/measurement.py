@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
-from .linalg import require_normalized
+from .geometry import trace_distance_pure
+from .linalg import as_state
 from .tolerances import COINCIDE_TOL, POVM_TOL
 
 IDENTIFY_1 = "identify_1"
@@ -191,45 +193,47 @@ def helstrom_error(overlap: float) -> float:
     return 0.5 * (1.0 - math.sqrt(1.0 - overlap * overlap))
 
 
-def _normalized_pair(phi1, phi2) -> tuple[np.ndarray, np.ndarray]:
-    a = require_normalized(phi1)
-    b = require_normalized(phi2)
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a, b
-
-
 @dataclass(frozen=True)
 class StatePair:
-    """Two checked states with an orthonormal basis (a, e2) of their span.
+    """Two checked states and their trace distance, which decides whether they coincide.
 
-    ``basis`` is n x 2, or n x 1 when the states coincide: when the part of
-    the second orthogonal to the first has norm below ``COINCIDE_TOL``.
-    This is the toolkit's one test of coinciding states. ``coords`` holds
-    both states' coordinates in the basis, one state per row. Build it with
-    ``StatePair.of``. The functions below accept a StatePair in place of the
-    two states, so a pair measured twice is checked and spanned once.
+    The states coincide, spanning one dimension, when the distance is below
+    ``2 * COINCIDE_TOL``: when the second's part orthogonal to the first is
+    shorter than ``COINCIDE_TOL``. This is the toolkit's one test of it.
+    ``basis`` (n x 2, or n x 1 for coinciding states) is an orthonormal basis
+    (a, e2) of the span, ``coords`` both states' coordinates in it, one per
+    row; both are built when a measurement first asks. Loose states enter
+    through ``StatePair.of``; a trace carries its final pair as ``final``.
     """
 
     states: tuple[np.ndarray, np.ndarray]
-    basis: np.ndarray
-    coords: np.ndarray
+    distance: float
 
     @classmethod
     def of(cls, phi1, phi2) -> "StatePair":
-        a, b = _normalized_pair(phi1, phi2)
-        resid = b - np.vdot(a, b) * a
-        # A second projection: when b nearly equals a, the first cancels and leaves
-        # a residual whose rounding error is not orthogonal to a within POVM_TOL.
-        resid -= np.vdot(a, resid) * a
-        rnorm = math.sqrt(np.vdot(resid, resid).real)
-        basis = np.array([a] if rnorm < COINCIDE_TOL else [a, resid / rnorm]).T
-        return cls((a, b), basis, _coords(a, b, basis))
+        """The pair of two loose states, both checked and their distance taken in one pass."""
+        a, b = as_state(phi1), as_state(phi2)
+        return cls((a, b), trace_distance_pure(a, b))
 
     @property
     def coincide(self) -> bool:
         """Whether the states coincide up to phase, so their span is one-dimensional."""
-        return self.basis.shape[1] == 1
+        return self.distance < 2.0 * COINCIDE_TOL
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        a, b = self.states
+        if self.coincide:
+            return np.array([a]).T
+        resid = b - np.vdot(a, b) * a
+        # A second projection: when b nearly equals a, the first cancels and leaves
+        # a residual whose rounding error is not orthogonal to a within POVM_TOL.
+        resid -= np.vdot(a, resid) * a
+        return np.array([a, resid / math.sqrt(np.vdot(resid, resid).real)]).T
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        return _coords(*self.states, self.basis)
 
 
 def _coords(a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -259,7 +263,10 @@ def helstrom_povm(phi1, phi2=None) -> Povm:
     In the span the difference is a 2x2 Hermitian matrix M. With
     N = M - tr(M)/2 its eigenvalues are tr(M)/2 +- lam, where
     lam = sqrt(h^2 + |M01|^2) and h = (M00 - M11)/2, so the projector onto
-    the top eigenvector is I/2 + N/(2 lam), in closed form.
+    the top eigenvector is I/2 + N/(2 lam), in closed form. Each state's
+    coordinate row has unit norm, so h = |b2|^2 - |b1|^2 for rows (a_i, b_i):
+    small terms only, free of the cancellation in |a1|^2 - |a2|^2 as the
+    states approach.
     """
     pair = _state_pair(phi1, phi2)
     basis = pair.basis
@@ -267,7 +274,7 @@ def helstrom_povm(phi1, phi2=None) -> Povm:
         half = np.full((1, 1), 0.5, dtype=complex)
         return Povm([half, half.copy()], [IDENTIFY_1, IDENTIFY_2], basis, [0.5, 0.5])
     (a1, b1), (a2, b2) = pair.coords.tolist()
-    h = (abs(a1) ** 2 - abs(a2) ** 2 - abs(b1) ** 2 + abs(b2) ** 2) / 2.0
+    h = abs(b2) ** 2 - abs(b1) ** 2
     m01 = a1 * b1.conjugate() - a2 * b2.conjugate()
     scale = 0.5 / math.hypot(h, abs(m01))
     tilt, off = h * scale, m01 * scale
@@ -321,13 +328,13 @@ def evaluate_povm(povm: Povm, phi1, phi2=None) -> DiscriminationOutcome:
     built on that StatePair's basis reuses its coordinates. All outcomes are
     evaluated on both states at once and clamped into [0, 1].
     """
-    pair = phi1 if isinstance(phi1, StatePair) else None
-    a, b = pair.states if pair is not None else _normalized_pair(phi1, phi2)
+    pair = _state_pair(phi1, phi2)
+    a, b = pair.states
     if povm.dim != a.shape[0]:
         raise ShapeError(f"POVM dimension {povm.dim} does not match states ({a.shape[0]})")
     povm.validate()
 
-    x = pair.coords if pair is not None and povm.basis is pair.basis else _coords(a, b, povm.basis)
+    x = pair.coords if povm.basis is pair.basis else _coords(a, b, povm.basis)
     by_label = dict(zip(povm.labels, _born(np.array(povm.effects), povm.rest, x)))
     absent = (0.0, 0.0)
     p1, _ = by_label.get(IDENTIFY_1, absent)

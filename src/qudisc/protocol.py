@@ -25,7 +25,8 @@ from .linalg import (
     require_normalized,
     require_unitary,
 )
-from .tolerances import COINCIDE_TOL, UNITARY_TOL
+from .measurement import StatePair
+from .tolerances import UNITARY_TOL
 
 
 @dataclass(eq=False)
@@ -74,13 +75,14 @@ class SimulationTrace:
 
     ``states_1[k]`` / ``states_2[k]`` are the states after interleaver k;
     ``distances[k]`` is their trace distance, so ``distances[0]`` is always 0
-    and ``distances[T]`` equals 2*sqrt(1 - final_overlap^2).
+    and ``distances[T]`` equals 2*sqrt(1 - final_overlap^2). ``final`` is the last pair.
     """
 
     states_1: list[np.ndarray]
     states_2: list[np.ndarray]
     distances: list[float]
     final_overlap: float
+    final: StatePair
 
     @property
     def queries(self) -> int:
@@ -190,12 +192,12 @@ def _haar_isometries(n: int, queries: int, rng: np.random.Generator):
 def record_trace(steps: Iterable[tuple[np.ndarray, np.ndarray]]) -> SimulationTrace:
     """Trace of the state pairs a simulation passes through, the starting pair first.
 
-    Every simulator feeds its pairs through here, so distances and the
-    final overlap are computed one way for all of them. Both branches go to
-    ``trace_distance_pure`` as one stack, which checks every state and forms
-    every distance in one pass. That pass holds a stacked copy of the
-    recorded states and temporaries of their size, so its peak memory is
-    O(T n), about twice that of the states themselves.
+    Every simulator feeds its pairs through here, so distances, the final
+    overlap and the final pair are formed one way for all of them. Both
+    branches go to ``trace_distance_pure`` as one stack, which checks every
+    state and forms every distance in one pass. That pass holds a stacked
+    copy of the recorded states and temporaries of their size, so its peak
+    memory is O(T n), about twice that of the states themselves.
     """
     states_1: list[np.ndarray] = []
     states_2: list[np.ndarray] = []
@@ -203,12 +205,9 @@ def record_trace(steps: Iterable[tuple[np.ndarray, np.ndarray]]) -> SimulationTr
         states_1.append(s1)
         states_2.append(s2)
     distances = trace_distance_pure(states_1, states_2).tolist()
-    # Coinciding final states (orthogonal part below COINCIDE_TOL) report overlap exactly 1.
-    if distances[-1] < 2.0 * COINCIDE_TOL:
-        overlap = 1.0
-    else:
-        overlap = min(1.0, float(abs(np.vdot(states_1[-1], states_2[-1]))))
-    return SimulationTrace(states_1, states_2, distances, overlap)
+    final = StatePair((states_1[-1], states_2[-1]), distances[-1])
+    overlap = 1.0 if final.coincide else min(1.0, float(abs(np.vdot(*final.states))))
+    return SimulationTrace(states_1, states_2, distances, overlap, final)
 
 
 def audit_step_slacks(trace: SimulationTrace, theta: float) -> list[float]:

@@ -144,9 +144,13 @@ def protocol_from_obj(obj) -> Protocol:
 
 def config_from_fields(obj, cls, parsers: dict, what: str):
     """Read a config object: each key present goes through its parser, absent keys
-    take ``cls``'s defaults, and ``cls`` checks the result when it is built."""
+    take ``cls``'s defaults, and ``cls`` checks the result when it is built.
+    A key with no parser is refused, so a misspelt one is not silently dropped."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{what}: expected a JSON object")
+    unknown = [k for k in obj if k not in parsers]
+    if unknown:
+        raise ValidationError(f"malformed {what}: unknown keys {', '.join(map(repr, unknown))}")
     try:
         return cls(**{k: parse(obj[k], k) for k, parse in parsers.items() if k in obj})
     except (TypeError, ValueError) as exc:

@@ -53,3 +53,12 @@ def state_pair_with_overlap(c: float, dim: int, rng: np.random.Generator):
     phi1 = e1
     phi2 = phase * (c * e1 + np.sqrt(max(0.0, 1.0 - c * c)) * e2)
     return phi1, phi2
+
+
+def state_pair_at_angle(delta: float, dim: int, rng: np.random.Generator):
+    """Two normalized states at Bures angle delta, from its cosine and sine.
+
+    Unlike ``state_pair_with_overlap``, no sqrt(1 - c^2) cancels at small delta.
+    """
+    e1, e2 = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))[0].T
+    return e1, np.exp(1j * rng.uniform(0.0, TWO_PI)) * (np.cos(delta) * e1 + np.sin(delta) * e2)

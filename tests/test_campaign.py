@@ -7,13 +7,14 @@ import pytest
 from qudisc import (
     DIM_CAP,
     Povm,
+    StatePair,
     UsageError,
     ValidationError,
     evaluate_povm,
     helstrom_povm,
     unambiguous_povm,
 )
-from qudisc import geometry, linalg, measurement
+from qudisc import geometry, linalg
 from qudisc.campaign import (
     CSV_COLUMNS,
     CampaignConfig,
@@ -31,7 +32,7 @@ from qudisc.campaign import (
     violations,
 )
 
-from .oracles import state_pair_with_overlap
+from .oracles import state_pair_at_angle, state_pair_with_overlap
 
 
 def small_config(**overrides):
@@ -202,6 +203,13 @@ class TestConfigValidation:
                 config_from_obj({"instances": 3, "dim": 2, "t_range": [1, 2], "seed": seed})
         assert small_config(seed=2**64 - 1).seed == 2**64 - 1
 
+    def test_unknown_key_refused(self):
+        # a misspelt key was dropped, so the campaign ran the default source
+        obj = {"instances": 1, "dim": 2, "t_range": [1, 1], "seed": 1,
+               "protocol_sorce": "parallel", "outpt": "x.csv"}
+        with pytest.raises(ValidationError, match="unknown keys 'protocol_sorce', 'outpt'"):
+            config_from_obj(obj)
+
     def test_config_from_obj(self):
         cfg = config_from_obj(
             {"instances": 3, "dim": 2, "t_range": [1, 2], "seed": 5}
@@ -301,44 +309,51 @@ class TestMeasurePair:
         # b - <a|b>a cancels here; one projection left e2 off orthogonal to a beyond POVM_TOL
         rng = np.random.default_rng(43)
         for _ in range(20):
-            e1, e2 = np.linalg.qr(rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))[0].T
-            phi2 = np.exp(1j * rng.uniform(0.0, 2 * np.pi)) * (np.cos(delta) * e1 + np.sin(delta) * e2)
-            _, inconclusive = measure_pair(e1, phi2)
+            _, inconclusive = measure_pair(StatePair.of(*state_pair_at_angle(delta, n, rng)))
             assert abs(inconclusive - np.cos(delta)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_helstrom_error_of_nearly_coinciding_states(self, n):
+        # the tilt (|a1|^2 - |a2|^2 - |b1|^2 + |b2|^2)/2 cancelled here, off by up to 1e-8
+        rng = np.random.default_rng(44)
+        for delta in np.exp(rng.uniform(np.log(2e-9), np.log(1e-7), 200)):
+            error, _ = measure_pair(StatePair.of(*state_pair_at_angle(delta, n, rng)))
+            assert abs(error - (1.0 - np.sin(delta)) / 2.0) <= 1e-12
 
     @pytest.mark.parametrize("overlap", [0.0, 0.3, 0.9])
     def test_equals_the_public_measurements(self, overlap):
         phi1, phi2 = state_pair_with_overlap(overlap, 4, np.random.default_rng(41))
         helstrom = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
         three = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
-        error, inconclusive = measure_pair(phi1, phi2)
+        error, inconclusive = measure_pair(StatePair.of(phi1, phi2))
         assert error == min(0.5, max(0.0, 1.0 - min(helstrom.p_correct_1, helstrom.p_correct_2)))
         assert inconclusive == max(three.p_inconclusive_1, three.p_inconclusive_2)
 
-    @pytest.mark.parametrize("overlap, povms", [(0.3, 2), (1.0, 1)])
-    def test_checks_each_state_once_and_validates_each_povm_once(self, monkeypatch, overlap,
+    @pytest.mark.parametrize("queries, povms", [(3, 2), (0, 1)])
+    def test_checks_each_state_once_and_validates_each_povm_once(self, monkeypatch, queries,
                                                                  povms):
-        calls = {"states": 0, "povms": 0}
-        check, validate = measurement.require_normalized, Povm.validate
+        # zero queries leave the final states equal: only the Helstrom coin is measured
+        calls = {"checks": [], "povms": 0}
+        check, validate = geometry.require_normalized_stack, Povm.validate
 
-        def counted_check(v, *args, **kwargs):
-            calls["states"] += 1
-            return check(v, *args, **kwargs)
+        def counted_check(m):
+            calls["checks"].append(np.shape(m)[:-1])
+            return check(m)
 
         def counted_validate(povm):
             calls["povms"] += 1
             return validate(povm)
 
-        monkeypatch.setattr(measurement, "require_normalized", counted_check)
+        monkeypatch.setattr(geometry, "require_normalized_stack", counted_check)
         monkeypatch.setattr(Povm, "validate", counted_validate)
-        phi1, phi2 = state_pair_with_overlap(overlap, 4, np.random.default_rng(41))
-        measure_pair(phi1, phi2)
-        assert calls == {"states": 2, "povms": povms}
+        run_instance(small_config(t_range=(queries, queries)), 0)
+        # both branches' T+1 states, checked in one call and never again
+        assert calls == {"checks": [(2, queries + 1)], "povms": povms}
 
     def test_coinciding_states_have_no_unambiguous_rate(self):
         # normalized within tolerance, yet <a|a> = 1 - 1.8e-10: the pair spans one dimension
         a = (1.0 - 0.9e-10) * np.eye(4, dtype=complex)[0]
-        assert measure_pair(a, a) == (0.5, None)
+        assert measure_pair(StatePair.of(a, a)) == (0.5, None)
 
 
 def test_one_predicate_counts_and_names_violations():

@@ -14,8 +14,12 @@ from qudisc import (
     helstrom_povm,
     unambiguous_povm,
 )
+from qudisc.campaign import measure_pair
+from qudisc.protocol import record_trace
+from qudisc.tolerances import COINCIDE_TOL
 
-from .oracles import random_state, random_two_effect_povm, state_pair_with_overlap
+from .oracles import (random_state, random_two_effect_povm, state_pair_at_angle,
+                      state_pair_with_overlap)
 
 E0 = np.array([1, 0, 0, 0], dtype=complex)
 E1 = np.array([0, 1, 0, 0], dtype=complex)
@@ -150,6 +154,23 @@ class TestCoincidence:
         out = evaluate_povm(unambiguous_povm(E0, phi2), E0, phi2)
         assert misidentification(out) <= 1e-12
         assert abs(inconclusive(out) - c) <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_trace_overlap_and_measurements_agree_at_the_boundary(self, n):
+        rng = np.random.default_rng(48)
+        seen = set()
+        # the orthogonal part sin(delta) runs over 0.5-2x COINCIDE_TOL
+        for delta in np.arcsin(COINCIDE_TOL * np.linspace(0.5, 2.0, 61)):
+            e1, phi2 = state_pair_at_angle(delta, n, rng)
+            trace = record_trace([(e1, e1.copy()), (e1, phi2)])
+            coincide = trace.final.coincide
+            assert trace.final.distance == trace.distances[-1]
+            assert coincide == (trace.distances[-1] < 2.0 * COINCIDE_TOL)
+            assert (measure_pair(trace.final)[1] is None) == coincide
+            # |<a|b>| = cos(delta) rounds to within an ulp of 1 on both sides: only the rule makes it 1
+            assert trace.final_overlap == (1.0 if coincide else min(1.0, abs(np.vdot(e1, phi2))))
+            seen.add(coincide)
+        assert seen == {True, False}
 
 
 class TestEvaluateAndCheck:

@@ -119,6 +119,12 @@ def test_search_config_refuses_non_integral_counts():
             search_config_from_obj(bad)
 
 
+def test_search_config_refuses_unknown_keys():
+    # "restart" was dropped, so the search kept its default of 8 restarts
+    with pytest.raises(ValidationError, match="unknown keys 'restart'"):
+        search_config_from_obj({"queries": 2, "restart": 5})
+
+
 def test_search_config_seed_is_a_u64():
     # numpy refused a negative seed later with a message that named no field
     for seed in (-4, 2**64):

@@ -47,3 +47,23 @@ def test_the_scan_flags_what_it_should():
             return x > 1e-300 and "1e-9"
     ''')
     assert small_literals(source) == [(2, 1e-9), (3, 5e-7), (8, 2.5e-12), (9, 1e-300)]
+
+
+def names_read(source: str) -> set[str]:
+    """Every name the source imports or reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_one_module_decides_that_states_coincide():
+    # StatePair.coincide is the one rule; every other module asks it
+    readers = {path.name for path in PACKAGE.glob("*.py")
+               if path != TABLE and "COINCIDE_TOL" in names_read(path.read_text())}
+    assert readers == {"measurement.py"}
