@@ -16,18 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import t_min_bounded
-from .errors import CapacityError, DomainError, IndistinguishableError, ShapeError, ValidationError
+from .errors import DomainError, IndistinguishableError, ShapeError, ValidationError
 from .geometry import closest_hull_point, smallest_arc
 from .linalg import (
-    DIM_CAP,
     haar_unitary_from_rng,
     pair_args,
     random_state_from_rng,
     relative_spectrum,
+    require_entries,
 )
 from .measurement import helstrom_error
 from .protocol import (Protocol, SimulationTrace, apply_query, evolve_branches, record_trace,
-                       run_protocol)
+                       run_protocol, simulation_size)
 from .tolerances import BOUND_SAFETY_TOL, PERFECT_OVERLAP
 
 
@@ -45,8 +45,6 @@ class ParallelPlan:
     """
 
     copies: int
-    extremal_phases: tuple[float, float]
-    extremal_vectors: tuple[np.ndarray, np.ndarray]
     eigenvectors: np.ndarray
     strings: np.ndarray
     weights: np.ndarray
@@ -61,18 +59,13 @@ def build_parallel(u1, u2=None, t=None) -> ParallelPlan:
     pair has zero phase spread.
     """
     pair, t = pair_args(u1, u2, t)
-    if t < 1:
-        raise DomainError(f"copy count must be >= 1, got {t!r}")
+    check_copies(t)
     spectrum = pair.spectrum
     arc = smallest_arc(spectrum)
     if arc.theta == 0.0:
         raise IndistinguishableError(
             "the pair differs by a global phase at most; parallel probing cannot help"
         )
-    # First exact match in spectrum order; arc endpoints come from this array.
-    i_start = int(np.argmax(spectrum.phases == arc.start_phase))
-    i_end = int(np.argmax(spectrum.phases == arc.end_phase))
-
     # Candidates a^(T-j) b^j, j = 0..T, for the arc endpoints a, b: their
     # phases, taken relative to a^T, step by theta from 0 to T*theta. From
     # theta >= pi a step can jump over the origin, so x_k a^(T-1) joins for
@@ -82,26 +75,32 @@ def build_parallel(u1, u2=None, t=None) -> ParallelPlan:
     phases = np.arange(t + 1) * arc.theta
     others = []
     if arc.theta >= math.pi:
-        taken = (i_start,) if t > 1 else (i_start, i_end)
+        taken = (arc.start,) if t > 1 else (arc.start, arc.end)
         others = [k for k in range(spectrum.dim) if k not in taken]
         phases = np.concatenate([phases, spectrum.phases[others] - arc.start_phase])
     _, weights = closest_hull_point(np.exp(1j * phases))
     chosen = np.flatnonzero(weights)
-    strings = np.full((chosen.size, t), i_start)
+    strings = np.full((chosen.size, t), arc.start)
     for row, c in zip(strings, chosen):
         if c <= t:
-            row[t - c:] = i_end
+            row[t - c:] = arc.end
         else:
             row[0] = others[c - t - 1]
     return ParallelPlan(
         copies=t,
-        extremal_phases=(arc.start_phase, arc.end_phase),
-        extremal_vectors=(spectrum.vectors[:, i_start], spectrum.vectors[:, i_end]),
         eigenvectors=spectrum.vectors,
         strings=strings,
         weights=weights[chosen],
         predicted_overlap=0.0 if t * arc.theta >= math.pi else math.cos(t * arc.theta / 2.0),
     )
+
+
+def check_copies(t: int) -> None:
+    """Refuse a copy count below 1, or one whose per-copy Gram stacks (at most 3x3 string
+    pairs for each of t copies and the idle tail) would not fit ``ENTRY_CAP``."""
+    if t < 1:
+        raise DomainError(f"copy count must be >= 1, got {t!r}")
+    require_entries(9 * (t + 1), f"a parallel plan on {t} copies")
 
 
 def simulate_parallel(u1, u2=None, plan=None) -> SimulationTrace:
@@ -178,6 +177,15 @@ class SearchResult:
     budget_exhausted: bool
     best_restart: int
     histories: list[list[float]]
+    trace: SimulationTrace  # the protocol's simulation, asserted against the bound
+
+
+def search_size(d: int, queries: int) -> int:
+    """``simulation_size(d, d, queries)``, once the search's stack of T+1 n x n interleavers
+    fits ``ENTRY_CAP`` too."""
+    n = simulation_size(d, d, queries)
+    require_entries((queries + 1) * n * n, f"{queries + 1} interleavers at dimension {n}")
+    return n
 
 
 def _overlap_derivatives(ws: np.ndarray, y1, y2, u1, u2, d: int, anc: int) -> np.ndarray:
@@ -255,44 +263,30 @@ def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
     0 starts from identity interleavers (enough for commuting pairs);
     later restarts start from Haar ones. Restarts draw from independent
     streams derived from (seed, restart), so the result is reproducible
-    and independent of evaluation order. The best protocol is re-simulated
-    and asserted against the query-count bound before being returned.
+    and independent of evaluation order. The best protocol is re-simulated,
+    asserted against the query-count bound and returned with that trace.
     """
     pair, cfg = pair_args(u1, u2, cfg)
     a, b = pair.u1, pair.u2
+    d = ancilla = a.shape[0]
+    n = search_size(d, cfg.queries)
     theta = smallest_arc(relative_spectrum(pair)).theta
     if theta == 0.0:
         raise IndistinguishableError(
             "the pair differs by a global phase at most; no protocol separates it"
         )
-    d = a.shape[0]
-    ancilla = d
-    n = d * ancilla
-    if n > DIM_CAP:
-        raise CapacityError(f"system*ancilla dimension {n} exceeds cap {DIM_CAP}")
 
     identity = np.array([np.eye(n, dtype=complex)] * (cfg.queries + 1))
-    if cfg.queries == 0:
-        # The single interleaver cancels in the overlap: nothing to optimize.
-        probe = random_state_from_rng(n, np.random.default_rng([cfg.seed, 0]))
-        return SearchResult(
-            protocol=Protocol(d, ancilla, 0, list(identity), probe),
-            overlap=1.0,
-            budget_exhausted=False,
-            best_restart=0,
-            histories=[[1.0]],
-        )
-
     best: tuple[float, int, np.ndarray, np.ndarray, bool] | None = None
     histories: list[list[float]] = []
-    for r in range(cfg.restarts):
+    # At T = 0 the single interleaver cancels in the overlap: one restart, nothing to optimize.
+    for r in range(cfg.restarts if cfg.queries else 1):
         rng = np.random.default_rng([cfg.seed, r])
         probe = random_state_from_rng(n, rng)
-        if r == 0:
-            ws = identity
-        else:
-            ws = np.array([haar_unitary_from_rng(n, rng) for _ in range(cfg.queries + 1)])
-        ws, history, exhausted = _descend(ws, probe, a, b, d, ancilla, cfg)
+        ws = identity if r == 0 else haar_unitary_from_rng(n, rng, (cfg.queries + 1,))
+        history, exhausted = [1.0], False
+        if cfg.queries:
+            ws, history, exhausted = _descend(ws, probe, a, b, d, ancilla, cfg)
         histories.append(history)
         if best is None or history[-1] < best[0]:
             best = (history[-1], r, ws, probe, exhausted)
@@ -318,4 +312,5 @@ def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
         budget_exhausted=best_exhausted,
         best_restart=best_restart,
         histories=histories,
+        trace=trace,
     )

@@ -18,17 +18,20 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .bounds import t_min_bounded, t_min_onesided
-from .builder import (SearchConfig, build_parallel, check_seed, optimize_protocol,
-                      simulate_parallel)
-from .errors import UsageError, ValidationError
+from .builder import (SearchConfig, build_parallel, check_copies, check_seed, optimize_protocol,
+                      search_size, simulate_parallel)
+from .errors import CapacityError, UsageError, ValidationError
 from .linalg import DIM_CAP, UnitaryPair, haar_unitary_from_rng, relative_spectrum
 from .geometry import smallest_arc
 from .measurement import StatePair, evaluate_povm, helstrom_povm, unambiguous_povm
-from .protocol import audit_step_slacks, run_protocol, simulate_random
+from .protocol import audit_step_slacks, run_protocol, simulate_random, simulation_size
 from .serialize import config_from_fields, integer_field, integer_pair_field, string_field
 from .tolerances import D0_TOL, LEMMA_SLACK_TOL, THEOREM_SLACK_TOL
 
 PROTOCOL_SOURCES = ("random", "parallel", "optimized")
+# Each source's size rule for an instance at (dim, T): CapacityError when it does not fit.
+_SIZE_RULES = {"random": lambda dim, t: simulation_size(dim, dim, t),
+               "parallel": lambda dim, t: check_copies(t), "optimized": search_size}
 
 
 @dataclass(frozen=True)
@@ -57,13 +60,17 @@ class CampaignConfig:
                 f"protocol_source must be one of {PROTOCOL_SOURCES}, got {self.protocol_source!r}"
             )
         if self.protocol_source == "parallel":
-            # the plan acts on the system alone, at O(T) cost: no cap on T
+            # the plan acts on the system alone, at O(T) cost
             if lo < 1:
                 raise ValidationError("parallel protocols need at least one query")
             if self.dim > DIM_CAP:
                 raise ValidationError(f"dim must stay within the cap {DIM_CAP}")
         elif self.dim * self.dim > DIM_CAP:
             raise ValidationError(f"dim**2 must stay within the cap {DIM_CAP}")
+        try:
+            _SIZE_RULES[self.protocol_source](self.dim, hi)
+        except CapacityError as exc:
+            raise ValidationError(f"t_range {list(self.t_range)} is too large: {exc}") from exc
         check_seed(self.seed)
 
 
@@ -134,8 +141,7 @@ def _build_trace(pair: UnitaryPair, queries: int, cfg: CampaignConfig,
             step_tolerance=1e-3,
             seed=int(rng.integers(0, 2**63 - 1)),
         )
-        result = optimize_protocol(pair, search)
-        return run_protocol(pair, result.protocol)
+        return optimize_protocol(pair, search).trace
     # the ancilla matches the system dimension
     return simulate_random(pair, cfg.dim, queries, rng)
 

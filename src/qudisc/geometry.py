@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import TWO_PI, PhaseSpectrum, require_normalized_stack, wrap_phase
+from .linalg import TWO_PI, PhaseSpectrum, require_normalized, wrap_phase
 from .tolerances import UNITARY_TOL
 
 
@@ -24,6 +24,8 @@ class ArcResult:
     theta: float
     start_phase: float
     end_phase: float
+    start: int  # first index of start_phase in the ascending phases
+    end: int  # first index of end_phase in the ascending phases
 
 
 def _require_unit_circle(points: np.ndarray) -> None:
@@ -67,7 +69,8 @@ def _covering_arc(p: np.ndarray) -> ArcResult:
     gaps.append(ps[0] + TWO_PI - ps[-1])
     best = max(range(len(ps)), key=gaps.__getitem__)  # max keeps the first (smallest start) on ties
     theta = 0.0 if len(ps) == 1 else TWO_PI - gaps[best]
-    return ArcResult(theta=theta, start_phase=ps[(best + 1) % len(ps)], end_phase=ps[best])
+    start = (best + 1) % len(ps)  # first of its phase; ties of the end phase may precede best
+    return ArcResult(theta, ps[start], ps[best], start, ps.index(ps[best]))
 
 
 def fidelity_closed_form(theta: float) -> float:
@@ -192,7 +195,7 @@ def trace_distance_pure(a, b):
         raise ShapeError("dimension mismatch: the states do not all have one shape") from exc
     if pair.ndim not in (2, 3):
         raise ShapeError(f"expected two states or two stacks of states, got shape {pair.shape}")
-    (va, vb), (aa, bb) = require_normalized_stack(pair)
+    (va, vb), (aa, bb) = require_normalized(pair)
     perp = vb - va * ((va.conj() * vb).sum(axis=-1) / aa)[..., None]
     perp_norm = np.sqrt((perp.conj() * perp).sum(axis=-1).real)
     d = np.minimum(2.0, 2.0 * perp_norm / np.sqrt(bb.real))

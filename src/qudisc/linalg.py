@@ -21,6 +21,8 @@ from .tolerances import EIGEN_TOL, UNITARY_TOL
 
 # Hard cap on any dense matrix dimension handled by the toolkit.
 DIM_CAP = 4096
+# Most entries any one array of an instance may hold: one capped matrix, 256 MiB of complex.
+ENTRY_CAP = DIM_CAP * DIM_CAP
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,18 +44,6 @@ def as_complex_matrix(m, name="matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         bad = int(np.argmax(~np.isfinite(a).all(axis=(-2, -1)))) if a.ndim == 3 else None
         raise DomainError(f"{_member(name, bad)} entries must be finite")
-    return a
-
-
-def as_state(v) -> np.ndarray:
-    """Coerce to a nonempty 1-D complex vector within the cap, with finite entries."""
-    a = np.asarray(v, dtype=complex)
-    if a.ndim != 1 or a.shape[0] == 0:
-        raise ShapeError(f"expected a nonempty vector, got shape {a.shape}")
-    if a.shape[0] > DIM_CAP:
-        raise CapacityError(f"state dimension {a.shape[0]} exceeds cap {DIM_CAP}")
-    if not np.isfinite(a).all():
-        raise DomainError("state amplitudes must be finite")
     return a
 
 
@@ -97,43 +87,42 @@ def require_unitary(m, name="matrix") -> np.ndarray:
     return a
 
 
-def require_normalized(v, name: str = "state") -> np.ndarray:
-    a = as_state(v)
-    norm = math.sqrt(np.vdot(a, a).real)
-    if abs(norm - 1.0) > UNITARY_TOL:
-        raise DomainError(f"{name} is not normalized within {UNITARY_TOL:g} (norm {norm:.12f})")
-    return a
+def require_normalized(m, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
+    """One state, or states along the last axis of an array, each checked normalized.
 
-
-def require_normalized_stack(m) -> tuple[np.ndarray, np.ndarray]:
-    """States along the last axis of an array, each checked as ``require_normalized`` checks one.
-
-    One pass covers every state; an error names the first failing one by
-    its index over the leading axes. Returns the array and each state's
-    <v|v>, complex as formed, for callers that divide by it.
+    One pass covers every state. An error names a lone state ``name`` and a
+    member of a stack ``name (i, j)``, by its index over the leading axes.
+    Returns the array and each state's <v|v>, complex as formed, for callers
+    that divide by it.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim == 0 or 0 in a.shape:
-        raise ShapeError(f"expected a nonempty stack of nonempty vectors, got shape {a.shape}")
+        raise ShapeError(f"expected a nonempty state or stack of states, got shape {a.shape}")
     if a.shape[-1] > DIM_CAP:
         raise CapacityError(f"state dimension {a.shape[-1]} exceeds cap {DIM_CAP}")
     if not np.isfinite(a).all():
-        where = _first(~np.isfinite(a).all(axis=-1))
-        raise DomainError(f"state ({where}) amplitudes must be finite")
+        bad = ~np.isfinite(a).all(axis=-1)
+        raise DomainError(f"{_first(name, bad)} amplitudes must be finite")
     inner = (a.conj() * a).sum(axis=-1)
     off = np.abs(np.sqrt(inner.real) - 1.0)
     if off.max() > UNITARY_TOL:
         bad = off > UNITARY_TOL
         norm = math.sqrt(inner.real[bad][0])
         raise DomainError(
-            f"state ({_first(bad)}) is not normalized within {UNITARY_TOL:g} (norm {norm:.12f})"
+            f"{_first(name, bad)} is not normalized within {UNITARY_TOL:g} (norm {norm:.12f})"
         )
     return a, inner
 
 
-def _first(mask: np.ndarray) -> str:
-    """Index of the first True entry of a boolean array, as "i, j"."""
-    return ", ".join(str(i) for i in np.argwhere(mask)[0])
+def _first(name: str, mask: np.ndarray) -> str:
+    """``name (i, j)`` for the first True entry of a mask over a stack; ``name`` for a 0-d mask."""
+    return name if mask.ndim == 0 else f"{name} ({', '.join(map(str, np.argwhere(mask)[0]))})"
+
+
+def require_entries(count: int, what: str) -> None:
+    """Refuse an array of more than ``ENTRY_CAP`` entries before it is allocated."""
+    if count > ENTRY_CAP:
+        raise CapacityError(f"{what} needs {count} entries, above the cap of {ENTRY_CAP}")
 
 
 @dataclass(eq=False)

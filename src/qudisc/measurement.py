@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, ValidationError
 from .geometry import trace_distance_pure
-from .linalg import as_state
 from .tolerances import COINCIDE_TOL, POVM_TOL
 
 IDENTIFY_1 = "identify_1"
@@ -212,7 +211,9 @@ class StatePair:
     @classmethod
     def of(cls, phi1, phi2) -> "StatePair":
         """The pair of two loose states, both checked and their distance taken in one pass."""
-        a, b = as_state(phi1), as_state(phi2)
+        a, b = np.asarray(phi1, dtype=complex), np.asarray(phi2, dtype=complex)
+        if a.ndim != 1 or b.ndim != 1:
+            raise ShapeError(f"expected two states, got shapes {a.shape} and {b.shape}")
         return cls((a, b), trace_distance_pure(a, b))
 
     @property

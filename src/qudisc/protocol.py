@@ -22,6 +22,7 @@ from .linalg import (
     haar_isometry_from_rng,
     pair_args,
     random_state_from_rng,
+    require_entries,
     require_normalized,
     require_unitary,
 )
@@ -45,13 +46,7 @@ class Protocol:
     probe: np.ndarray
 
     def __post_init__(self):
-        if self.system_dim < 1 or self.ancilla_dim < 1:
-            raise ValidationError("system and ancilla dimensions must be >= 1")
-        if self.queries < 0:
-            raise ValidationError("query count must be nonnegative")
-        total = self.system_dim * self.ancilla_dim
-        if total > DIM_CAP:
-            raise CapacityError(f"system*ancilla dimension {total} exceeds cap {DIM_CAP}")
+        total = simulation_size(self.system_dim, self.ancilla_dim, self.queries)
         if len(self.interleavers) != self.queries + 1:
             raise ValidationError(
                 f"need {self.queries + 1} interleavers for {self.queries} queries, "
@@ -64,9 +59,23 @@ class Protocol:
                 )
         # one stacked check of all T+1; an error names the first bad interleaver k
         self.interleavers = list(require_unitary(self.interleavers, name="interleaver"))
-        self.probe = require_normalized(self.probe, name="probe")
-        if self.probe.shape[0] != total:
-            raise ShapeError(f"probe has dimension {self.probe.shape[0]}, expected {total}")
+        self.probe, _ = require_normalized(self.probe, name="probe")
+        if self.probe.shape != (total,):
+            raise ShapeError(f"probe has shape {self.probe.shape}, expected ({total},)")
+
+
+def simulation_size(system_dim: int, ancilla_dim: int, queries: int) -> int:
+    """n = system_dim * ancilla_dim of a simulation at T queries, once n fits ``DIM_CAP``
+    and each branch's T+1 recorded states of n amplitudes fit ``ENTRY_CAP``."""
+    if system_dim < 1 or ancilla_dim < 1:
+        raise ValidationError("system and ancilla dimensions must be >= 1")
+    if queries < 0:
+        raise ValidationError("query count must be nonnegative")
+    n = system_dim * ancilla_dim
+    if n > DIM_CAP:
+        raise CapacityError(f"system*ancilla dimension {n} exceeds cap {DIM_CAP}")
+    require_entries((queries + 1) * n, f"a trace of {queries} queries at dimension {n}")
+    return n
 
 
 @dataclass(eq=False)
@@ -146,14 +155,8 @@ def simulate_random(u1, u2=None, ancilla_dim=None, queries=None, rng=None) -> Si
     """
     pair, ancilla_dim, queries, rng = pair_args(u1, u2, ancilla_dim, queries, rng)
     a, b = pair.u1, pair.u2
-    if ancilla_dim < 1:
-        raise ValidationError("ancilla dimension must be >= 1")
-    if queries < 0:
-        raise ValidationError("query count must be nonnegative")
     d = a.shape[0]
-    n = d * ancilla_dim
-    if n > DIM_CAP:
-        raise CapacityError(f"system*ancilla dimension {n} exceeds cap {DIM_CAP}")
+    n = simulation_size(d, ancilla_dim, queries)
 
     def steps():
         s1 = random_state_from_rng(n, rng)

@@ -63,10 +63,12 @@ class TestParallelPlan:
         for _ in range(20):
             u1 = haar_unitary_from_rng(2, rng)
             u2 = haar_unitary_from_rng(2, rng)
-            theta = smallest_arc(relative_spectrum(u1, u2)).theta
-            plan = build_parallel(u1, u2, 2)
-            a, b = plan.extremal_phases
-            assert (b - a) % (2 * np.pi) == pytest.approx(theta, abs=1e-12)
+            spectrum = relative_spectrum(u1, u2)
+            arc = smallest_arc(spectrum)
+            a, b = spectrum.phases[[arc.start, arc.end]]
+            assert (b - a) % (2 * np.pi) == pytest.approx(arc.theta, abs=1e-12)
+            # the plan's strings are made of the eigenvectors the arc's indices name
+            assert set(build_parallel(u1, u2, 2).strings.ravel()) <= {arc.start, arc.end}
 
     def test_identical_pair_rejected(self):
         with pytest.raises(IndistinguishableError):

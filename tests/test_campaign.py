@@ -6,15 +6,20 @@ import pytest
 
 from qudisc import (
     DIM_CAP,
+    CapacityError,
+    SearchConfig,
     Povm,
     StatePair,
     UsageError,
     ValidationError,
+    build_parallel,
     evaluate_povm,
     helstrom_povm,
+    optimize_protocol,
     unambiguous_povm,
 )
-from qudisc import geometry, linalg
+from qudisc import builder, geometry, linalg
+from qudisc import campaign as campaign_mod
 from qudisc.campaign import (
     CSV_COLUMNS,
     CampaignConfig,
@@ -154,6 +159,21 @@ class TestRunCampaign:
             # the arc is found once although the parallel plan asks for it again
             assert counts == {"checks": 3, "schur": 1, "arcs": 1}
 
+    @pytest.mark.parametrize("queries", [0, 2])
+    def test_optimized_instance_simulates_its_protocol_once(self, monkeypatch, queries):
+        calls = []
+        for module in (builder, campaign_mod):
+            original = module.run_protocol
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "run_protocol", counted)
+        run_instance(small_config(t_range=(queries, queries), protocol_source="optimized"), 0)
+        # the search's own simulation is the trace the campaign audits and measures
+        assert len(calls) == 1
+
     def test_optimized_source_smoke(self):
         report = run_campaign(small_config(instances=2, t_range=(1, 2),
                                            protocol_source="optimized"))
@@ -193,6 +213,33 @@ class TestConfigValidation:
         for r in report.records:
             if r.queries * r.theta >= np.pi:
                 assert r.overlap <= 1e-12
+
+    @pytest.mark.parametrize("source, dim, fits, refused", [
+        ("random", 64, 4095, 4096),  # (T+1) n of a branch's trace within DIM_CAP**2
+        ("optimized", 16, 255, 256),  # (T+1) n**2 of the search's interleaver stack
+        ("parallel", 2, 64, 10**7),  # 9 (T+1) of the plan's per-copy Gram stacks
+    ])
+    def test_largest_instance_must_fit(self, source, dim, fits, refused):
+        # built, never run: the refused sizes would need gigabytes
+        assert small_config(dim=dim, t_range=(1, fits), protocol_source=source).t_range[1] == fits
+        with pytest.raises(ValidationError, match=r"^t_range \[1, \d+\] is too large"):
+            small_config(dim=dim, t_range=(1, refused), protocol_source=source)
+        with pytest.raises(ValidationError, match="t_range"):
+            config_from_obj({"instances": 1, "dim": dim, "t_range": [refused, refused],
+                             "seed": 1, "protocol_source": source})
+
+    def test_library_entries_refuse_before_they_allocate(self):
+        u1, u2 = np.eye(16), np.diag(np.exp(0.5j * np.arange(16)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="257 interleavers at dimension 256"):
+                optimize_protocol(u1, u2, SearchConfig(queries=256))
+            with pytest.raises(CapacityError, match="a parallel plan on 10000000 copies"):
+                build_parallel(u1, u2, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_seed_outside_u64_refused(self):
         # numpy refused it later with a message that named no field
@@ -334,7 +381,7 @@ class TestMeasurePair:
                                                                  povms):
         # zero queries leave the final states equal: only the Helstrom coin is measured
         calls = {"checks": [], "povms": 0}
-        check, validate = geometry.require_normalized_stack, Povm.validate
+        check, validate = geometry.require_normalized, Povm.validate
 
         def counted_check(m):
             calls["checks"].append(np.shape(m)[:-1])
@@ -344,7 +391,7 @@ class TestMeasurePair:
             calls["povms"] += 1
             return validate(povm)
 
-        monkeypatch.setattr(geometry, "require_normalized_stack", counted_check)
+        monkeypatch.setattr(geometry, "require_normalized", counted_check)
         monkeypatch.setattr(Povm, "validate", counted_validate)
         run_instance(small_config(t_range=(queries, queries)), 0)
         # both branches' T+1 states, checked in one call and never again

@@ -10,6 +10,7 @@ from qudisc import (
     ShapeError,
     closest_hull_point,
     eigen_system,
+    haar_unitary_from_rng,
     fidelity_closed_form,
     fidelity_hull_oracle,
     smallest_arc,
@@ -87,6 +88,30 @@ class TestSmallestArc:
         base = smallest_arc(phases).theta
         rotated = smallest_arc(np.mod(phases + shift, TWO_PI)).theta
         assert rotated == pytest.approx(base, abs=1e-9)
+
+    def test_indices_name_the_endpoints_of_haar_spectra(self):
+        rng = np.random.default_rng(13)
+        for d in (2, 3, 8):
+            for _ in range(50):
+                spectrum = eigen_system(haar_unitary_from_rng(d, rng))
+                arc = smallest_arc(spectrum)
+                assert spectrum.phases[arc.start] == arc.start_phase
+                assert spectrum.phases[arc.end] == arc.end_phase
+
+    @pytest.mark.parametrize("phases, start, end", [
+        ([0.5, 0.5, 1.0, 2.0, 2.0], 0, 3),  # ties at both ends
+        ([0.1, 0.1, 0.1, 6.2, 6.2], 3, 0),  # the arc wraps through 0
+        ([1.0, 1.0, 1.0], 0, 0),  # one phase, three times
+        ([0.0, 0.0, np.pi, np.pi], 2, 0),  # two gaps of pi: the first ends the arc
+    ])
+    def test_indices_are_the_first_of_tied_endpoints(self, phases, start, end):
+        arc = smallest_arc(phases)
+        ascending = np.sort(np.asarray(phases))
+        assert (arc.start, arc.end) == (start, end)
+        assert ascending[arc.start] == arc.start_phase
+        assert ascending[arc.end] == arc.end_phase
+        for k in (arc.start, arc.end):
+            assert k == 0 or ascending[k - 1] < ascending[k]
 
     def test_removing_a_point_never_grows_theta(self):
         rng = np.random.default_rng(12)

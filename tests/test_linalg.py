@@ -23,7 +23,6 @@ from qudisc.protocol import Protocol
 from qudisc.linalg import (
     TWO_PI,
     as_complex_matrix,
-    as_state,
     haar_isometry_from_rng,
     random_state_from_rng,
     require_normalized,
@@ -92,15 +91,28 @@ class TestStackedChecks:
         with pytest.raises(ShapeError, match=r"^interleaver 1 has shape \(3, 3\)"):
             Protocol(2, 1, 1, [np.eye(2), np.eye(3)], np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("state, problem", [([np.nan, 0.0], "amplitudes must be finite"),
+                                                ([1.0, 1.0], "is not normalized")])
+    def test_one_check_names_a_lone_state_and_a_stack_member(self, state, problem):
+        with pytest.raises(DomainError, match=rf"^probe {problem}"):
+            require_normalized(state, name="probe")
+        with pytest.raises(DomainError, match=rf"^probe {problem}"):
+            Protocol(2, 1, 0, [np.eye(2)], state)
+        stack = np.zeros((2, 3, 2))
+        stack[..., 0] = 1.0
+        stack[1, 2] = state
+        with pytest.raises(DomainError, match=rf"^state \(1, 2\) {problem}"):
+            require_normalized(stack)
+
 
 class TestDimCap:
     def test_state_above_cap_rejected(self):
         with pytest.raises(CapacityError):
-            as_state(np.ones(5000))
+            require_normalized(np.ones(5000))
         n = DIM_CAP + 1
         with pytest.raises(CapacityError):
             require_normalized(np.ones(n) / np.sqrt(n))
-        assert as_state(np.ones(DIM_CAP)).shape == (DIM_CAP,)
+        assert require_normalized(np.ones(DIM_CAP) / np.sqrt(DIM_CAP))[0].shape == (DIM_CAP,)
 
     def test_matrix_above_cap_rejected_before_reading_entries(self):
         # a zero-stride view: the cap must reject it before the finiteness scan
@@ -269,6 +281,15 @@ class TestHaarUnitary:
         u1, u2 = haar_unitary_from_rng(d, stacked, (2,))
         assert np.array_equal(u1, haar_unitary_from_rng(d, single))
         assert np.array_equal(u2, haar_unitary_from_rng(d, single))
+        assert stacked.random() == single.random()
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    @pytest.mark.parametrize("queries", [0, 1, 3, 7])
+    def test_a_search_restarts_stack_equals_one_unitary_per_interleaver(self, n, queries):
+        # the search draws a restart's T+1 Haar interleavers in one call
+        stacked, single = np.random.default_rng([n, queries]), np.random.default_rng([n, queries])
+        ws = haar_unitary_from_rng(n, stacked, (queries + 1,))
+        assert np.array_equal(ws, [haar_unitary_from_rng(n, single) for _ in range(queries + 1)])
         assert stacked.random() == single.random()
 
 

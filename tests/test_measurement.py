@@ -8,6 +8,8 @@ from qudisc import (
     DIM_CAP,
     DomainError,
     Povm,
+    ShapeError,
+    StatePair,
     ValidationError,
     evaluate_povm,
     helstrom_error,
@@ -143,6 +145,12 @@ class TestCoincidence:
 
     # passes the normalization check, yet <a|a> = 1 - 1.8e-10: a 1-D pair
     A = (1.0 - 0.9e-10) * E0
+
+    def test_loose_states_are_checked_as_one_stack(self):
+        with pytest.raises(DomainError, match=r"^state \(1\) amplitudes must be finite"):
+            StatePair.of(E0, np.array([np.nan, 0, 0, 0]))
+        with pytest.raises(ShapeError, match="expected two states"):
+            StatePair.of(E0, np.array([E0]))
 
     def test_unambiguous_povm_refuses_exactly_the_one_dimensional_pair(self):
         with pytest.raises(DomainError, match="coincide"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,12 +9,14 @@ from qudisc import (
     DomainError,
     NumericalError,
     Protocol,
+    SearchConfig,
     ShapeError,
     ValidationError,
     audit_step_slacks,
     build_parallel,
     fidelity_closed_form,
     haar_unitary_from_rng,
+    optimize_protocol,
     relative_spectrum,
     run_protocol,
     simulate_parallel,
@@ -22,7 +26,7 @@ from qudisc import (
 )
 from qudisc import protocol as protocol_mod
 from qudisc.linalg import haar_isometry_from_rng, random_state_from_rng
-from qudisc.protocol import record_trace
+from qudisc.protocol import record_trace, simulation_size
 
 I2 = np.eye(2, dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -132,6 +136,47 @@ class TestProtocolValidation:
     def test_probe_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             Protocol(2, 2, 0, [np.eye(4)], PLUS)
+
+
+def _eighth_turns(d):
+    return np.eye(d), np.diag(np.exp(1j * np.pi / 4 * np.arange(d)))
+
+
+# The three entries that size a simulation, each at (system_dim, ancilla_dim, queries).
+SIZED_ENTRIES = {
+    "Protocol": lambda d, anc, t: Protocol(d, anc, t, [], np.ones(d * anc) / np.sqrt(d * anc)),
+    "simulate_random": lambda d, anc, t: simulate_random(*_eighth_turns(d), anc, t,
+                                                         np.random.default_rng(0)),
+    "optimize_protocol": lambda d, anc, t: optimize_protocol(*_eighth_turns(d),
+                                                             SearchConfig(queries=t)),
+}
+
+
+SIZES = {
+    "zero-ancilla": (2, 0, 1),
+    "negative-queries": (2, 2, -1),
+    "dim-over-cap": (65, 65, 1),  # n = 4225 above DIM_CAP
+    "trace-over-cap": (2, 2, 2**22),  # (T+1) n above ENTRY_CAP
+}
+
+
+@pytest.mark.parametrize("entry, size", [
+    (entry, size) for entry in SIZED_ENTRIES for size in SIZES
+    # the search's ancilla is its system, never zero
+    if (entry, size) != ("optimize_protocol", "zero-ancilla")
+])
+def test_one_size_rule_for_every_simulation(entry, size):
+    with pytest.raises((ValidationError, CapacityError)) as rule:
+        simulation_size(*SIZES[size])
+    tracemalloc.start()
+    try:
+        with pytest.raises(rule.type) as raised:
+            SIZED_ENTRIES[entry](*SIZES[size])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == str(rule.value)
+    assert peak < 2**20  # refused before any array of its size was allocated
 
 
 class TestStepAudit:
