@@ -133,13 +133,11 @@ def simulate_parallel(u1, u2=None, plan=None) -> SimulationTrace:
     waiting = np.cumprod(idle[rows, cols][..., ::-1], axis=2)[..., ::-1]  # [..., j]: copies j..
     waiting = np.concatenate([waiting, np.ones_like(waiting[..., :1])], axis=2)
     amp = np.sqrt(plan.weights).astype(complex)
-
-    def steps():
-        yield amp, amp.copy()
-        for j in range(1, plan.copies + 1):
-            yield amp, (queried[..., j - 1] * waiting[..., j]) @ amp
-
-    return record_trace(steps())
+    states = np.empty((2, plan.copies + 1, amp.size), dtype=complex)
+    states[0] = states[1, 0] = amp
+    for j in range(1, plan.copies + 1):
+        states[1, j] = (queried[..., j - 1] * waiting[..., j]) @ amp
+    return record_trace(states)
 
 
 def check_seed(seed: int) -> None:

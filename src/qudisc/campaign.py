@@ -21,7 +21,8 @@ from .bounds import t_min_bounded, t_min_onesided
 from .builder import (SearchConfig, build_parallel, check_copies, check_seed, optimize_protocol,
                       search_size, simulate_parallel)
 from .errors import CapacityError, UsageError, ValidationError
-from .linalg import DIM_CAP, UnitaryPair, haar_unitary_from_rng, relative_spectrum
+from .linalg import (DIM_CAP, UnitaryPair, haar_unitary_from_rng, relative_spectrum,
+                     require_entries)
 from .geometry import smallest_arc
 from .measurement import StatePair, evaluate_povm, helstrom_povm, unambiguous_povm
 from .protocol import audit_step_slacks, run_protocol, simulate_random, simulation_size
@@ -63,10 +64,13 @@ class CampaignConfig:
             # the plan acts on the system alone, at O(T) cost
             if lo < 1:
                 raise ValidationError("parallel protocols need at least one query")
-            if self.dim > DIM_CAP:
-                raise ValidationError(f"dim must stay within the cap {DIM_CAP}")
         elif self.dim * self.dim > DIM_CAP:
             raise ValidationError(f"dim**2 must stay within the cap {DIM_CAP}")
+        try:
+            # every source draws its pair as one (2, 2, dim, dim) Gaussian stack
+            require_entries(4 * self.dim * self.dim, f"the unitary pair draw at dim {self.dim}")
+        except CapacityError as exc:
+            raise ValidationError(f"dim {self.dim} is too large: {exc}") from exc
         try:
             _SIZE_RULES[self.protocol_source](self.dim, hi)
         except CapacityError as exc:

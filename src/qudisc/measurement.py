@@ -8,7 +8,7 @@ Both optimal measurements act only on the two-dimensional span of the
 pair, so they are built, validated and evaluated there: each effect is a
 2x2 block in an orthonormal basis of the span (1x1 for coinciding states)
 plus a weight on the projector onto the complement. No n x n array is
-formed, at any ambient dimension n; ``Povm.effect`` gives the dense view.
+formed, at any ambient dimension n.
 The 2x2 blocks are built and checked in closed form on Python scalars,
 since numpy's per-call overhead would dwarf the arithmetic.
 """
@@ -114,15 +114,6 @@ class Povm:
 
     def _name(self, j: int) -> str:
         return f"effect {j} ({self.labels[j]})"
-
-    def effect(self, label: str) -> np.ndarray | None:
-        """The full n x n operator of an outcome, or None when the POVM lacks it."""
-        if label not in self.labels:
-            return None
-        j = self.labels.index(label)
-        b = self.basis
-        outside = np.eye(self.dim) - b @ b.conj().T
-        return b @ self.effects[j] @ b.conj().T + self.rest[j] * outside
 
 
 def _validation_figures(gram: np.ndarray,
@@ -242,16 +233,12 @@ def _coords(a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.array([a, b]) @ basis.conj()
 
 
-def _state_pair(phi1, phi2) -> StatePair:
-    return phi1 if isinstance(phi1, StatePair) else StatePair.of(phi1, phi2)
-
-
 def _block(m00: float, m01: complex, m11: float) -> np.ndarray:
     """The 2x2 Hermitian block [[m00, m01], [conj(m01), m11]]."""
     return np.array([[m00, m01], [m01.conjugate(), m11]], dtype=complex)
 
 
-def helstrom_povm(phi1, phi2=None) -> Povm:
+def helstrom_povm(pair: StatePair) -> Povm:
     """Two-outcome measurement minimizing the average discrimination error.
 
     The identify-1 effect projects onto the nonnegative eigenspace of
@@ -269,7 +256,6 @@ def helstrom_povm(phi1, phi2=None) -> Povm:
     small terms only, free of the cancellation in |a1|^2 - |a2|^2 as the
     states approach.
     """
-    pair = _state_pair(phi1, phi2)
     basis = pair.basis
     if pair.coincide:
         half = np.full((1, 1), 0.5, dtype=complex)
@@ -284,7 +270,7 @@ def helstrom_povm(phi1, phi2=None) -> Povm:
     return Povm([pi1, pi2], [IDENTIFY_1, IDENTIFY_2], basis, [1.0, 0.0])
 
 
-def unambiguous_povm(phi1, phi2=None) -> Povm:
+def unambiguous_povm(pair: StatePair) -> Povm:
     """Three-outcome measurement that never misidentifies either state.
 
     The identify-i effect is (1/(1+c)) times the projector onto the part
@@ -298,7 +284,6 @@ def unambiguous_povm(phi1, phi2=None) -> Povm:
         DomainError: the states coincide (``StatePair.coincide``), so no
             such measurement exists.
     """
-    pair = _state_pair(phi1, phi2)
     if pair.coincide:
         raise DomainError(
             f"unambiguous discrimination impossible: the states coincide within {COINCIDE_TOL:g}"
@@ -322,14 +307,12 @@ def _orthogonal_projector(x: list[complex], scale: float) -> tuple[float, comple
     return weight * qq, -weight * p * q.conjugate(), weight * pp
 
 
-def evaluate_povm(povm: Povm, phi1, phi2=None) -> DiscriminationOutcome:
+def evaluate_povm(povm: Povm, pair: StatePair) -> DiscriminationOutcome:
     """Born probabilities of a POVM on a state pair, after validating the POVM.
 
-    The pair is two states, or a StatePair passed as ``phi1`` alone. A POVM
-    built on that StatePair's basis reuses its coordinates. All outcomes are
-    evaluated on both states at once and clamped into [0, 1].
+    A POVM built on the pair's basis reuses its coordinates. All outcomes
+    are evaluated on both states at once and clamped into [0, 1].
     """
-    pair = _state_pair(phi1, phi2)
     a, b = pair.states
     if povm.dim != a.shape[0]:
         raise ShapeError(f"POVM dimension {povm.dim} does not match states ({a.shape[0]})")

@@ -39,6 +39,16 @@ def random_two_effect_povm(dim: int, rng: np.random.Generator):
     return e, np.eye(dim) - e
 
 
+def dense_effect(povm, label: str) -> np.ndarray | None:
+    """The full n x n operator of an outcome of a span-form POVM, or None when it lacks it."""
+    if label not in povm.labels:
+        return None
+    j = povm.labels.index(label)
+    b = povm.basis
+    outside = np.eye(povm.dim) - b @ b.conj().T
+    return b @ povm.effects[j] @ b.conj().T + povm.rest[j] * outside
+
+
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

@@ -27,12 +27,14 @@ from qudisc import (
     unambiguous_povm,
     Povm,
     Protocol,
+    StatePair,
 )
 from qudisc.campaign import CampaignConfig, run_campaign
 from qudisc.cli import main as cli_main
 
 from .oracles import (
     anchored_arc_theta,
+    dense_effect,
     random_state,
     random_two_effect_povm,
     state_pair_with_overlap,
@@ -137,11 +139,12 @@ def test_criterion_5_helstrom_saturation_and_optimality():
         phi1, phi2 = random_state(4, rng), random_state(4, rng)
         c = abs(np.vdot(phi1, phi2))
         target = 1.0 + math.sqrt(1.0 - c * c)
-        out = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
+        pair = StatePair.of(phi1, phi2)
+        out = evaluate_povm(helstrom_povm(pair), pair)
         worst_gap = max(worst_gap, abs(out.p_s - target))
         e1, e2 = random_two_effect_povm(4, rng)
         rival = Povm(effects=[e1, e2], labels=["identify_1", "identify_2"])
-        excess = evaluate_povm(rival, phi1, phi2).p_s - target
+        excess = evaluate_povm(rival, pair).p_s - target
         worst_excess = max(worst_excess, excess)
     ok = worst_gap <= 1e-9 and worst_excess <= 1e-7
     _report(
@@ -159,12 +162,13 @@ def test_criterion_6_unambiguous_saturation():
     for _ in range(1000):
         c = rng.uniform(0.0, 0.999)
         phi1, phi2 = state_pair_with_overlap(c, 4, rng)
-        povm = unambiguous_povm(phi1, phi2)
-        out = evaluate_povm(povm, phi1, phi2)
+        pair = StatePair.of(phi1, phi2)
+        povm = unambiguous_povm(pair)
+        out = evaluate_povm(povm, pair)
         worst_inc = max(worst_inc, abs(out.p_inconclusive_1 - c),
                         abs(out.p_inconclusive_2 - c))
-        mis_1 = abs(np.vdot(phi2, povm.effect("identify_1") @ phi2))
-        mis_2 = abs(np.vdot(phi1, povm.effect("identify_2") @ phi1))
+        mis_1 = abs(np.vdot(phi2, dense_effect(povm, "identify_1") @ phi2))
+        mis_2 = abs(np.vdot(phi1, dense_effect(povm, "identify_2") @ phi1))
         worst_mis = max(worst_mis, mis_1, mis_2)
     ok = worst_inc <= 1e-9 and worst_mis <= 1e-10
     _report(
@@ -199,11 +203,7 @@ def test_criterion_8_hand_fixtures():
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     protocol = Protocol(2, 1, 1, [I2.copy(), I2.copy()], plus)
     trace = run_protocol(I2, Z, protocol)
-    out = evaluate_povm(
-        helstrom_povm(trace.states_1[-1], trace.states_2[-1]),
-        trace.states_1[-1],
-        trace.states_2[-1],
-    )
+    out = evaluate_povm(helstrom_povm(trace.final), trace.final)
     error = 1.0 - min(out.p_correct_1, out.p_correct_2)
     ok = (
         b1.t_lower == 10

@@ -80,7 +80,7 @@ class TestParallelPlan:
         assert plan.strings.shape[1] == 64
         trace = simulate_parallel(I2, EIGHTH_TURN, plan)
         assert trace.final_overlap <= 1e-12
-        assert all(s.size <= 3 for s in trace.states_1 + trace.states_2)
+        assert trace.states.shape[2] <= 3
 
     def test_memory_stays_linear_in_copies(self):
         u2 = np.diag([1.0, np.exp(2e-3j)])  # t_perfect = 1571

@@ -215,7 +215,7 @@ class TestConfigValidation:
                 assert r.overlap <= 1e-12
 
     @pytest.mark.parametrize("source, dim, fits, refused", [
-        ("random", 64, 4095, 4096),  # (T+1) n of a branch's trace within DIM_CAP**2
+        ("random", 64, 2047, 2048),  # 2 (T+1) n of the trace's states within DIM_CAP**2
         ("optimized", 16, 255, 256),  # (T+1) n**2 of the search's interleaver stack
         ("parallel", 2, 64, 10**7),  # 9 (T+1) of the plan's per-copy Gram stacks
     ])
@@ -227,6 +227,16 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="t_range"):
             config_from_obj({"instances": 1, "dim": dim, "t_range": [refused, refused],
                              "seed": 1, "protocol_source": source})
+
+    def test_pair_draw_must_fit(self):
+        # built, never run: an instance draws its pair as one (2, 2, dim, dim) Gaussian stack
+        assert small_config(dim=2048, t_range=(1, 1), protocol_source="parallel").dim == 2048
+        with pytest.raises(ValidationError, match=r"^dim 2049 is too large: the unitary pair draw"):
+            small_config(dim=2049, t_range=(1, 1), protocol_source="parallel")
+        for source in ("random", "parallel", "optimized"):
+            with pytest.raises(ValidationError, match="dim"):
+                config_from_obj({"instances": 1, "dim": 4096, "t_range": [1, 1], "seed": 1,
+                                 "protocol_source": source})
 
     def test_library_entries_refuse_before_they_allocate(self):
         u1, u2 = np.eye(16), np.diag(np.exp(0.5j * np.arange(16)))
@@ -370,8 +380,9 @@ class TestMeasurePair:
     @pytest.mark.parametrize("overlap", [0.0, 0.3, 0.9])
     def test_equals_the_public_measurements(self, overlap):
         phi1, phi2 = state_pair_with_overlap(overlap, 4, np.random.default_rng(41))
-        helstrom = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
-        three = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
+        pair = StatePair.of(phi1, phi2)
+        helstrom = evaluate_povm(helstrom_povm(pair), pair)
+        three = evaluate_povm(unambiguous_povm(pair), pair)
         error, inconclusive = measure_pair(StatePair.of(phi1, phi2))
         assert error == min(0.5, max(0.0, 1.0 - min(helstrom.p_correct_1, helstrom.p_correct_2)))
         assert inconclusive == max(three.p_inconclusive_1, three.p_inconclusive_2)

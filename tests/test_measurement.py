@@ -20,7 +20,7 @@ from qudisc.campaign import measure_pair
 from qudisc.protocol import record_trace
 from qudisc.tolerances import COINCIDE_TOL
 
-from .oracles import (random_state, random_two_effect_povm, state_pair_at_angle,
+from .oracles import (dense_effect, random_state, random_two_effect_povm, state_pair_at_angle,
                       state_pair_with_overlap)
 
 E0 = np.array([1, 0, 0, 0], dtype=complex)
@@ -50,12 +50,14 @@ def inconclusive(outcome):
 
 class TestHelstrom:
     def test_orthogonal_pair_is_errorless(self):
-        out = evaluate_povm(helstrom_povm(E0, E1), E0, E1)
+        pair = StatePair.of(E0, E1)
+        out = evaluate_povm(helstrom_povm(pair), pair)
         assert achieved_error(out) == pytest.approx(0.0, abs=1e-12)
         assert out.p_s == pytest.approx(2.0, abs=1e-12)
 
     def test_identical_pair_is_a_coin_flip(self):
-        out = evaluate_povm(helstrom_povm(E0, E0), E0, E0)
+        pair = StatePair.of(E0, E0)
+        out = evaluate_povm(helstrom_povm(pair), pair)
         assert out.p_correct_1 == pytest.approx(0.5, abs=1e-12)
         assert out.p_correct_2 == pytest.approx(0.5, abs=1e-12)
         assert achieved_error(out) == pytest.approx(0.5, abs=1e-12)
@@ -63,7 +65,8 @@ class TestHelstrom:
     def test_cos_pi_eighth_overlap(self):
         rng = np.random.default_rng(31)
         phi1, phi2 = state_pair_with_overlap(COS8, 4, rng)
-        out = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
+        pair = StatePair.of(phi1, phi2)
+        out = evaluate_povm(helstrom_povm(pair), pair)
         assert achieved_error(out) == pytest.approx((1 - SIN8) / 2, abs=1e-12)
         assert out.p_s == pytest.approx(1 + SIN8, abs=1e-12)
 
@@ -78,7 +81,8 @@ class TestHelstrom:
         for _ in range(200):
             c = rng.uniform(0.0, 0.999)
             phi1, phi2 = state_pair_with_overlap(c, 4, rng)
-            out = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
+            pair = StatePair.of(phi1, phi2)
+            out = evaluate_povm(helstrom_povm(pair), pair)
             eps = achieved_error(out)
             assert 2.0 * math.sqrt(eps * (1.0 - eps)) == pytest.approx(c, abs=1e-9)
             assert out.p_s == pytest.approx(1.0 + math.sqrt(1.0 - c * c), abs=1e-9)
@@ -90,38 +94,41 @@ class TestHelstrom:
             phi1, phi2 = state_pair_with_overlap(c, 4, rng)
             e1, e2 = random_two_effect_povm(4, rng)
             povm = Povm(effects=[e1, e2], labels=["identify_1", "identify_2"])
-            out = evaluate_povm(povm, phi1, phi2)
+            out = evaluate_povm(povm, StatePair.of(phi1, phi2))
             assert out.p_s <= 1.0 + math.sqrt(1.0 - c * c) + 1e-7
 
     def test_dimension_mismatch(self):
         from qudisc import ShapeError
 
         with pytest.raises(ShapeError):
-            helstrom_povm(E0, np.array([1, 0], dtype=complex))
+            helstrom_povm(StatePair.of(E0, np.array([1, 0], dtype=complex)))
 
 
 class TestUnambiguous:
     def test_orthogonal_pair_never_inconclusive(self):
-        povm = unambiguous_povm(E0, E1)
-        out = evaluate_povm(povm, E0, E1)
+        pair = StatePair.of(E0, E1)
+        povm = unambiguous_povm(pair)
+        out = evaluate_povm(povm, pair)
         assert out.p_inconclusive_1 == pytest.approx(0.0, abs=1e-12)
         assert out.p_inconclusive_2 == pytest.approx(0.0, abs=1e-12)
         # the inconclusive effect vanishes on the span of the two states
-        pi0 = povm.effect("inconclusive")
+        pi0 = dense_effect(povm, "inconclusive")
         assert np.linalg.norm(pi0 @ E0) <= 1e-10
         assert np.linalg.norm(pi0 @ E1) <= 1e-10
 
     def test_half_overlap(self):
         rng = np.random.default_rng(34)
         phi1, phi2 = state_pair_with_overlap(0.5, 4, rng)
-        out = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
+        pair = StatePair.of(phi1, phi2)
+        out = evaluate_povm(unambiguous_povm(pair), pair)
         assert out.p_inconclusive_1 == pytest.approx(0.5, abs=1e-12)
         assert out.p_inconclusive_2 == pytest.approx(0.5, abs=1e-12)
 
     def test_cos_pi_eighth(self):
         rng = np.random.default_rng(35)
         phi1, phi2 = state_pair_with_overlap(COS8, 4, rng)
-        out = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
+        pair = StatePair.of(phi1, phi2)
+        out = evaluate_povm(unambiguous_povm(pair), pair)
         assert out.p_inconclusive_1 == pytest.approx(COS8, abs=1e-12)
 
     def test_zero_misidentification(self):
@@ -129,15 +136,15 @@ class TestUnambiguous:
         for _ in range(200):
             c = rng.uniform(0.0, 0.999)
             phi1, phi2 = state_pair_with_overlap(c, 5, rng)
-            povm = unambiguous_povm(phi1, phi2)
-            mis_1 = float(np.real(np.vdot(phi2, povm.effect("identify_1") @ phi2)))
-            mis_2 = float(np.real(np.vdot(phi1, povm.effect("identify_2") @ phi1)))
+            povm = unambiguous_povm(StatePair.of(phi1, phi2))
+            mis_1 = float(np.real(np.vdot(phi2, dense_effect(povm, "identify_1") @ phi2)))
+            mis_2 = float(np.real(np.vdot(phi1, dense_effect(povm, "identify_2") @ phi1)))
             assert abs(mis_1) <= 1e-10
             assert abs(mis_2) <= 1e-10
 
     def test_parallel_pair_rejected(self):
         with pytest.raises(DomainError):
-            unambiguous_povm(E0, E0 * np.exp(0.3j))
+            unambiguous_povm(StatePair.of(E0, E0 * np.exp(0.3j)))
 
 
 class TestCoincidence:
@@ -154,12 +161,13 @@ class TestCoincidence:
 
     def test_unambiguous_povm_refuses_exactly_the_one_dimensional_pair(self):
         with pytest.raises(DomainError, match="coincide"):
-            unambiguous_povm(self.A, self.A)
+            unambiguous_povm(StatePair.of(self.A, self.A))
 
     def test_nearly_coinciding_pair_gets_an_unambiguous_povm(self):
         c = 1.0 - 1e-11
         phi2 = c * E0 + math.sqrt(1.0 - c * c) * E1
-        out = evaluate_povm(unambiguous_povm(E0, phi2), E0, phi2)
+        pair = StatePair.of(E0, phi2)
+        out = evaluate_povm(unambiguous_povm(pair), pair)
         assert misidentification(out) <= 1e-12
         assert abs(inconclusive(out) - c) <= 1e-12
 
@@ -170,13 +178,15 @@ class TestCoincidence:
         # the orthogonal part sin(delta) runs over 0.5-2x COINCIDE_TOL
         for delta in np.arcsin(COINCIDE_TOL * np.linspace(0.5, 2.0, 61)):
             e1, phi2 = state_pair_at_angle(delta, n, rng)
-            trace = record_trace([(e1, e1.copy()), (e1, phi2)])
+            trace = record_trace(np.array([[e1, e1], [e1, phi2]]))
             coincide = trace.final.coincide
             assert trace.final.distance == trace.distances[-1]
             assert coincide == (trace.distances[-1] < 2.0 * COINCIDE_TOL)
             assert (measure_pair(trace.final)[1] is None) == coincide
-            # |<a|b>| = cos(delta) rounds to within an ulp of 1 on both sides: only the rule makes it 1
-            assert trace.final_overlap == (1.0 if coincide else min(1.0, abs(np.vdot(e1, phi2))))
+            # |<a|b>| = cos(delta) rounds to within an ulp of 1 on both sides: only the rule makes it 1;
+            # <a|b> is taken on the trace's rows, since vdot may round a strided e1 an ulp apart
+            a, b = trace.states[:, -1]
+            assert trace.final_overlap == (1.0 if coincide else min(1.0, abs(np.vdot(a, b))))
             seen.add(coincide)
         assert seen == {True, False}
 
@@ -185,7 +195,7 @@ class TestEvaluateAndCheck:
     def test_uniform_povm_is_a_coin_flip(self):
         half = np.eye(4, dtype=complex) / 2
         povm = Povm(effects=[half, half.copy()], labels=["identify_1", "identify_2"])
-        out = evaluate_povm(povm, E0, E1)
+        out = evaluate_povm(povm, StatePair.of(E0, E1))
         assert out.p_correct_1 == pytest.approx(0.5)
         assert out.p_correct_2 == pytest.approx(0.5)
 
@@ -195,32 +205,35 @@ class TestEvaluateAndCheck:
             labels=["identify_1", "identify_2"],
         )
         with pytest.raises(ValidationError, match="identity"):
-            evaluate_povm(bad, E0, E1)
+            evaluate_povm(bad, StatePair.of(E0, E1))
         negative = Povm(
             effects=[np.diag([1.5, 1, 1, 1]).astype(complex),
                      np.diag([-0.5, 0, 0, 0]).astype(complex)],
             labels=["identify_1", "identify_2"],
         )
         with pytest.raises(ValidationError, match="effect 1"):
-            evaluate_povm(negative, E0, E1)
+            evaluate_povm(negative, StatePair.of(E0, E1))
 
     def test_bounded_budget_pass_and_fail(self):
         # the budget 1 - epsilon on both correct-identification probabilities
-        out = evaluate_povm(helstrom_povm(E0, E1), E0, E1)
+        pair = StatePair.of(E0, E1)
+        out = evaluate_povm(helstrom_povm(pair), pair)
         margin = min(out.p_correct_1, out.p_correct_2) - 1.0
         assert margin >= -BUDGET_TOL
         assert margin == pytest.approx(0.0, abs=1e-12)
 
         rng = np.random.default_rng(37)
         phi1, phi2 = state_pair_with_overlap(COS8, 4, rng)
-        out = evaluate_povm(helstrom_povm(phi1, phi2), phi1, phi2)
+        pair = StatePair.of(phi1, phi2)
+        out = evaluate_povm(helstrom_povm(pair), pair)
         assert achieved_error(out) == pytest.approx(0.30866, abs=1e-5)
         assert 0.25 - achieved_error(out) < -BUDGET_TOL  # fails epsilon = 0.25
 
     def test_one_sided_budget_saturation(self):
         rng = np.random.default_rng(38)
         phi1, phi2 = state_pair_with_overlap(0.5, 4, rng)
-        out = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
+        pair = StatePair.of(phi1, phi2)
+        out = evaluate_povm(unambiguous_povm(pair), pair)
         assert misidentification(out) <= BUDGET_TOL
         assert 0.5 - inconclusive(out) >= -BUDGET_TOL
         assert 0.5 - inconclusive(out) == pytest.approx(0.0, abs=1e-9)
@@ -233,7 +246,8 @@ class TestEvaluateAndCheck:
         for _ in range(50):
             c = rng.uniform(1e-3, 0.99)
             phi1, phi2 = state_pair_with_overlap(c, 4, rng)
-            out = evaluate_povm(unambiguous_povm(phi1, phi2), phi1, phi2)
+            pair = StatePair.of(phi1, phi2)
+            out = evaluate_povm(unambiguous_povm(pair), pair)
             assert misidentification(out) <= BUDGET_TOL
             assert c - inconclusive(out) >= -BUDGET_TOL
             assert (c - 1e-3) - inconclusive(out) < -BUDGET_TOL
@@ -251,8 +265,8 @@ class TestPovmStructure:
         for _ in range(50):
             c = rng.uniform(0.0, 0.99)
             phi1, phi2 = state_pair_with_overlap(c, 4, rng)
-            helstrom_povm(phi1, phi2).validate()
-            unambiguous_povm(phi1, phi2).validate()
+            helstrom_povm(StatePair.of(phi1, phi2)).validate()
+            unambiguous_povm(StatePair.of(phi1, phi2)).validate()
 
 
 def _pair_cases(n, rng):
@@ -260,7 +274,7 @@ def _pair_cases(n, rng):
     pairs = [(random_state(n, rng), random_state(n, rng)) for _ in range(5)]
     pairs += [state_pair_with_overlap(c, n, rng) for c in (0.0, 0.5, 0.999)]
     phi = random_state(n, rng)
-    return pairs, (phi, phi * np.exp(0.7j))
+    return [StatePair.of(*p) for p in pairs], StatePair.of(phi, phi * np.exp(0.7j))
 
 
 def _outcome_tuple(out):
@@ -273,14 +287,15 @@ class TestSpanForm:
     def test_dense_rebuild_is_the_reference(self, n):
         rng = np.random.default_rng(41 + n)
         pairs, parallel = _pair_cases(n, rng)
-        cases = [(helstrom_povm(*p), p) for p in pairs + [parallel]]
-        cases += [(unambiguous_povm(*p), p) for p in pairs]
-        for povm, (phi1, phi2) in cases:
-            dense = Povm(effects=[povm.effect(lab) for lab in povm.labels], labels=povm.labels)
+        cases = [(helstrom_povm(p), p) for p in pairs + [parallel]]
+        cases += [(unambiguous_povm(p), p) for p in pairs]
+        for povm, pair in cases:
+            dense = Povm(effects=[dense_effect(povm, lab) for lab in povm.labels],
+                         labels=povm.labels)
             assert dense.basis.shape == (n, n)
             dense.validate()
-            span_out = _outcome_tuple(evaluate_povm(povm, phi1, phi2))
-            dense_out = _outcome_tuple(evaluate_povm(dense, phi1, phi2))
+            span_out = _outcome_tuple(evaluate_povm(povm, pair))
+            dense_out = _outcome_tuple(evaluate_povm(dense, pair))
             assert np.max(np.abs(span_out - dense_out)) <= 1e-12
 
     def test_blocks_stay_two_dimensional_at_the_cap(self):
@@ -288,9 +303,10 @@ class TestSpanForm:
         phi1, phi2 = state_pair_with_overlap(COS8, DIM_CAP, rng)
         tracemalloc.start()
         try:
-            povms = [helstrom_povm(phi1, phi2), unambiguous_povm(phi1, phi2),
-                     helstrom_povm(phi1, -phi1)]
-            outs = [evaluate_povm(p, phi1, phi2) for p in povms[:2]]
+            pair = StatePair.of(phi1, phi2)
+            povms = [helstrom_povm(pair), unambiguous_povm(pair),
+                     helstrom_povm(StatePair.of(phi1, -phi1))]
+            outs = [evaluate_povm(p, pair) for p in povms[:2]]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -305,7 +321,7 @@ class TestSpanForm:
     def test_validate_rejects_bad_complement_weights(self):
         rng = np.random.default_rng(44)
         phi1, phi2 = state_pair_with_overlap(0.5, 4, rng)
-        good = unambiguous_povm(phi1, phi2)
+        good = unambiguous_povm(StatePair.of(phi1, phi2))
 
         def with_rest(rest):
             return Povm(effects=good.effects, labels=good.labels, basis=good.basis, rest=rest)
@@ -320,7 +336,8 @@ class TestSpanForm:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_validate_refuses_a_non_finite_two_by_two_block(self, value):
-        good = unambiguous_povm(*state_pair_with_overlap(0.5, 4, np.random.default_rng(45)))
+        pair = StatePair.of(*state_pair_with_overlap(0.5, 4, np.random.default_rng(45)))
+        good = unambiguous_povm(pair)
         effects = [e.copy() for e in good.effects]
         effects[1][0, 1] = value
         with pytest.raises(ValidationError, match=r"effect 1 \(identify_2\) has non-finite"):
@@ -336,14 +353,16 @@ class TestSpanForm:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_validate_refuses_a_non_finite_complement_weight(self, value):
-        good = unambiguous_povm(*state_pair_with_overlap(0.5, 4, np.random.default_rng(46)))
+        pair = StatePair.of(*state_pair_with_overlap(0.5, 4, np.random.default_rng(46)))
+        good = unambiguous_povm(pair)
         rest = np.array(good.rest)
         rest[2] = value
         with pytest.raises(ValidationError, match=r"effect 2 \(inconclusive\) has non-finite"):
             Povm(effects=good.effects, labels=good.labels, basis=good.basis, rest=rest).validate()
 
     def test_validate_refuses_a_non_finite_basis(self):
-        good = helstrom_povm(*state_pair_with_overlap(0.5, 4, np.random.default_rng(47)))
+        pair = StatePair.of(*state_pair_with_overlap(0.5, 4, np.random.default_rng(47)))
+        good = helstrom_povm(pair)
         basis = good.basis.copy()
         basis[3, 1] = np.nan
         with pytest.raises(ValidationError, match="basis entries must be finite"):
@@ -386,7 +405,7 @@ def _near_parallel(n):
 
 
 class TestTwoByTwoKernel:
-    """The closed-form 2x2 blocks against dense eigh references, rebuilt through Povm.effect."""
+    """The closed-form 2x2 blocks against dense eigh references, rebuilt through dense_effect."""
 
     @pytest.mark.parametrize("n", [4, 64])
     def test_blocks_match_the_eigh_reference(self, n):
@@ -394,25 +413,26 @@ class TestTwoByTwoKernel:
         pairs = [(random_state(n, rng), random_state(n, rng)) for _ in range(20)]
         pairs += [state_pair_with_overlap(0.0, n, rng), _near_parallel(n)]
         for phi1, phi2 in pairs:
-            for povm, reference in ((helstrom_povm(phi1, phi2), _helstrom_reference),
-                                    (unambiguous_povm(phi1, phi2), _unambiguous_reference)):
+            pair = StatePair.of(phi1, phi2)
+            for povm, reference in ((helstrom_povm(pair), _helstrom_reference),
+                                    (unambiguous_povm(pair), _unambiguous_reference)):
                 assert all(e.shape == (2, 2) for e in povm.effects)
                 for label, expected in zip(povm.labels, reference(phi1, phi2)):
-                    assert np.abs(povm.effect(label) - expected).max() <= 1e-12
+                    assert np.abs(dense_effect(povm, label) - expected).max() <= 1e-12
 
     def test_parallel_pair_is_the_fair_coin(self):
         rng = np.random.default_rng(46)
         phi = random_state(4, rng)
-        povm = helstrom_povm(phi, phi * np.exp(0.7j))
+        povm = helstrom_povm(StatePair.of(phi, phi * np.exp(0.7j)))
         assert [e.shape for e in povm.effects] == [(1, 1), (1, 1)]
         for label in povm.labels:
-            assert np.abs(povm.effect(label) - np.eye(4) / 2).max() <= 1e-12
+            assert np.abs(dense_effect(povm, label) - np.eye(4) / 2).max() <= 1e-12
 
     def test_span_and_dense_forms_fail_validation_alike(self):
         """The closed-form block checks and the batched eigvalsh give one verdict."""
         rng = np.random.default_rng(47)
         phi1, phi2 = state_pair_with_overlap(0.4, 4, rng)
-        good = unambiguous_povm(phi1, phi2)
+        good = unambiguous_povm(StatePair.of(phi1, phi2))
         skew = np.array([[0.0, 1e-6], [0.0, 0.0]], dtype=complex)
         cases = [
             ([good.effects[0] - 2e-6 * np.eye(2), good.effects[1],
@@ -426,7 +446,8 @@ class TestTwoByTwoKernel:
         ]
         for effects, message in cases:
             span = Povm(effects=effects, labels=good.labels, basis=good.basis, rest=good.rest)
-            dense = Povm(effects=[span.effect(lab) for lab in span.labels], labels=span.labels)
+            dense = Povm(effects=[dense_effect(span, lab) for lab in span.labels],
+                         labels=span.labels)
             for povm in (span, dense):
                 with pytest.raises(ValidationError, match=message):
                     povm.validate()

@@ -11,6 +11,7 @@ from qudisc import (
     Protocol,
     SearchConfig,
     ShapeError,
+    UnitaryPair,
     ValidationError,
     audit_step_slacks,
     build_parallel,
@@ -95,7 +96,7 @@ class TestRunProtocol:
             u1 = haar_unitary_from_rng(2, rng)
             u2 = haar_unitary_from_rng(2, rng)
             trace = run_protocol(u1, u2, random_protocol(rng))
-            for s in trace.states_1 + trace.states_2:
+            for s in trace.states.reshape(-1, 4):
                 assert abs(np.linalg.norm(s) - 1.0) <= 1e-9
 
     def test_states_equal_the_branch_loop_bit_for_bit(self):
@@ -104,12 +105,12 @@ class TestRunProtocol:
         protocol = random_protocol(rng, queries=4)
         trace = run_protocol(u1, u2, protocol)
         s1 = s2 = protocol.interleavers[0] @ protocol.probe
-        assert np.array_equal(trace.states_1[0], s1) and np.array_equal(trace.states_2[0], s2)
+        assert np.array_equal(trace.states[0, 0], s1) and np.array_equal(trace.states[1, 0], s2)
         for k, w in enumerate(protocol.interleavers[1:], start=1):
             s1 = w @ (u1 @ s1.reshape(2, 2)).ravel()
             s2 = w @ (u2 @ s2.reshape(2, 2)).ravel()
-            assert np.array_equal(trace.states_1[k], s1)
-            assert np.array_equal(trace.states_2[k], s2)
+            assert np.array_equal(trace.states[0, k], s1)
+            assert np.array_equal(trace.states[1, k], s2)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -223,7 +224,7 @@ class TestStepAudit:
             theta = smallest_arc(relative_spectrum(u1, u2)).theta
             f = fidelity_closed_form(theta)
             trace = run_protocol(u1, u2, random_protocol(rng))
-            t = trace.queries
+            t = len(trace.distances) - 1
             assert trace.distances[-1] <= 2.0 * t * np.sqrt(1.0 - f * f) + 1e-6
 
 
@@ -254,16 +255,28 @@ class TestSimulateRandom:
         rng = np.random.default_rng(31)
         u1, u2 = haar_pair(rng, 3)
         trace = simulate_random(u1, u2, 3, 4, rng)
-        assert trace.queries == 4
+        assert trace.states.shape == (2, 5, 9)
         assert trace.distances[0] == 0.0
         for k in range(4):
-            t1 = (u1 @ trace.states_1[k].reshape(3, 3)).ravel()
-            t2 = (u2 @ trace.states_2[k].reshape(3, 3)).ravel()
-            after = np.vdot(trace.states_1[k + 1], trace.states_2[k + 1])
+            t1 = (u1 @ trace.states[0, k].reshape(3, 3)).ravel()
+            t2 = (u2 @ trace.states[1, k].reshape(3, 3)).ravel()
+            after = np.vdot(trace.states[0, k + 1], trace.states[1, k + 1])
             assert abs(after - np.vdot(t1, t2)) <= 1e-12
-        for s in trace.states_1 + trace.states_2:
+        for s in trace.states.reshape(-1, 9):
             assert s.shape == (9,)
             assert abs(np.linalg.norm(s) - 1.0) <= 1e-12
+
+    def test_holds_little_beyond_its_states(self):
+        # per-step lists of views into the isometry blocks held 2.04x the states' bytes
+        pair = UnitaryPair.of(*haar_pair(np.random.default_rng(49), 4))
+        tracemalloc.start()
+        try:
+            trace = simulate_random(pair, 4, 4000, np.random.default_rng(50))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert trace.states.shape == (2, 4001, 16)
+        assert held <= 1.25 * trace.states.nbytes
 
     def test_same_generator_state_gives_identical_traces(self):
         rng = np.random.default_rng(32)
@@ -369,8 +382,8 @@ class TestSimulateRandom:
             s1, s2 = v[:, 0], c * v[:, 0] + r * v[:, 1]
             expected.append((s1, s2))
 
-        assert len(trace.states_1) == queries + 1
-        for (e1, e2), a1, a2 in zip(expected, trace.states_1, trace.states_2):
+        assert trace.states.shape[1] == queries + 1
+        for (e1, e2), a1, a2 in zip(expected, *trace.states):
             assert np.array_equal(a1, e1) and np.array_equal(a2, e2)
         assert stacked.random() == looped.random()
 
@@ -383,27 +396,30 @@ class TestRecordTrace:
     @pytest.mark.parametrize("bad", ["unnormalized", "nan", "inf"])
     def test_refuses_a_bad_state_at_any_step(self, step, branch, bad):
         rng = np.random.default_rng(39)
-        pairs = [[random_state_from_rng(4, rng), random_state_from_rng(4, rng)]
-                 for _ in range(5)]
-        state = pairs[step][branch]
+        states = np.array([[random_state_from_rng(4, rng), random_state_from_rng(4, rng)]
+                           for _ in range(5)]).swapaxes(0, 1)
+        state = states[branch, step]
         if bad == "unnormalized":
             state *= 1.0 + 1e-8
         else:
             state[1] = np.nan if bad == "nan" else np.inf
         with pytest.raises(DomainError, match=rf"state \({branch}, {step}\)"):
-            record_trace(pairs)
+            record_trace(states)
 
-    def test_refuses_states_of_different_dimension(self):
+    def test_refuses_an_array_not_of_shape_branches_steps_amplitudes(self):
+        # one (2, T+1, n) array holds every state, so no two can differ in dimension
         rng = np.random.default_rng(40)
-        a, b, c = (random_state_from_rng(n, rng) for n in (4, 4, 6))
-        for pairs in ([(a, c)], [(a, b), (a, c)], [(a, b), (c, c)]):
-            with pytest.raises(ShapeError):
-                record_trace(pairs)
+        states = np.array([[random_state_from_rng(4, rng)] * 3] * 2)
+        assert record_trace(states).states is states
+        for bad in (states[:1], states[:, :0], states[:, 0], states.swapaxes(0, 1),
+                    states[..., None]):
+            with pytest.raises(ShapeError, match=r"expected a \(2, T\+1, n\) array"):
+                record_trace(bad)
 
     def test_equal_states_are_exactly_zero_apart(self):
         rng = np.random.default_rng(42)
-        states = [random_state_from_rng(9, rng) for _ in range(6)]
-        trace = record_trace((s, s.copy()) for s in states)
+        states = np.array([random_state_from_rng(9, rng) for _ in range(6)])
+        trace = record_trace(np.array([states, states]))
         assert trace.distances == [0.0] * 6
         assert trace.final_overlap == 1.0
 
@@ -411,7 +427,7 @@ class TestRecordTrace:
         rng = np.random.default_rng(43)
         pairs = [(random_state_from_rng(16, rng), random_state_from_rng(16, rng))
                  for _ in range(7)]
-        trace = record_trace(pairs)
+        trace = record_trace(np.array(pairs).swapaxes(0, 1))
         for (a, b), d in zip(pairs, trace.distances):
             assert d == pytest.approx(trace_distance_pure(a, b), abs=1e-15)
             assert d == pytest.approx(2.0 * np.sqrt(1.0 - abs(np.vdot(a, b)) ** 2), abs=1e-12)
