@@ -54,7 +54,9 @@ def _check_epsilon(epsilon: float, mode: ErrorMode) -> None:
         raise DomainError(f"epsilon must lie in [0, {hi}] for {mode.value}, got {epsilon!r}")
 
 
-def _ceil_guarded(raw: float) -> int:
+def _ceil_guarded(raw: float, theta: float) -> int:
+    if not math.isfinite(raw):  # a tiny theta overflows the quotient to inf
+        raise DomainError(f"theta {theta!r} is too small: its bound {raw} is not finite")
     return max(0, math.ceil(raw - CEILING_GUARD))
 
 
@@ -72,7 +74,7 @@ def _t_min(theta: float, epsilon: float, mode: ErrorMode) -> BoundReport:
     _check_theta(theta)
     _check_epsilon(epsilon, mode)
     raw = 2.0 * _needed_half_span(epsilon, mode) / theta
-    return BoundReport(theta, epsilon, mode, _ceil_guarded(raw), raw)
+    return BoundReport(theta, epsilon, mode, _ceil_guarded(raw, theta), raw)
 
 
 def t_min_bounded(theta: float, epsilon: float) -> BoundReport:
@@ -94,7 +96,7 @@ def t_min_onesided(theta: float, epsilon: float) -> BoundReport:
 def t_perfect(theta: float) -> int:
     """Query count at which perfect discrimination becomes achievable: ceil(pi/theta)."""
     _check_theta(theta)
-    return _ceil_guarded(math.pi / theta)
+    return _ceil_guarded(math.pi / theta, theta)
 
 
 def epsilon_floor(theta: float, t: int, mode: ErrorMode) -> float:

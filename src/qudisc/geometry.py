@@ -30,7 +30,7 @@ class ArcResult:
 
 def _require_unit_circle(points: np.ndarray) -> None:
     off = np.max(np.abs(np.abs(points) - 1.0))
-    if off > UNITARY_TOL:
+    if not off <= UNITARY_TOL:  # a NaN point is refused too
         raise DomainError(f"points must lie on the unit circle (max modulus error {off:.3e})")
 
 
@@ -177,25 +177,22 @@ def _closest_on_segment(a: complex, b: complex) -> tuple[float, float]:
     return abs(a + t * ab), t
 
 
-def trace_distance_pure(a, b):
+def trace_distance_pure(states):
     """Trace distance of normalized pure states: 2*sqrt(1 - |<a|b>|^2).
 
-    Takes two states, giving a float, or two equal-shape stacks of states
-    as rows, giving an array with one distance per row. All states are
-    checked in one pass over their common stack.
+    Takes one array with the two states on axis 0: shape (2, n) gives a
+    float, shape (2, m, n) an array with one distance per row. The array is
+    read as given, with no copy; all states are checked in one pass over it.
 
     Evaluated as twice the norm of the component of b orthogonal to a,
     which equals the same quantity without the catastrophic cancellation
     of 1 - |<a|b>|^2 near identical states. The projection divides by
     <a|a> itself, formed as <a|b> is, so equal inputs give exactly 0.
     """
-    try:
-        pair = np.array([a, b], dtype=complex)
-    except ValueError as exc:
-        raise ShapeError("dimension mismatch: the states do not all have one shape") from exc
-    if pair.ndim not in (2, 3):
-        raise ShapeError(f"expected two states or two stacks of states, got shape {pair.shape}")
-    (va, vb), (aa, bb) = require_normalized(pair)
+    shape = np.shape(states)
+    if len(shape) not in (2, 3) or shape[0] != 2:
+        raise ShapeError(f"expected a (2, n) or (2, m, n) array of states, got shape {shape}")
+    (va, vb), (aa, bb) = require_normalized(states)
     perp = vb - va * ((va.conj() * vb).sum(axis=-1) / aa)[..., None]
     perp_norm = np.sqrt((perp.conj() * perp).sum(axis=-1).real)
     d = np.minimum(2.0, 2.0 * perp_norm / np.sqrt(bb.real))

@@ -252,12 +252,16 @@ def pair_args(u1, u2=None, *rest) -> tuple:
 
     A UnitaryPair fills the places of both unitaries, so whether the later
     arguments come by position or by keyword, one parameter of ``f`` is
-    left at its default of None; it is dropped here.
+    left at its default of None; it is dropped here. Every other argument is
+    required: one more left at None is a TypeError, before any other check.
     """
-    if not isinstance(u1, UnitaryPair):
-        return (UnitaryPair.of(u1, u2), *rest)
+    is_pair = isinstance(u1, UnitaryPair)
     args = [u2, *rest]
     unfilled = [k for k, a in enumerate(args) if a is None]
+    if len(unfilled) > is_pair:
+        raise TypeError(f"missing {len(unfilled) - is_pair} required argument(s)")
+    if not is_pair:
+        return (UnitaryPair.of(u1, u2), *rest)
     if not unfilled:
         raise TypeError("a UnitaryPair stands for both unitaries: one argument too many")
     del args[unfilled[0]]

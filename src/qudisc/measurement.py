@@ -185,7 +185,8 @@ def helstrom_error(overlap: float) -> float:
 
 @dataclass(frozen=True)
 class StatePair:
-    """Two checked states and their trace distance, which decides whether they coincide.
+    """Two checked states, the rows of one (2, n) array, and the trace distance that decides
+    whether they coincide.
 
     The states coincide, spanning one dimension, when the distance is below
     ``2 * COINCIDE_TOL``: when the second's part orthogonal to the first is
@@ -196,16 +197,17 @@ class StatePair:
     through ``StatePair.of``; a trace carries its final pair as ``final``.
     """
 
-    states: tuple[np.ndarray, np.ndarray]
+    states: np.ndarray
     distance: float
 
     @classmethod
     def of(cls, phi1, phi2) -> "StatePair":
-        """The pair of two loose states, both checked and their distance taken in one pass."""
+        """The pair of two loose states: stacked once, then checked and measured in one pass."""
         a, b = np.asarray(phi1, dtype=complex), np.asarray(phi2, dtype=complex)
-        if a.ndim != 1 or b.ndim != 1:
-            raise ShapeError(f"expected two states, got shapes {a.shape} and {b.shape}")
-        return cls((a, b), trace_distance_pure(a, b))
+        if a.ndim != 1 or b.shape != a.shape:
+            raise ShapeError(f"expected two states of one length, got {a.shape} and {b.shape}")
+        states = np.array([a, b])
+        return cls(states, trace_distance_pure(states))
 
     @property
     def coincide(self) -> bool:
@@ -225,12 +227,7 @@ class StatePair:
 
     @cached_property
     def coords(self) -> np.ndarray:
-        return _coords(*self.states, self.basis)
-
-
-def _coords(a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Coordinates of two states in the orthonormal columns of ``basis``, one row each."""
-    return np.array([a, b]) @ basis.conj()
+        return self.states @ self.basis.conj()
 
 
 def _block(m00: float, m01: complex, m11: float) -> np.ndarray:
@@ -313,12 +310,12 @@ def evaluate_povm(povm: Povm, pair: StatePair) -> DiscriminationOutcome:
     A POVM built on the pair's basis reuses its coordinates. All outcomes
     are evaluated on both states at once and clamped into [0, 1].
     """
-    a, b = pair.states
-    if povm.dim != a.shape[0]:
-        raise ShapeError(f"POVM dimension {povm.dim} does not match states ({a.shape[0]})")
+    n = pair.states.shape[1]
+    if povm.dim != n:
+        raise ShapeError(f"POVM dimension {povm.dim} does not match states ({n})")
     povm.validate()
 
-    x = pair.coords if povm.basis is pair.basis else _coords(a, b, povm.basis)
+    x = pair.coords if povm.basis is pair.basis else pair.states @ povm.basis.conj()
     by_label = dict(zip(povm.labels, _born(np.array(povm.effects), povm.rest, x)))
     absent = (0.0, 0.0)
     p1, _ = by_label.get(IDENTIFY_1, absent)

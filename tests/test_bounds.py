@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +53,12 @@ class TestBoundedErrorBound:
         assert t_min_bounded(PI, 0.0).t_lower == 1
         assert t_min_bounded(PI + 1.0, 0.0).t_lower == 1
 
+    def test_subnormal_theta_is_a_domain_error(self):
+        # 2/theta overflows to inf, which math.ceil refused with an OverflowError
+        with pytest.raises(DomainError, match="theta"):
+            t_min_bounded(5e-324, 0.0)
+        assert t_min_bounded(5e-324, 0.5).t_lower == 0  # a finite bound keeps its answer
+
 
 class TestOneSidedBound:
     def test_exact_integer_raw(self):
@@ -64,6 +71,12 @@ class TestOneSidedBound:
 
     def test_zero_budget_matches_bounded(self):
         assert t_min_onesided(PI / 4, 0.0).t_lower == t_min_bounded(PI / 4, 0.0).t_lower == 3
+
+    def test_subnormal_theta_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="theta"):
+            t_min_onesided(1e-310, 0.0)
+        report = t_min_onesided(sys.float_info.min, 0.0)
+        assert report.t_lower == math.ceil(report.raw_value)
 
 
 @pytest.mark.parametrize("bound, needed", [
@@ -96,6 +109,11 @@ class TestPerfectCount:
     def test_zero_theta_raises(self):
         with pytest.raises(IndistinguishableError):
             t_perfect(0.0)
+
+    def test_subnormal_theta_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="theta"):
+            t_perfect(5e-324)
+        assert t_perfect(sys.float_info.min) == math.ceil(PI / sys.float_info.min)
 
 
 class TestEpsilonFloor:

@@ -114,6 +114,15 @@ class TestBoundAndPerfect:
         assert code == 0
         assert json.loads(out)["t_perfect"] == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["perfect", "--theta", "5e-324"],
+        ["bound", "--theta", "1e-310", "--epsilon", "0", "--mode", "bounded"],
+    ])
+    def test_theta_too_small_for_a_finite_bound(self, argv, capsys):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "theta" in err
+
 
 class TestSimulate:
     def test_identity_vs_z(self, fixtures, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qudisc import (
     DomainError,
     ShapeError,
+    StatePair,
     closest_hull_point,
     eigen_system,
     haar_unitary_from_rng,
@@ -155,8 +156,9 @@ class TestHullOracle:
         assert value == pytest.approx(math.cos(math.pi / 6), abs=1e-12)
 
     def test_off_circle_raises(self):
-        with pytest.raises(DomainError):
-            fidelity_hull_oracle([0.5])
+        for points in ([0.5], [np.nan], [1.0, np.nan], [1.0, -1.0, np.nan]):
+            with pytest.raises(DomainError):
+                fidelity_hull_oracle(points)
 
     def test_agrees_with_closed_form(self):
         rng = np.random.default_rng(13)
@@ -215,24 +217,24 @@ class TestHullQuery:
 class TestTraceDistance:
     def test_equal_states(self):
         v = np.array([1, 1j], dtype=complex) / np.sqrt(2)
-        assert trace_distance_pure(v, v) == 0.0
+        assert trace_distance_pure(np.array([v, v])) == 0.0
 
     def test_orthogonal_states(self):
         a = np.array([1, 0], dtype=complex)
         b = np.array([0, 1], dtype=complex)
-        assert trace_distance_pure(a, b) == pytest.approx(2.0, abs=1e-15)
+        assert trace_distance_pure(np.array([a, b])) == pytest.approx(2.0, abs=1e-15)
 
     def test_zero_vs_plus(self):
         a = np.array([1, 0], dtype=complex)
         b = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        assert trace_distance_pure(a, b) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert trace_distance_pure(np.array([a, b])) == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            trace_distance_pure(np.array([1, 0], dtype=complex),
-                                np.array([1, 0, 0], dtype=complex))
+        with pytest.raises(ShapeError, match="expected two states"):
+            StatePair.of(np.array([1, 0], dtype=complex), np.array([1, 0, 0], dtype=complex))
+        with pytest.raises(ShapeError, match=r"got shape \(3, 2\)"):
+            trace_distance_pure(np.eye(3, 2, dtype=complex))
 
     def test_unnormalized_rejected(self):
         with pytest.raises(DomainError):
-            trace_distance_pure(np.array([1, 1], dtype=complex),
-                                np.array([1, 0], dtype=complex))
+            trace_distance_pure(np.array([[1, 1], [1, 0]], dtype=complex))

@@ -12,6 +12,7 @@ from qudisc import (
     build_parallel,
     eigen_system,
     haar_unitary_from_rng,
+    optimize_protocol,
     relative_spectrum,
     run_protocol,
     simulate_parallel,
@@ -389,3 +390,14 @@ class TestUnitaryPair:
         pair = UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0]))
         with pytest.raises(TypeError):
             build_parallel(pair, 3, 4)
+
+    def test_a_missing_argument_fails_at_the_call(self):
+        u1, u2 = np.eye(2), np.diag([1.0, -1.0])
+        pair = UnitaryPair.of(u1, u2)
+        calls = [lambda: run_protocol(pair), lambda: simulate_parallel(pair),
+                 lambda: optimize_protocol(u1, u2), lambda: simulate_random(u1, u2, 2, 4),
+                 lambda: simulate_random(pair, 2, 4), lambda: build_parallel(pair),
+                 lambda: relative_spectrum(u1)]
+        for call in calls:
+            with pytest.raises(TypeError, match="missing 1 required argument"):
+                call()
