@@ -8,12 +8,15 @@ All dense objects are capped at dimension ``DIM_CAP`` to bound memory.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
-import scipy.linalg
 from numpy.linalg import _umath_linalg
 
 from .errors import CapacityError, DomainError, NumericalError, ShapeError
@@ -150,15 +153,57 @@ class PhaseSpectrum:
 
 def wrap_phase(phases) -> np.ndarray:
     """Reduce angles to [0, 2*pi); the right endpoint folds to 0."""
-    p = np.mod(np.asarray(phases, dtype=float), TWO_PI)
+    # np.mod gives a 0-d input back as a scalar; asarray keeps it a 0-d array
+    p = np.asarray(np.mod(np.asarray(phases, dtype=float), TWO_PI))
     # np.mod can round up to the modulus itself for tiny negative inputs
     p[p >= TWO_PI] = 0.0
     return p
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_gees():
+    """zgees from scipy's f2py LAPACK wrapper, loaded without scipy.linalg's package init.
+
+    The wrapper is one extension module in scipy's package directory, found
+    without importing scipy and loaded under its own name. The load enters
+    it in ``sys.modules`` (it is a single-phase extension); that entry is
+    removed, so a later ``import scipy.linalg`` runs whole. None when scipy
+    or the file is missing or the load fails: on Windows, scipy's own init
+    registers the DLL directory the wrapper needs.
+    """
+    if _FLAPACK in sys.modules:  # scipy.linalg is imported already
+        return sys.modules[_FLAPACK].zgees
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    paths = (os.path.join(root, "linalg", "_flapack" + suffix)
+             for root in roots or () for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+    path = next(filter(os.path.isfile, paths), None)
+    if path is None:
+        return None
+    flapack = importlib.util.spec_from_loader(
+        _FLAPACK, importlib.machinery.ExtensionFileLoader(_FLAPACK, path))
+    try:
+        return importlib.util.module_from_spec(flapack).zgees
+    except (ImportError, OSError):
+        return None
+    finally:
+        sys.modules.pop(_FLAPACK, None)
+
+
+def _scipy_linalg_gees():
+    """zgees as ``scipy.linalg.schur`` finds it, through scipy.linalg's package init."""
+    import scipy.linalg
+
+    gees, = scipy.linalg.get_lapack_funcs(("gees",), dtype=np.complex128)
+    return gees
+
+
 # LAPACK's complex Schur routine, called directly: scipy.linalg.schur would
-# query the workspace and re-check finiteness on every call.
-_gees, = scipy.linalg.get_lapack_funcs(("gees",), dtype=np.complex128)
+# query the workspace and re-check finiteness on every call. Both loaders give
+# the same routine; the direct one spares every process scipy.linalg's import.
+_gees = _flapack_gees() or _scipy_linalg_gees()
 
 
 def _no_sort(_):
@@ -179,7 +224,9 @@ def eigen_system(u) -> PhaseSpectrum:
     diagonal and the Schur vectors form an exactly orthonormal eigenbasis,
     which plain ``eig`` does not guarantee on degenerate spectra. LAPACK's
     ``zgees`` is called directly, with its workspace size queried once per
-    dimension, and gives the same bits as ``scipy.linalg.schur``.
+    dimension, and gives the same bits as ``scipy.linalg.schur``: it is
+    scipy's own f2py wrapper, loaded without scipy.linalg's package init
+    where it can be and through ``scipy.linalg`` otherwise.
 
     Args:
         u: square matrix, unitary within ``UNITARY_TOL``.

@@ -88,9 +88,9 @@ class Povm:
             j = int(np.argmax(~np.isfinite(blocks).all(axis=(1, 2))))
             raise ValidationError(f"{self._name(j)} has non-finite entries")
         rest = self.rest.tolist()
-        if not math.isfinite(sum(rest)):
-            j = next(j for j, w in enumerate(rest) if not math.isfinite(w))
-            raise ValidationError(f"{self._name(j)} has non-finite complement weight {rest[j]}")
+        for j, w in enumerate(rest):  # finite weights may still overflow their sum, checked last
+            if not math.isfinite(w):
+                raise ValidationError(f"{self._name(j)} has non-finite complement weight {w}")
         if not np.isfinite(self.basis).all():
             raise ValidationError("basis entries must be finite")
         gram = self.basis.conj().T @ self.basis

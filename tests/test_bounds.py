@@ -130,6 +130,17 @@ class TestEpsilonFloor:
         with pytest.raises(DomainError):
             epsilon_floor(0.1, -1, ErrorMode.BOUNDED)
 
+    def test_mode_given_by_value(self):
+        # a str-enum value failed the identity test and fell to the one-sided formula
+        assert epsilon_floor(0.3, 2, "bounded_error") == epsilon_floor(0.3, 2, ErrorMode.BOUNDED)
+        assert epsilon_floor(0.3, 2, "bounded_error") == pytest.approx(0.35, abs=1e-15)
+        one_sided = epsilon_floor(0.3, 2, ErrorMode.ONE_SIDED)
+        assert epsilon_floor(0.3, 2, "one_sided_error") == one_sided
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(DomainError, match="'nonsense'"):
+            epsilon_floor(0.3, 2, "nonsense")
+
 
 @settings(max_examples=300, deadline=None)
 @given(

@@ -1,3 +1,9 @@
+import importlib.machinery
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -176,11 +182,23 @@ class TestEigenSystem:
         with pytest.raises(DomainError):
             eigen_system(np.diag([1.0, 0.5]))
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
-    def test_direct_schur_equals_scipy_bit_for_bit(self, d):
+    # the direct loader, the one qudisc takes, keeps the plain dimension ids
+    @pytest.mark.parametrize("d, loader", [
+        *(pytest.param(d, "direct", id=str(d)) for d in (1, 2, 3, 8, 64)),
+        *(pytest.param(d, "scipy.linalg", id=f"{d}-scipy.linalg") for d in (1, 2, 3, 8, 64)),
+    ])
+    def test_direct_schur_equals_scipy_bit_for_bit(self, d, loader, monkeypatch):
+        if loader == "direct":
+            # this process imported scipy.linalg: drop its wrapper so the file is found and loaded
+            monkeypatch.delitem(sys.modules, linalg._FLAPACK)
+            gees = linalg._flapack_gees()
+            assert gees is not None and linalg._FLAPACK not in sys.modules
+        else:
+            gees = linalg._scipy_linalg_gees()
+        monkeypatch.setattr(linalg, "_gees", gees)
         u = haar_unitary_from_rng(d, np.random.default_rng([d, 15]))
         t, q = scipy.linalg.schur(u, output="complex")
-        direct = linalg._gees(linalg._no_sort, u, lwork=linalg._gees_lwork(d))
+        direct = gees(linalg._no_sort, u, lwork=linalg._gees_lwork(d))
         assert np.array_equal(direct[0], t) and np.array_equal(direct[3], q)
         # eigen_system as it read on scipy.linalg.schur, spelled out
         phases = wrap_phase(np.angle(np.diag(t)))
@@ -188,6 +206,33 @@ class TestEigenSystem:
         spec = eigen_system(u)
         assert np.array_equal(spec.phases, phases[order])
         assert np.array_equal(spec.vectors, q[:, order])
+
+    def test_schur_loads_without_scipy_linalg(self):
+        # fails if a scipy upgrade moves the wrapper and qudisc falls back on scipy.linalg
+        script = ("import sys, numpy as np, qudisc; "
+                  "qudisc.relative_spectrum(np.eye(2), np.diag([1, 1j])); "
+                  "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'; "
+                  "import scipy.linalg; "
+                  "assert qudisc.linalg._gees is scipy.linalg.get_lapack_funcs(('gees',), "
+                  "dtype=np.complex128)[0]")
+        # the qudisc under test, whether a checkout's src or site-packages
+        env = dict(os.environ, PYTHONPATH=str(Path(linalg.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("failure", ["no file", "load error"])
+    def test_direct_loader_gives_way_to_scipy_linalg(self, failure, monkeypatch):
+        monkeypatch.delitem(sys.modules, linalg._FLAPACK, raising=False)
+        if failure == "no file":
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        else:
+            def refuse(self, spec):
+                raise ImportError("DLL load failed")
+
+            monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "create_module", refuse)
+        assert linalg._flapack_gees() is None
+        assert linalg._FLAPACK not in sys.modules
 
     def test_non_unitary_input_is_refused_before_a_schur_failure(self, monkeypatch):
         gees = linalg._gees
@@ -347,6 +392,14 @@ def test_wrap_phase_folds_endpoint():
     assert wrap_phase(np.array([-1e-18]))[0] == 0.0
     assert wrap_phase(np.array([TWO_PI]))[0] == 0.0
     assert abs(wrap_phase(np.array([-np.pi / 2]))[0] - 1.5 * np.pi) <= 1e-15
+
+
+def test_wrap_phase_keeps_a_scalar_shape():
+    # a 0-d input became a numpy scalar, and the endpoint fold could not assign into it
+    assert wrap_phase(-1e-300) == 0.0
+    assert wrap_phase(7.0) == 7.0 - TWO_PI
+    assert wrap_phase(7.0).shape == ()
+    assert wrap_phase(np.zeros((2, 3))).shape == (2, 3)
 
 
 class TestUnitaryPair:

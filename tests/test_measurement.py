@@ -334,6 +334,15 @@ class TestSpanForm:
             Povm(effects=good.effects, labels=good.labels, basis=2 * good.basis,
                  rest=good.rest).validate()
 
+    def test_validate_refuses_finite_weights_whose_sum_overflows(self):
+        # the sum's overflow sent the search for a non-finite weight past the last one
+        pair = StatePair.of(*state_pair_with_overlap(0.5, 3, np.random.default_rng(46)))
+        good = helstrom_povm(pair)
+        assert good.basis.shape == (3, 2)
+        bad = Povm(effects=good.effects, labels=good.labels, basis=good.basis, rest=[1e308, 1e308])
+        with pytest.raises(ValidationError, match="weights sum to inf"):
+            bad.validate()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_validate_refuses_a_non_finite_two_by_two_block(self, value):
         pair = StatePair.of(*state_pair_with_overlap(0.5, 4, np.random.default_rng(45)))
