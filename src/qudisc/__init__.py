@@ -9,7 +9,6 @@ runs randomized campaigns checking that nothing ever beats the bounds.
 from .bounds import (
     BoundReport,
     ErrorMode,
-    epsilon_floor,
     t_min_bounded,
     t_min_onesided,
     t_perfect,
@@ -98,7 +97,6 @@ __all__ = [
     "build_parallel",
     "closest_hull_point",
     "eigen_system",
-    "epsilon_floor",
     "evaluate_povm",
     "fidelity_closed_form",
     "fidelity_hull_oracle",

@@ -98,24 +98,3 @@ def t_perfect(theta: float) -> int:
     _check_theta(theta)
     return _ceil_guarded(math.pi / theta, theta)
 
-
-def epsilon_floor(theta: float, t: int, mode: ErrorMode | str) -> float:
-    """Smallest error budget the bound permits at a fixed query count.
-
-    Inverts the bounded-error bound via sqrt(1 - 4*eps*(1-eps)) = 1 - 2*eps
-    on eps in [0, 1/2], and the one-sided bound directly. ``mode`` is an
-    ErrorMode or its value, such as ``"bounded_error"``.
-    """
-    try:
-        mode = ErrorMode(mode)
-    except ValueError:
-        raise DomainError(
-            f"mode must be one of {[m.value for m in ErrorMode]}, got {mode!r}"
-        ) from None
-    _check_theta(theta)
-    if t < 0:
-        raise DomainError(f"query count must be nonnegative, got {t!r}")
-    half_span = t * theta / 2.0
-    if mode is ErrorMode.BOUNDED:
-        return max(0.0, (1.0 - half_span) / 2.0)
-    return math.sqrt(max(0.0, 1.0 - half_span * half_span))

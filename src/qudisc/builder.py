@@ -163,8 +163,9 @@ class SearchConfig:
             raise ValidationError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
-        if not self.step_tolerance > 0.0:
-            raise ValidationError("step_tolerance must be positive")
+        # above 1 the step-halving loop tries no step at all, and the search stops at its start
+        if not 0.0 < self.step_tolerance <= 1.0:
+            raise ValidationError(f"step_tolerance must lie in (0, 1], got {self.step_tolerance!r}")
         check_seed(self.seed)
 
 
@@ -293,7 +294,7 @@ def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
 
     assert best is not None
     _, best_restart, ws, probe, best_exhausted = best
-    protocol = Protocol(d, ancilla, cfg.queries, list(ws), probe)
+    protocol = Protocol(d, ancilla, cfg.queries, ws, probe)
     trace = run_protocol(pair, protocol)
     overlap = trace.final_overlap
 

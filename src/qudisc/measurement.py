@@ -9,8 +9,8 @@ pair, so they are built, validated and evaluated there: each effect is a
 2x2 block in an orthonormal basis of the span (1x1 for coinciding states)
 plus a weight on the projector onto the complement. No n x n array is
 formed, at any ambient dimension n.
-The 2x2 blocks are built and checked in closed form on Python scalars,
-since numpy's per-call overhead would dwarf the arithmetic.
+The 2x2 blocks' entries are formed and checked in closed form on Python
+scalars, since numpy's per-call overhead would dwarf the arithmetic.
 """
 
 from __future__ import annotations
@@ -35,38 +35,43 @@ _ALLOWED_LABELS = (IDENTIFY_1, IDENTIFY_2, INCONCLUSIVE)
 class Povm:
     """Measurement as labelled positive effects summing to the identity.
 
-    Effect j is ``basis @ effects[j] @ basis^H + rest[j] * (I - basis @ basis^H)``:
+    ``effects`` is one (m, k, k) stack, one block per label. Effect j is
+    ``basis @ effects[j] @ basis^H + rest[j] * (I - basis @ basis^H)``:
     a k x k block on the span of the orthonormal columns of ``basis`` (n x k)
     and a weight on the complement of that span. Without a basis the POVM
     covers the whole space: ``basis`` is the n x n identity, every effect is
     the full operator and every weight is 0.
     """
 
-    effects: list[np.ndarray]
-    labels: list[str]
+    effects: np.ndarray
+    labels: tuple[str, ...]
     basis: np.ndarray | None = None
     rest: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.effects) != len(self.labels):
-            raise ValidationError("one label per effect required")
-        if len(self.effects) == 0:
+        self.labels = tuple(self.labels)
+        if not self.labels:
             raise ValidationError("a POVM needs at least one effect")
         for lab in self.labels:
             if lab not in _ALLOWED_LABELS:
                 raise ValidationError(f"unknown outcome label {lab!r}")
         if len(set(self.labels)) != len(self.labels):
             raise ValidationError("outcome labels must be unique")
-        self.effects = [np.asarray(e, dtype=complex) for e in self.effects]
-        if self.basis is None:
-            self.basis = np.eye(self.effects[0].shape[0])
-        self.basis = np.asarray(self.basis, dtype=complex)
-        if self.basis.ndim != 2:
-            raise ValidationError(f"basis must be an n x k matrix, got shape {self.basis.shape}")
+        try:
+            self.effects = np.asarray(self.effects, dtype=complex)
+        except (TypeError, ValueError):  # a ragged list of blocks
+            raise ValidationError("effects must be square blocks of one size") from None
+        shape, m = self.effects.shape, len(self.labels)
+        if len(shape) != 3 or shape[0] != m or not 0 < shape[1] == shape[2]:
+            raise ValidationError(f"effects must stack into {m} square blocks, got shape {shape}")
+        k = shape[1]
+        self.basis = np.asarray(np.eye(k) if self.basis is None else self.basis, dtype=complex)
+        if self.basis.ndim != 2 or self.basis.shape[1] != k:
+            raise ValidationError(f"basis must be an n x {k} matrix, got shape {self.basis.shape}")
         if self.rest is None:
-            self.rest = np.zeros(len(self.effects))
+            self.rest = np.zeros(m)
         self.rest = np.asarray(self.rest, dtype=float)
-        if self.rest.shape != (len(self.effects),):
+        if self.rest.shape != (m,):
             raise ValidationError("one complement weight per effect required")
 
     @property
@@ -79,13 +84,9 @@ class Povm:
         Each property is checked for all blocks at once, on their stack.
         """
         n, k = self.basis.shape
-        for j, e in enumerate(self.effects):
-            if e.shape != (k, k):
-                raise ValidationError(f"{self._name(j)} has shape {e.shape}")
         # every tolerance comparison below is False for NaN: refuse non-finite input first
-        blocks = np.array(self.effects)
-        if not np.isfinite(blocks).all():
-            j = int(np.argmax(~np.isfinite(blocks).all(axis=(1, 2))))
+        if not np.isfinite(self.effects).all():
+            j = int(np.argmax(~np.isfinite(self.effects).all(axis=(1, 2))))
             raise ValidationError(f"{self._name(j)} has non-finite entries")
         rest = self.rest.tolist()
         for j, w in enumerate(rest):  # finite weights may still overflow their sum, checked last
@@ -94,7 +95,7 @@ class Povm:
         if not np.isfinite(self.basis).all():
             raise ValidationError("basis entries must be finite")
         gram = self.basis.conj().T @ self.basis
-        basis_defect, asymmetry, lowest, defect = _validation_figures(gram, blocks)
+        basis_defect, asymmetry, lowest, defect = _validation_figures(gram, self.effects)
         if basis_defect > POVM_TOL:
             raise ValidationError("basis columns are not orthonormal")
         for j, (asym, lo, weight) in enumerate(zip(asymmetry, lowest, rest)):
@@ -230,11 +231,6 @@ class StatePair:
         return self.states @ self.basis.conj()
 
 
-def _block(m00: float, m01: complex, m11: float) -> np.ndarray:
-    """The 2x2 Hermitian block [[m00, m01], [conj(m01), m11]]."""
-    return np.array([[m00, m01], [m01.conjugate(), m11]], dtype=complex)
-
-
 def helstrom_povm(pair: StatePair) -> Povm:
     """Two-outcome measurement minimizing the average discrimination error.
 
@@ -255,16 +251,16 @@ def helstrom_povm(pair: StatePair) -> Povm:
     """
     basis = pair.basis
     if pair.coincide:
-        half = np.full((1, 1), 0.5, dtype=complex)
-        return Povm([half, half.copy()], [IDENTIFY_1, IDENTIFY_2], basis, [0.5, 0.5])
+        halves = np.full((2, 1, 1), 0.5, dtype=complex)
+        return Povm(halves, (IDENTIFY_1, IDENTIFY_2), basis, [0.5, 0.5])
     (a1, b1), (a2, b2) = pair.coords.tolist()
     h = abs(b2) ** 2 - abs(b1) ** 2
     m01 = a1 * b1.conjugate() - a2 * b2.conjugate()
     scale = 0.5 / math.hypot(h, abs(m01))
     tilt, off = h * scale, m01 * scale
-    pi1 = _block(0.5 + tilt, off, 0.5 - tilt)
-    pi2 = _block(0.5 - tilt, -off, 0.5 + tilt)
-    return Povm([pi1, pi2], [IDENTIFY_1, IDENTIFY_2], basis, [1.0, 0.0])
+    effects = np.array([[[0.5 + tilt, off], [off.conjugate(), 0.5 - tilt]],
+                        [[0.5 - tilt, -off], [-off.conjugate(), 0.5 + tilt]]], dtype=complex)
+    return Povm(effects, (IDENTIFY_1, IDENTIFY_2), basis, [1.0, 0.0])
 
 
 def unambiguous_povm(pair: StatePair) -> Povm:
@@ -290,10 +286,11 @@ def unambiguous_povm(pair: StatePair) -> Povm:
     scale = 1.0 / (1.0 + c)
     a00, a01, a11 = _orthogonal_projector(x2, scale)
     b00, b01, b11 = _orthogonal_projector(x1, scale)
-    effects = [_block(a00, a01, a11), _block(b00, b01, b11),
-               _block(1.0 - a00 - b00, -a01 - b01, 1.0 - a11 - b11)]
-    labels = [IDENTIFY_1, IDENTIFY_2, INCONCLUSIVE]
-    return Povm(effects, labels, pair.basis, [0.0, 0.0, 1.0])
+    c00, c01, c11 = 1.0 - a00 - b00, -a01 - b01, 1.0 - a11 - b11
+    effects = np.array([[[a00, a01], [a01.conjugate(), a11]],
+                        [[b00, b01], [b01.conjugate(), b11]],
+                        [[c00, c01], [c01.conjugate(), c11]]], dtype=complex)
+    return Povm(effects, (IDENTIFY_1, IDENTIFY_2, INCONCLUSIVE), pair.basis, [0.0, 0.0, 1.0])
 
 
 def _orthogonal_projector(x: list[complex], scale: float) -> tuple[float, complex, float]:
@@ -316,7 +313,7 @@ def evaluate_povm(povm: Povm, pair: StatePair) -> DiscriminationOutcome:
     povm.validate()
 
     x = pair.coords if povm.basis is pair.basis else pair.states @ povm.basis.conj()
-    by_label = dict(zip(povm.labels, _born(np.array(povm.effects), povm.rest, x)))
+    by_label = dict(zip(povm.labels, _born(povm.effects, povm.rest, x)))
     absent = (0.0, 0.0)
     p1, _ = by_label.get(IDENTIFY_1, absent)
     _, p2 = by_label.get(IDENTIFY_2, absent)

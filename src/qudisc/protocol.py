@@ -31,7 +31,7 @@ from .tolerances import UNITARY_TOL
 
 @dataclass(eq=False)
 class Protocol:
-    """A fixed discrimination procedure: probe, interleavers, query count.
+    """A fixed discrimination procedure: probe, a (T+1, n, n) stack of interleavers, T queries.
 
     Interleavers act on the full system*ancilla space; the queried unitary
     acts on the system factor only. ``interleavers[0]`` is applied before
@@ -41,7 +41,7 @@ class Protocol:
     system_dim: int
     ancilla_dim: int
     queries: int
-    interleavers: list[np.ndarray]
+    interleavers: np.ndarray
     probe: np.ndarray
 
     def __post_init__(self):
@@ -57,7 +57,7 @@ class Protocol:
                     f"interleaver {k} has shape {np.shape(w)}, expected ({total}, {total})"
                 )
         # one stacked check of all T+1; an error names the first bad interleaver k
-        self.interleavers = list(require_unitary(self.interleavers, name="interleaver"))
+        self.interleavers = require_unitary(self.interleavers, name="interleaver")
         self.probe, _ = require_normalized(self.probe, name="probe")
         if self.probe.shape != (total,):
             raise ShapeError(f"probe has shape {self.probe.shape}, expected ({total},)")
@@ -99,8 +99,8 @@ def apply_query(state: np.ndarray, u: np.ndarray, system_dim: int, ancilla_dim: 
 
 
 def evolve_branches(ws, probe: np.ndarray, u1: np.ndarray, u2: np.ndarray, d: int, anc: int):
-    """Both branches' states right after each interleaver W_k of ``ws``, W_0 first, as one
-    (2, T+1, n) array.
+    """Both branches' states right after each interleaver W_k of the (T+1, n, n) stack ``ws``,
+    W_0 first, as one (2, T+1, n) array.
 
     Branch i: state_0 = W_0 |probe>, then state_{k+1} = W_{k+1} (U_i x I) state_k.
     """

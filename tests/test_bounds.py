@@ -3,14 +3,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qudisc import (
     DomainError,
     ErrorMode,
     IndistinguishableError,
-    epsilon_floor,
     t_min_bounded,
     t_min_onesided,
     t_perfect,
@@ -114,47 +111,6 @@ class TestPerfectCount:
         with pytest.raises(DomainError, match="theta"):
             t_perfect(5e-324)
         assert t_perfect(sys.float_info.min) == math.ceil(PI / sys.float_info.min)
-
-
-class TestEpsilonFloor:
-    def test_bounded_saturated(self):
-        assert epsilon_floor(PI / 4, 4, ErrorMode.BOUNDED) == 0.0
-
-    def test_bounded_inverts_example(self):
-        assert epsilon_floor(0.1, 10, ErrorMode.BOUNDED) == pytest.approx(0.25, abs=1e-12)
-
-    def test_onesided_inverts_example(self):
-        assert epsilon_floor(0.2, 8, ErrorMode.ONE_SIDED) == pytest.approx(0.6, abs=1e-12)
-
-    def test_negative_queries_raise(self):
-        with pytest.raises(DomainError):
-            epsilon_floor(0.1, -1, ErrorMode.BOUNDED)
-
-    def test_mode_given_by_value(self):
-        # a str-enum value failed the identity test and fell to the one-sided formula
-        assert epsilon_floor(0.3, 2, "bounded_error") == epsilon_floor(0.3, 2, ErrorMode.BOUNDED)
-        assert epsilon_floor(0.3, 2, "bounded_error") == pytest.approx(0.35, abs=1e-15)
-        one_sided = epsilon_floor(0.3, 2, ErrorMode.ONE_SIDED)
-        assert epsilon_floor(0.3, 2, "one_sided_error") == one_sided
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(DomainError, match="'nonsense'"):
-            epsilon_floor(0.3, 2, "nonsense")
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    theta=st.floats(1e-3, 2 * PI - 1e-9, allow_nan=False),
-    t=st.integers(0, 60),
-    mode=st.sampled_from([ErrorMode.BOUNDED, ErrorMode.ONE_SIDED]),
-)
-def test_floor_round_trips_below_t(theta, t, mode):
-    eps = epsilon_floor(theta, t, mode)
-    if mode is ErrorMode.BOUNDED:
-        report = t_min_bounded(theta, eps)
-    else:
-        report = t_min_onesided(theta, eps)
-    assert report.raw_value <= t + 1e-6
 
 
 def test_radical_simplifies_to_linear():

@@ -150,6 +150,17 @@ class TestSearchConfig:
         with pytest.raises(ValidationError):
             SearchConfig(queries=-1)
 
+    @pytest.mark.parametrize("tolerance", [2.0, math.inf])
+    def test_step_tolerance_outside_unit_interval_is_refused(self, tolerance):
+        # above 1 the search tried no step and reported a converged start
+        with pytest.raises(ValidationError, match="step_tolerance"):
+            SearchConfig(queries=3, step_tolerance=tolerance)
+
+    def test_full_step_tolerance_still_searches(self):
+        cfg = SearchConfig(queries=3, restarts=1, max_iterations=30, step_tolerance=1.0, seed=1)
+        result = optimize_protocol(I2, np.diag([1.0, np.exp(0.9j)]), cfg)
+        assert len(result.histories[0]) > 2
+
 
 class TestOptimizeProtocol:
     def test_commuting_pair_reaches_parallel_perfection(self):

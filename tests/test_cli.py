@@ -175,6 +175,16 @@ class TestSearch:
         assert obj["protocol"]["queries"] == 1
         assert len(obj["protocol"]["interleavers"]) == 2
 
+    def test_step_tolerance_above_one_is_refused(self, fixtures, tmp_path, capsys):
+        # the search tried no step and printed its starting protocol as converged
+        bad = tmp_path / "search.json"
+        write_json({"queries": 3, "restarts": 1, "max_iterations": 30,
+                    "step_tolerance": 2.0, "seed": 1}, str(bad))
+        code, out, err = run_cli(capsys, ["search", "--u1", fixtures["i2"],
+                                          "--u2", fixtures["eighth"], "--config", str(bad)])
+        assert code == 2 and out == ""
+        assert "step_tolerance" in err
+
     def test_seed_flag_overrides_config(self, fixtures, capsys):
         args = ["search", "--u1", fixtures["i2"], "--u2", fixtures["eighth"],
                 "--config", fixtures["search"]]

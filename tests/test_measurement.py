@@ -260,6 +260,32 @@ class TestPovmStructure:
         with pytest.raises(ValidationError):
             Povm(effects=[np.eye(2) / 2, np.eye(2) / 2], labels=["identify_1", "identify_1"])
 
+    @pytest.mark.parametrize("effects", [
+        [np.eye(2), np.eye(3)],
+        [np.ones((2, 3)) / 2, np.ones((2, 3)) / 2],
+        [np.eye(2) / 3, np.eye(2) / 3, np.eye(2) / 3],
+    ], ids=["ragged", "non-square", "three-for-two-labels"])
+    def test_effects_that_do_not_stack_are_refused_when_built(self, effects):
+        # a ragged or non-square list was built, and refused only by validate
+        with pytest.raises(ValidationError, match="effects must"):
+            Povm(effects=effects, labels=["identify_1", "identify_2"])
+
+    def test_basis_narrower_than_the_blocks_is_refused_when_built(self):
+        with pytest.raises(ValidationError, match="basis must be an n x 2 matrix"):
+            Povm(effects=[np.eye(2) / 2, np.eye(2) / 2], labels=["identify_1", "identify_2"],
+                 basis=np.eye(3)[:, :1])
+
+    def test_effects_are_one_stack(self):
+        # the effects were a list, stacked again by every validate and every evaluation
+        povm = Povm(effects=[np.eye(3) / 2, np.eye(3) / 2], labels=["identify_1", "identify_2"])
+        assert isinstance(povm.effects, np.ndarray)
+        assert povm.effects.shape == (2, 3, 3) and povm.effects.dtype == complex
+        assert povm.labels == ("identify_1", "identify_2")
+        pair = StatePair.of(*state_pair_with_overlap(0.5, 4, np.random.default_rng(38)))
+        for built in (helstrom_povm(pair), unambiguous_povm(pair)):
+            assert isinstance(built.effects, np.ndarray)
+            assert built.effects.shape == (len(built.labels), 2, 2)
+
     def test_constructed_povms_validate(self):
         rng = np.random.default_rng(39)
         for _ in range(50):

@@ -138,6 +138,17 @@ class TestProtocolValidation:
         with pytest.raises(ShapeError):
             Protocol(2, 2, 0, [np.eye(4)], PLUS)
 
+    def test_interleavers_are_one_stack(self):
+        # a list of interleavers was checked as one stack, then split back into a list
+        protocol = identity_protocol(3)
+        assert isinstance(protocol.interleavers, np.ndarray)
+        assert protocol.interleavers.shape == (4, 2, 2)
+        assert protocol.interleavers.dtype == complex
+        found = optimize_protocol(I2, Z, SearchConfig(queries=2, restarts=2, max_iterations=5,
+                                                      seed=3)).protocol
+        assert isinstance(found.interleavers, np.ndarray)
+        assert found.interleavers.shape == (3, 4, 4)
+
 
 def _eighth_turns(d):
     return np.eye(d), np.diag(np.exp(1j * np.pi / 4 * np.arange(d)))
