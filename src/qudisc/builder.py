@@ -60,7 +60,7 @@ def build_parallel(u1, u2=None, t=None) -> ParallelPlan:
     """
     pair, t = pair_args(u1, u2, t)
     check_copies(t)
-    spectrum = pair.spectrum
+    spectrum = pair.spectrum  # with eigenvectors: the strings are made of them
     arc = smallest_arc(spectrum)
     if arc.theta == 0.0:
         raise IndistinguishableError(

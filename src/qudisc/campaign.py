@@ -177,7 +177,10 @@ def run_instance(cfg: CampaignConfig, index: int, pair_factory=None) -> tuple[In
     queries = int(rng.integers(lo, hi + 1))
 
     # The pair is checked, and U1†U2 decomposed and given its arc, once for the whole instance.
+    # Only the parallel plan reads eigenvectors, so only it decomposes with them, before theta.
     pair = UnitaryPair.of(u1, u2)
+    if cfg.protocol_source == "parallel":
+        pair.spectrum
     theta = smallest_arc(relative_spectrum(pair)).theta
     if theta == 0.0:
         # Every protocol ends at overlap 1 on such a pair: nothing to build.

@@ -130,14 +130,15 @@ def require_entries(count: int, what: str) -> None:
 
 @dataclass(eq=False)
 class PhaseSpectrum:
-    """Eigenphases of a unitary matrix with an aligned orthonormal eigenbasis.
+    """Eigenphases of a unitary matrix, with an aligned orthonormal eigenbasis if one was formed.
 
-    ``phases`` is ascending in [0, 2*pi); column j of ``vectors`` is the
-    eigenvector belonging to ``phases[j]``.
+    ``phases`` is ascending in [0, 2*pi). ``vectors`` is None for a spectrum
+    decomposed for its phases alone (``relative_spectrum``); otherwise
+    column j is the eigenvector belonging to ``phases[j]``.
     """
 
     phases: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None = None
     # The smallest covering arc (a geometry.ArcResult), kept by
     # geometry.smallest_arc the first time it is asked for this spectrum.
     arc: object = field(default=None, init=False, repr=False)
@@ -217,6 +218,23 @@ def _gees_lwork(n: int) -> int:
     return int(work[0].real)
 
 
+def _schur(a: np.ndarray, vectors: bool) -> tuple:
+    """One zgees call on a: (ascending phases, their order, Schur factor, Schur vectors).
+
+    Without ``vectors`` LAPACK forms no Schur vectors and the last item is
+    a placeholder. The phases are the same bits either way: the Schur
+    factor is reduced alike, and both calls take the workspace queried
+    once per dimension.
+    """
+    t, _, eigvals, q, _, info = _gees(_no_sort, a, compute_v=vectors,
+                                      lwork=_gees_lwork(a.shape[0]))
+    if info != 0:
+        raise NumericalError(f"eigendecomposition did not converge (zgees info {info})")
+    phases = wrap_phase(np.angle(eigvals))
+    order = np.argsort(phases, kind="stable")
+    return phases[order], order, t, q
+
+
 def eigen_system(u) -> PhaseSpectrum:
     """Orthonormal eigendecomposition of a unitary matrix.
 
@@ -226,13 +244,16 @@ def eigen_system(u) -> PhaseSpectrum:
     ``zgees`` is called directly, with its workspace size queried once per
     dimension, and gives the same bits as ``scipy.linalg.schur``: it is
     scipy's own f2py wrapper, loaded without scipy.linalg's package init
-    where it can be and through ``scipy.linalg`` otherwise.
+    where it can be and through ``scipy.linalg`` otherwise. A caller that
+    needs only the phases takes ``relative_spectrum``, which forms no
+    eigenvectors and gives the same phase bits.
 
     Args:
         u: square matrix, unitary within ``UNITARY_TOL``.
 
     Returns:
-        PhaseSpectrum with phases sorted ascending in [0, 2*pi).
+        PhaseSpectrum with phases sorted ascending in [0, 2*pi) and their
+        eigenvectors.
 
     Raises:
         ShapeError: input not one square matrix.
@@ -243,12 +264,12 @@ def eigen_system(u) -> PhaseSpectrum:
     a = require_unitary(u)
     if a.ndim != 2:
         raise ShapeError(f"expected one square matrix, got shape {a.shape}")
-    _, _, eigvals, q, _, info = _gees(_no_sort, a, lwork=_gees_lwork(a.shape[0]))
-    if info != 0:
-        raise NumericalError(f"eigendecomposition did not converge (zgees info {info})")
-    phases = wrap_phase(np.angle(eigvals))
-    order = np.argsort(phases, kind="stable")
-    phases = phases[order]
+    return _eigen_system(a)
+
+
+def _eigen_system(a: np.ndarray) -> PhaseSpectrum:
+    """``eigen_system`` of a square matrix whose factors were checked unitary already."""
+    phases, order, _, q = _schur(a, vectors=True)
     vectors = q[:, order]
 
     # largest column norm of the eigen-equation residual
@@ -263,13 +284,39 @@ def eigen_system(u) -> PhaseSpectrum:
     return PhaseSpectrum(phases=phases, vectors=vectors)
 
 
+def _eigen_phases(a: np.ndarray) -> PhaseSpectrum:
+    """Eigenphases alone of a square matrix whose factors were checked unitary already.
+
+    The contract covers what is returned. A unitary's Schur factor is
+    diagonal, and its diagonal holds the eigenvalues, on the unit circle;
+    so every strictly upper entry, and each diagonal entry's distance from
+    the circle, must stay within ``EIGEN_TOL``. A NaN in either fails.
+    """
+    phases, _, t, _ = _schur(a, vectors=False)
+    # |T| with each diagonal entry replaced by its distance from the circle, in place;
+    # LAPACK leaves T's strictly lower part zero
+    deviation = np.abs(t)
+    radial = np.einsum("ii->i", deviation)
+    radial -= 1.0
+    np.abs(radial, out=radial)
+    worst = deviation.max()
+    if not worst <= EIGEN_TOL:
+        raise NumericalError(
+            f"Schur form failed accuracy contract: off-diagonal entry or distance of an "
+            f"eigenvalue from the unit circle {worst:.3e}"
+        )
+    return PhaseSpectrum(phases=phases)
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryPair:
     """Two checked candidate unitaries of equal dimension.
 
-    Build it with ``UnitaryPair.of``, which checks both as one stack.
-    ``spectrum``, the relative spectrum of U1†U2, is decomposed on first
-    use and kept, and the spectrum keeps its smallest covering arc once
+    Build it with ``UnitaryPair.of``, which checks both as one stack; their
+    product U1†U2 is not checked again. U1†U2 is decomposed on first use,
+    as far as the first reader needs: ``relative_spectrum`` takes its phases
+    alone, ``spectrum`` (for the parallel plan) its eigenvectors too. Each
+    is kept, and a spectrum keeps its smallest covering arc once
     ``geometry.smallest_arc`` has found it. The functions that take two
     candidate unitaries accept a UnitaryPair in their place, so a pair used
     by several of them is checked, decomposed and given its arc once.
@@ -291,7 +338,14 @@ class UnitaryPair:
 
     @cached_property
     def spectrum(self) -> PhaseSpectrum:
-        return eigen_system(dagger(self.u1) @ self.u2)
+        """Eigenphases and eigenvectors of U1†U2, under ``eigen_system``'s contract."""
+        return _eigen_system(dagger(self.u1) @ self.u2)
+
+    @cached_property
+    def _phase_spectrum(self) -> PhaseSpectrum:
+        """``spectrum`` if it is held already, else the eigenphases of U1†U2 alone."""
+        held = self.__dict__.get("spectrum")
+        return held if held is not None else _eigen_phases(dagger(self.u1) @ self.u2)
 
 
 def pair_args(u1, u2=None, *rest) -> tuple:
@@ -316,12 +370,20 @@ def pair_args(u1, u2=None, *rest) -> tuple:
 
 
 def relative_spectrum(u1, u2=None) -> PhaseSpectrum:
-    """Spectrum of U1†U2, the object all discrimination quantities derive from.
+    """Eigenphases of U1†U2, the object all discrimination quantities derive from.
 
-    Takes the two unitaries, or a UnitaryPair alone.
+    Takes the two unitaries, or a UnitaryPair alone. Forms no eigenvectors
+    (``vectors`` is None) unless the pair already holds its ``spectrum``,
+    which is then returned as it is. The phases are the same bits as
+    ``eigen_system``'s. Kept on the pair, so a pair is decomposed once.
+
+    Raises:
+        NumericalError: the Schur form did not converge, or its largest
+            strictly upper entry or an eigenvalue's distance from the unit
+            circle exceeds ``EIGEN_TOL``.
     """
     (pair,) = pair_args(u1, u2)
-    return pair.spectrum
+    return pair._phase_spectrum
 
 
 def haar_isometry_from_rng(n: int, k: int, rng: np.random.Generator,

@@ -7,7 +7,8 @@ bounds; no other module spells a threshold as a literal.
 # Numerical checks.
 # Unitarity |M†M - I| of a matrix or isometry, |norm - 1| of a state, |modulus - 1| on the circle.
 UNITARY_TOL = 1e-10
-# Eigendecomposition contract: residual |U v - e^{i phi} v| and eigenbasis defect |V†V - I|.
+# Eigendecomposition contract: residual |U v - e^{i phi} v| and eigenbasis defect |V†V - I|;
+# for phases alone, the Schur factor's off-diagonal entries and |modulus - 1| of its diagonal.
 EIGEN_TOL = 1e-8
 # POVM defects: |B - B^H|, depth of a negative eigenvalue or weight, |sum - I|, |basis†basis - I|.
 POVM_TOL = 1e-9

@@ -114,10 +114,11 @@ class TestPerfectCount:
 
 
 def test_radical_simplifies_to_linear():
-    # sqrt(1 - 4 e (1 - e)) = 1 - 2 e on [0, 1/2]
+    # sqrt(1 - 4 e (1 - e)) = 1 - 2 e on [0, 1/2], so the raw bound is 2 (1 - 2 e) / theta
     grid = np.linspace(0.0, 0.5, 10_001)
-    lhs = np.sqrt(1.0 - 4.0 * grid * (1.0 - grid))
-    assert np.max(np.abs(lhs - (1.0 - 2.0 * grid))) <= 1e-12
+    for theta in (0.1, 1.0, PI, 6.0):
+        raw = np.array([t_min_bounded(theta, e).raw_value for e in grid])
+        assert np.max(np.abs(raw - 2.0 * (1.0 - 2.0 * grid) / theta)) <= 1e-12 / theta
 
 
 def test_t_lower_monotone_in_epsilon_and_theta():

@@ -130,34 +130,37 @@ class TestRunCampaign:
         assert peak < 16 * DIM_CAP * DIM_CAP // 100  # far below one n x n complex array
         assert report.summary.violation_count == 0
 
-    @pytest.mark.parametrize("source", ["random", "parallel"])
+    @pytest.mark.parametrize("source", ["random", "parallel", "optimized"])
     def test_one_check_per_unitary_and_one_schur_per_instance(self, monkeypatch, source):
-        counts = {"checks": 0, "schur": 0, "arcs": 0}
+        counts = {"checks": 0, "schur": [], "arcs": 0}
         require, gees, covering_arc = linalg.require_unitary, linalg._gees, geometry._covering_arc
+        cfg = small_config(instances=6, t_range=(1, 3 if source == "optimized" else 8),
+                           protocol_source=source)
 
         def counted_require(m, *args, **kwargs):
-            counts["checks"] += len(m) if np.ndim(m) == 3 else 1  # matrices checked
-            return require(m, *args, **kwargs)
+            a = require(m, *args, **kwargs)
+            if a.shape[-1] == cfg.dim:  # the pair's unitaries, not a found protocol's interleavers
+                counts["checks"] += len(a) if a.ndim == 3 else 1  # matrices checked
+            return a
 
         def counted_gees(*args, **kwargs):
-            counts["schur"] += 1
+            counts["schur"].append(bool(kwargs["compute_v"]))  # whether Schur vectors are formed
             return gees(*args, **kwargs)
 
         def counted_arc(p):
             counts["arcs"] += 1
             return covering_arc(p)
 
-        cfg = small_config(instances=6, t_range=(1, 8), protocol_source=source)
         linalg._gees_lwork(cfg.dim)  # the once-per-dimension workspace query is not a Schur
         monkeypatch.setattr(linalg, "require_unitary", counted_require)
         monkeypatch.setattr(linalg, "_gees", counted_gees)
         monkeypatch.setattr(geometry, "_covering_arc", counted_arc)
         for index in range(cfg.instances):
-            counts.update(checks=0, schur=0, arcs=0)
+            counts.update(checks=0, schur=[], arcs=0)
             run_instance(cfg, index)
-            # u1 and u2 as one stack, and eigen_system's check of U1†U2;
-            # the arc is found once although the parallel plan asks for it again
-            assert counts == {"checks": 3, "schur": 1, "arcs": 1}
+            # u1 and u2 as one stack, and U1†U2 not again; eigenvectors only for the parallel
+            # plan; the arc is found once although the plan and the search ask for it again
+            assert counts == {"checks": 2, "schur": [source == "parallel"], "arcs": 1}
 
     @pytest.mark.parametrize("queries", [0, 2])
     def test_optimized_instance_simulates_its_protocol_once(self, monkeypatch, queries):

@@ -87,6 +87,23 @@ class TestFidelity:
         assert obj["oracle"] == pytest.approx(obj["fidelity"], abs=1e-6)
 
 
+class TestPairWithinTolerance:
+    # each matrix's unitarity defect is 9.0e-11, within 1e-10; that of U1†U2 is 1.8e-10
+    @pytest.mark.parametrize("argv", [["theta"], ["fidelity", "--oracle"]])
+    def test_product_is_not_checked_again(self, argv, tmp_path, capsys):
+        paths = []
+        for name, m in [("u1", np.diag([1 + 0.45e-10, 1.0])), ("u2", np.diag([1 + 0.45e-10, 1j]))]:
+            paths += [f"--{name}", str(tmp_path / f"{name}.json")]
+            write_json(matrix_to_obj(m), paths[-1])
+        code, out, err = run_cli(capsys, argv + paths)
+        assert code == 0, err
+        obj = json.loads(out)
+        if argv == ["theta"]:
+            assert obj["theta"] == pytest.approx(np.pi / 2, abs=1e-12)
+        else:
+            assert obj["difference"] == pytest.approx(0.0, abs=1e-12)
+
+
 class TestBoundAndPerfect:
     def test_bound_bounded(self, fixtures, capsys):
         code, out, _ = run_cli(capsys, ["bound", "--theta", "0.1",

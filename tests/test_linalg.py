@@ -271,6 +271,32 @@ class TestEigenSystem:
         with pytest.raises(NumericalError, match="did not converge"):
             eigen_system(np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    def test_theta_only_phases_equal_eigen_system_bit_for_bit(self, d):
+        rng = np.random.default_rng([d, 18])
+        u1, u2 = haar_unitary_from_rng(d, rng), haar_unitary_from_rng(d, rng)
+        phases = relative_spectrum(u1, u2)
+        assert phases.vectors is None
+        assert np.array_equal(phases.phases, eigen_system(u1.conj().T @ u2).phases)
+
+    @pytest.mark.parametrize("entry, value", [
+        ((0, 1), 1e-6),     # a strictly upper entry: the factor is not diagonal
+        ((0, 1), np.nan),
+        ((1, 1), np.nan),   # a diagonal entry, which the eigenvalues copy
+    ])
+    def test_theta_only_schur_factor_fails_the_accuracy_contract(self, entry, value,
+                                                                 monkeypatch):
+        gees = linalg._gees
+
+        def injected(*args, **kwargs):
+            t, sdim, w, *rest = gees(*args, **kwargs)
+            t[entry] = value
+            return (t, sdim, np.diagonal(t).copy(), *rest)
+
+        monkeypatch.setattr(linalg, "_gees", injected)
+        with pytest.raises(NumericalError, match="accuracy contract"):
+            relative_spectrum(np.eye(2), np.diag([1.0, -1.0]))
+
 
 class TestHaarUnitary:
     def test_determinism(self):
@@ -409,12 +435,42 @@ class TestUnitaryPair:
         with pytest.raises(ShapeError):
             UnitaryPair.of(np.eye(2), np.eye(3))
 
-    def test_spectrum_is_decomposed_once_and_kept(self):
+    def test_spectrum_is_decomposed_once_and_kept(self, monkeypatch):
         rng = np.random.default_rng(60)
         u1, u2 = haar_unitary_from_rng(3, rng), haar_unitary_from_rng(3, rng)
+        gees, calls = linalg._gees, []
+
+        def counted_gees(*args, **kwargs):
+            calls.append(bool(kwargs["compute_v"]))
+            return gees(*args, **kwargs)
+
+        linalg._gees_lwork(3)  # the once-per-dimension workspace query is not a Schur
+        monkeypatch.setattr(linalg, "_gees", counted_gees)
         pair = UnitaryPair.of(u1, u2)
-        assert relative_spectrum(pair) is pair.spectrum
-        assert np.array_equal(pair.spectrum.phases, relative_spectrum(u1, u2).phases)
+        phases = relative_spectrum(pair)
+        assert phases.vectors is None and relative_spectrum(pair) is phases
+        assert calls == [False]
+        # the parallel plan's reader decomposes with vectors, once, and finds the same phases
+        assert pair.spectrum is pair.spectrum and pair.spectrum.vectors is not None
+        assert np.array_equal(pair.spectrum.phases, phases.phases)
+        assert calls == [False, True]
+        # a pair that holds its spectrum gives it for its phases, without a second Schur
+        held = UnitaryPair.of(u1, u2)
+        spectrum = held.spectrum
+        assert relative_spectrum(held) is spectrum
+        assert calls == [False, True, True]
+        assert np.array_equal(relative_spectrum(u1, u2).phases, phases.phases)
+
+    def test_product_of_checked_unitaries_is_not_checked_again(self):
+        # each factor's defect is 9.0e-11, within UNITARY_TOL; U1†U2's is 1.8e-10, beyond it
+        u1 = np.diag([1 + 0.45e-10, 1.0])
+        u2 = np.diag([1 + 0.45e-10, 1j])
+        pair = UnitaryPair.of(u1, u2)
+        assert np.array_equal(relative_spectrum(pair).phases, [0.0, np.pi / 2])
+        assert np.array_equal(pair.spectrum.phases, [0.0, np.pi / 2])
+        # a matrix handed in alone is checked: eigen_system still refuses the product
+        with pytest.raises(DomainError, match="defect 1.800e-10"):
+            eigen_system(u1.conj().T @ u2)
 
     def test_stands_in_for_both_unitaries(self):
         rng = np.random.default_rng(61)
