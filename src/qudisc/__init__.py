@@ -50,7 +50,6 @@ from .linalg import (
     DIM_CAP,
     PhaseSpectrum,
     UnitaryPair,
-    eigen_system,
     haar_unitary_from_rng,
     relative_spectrum,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "audit_step_slacks",
     "build_parallel",
     "closest_hull_point",
-    "eigen_system",
     "evaluate_povm",
     "fidelity_closed_form",
     "fidelity_hull_oracle",

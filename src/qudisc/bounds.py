@@ -94,7 +94,13 @@ def t_min_onesided(theta: float, epsilon: float) -> BoundReport:
 
 
 def t_perfect(theta: float) -> int:
-    """Query count at which perfect discrimination becomes achievable: ceil(pi/theta)."""
+    """Query count at which perfect discrimination becomes achievable: ceil(pi/theta).
+
+    Computed as ceil(pi/theta - CEILING_GUARD), so it is exact only up to the
+    guard: where pi/theta lies less than ``CEILING_GUARD`` above an integer
+    k, it answers k, at which the best final overlap is not 0 but at most
+    theta*CEILING_GUARD/2.
+    """
     _check_theta(theta)
     return _ceil_guarded(math.pi / theta, theta)
 

@@ -13,7 +13,7 @@ index])``, so records are independent of execution order.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -124,8 +124,8 @@ class CampaignSummary:
 @dataclass(frozen=True)
 class CampaignReport:
     config: CampaignConfig
-    records: list[InstanceRecord] = field(default_factory=list)
-    summary: CampaignSummary | None = None
+    records: list[InstanceRecord]
+    summary: CampaignSummary
 
 
 def _instance_rng(seed: int, index: int) -> np.random.Generator:
@@ -166,13 +166,10 @@ def measure_pair(pair: StatePair) -> tuple[float, float | None]:
     return error, max(three.p_inconclusive_1, three.p_inconclusive_2)
 
 
-def run_instance(cfg: CampaignConfig, index: int, pair_factory=None) -> tuple[InstanceRecord, float]:
+def run_instance(cfg: CampaignConfig, index: int) -> tuple[InstanceRecord, float]:
     """Run one campaign instance; returns (record, observed D_0)."""
     rng = _instance_rng(cfg.seed, index)
-    if pair_factory is None:
-        u1, u2 = haar_unitary_from_rng(cfg.dim, rng, (2,))
-    else:
-        u1, u2 = pair_factory(rng, cfg.dim)
+    u1, u2 = haar_unitary_from_rng(cfg.dim, rng, (2,))
     lo, hi = cfg.t_range
     queries = int(rng.integers(lo, hi + 1))
 
@@ -257,17 +254,12 @@ def violating_indices(report: CampaignReport) -> list[int]:
     return [r.index for r in report.records if any(violations(r))]
 
 
-def run_campaign(cfg: CampaignConfig, pair_factory=None) -> CampaignReport:
-    """Run every instance of a campaign and aggregate the slack statistics.
-
-    ``pair_factory(rng, dim)`` overrides Haar pair sampling; it exists for
-    tests that need structured pairs (for example commuting diagonal ones)
-    and is not part of the config file format.
-    """
+def run_campaign(cfg: CampaignConfig) -> CampaignReport:
+    """Run every instance of a campaign and aggregate the slack statistics."""
     records: list[InstanceRecord] = []
     max_d0: float | None = None
     for index in range(cfg.instances):
-        record, d0 = run_instance(cfg, index, pair_factory=pair_factory)
+        record, d0 = run_instance(cfg, index)
         records.append(record)
         max_d0 = d0 if max_d0 is None else max(max_d0, d0)
     return CampaignReport(
@@ -317,7 +309,7 @@ def report_to_obj(report: CampaignReport) -> dict:
     return {
         "config": config_to_obj(report.config),
         "records": [asdict(r) for r in report.records],
-        "summary": None if report.summary is None else asdict(report.summary),
+        "summary": asdict(report.summary),
     }
 
 

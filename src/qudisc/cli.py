@@ -198,9 +198,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser(
-        "perfect", parents=[common], help="query count for perfect discrimination"
+        "perfect",
+        parents=[common],
+        help="query count for perfect discrimination",
+        epilog=(
+            f"t_perfect = ceil(pi/theta - CEILING_GUARD), with CEILING_GUARD = {CEILING_GUARD:g}: "
+            "exact up to the guard, so the best final overlap at t_perfect is at most "
+            "theta*CEILING_GUARD/2, not 0, where pi/theta lies just above an integer."
+        ),
     )
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=float, required=True, help="phase spread in (0, 2*pi)")
     p.set_defaults(func=_cmd_perfect)
 
     p = sub.add_parser(

@@ -43,29 +43,37 @@ def smallest_arc(spectrum) -> ArcResult:
     phase; theta is unaffected, only the reported endpoints.
 
     Accepts a PhaseSpectrum or a bare sequence of phases (radians). A
-    spectrum's phases are already wrapped and ascending, so they are used
-    as they are, and its arc is found once and kept on the spectrum.
+    bare sequence is wrapped and sorted; a spectrum's phases are taken as
+    they are, checked ascending in [0, 2*pi), and its arc is found once and
+    kept on the spectrum.
+
+    Raises:
+        DomainError: no phases, a phase that is not finite, or a spectrum
+            whose phases are not ascending in [0, 2*pi).
     """
     if isinstance(spectrum, PhaseSpectrum):
         if spectrum.arc is None:
             spectrum.arc = _covering_arc(spectrum.phases)
         return spectrum.arc
     phases = np.asarray(spectrum, dtype=float).ravel()
-    if phases.size == 0:
-        raise DomainError("spectrum is empty")
     if not np.isfinite(phases).all():
         raise DomainError("phases must be finite")
     return _covering_arc(np.sort(wrap_phase(phases)))
 
 
 def _covering_arc(p: np.ndarray) -> ArcResult:
-    """Smallest covering arc of nonempty phases, wrapped into [0, 2*pi) and ascending.
+    """Smallest covering arc of phases, refused unless nonempty and ascending in [0, 2*pi).
 
     On Python floats: the same subtractions numpy would make, without its
-    per-call overhead on the few phases of a small spectrum.
+    per-call overhead on the few phases of a small spectrum. A NaN fails
+    every comparison of the check.
     """
     ps = p.tolist()
+    if not ps:
+        raise DomainError("spectrum is empty")
     gaps = [b - a for a, b in zip(ps, ps[1:])]  # gap i runs from ps[i] to its successor
+    if not (0.0 <= ps[0] and ps[-1] < TWO_PI and all(g >= 0.0 for g in gaps)):
+        raise DomainError("a spectrum's phases must be ascending in [0, 2*pi)")
     gaps.append(ps[0] + TWO_PI - ps[-1])
     best = max(range(len(ps)), key=gaps.__getitem__)  # max keeps the first (smallest start) on ties
     theta = 0.0 if len(ps) == 1 else TWO_PI - gaps[best]

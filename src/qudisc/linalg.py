@@ -235,8 +235,8 @@ def _schur(a: np.ndarray, vectors: bool) -> tuple:
     return phases[order], order, t, q
 
 
-def eigen_system(u) -> PhaseSpectrum:
-    """Orthonormal eigendecomposition of a unitary matrix.
+def _eigen_system(a: np.ndarray) -> PhaseSpectrum:
+    """Orthonormal eigendecomposition of a square matrix whose factors were checked unitary.
 
     Uses the complex Schur form: for a normal matrix the Schur factor is
     diagonal and the Schur vectors form an exactly orthonormal eigenbasis,
@@ -244,31 +244,14 @@ def eigen_system(u) -> PhaseSpectrum:
     ``zgees`` is called directly, with its workspace size queried once per
     dimension, and gives the same bits as ``scipy.linalg.schur``: it is
     scipy's own f2py wrapper, loaded without scipy.linalg's package init
-    where it can be and through ``scipy.linalg`` otherwise. A caller that
-    needs only the phases takes ``relative_spectrum``, which forms no
-    eigenvectors and gives the same phase bits.
+    where it can be and through ``scipy.linalg`` otherwise.
 
-    Args:
-        u: square matrix, unitary within ``UNITARY_TOL``.
-
-    Returns:
-        PhaseSpectrum with phases sorted ascending in [0, 2*pi) and their
-        eigenvectors.
+    Returns the phases ascending in [0, 2*pi) and their eigenvectors.
 
     Raises:
-        ShapeError: input not one square matrix.
-        DomainError: input not unitary, or with a non-finite entry.
         NumericalError: the Schur form did not converge, or the largest
             eigenvector residual or orthonormality defect exceeds ``EIGEN_TOL``.
     """
-    a = require_unitary(u)
-    if a.ndim != 2:
-        raise ShapeError(f"expected one square matrix, got shape {a.shape}")
-    return _eigen_system(a)
-
-
-def _eigen_system(a: np.ndarray) -> PhaseSpectrum:
-    """``eigen_system`` of a square matrix whose factors were checked unitary already."""
     phases, order, _, q = _schur(a, vectors=True)
     vectors = q[:, order]
 
@@ -338,7 +321,7 @@ class UnitaryPair:
 
     @cached_property
     def spectrum(self) -> PhaseSpectrum:
-        """Eigenphases and eigenvectors of U1†U2, under ``eigen_system``'s contract."""
+        """Eigenphases and eigenvectors of U1†U2: the one eigenvector decomposition."""
         return _eigen_system(dagger(self.u1) @ self.u2)
 
     @cached_property
@@ -375,7 +358,7 @@ def relative_spectrum(u1, u2=None) -> PhaseSpectrum:
     Takes the two unitaries, or a UnitaryPair alone. Forms no eigenvectors
     (``vectors`` is None) unless the pair already holds its ``spectrum``,
     which is then returned as it is. The phases are the same bits as
-    ``eigen_system``'s. Kept on the pair, so a pair is decomposed once.
+    ``spectrum``'s. Kept on the pair, so a pair is decomposed once.
 
     Raises:
         NumericalError: the Schur form did not converge, or its largest

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qudisc import (
     IndistinguishableError,
     SearchConfig,
+    UnitaryPair,
     ValidationError,
     build_parallel,
     fidelity_closed_form,
@@ -25,6 +26,7 @@ from qudisc import (
 from qudisc.builder import _overlap_derivatives
 from qudisc.linalg import random_state_from_rng
 from qudisc.protocol import evolve_branches
+from qudisc.tolerances import CEILING_GUARD
 
 I2 = np.eye(2, dtype=complex)
 EIGHTH_TURN = np.diag([1.0, np.exp(1j * np.pi / 4)])
@@ -100,6 +102,27 @@ class TestParallelPlan:
         trace = simulate_parallel(I2, u2, plan)
         assert trace.final_overlap <= 1e-12
         assert trace.distances[0] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 20),
+        below=st.floats(0.0, 0.9 * CEILING_GUARD),
+        above=st.floats(2 * CEILING_GUARD, 0.5),
+    )
+    @example(k=4, below=5e-10, above=2 * CEILING_GUARD)  # overlap 1.96e-10 at t_perfect = 4
+    def test_t_perfect_is_exact_up_to_the_ceiling_guard(self, k, below, above):
+        # at theta = pi/(k + delta), t_perfect answers k for delta under the guard, where the
+        # overlap cos(k*theta/2) = sin(theta*delta/2) is small but not 0; k + 1 beyond it
+        def at(delta):
+            pair = UnitaryPair.of(I2, np.diag([1.0, np.exp(1j * math.pi / (k + delta))]))
+            theta = smallest_arc(relative_spectrum(pair)).theta
+            t = t_perfect(theta)
+            return theta, t, simulate_parallel(pair, build_parallel(pair, t)).final_overlap
+
+        theta, t, overlap = at(below)
+        assert t == k and overlap <= theta * CEILING_GUARD / 2 + 1e-15
+        _, t, overlap = at(above)
+        assert t == k + 1 and overlap <= 1e-12
 
     @settings(max_examples=120, deadline=None)
     @given(

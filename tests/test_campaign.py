@@ -46,6 +46,12 @@ def small_config(**overrides):
     return CampaignConfig(**base)
 
 
+def draw_pairs(monkeypatch, pair):
+    """Make the campaign draw ``pair(rng, dim)`` in place of its Haar pair, from the same stream."""
+    monkeypatch.setattr(campaign_mod, "haar_unitary_from_rng",
+                        lambda dim, rng, batch: np.array(pair(rng, dim)))
+
+
 def commuting_diagonal_pair(rng, dim):
     phases = rng.uniform(0, 2 * np.pi, size=dim)
     return np.eye(dim, dtype=complex), np.diag(np.exp(1j * phases))
@@ -81,9 +87,10 @@ class TestRunCampaign:
         solo, _ = run_instance(cfg, 4)
         assert solo == report.records[4]
 
-    def test_parallel_source_matches_prediction_on_commuting_pairs(self):
+    def test_parallel_source_matches_prediction_on_commuting_pairs(self, monkeypatch):
+        draw_pairs(monkeypatch, commuting_diagonal_pair)
         cfg = small_config(instances=100, protocol_source="parallel", t_range=(1, 5))
-        report = run_campaign(cfg, pair_factory=commuting_diagonal_pair)
+        report = run_campaign(cfg)
         assert report.summary.violation_count == 0
         for r in report.records:
             # the optimum: cos(T*theta/2) below perfect discrimination, 0 from there on
@@ -107,9 +114,10 @@ class TestRunCampaign:
             assert r.theorem1_slack == 0.0
 
     @pytest.mark.parametrize("source", ["random", "parallel", "optimized"])
-    def test_theta_zero_pair_is_recorded_not_raised(self, source):
+    def test_theta_zero_pair_is_recorded_not_raised(self, source, monkeypatch):
+        draw_pairs(monkeypatch, lambda rng, d: (np.eye(d), np.eye(d)))
         cfg = small_config(instances=2, t_range=(1, 2), seed=1, protocol_source=source)
-        report = run_campaign(cfg, pair_factory=lambda rng, d: (np.eye(d), np.eye(d)))
+        report = run_campaign(cfg)
         assert report.summary.violation_count == 0
         for r in report.records:
             assert (r.theta, r.overlap, r.helstrom_error, r.inconclusive) == (0.0, 1.0, 0.5, 1.0)
@@ -355,10 +363,12 @@ def tiny_phase_pair(rng, dim):
 
 
 @pytest.mark.parametrize("source", ["random", "parallel", "optimized"])
-def test_small_theta_campaign_runs_clean(source):
+def test_small_theta_campaign_runs_clean(source, monkeypatch):
     # the span basis of a nearly coinciding final pair failed its orthonormality check, and
     # the step audit's 2*sqrt(1 - F^2) cancelled into false violations
-    report = run_campaign(CampaignConfig(20, 2, (1, 3), 5, source), pair_factory=tiny_phase_pair)
+    draw_pairs(monkeypatch, tiny_phase_pair)
+    report = run_campaign(CampaignConfig(20, 2, (1, 3), 5, source))
+    assert all(0.0 < r.theta <= 1e-7 for r in report.records)
     assert report.summary.violation_count == 0
 
 

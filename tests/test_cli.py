@@ -269,7 +269,7 @@ class TestVerify:
         assert obj["summary"]["violation_count"] == 0
 
     def test_violation_forces_nonzero_exit(self, fixtures, capsys, monkeypatch):
-        def doctored(cfg, pair_factory=None):
+        def doctored(cfg):
             report = run_campaign(cfg)
             bad = dataclasses.replace(report.records[0], theorem1_slack=-1.0)
             records = [bad] + report.records[1:]

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from qudisc import (
     DomainError,
+    PhaseSpectrum,
     ShapeError,
     StatePair,
+    UnitaryPair,
     closest_hull_point,
-    eigen_system,
     haar_unitary_from_rng,
     fidelity_closed_form,
     fidelity_hull_oracle,
@@ -55,8 +56,20 @@ class TestSmallestArc:
         assert arc.start_phase == pytest.approx(np.pi)
         assert arc.end_phase == 0.0
 
+    @pytest.mark.parametrize("phases", [
+        [3.0, 1.0],  # descending: its arc read -2.0, where the bare list gives 2.0
+        [7.0, 0.5],  # 7.0 beyond 2*pi: its arc read -6.5
+        [],  # an untyped IndexError
+        [0.5, np.nan],
+    ], ids=["descending", "beyond-2pi", "empty", "nan"])
+    def test_refuses_a_spectrum_not_ascending_in_range(self, phases):
+        spectrum = PhaseSpectrum(np.array(phases, dtype=float))
+        with pytest.raises(DomainError):
+            smallest_arc(spectrum)
+        assert spectrum.arc is None
+
     def test_accepts_phase_spectrum(self):
-        spec = eigen_system(np.diag([1.0, -1.0]))
+        spec = UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0])).spectrum
         assert smallest_arc(spec).theta == pytest.approx(np.pi)
 
     def test_endpoints_are_members_and_cover(self):
@@ -94,7 +107,7 @@ class TestSmallestArc:
         rng = np.random.default_rng(13)
         for d in (2, 3, 8):
             for _ in range(50):
-                spectrum = eigen_system(haar_unitary_from_rng(d, rng))
+                spectrum = UnitaryPair.of(np.eye(d), haar_unitary_from_rng(d, rng)).spectrum
                 arc = smallest_arc(spectrum)
                 assert spectrum.phases[arc.start] == arc.start_phase
                 assert spectrum.phases[arc.end] == arc.end_phase

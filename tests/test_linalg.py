@@ -16,7 +16,6 @@ from qudisc import (
     ShapeError,
     UnitaryPair,
     build_parallel,
-    eigen_system,
     haar_unitary_from_rng,
     optimize_protocol,
     relative_spectrum,
@@ -130,19 +129,26 @@ class TestDimCap:
             require_unitary(big)
 
 
+def spectrum_of(u):
+    """The eigendecomposition of u that a pair takes: I†u is u bit for bit."""
+    return UnitaryPair.of(np.eye(np.shape(u)[0]), u).spectrum
+
+
 class TestEigenSystem:
+    """``_eigen_system``, the one eigenvector decomposition, as ``UnitaryPair.spectrum`` runs it."""
+
     def test_pauli_z(self):
-        spec = eigen_system(np.diag([1.0, -1.0]))
+        spec = spectrum_of(np.diag([1.0, -1.0]))
         assert np.allclose(spec.phases, [0.0, np.pi], atol=1e-12)
 
     def test_hadamard(self):
         # roots of the characteristic polynomial lambda^2 - 1
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        spec = eigen_system(h)
+        spec = spectrum_of(h)
         assert np.allclose(spec.phases, [0.0, np.pi], atol=1e-10)
 
     def test_identity_three(self):
-        spec = eigen_system(np.eye(3))
+        spec = spectrum_of(np.eye(3))
         # compare on the circle: 0 and 2*pi are the same point
         dist = np.minimum(spec.phases, TWO_PI - spec.phases)
         assert np.all(dist <= 1e-10)
@@ -150,7 +156,7 @@ class TestEigenSystem:
     def test_phases_sorted_in_range(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            spec = eigen_system(haar_unitary_from_rng(5, rng))
+            spec = spectrum_of(haar_unitary_from_rng(5, rng))
             assert np.all(np.diff(spec.phases) >= 0)
             assert np.all((spec.phases >= 0) & (spec.phases < TWO_PI))
 
@@ -158,7 +164,7 @@ class TestEigenSystem:
         rng = np.random.default_rng(4)
         for _ in range(30):
             u = haar_unitary_from_rng(6, rng)
-            spec = eigen_system(u)
+            spec = spectrum_of(u)
             resid = u @ spec.vectors - spec.vectors * np.exp(1j * spec.phases)
             assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-8
             gram = spec.vectors.conj().T @ spec.vectors
@@ -168,19 +174,19 @@ class TestEigenSystem:
         rng = np.random.default_rng(5)
         for _ in range(20):
             u = haar_unitary_from_rng(4, rng)  # Haar spectra are simple a.s.
-            spec = eigen_system(u)
+            spec = spectrum_of(u)
             rebuilt = (spec.vectors * np.exp(1j * spec.phases)) @ spec.vectors.conj().T
             assert np.max(np.abs(rebuilt - u)) <= 1e-7
 
     def test_degenerate_spectrum_keeps_orthonormal_basis(self):
         u = np.kron(np.diag([1.0, -1.0]), np.eye(2))  # each eigenvalue twice
-        spec = eigen_system(u)
+        spec = spectrum_of(u)
         gram = spec.vectors.conj().T @ spec.vectors
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-8
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(DomainError):
-            eigen_system(np.diag([1.0, 0.5]))
+        with pytest.raises(DomainError, match="u2 is not unitary"):
+            spectrum_of(np.diag([1.0, 0.5]))
 
     # the direct loader, the one qudisc takes, keeps the plain dimension ids
     @pytest.mark.parametrize("d, loader", [
@@ -200,10 +206,10 @@ class TestEigenSystem:
         t, q = scipy.linalg.schur(u, output="complex")
         direct = gees(linalg._no_sort, u, lwork=linalg._gees_lwork(d))
         assert np.array_equal(direct[0], t) and np.array_equal(direct[3], q)
-        # eigen_system as it read on scipy.linalg.schur, spelled out
+        # the decomposition as it read on scipy.linalg.schur, spelled out
         phases = wrap_phase(np.angle(np.diag(t)))
         order = np.argsort(phases, kind="stable")
-        spec = eigen_system(u)
+        spec = spectrum_of(u)
         assert np.array_equal(spec.phases, phases[order])
         assert np.array_equal(spec.vectors, q[:, order])
 
@@ -237,8 +243,8 @@ class TestEigenSystem:
     def test_non_unitary_input_is_refused_before_a_schur_failure(self, monkeypatch):
         gees = linalg._gees
         monkeypatch.setattr(linalg, "_gees", lambda *a, **kw: (*gees(*a, **kw)[:-1], 1))
-        with pytest.raises(DomainError, match="matrix is not unitary within 1e-10"):
-            eigen_system(np.diag([1.0, 0.5]))
+        with pytest.raises(DomainError, match="u2 is not unitary within 1e-10"):
+            spectrum_of(np.diag([1.0, 0.5]))
 
     def test_nan_eigenbasis_fails_the_accuracy_contract(self, monkeypatch):
         # a NaN defect compared False against the tolerance and was accepted
@@ -251,15 +257,16 @@ class TestEigenSystem:
 
         monkeypatch.setattr(linalg, "_gees", nan_vectors)
         with pytest.raises(NumericalError, match="accuracy contract"):
-            eigen_system(np.diag([1.0, -1.0]))
+            spectrum_of(np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize("bad, error", [
         (np.array([np.eye(2)] * 2), ShapeError),
         (np.diag([1.0, np.nan]), DomainError),
     ])
     def test_stack_and_non_finite_inputs_are_refused(self, bad, error):
-        with pytest.raises(error):
-            eigen_system(bad)
+        message = {ShapeError: "dimension mismatch", DomainError: "u2 entries must be finite"}
+        with pytest.raises(error, match=message[error]):
+            spectrum_of(bad)
 
     def test_schur_failure_is_a_numerical_error(self, monkeypatch):
         gees = linalg._gees
@@ -269,7 +276,7 @@ class TestEigenSystem:
 
         monkeypatch.setattr(linalg, "_gees", failing)
         with pytest.raises(NumericalError, match="did not converge"):
-            eigen_system(np.diag([1.0, -1.0]))
+            spectrum_of(np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
     def test_theta_only_phases_equal_eigen_system_bit_for_bit(self, d):
@@ -277,7 +284,7 @@ class TestEigenSystem:
         u1, u2 = haar_unitary_from_rng(d, rng), haar_unitary_from_rng(d, rng)
         phases = relative_spectrum(u1, u2)
         assert phases.vectors is None
-        assert np.array_equal(phases.phases, eigen_system(u1.conj().T @ u2).phases)
+        assert np.array_equal(phases.phases, spectrum_of(u1.conj().T @ u2).phases)
 
     @pytest.mark.parametrize("entry, value", [
         ((0, 1), 1e-6),     # a strictly upper entry: the factor is not diagonal
@@ -468,9 +475,9 @@ class TestUnitaryPair:
         pair = UnitaryPair.of(u1, u2)
         assert np.array_equal(relative_spectrum(pair).phases, [0.0, np.pi / 2])
         assert np.array_equal(pair.spectrum.phases, [0.0, np.pi / 2])
-        # a matrix handed in alone is checked: eigen_system still refuses the product
+        # a matrix handed in alone is checked: a pair made of the product refuses it
         with pytest.raises(DomainError, match="defect 1.800e-10"):
-            eigen_system(u1.conj().T @ u2)
+            UnitaryPair.of(np.eye(2), u1.conj().T @ u2)
 
     def test_stands_in_for_both_unitaries(self):
         rng = np.random.default_rng(61)
