@@ -11,6 +11,7 @@ returns respects the query-count lower bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,10 @@ from .linalg import (
 )
 from .measurement import helstrom_error
 from .protocol import (Protocol, SimulationTrace, apply_query, evolve_branches, record_trace,
-                       run_protocol, simulation_size)
+                       simulation_size)
+# Not called here since the search keeps its own trace; the benchmark's tracer still wraps
+# builder.run_protocol, and fails on a missing name.
+from .protocol import run_protocol
 from .tolerances import BOUND_SAFETY_TOL, PERFECT_OVERLAP
 
 
@@ -140,6 +144,20 @@ def simulate_parallel(u1, u2=None, plan=None) -> SimulationTrace:
     return record_trace(states)
 
 
+def check_integer(value, what: str) -> int:
+    """Every config count and seed is an integer: what ``operator.index`` takes, but not a bool.
+
+    Returns it as a Python int, which the configs store, so a numpy integer
+    reaches a JSON report as a plain number.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
 def check_seed(seed: int) -> None:
     """Every config seed is a u64: it lies in [0, 2**64)."""
     if not 0 <= seed < 2**64:
@@ -157,6 +175,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("queries", "restarts", "max_iterations", "seed"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.queries < 0:
             raise ValidationError("query count must be nonnegative")
         if self.restarts < 1:
@@ -187,20 +207,23 @@ def search_size(d: int, queries: int) -> int:
     return n
 
 
-def _overlap_derivatives(ws: np.ndarray, y1, y2, u1, u2, d: int, anc: int) -> np.ndarray:
+def _overlap_derivatives(ws: np.ndarray, y: np.ndarray, u1, u2, d: int, anc: int) -> np.ndarray:
     """N_k such that replacing W_k by exp(X)W_k changes <s1|s2> by tr(X N_k).
 
-    ``b1``/``b2`` carry the other branch's final state back through this
-    branch's remaining steps, so one backward pass per branch gives every N_k.
+    ``y`` is the (2, T+1, n) array of ``evolve_branches``. ``back[i, k]``
+    carries the other branch's final state back through branch i's steps
+    after W_k, so one backward pass per branch gives every N_k, as the
+    outer products y_2[k] back_2[k]† - back_1[k] y_1[k]†.
     """
-    b1, b2 = y2[-1], y1[-1]
-    ns = np.empty_like(ws)
-    for k in range(len(ws) - 1, -1, -1):
-        ns[k] = np.outer(y2[k], b2.conj()) - np.outer(b1, y1[k].conj())
-        if k:
-            b1 = apply_query(ws[k].conj().T @ b1, u1.conj().T, d, anc)
-            b2 = apply_query(ws[k].conj().T @ b2, u2.conj().T, d, anc)
-    return ns
+    back = np.empty_like(y)
+    back[:, -1] = y[::-1, -1]
+    uh = (u1.conj().T, u2.conj().T)
+    wh = ws.conj().transpose(0, 2, 1)
+    for k in range(len(ws) - 1, 0, -1):
+        for i in (0, 1):
+            back[i, k - 1] = apply_query(wh[k] @ back[i, k], uh[i], d, anc)
+    forward = y[1, :, :, None] * back[1, :, None, :].conj()
+    return forward - back[0, :, :, None] * y[0, :, None, :].conj()
 
 
 def _gauss_newton_step(c: complex, ns: np.ndarray) -> np.ndarray:
@@ -218,18 +241,21 @@ def _gauss_newton_step(c: complex, ns: np.ndarray) -> np.ndarray:
     return -(alpha * dirs[0] + beta * dirs[1])
 
 
-def _descend(ws: np.ndarray, probe: np.ndarray, u1, u2, d: int, anc: int,
-             cfg: SearchConfig) -> tuple[np.ndarray, list[float], bool]:
-    """Gauss-Newton iterations on the final overlap.
+def _descend(ws: np.ndarray, y: np.ndarray, probe: np.ndarray, u1, u2, d: int, anc: int,
+             cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray, list[float], bool]:
+    """Gauss-Newton iterations on the final overlap, from interleavers ``ws`` and states ``y``.
+
+    Returns the last accepted interleavers with their ``evolve_branches``
+    states (the start's when no step is accepted), the history and whether
+    the budget ran out.
 
     Each step is halved until the overlap drops; the restart ends once the
     step has shrunk below ``step_tolerance`` of the full Gauss-Newton step.
     """
-    y1, y2 = evolve_branches(ws, probe, u1, u2, d, anc)
-    c = np.vdot(y1[-1], y2[-1])
+    c = np.vdot(y[0, -1], y[1, -1])
     history = [float(abs(c))]
     for _ in range(cfg.max_iterations):
-        x = _gauss_newton_step(c, _overlap_derivatives(ws, y1, y2, u1, u2, d, anc))
+        x = _gauss_newton_step(c, _overlap_derivatives(ws, y, u1, u2, d, anc))
         # exp(tX) through the eigenbasis of the Hermitian -iX: unitary to machine precision
         vals, vecs = np.linalg.eigh(-1j * x)
         scale = 1.0
@@ -237,18 +263,18 @@ def _descend(ws: np.ndarray, probe: np.ndarray, u1, u2, d: int, anc: int,
         while scale >= cfg.step_tolerance:
             rotations = (vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
             trial = rotations @ ws
-            t1, t2 = evolve_branches(trial, probe, u1, u2, d, anc)
-            trial_c = np.vdot(t1[-1], t2[-1])
+            trial_y = evolve_branches(trial, probe, u1, u2, d, anc)
+            trial_c = np.vdot(trial_y[0, -1], trial_y[1, -1])
             if abs(trial_c) < abs(c):
-                ws, y1, y2, c = trial, t1, t2, trial_c
+                ws, y, c = trial, trial_y, trial_c
                 improved = True
                 break
             vals = vals / 2.0
             scale /= 2.0
         history.append(float(abs(c)))
         if abs(c) < PERFECT_OVERLAP or not improved:
-            return ws, history, False
-    return ws, history, True
+            return ws, y, history, False
+    return ws, y, history, True
 
 
 def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
@@ -262,8 +288,10 @@ def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
     0 starts from identity interleavers (enough for commuting pairs);
     later restarts start from Haar ones. Restarts draw from independent
     streams derived from (seed, restart), so the result is reproducible
-    and independent of evaluation order. The best protocol is re-simulated,
-    asserted against the query-count bound and returned with that trace.
+    and independent of evaluation order. Each restart simulates its start
+    once and keeps the states of every step it accepts, so the best
+    restart's states are the returned trace, with no second simulation;
+    the protocol is asserted against the query-count bound on it.
     """
     pair, cfg = pair_args(u1, u2, cfg)
     a, b = pair.u1, pair.u2
@@ -276,26 +304,27 @@ def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
         )
 
     identity = np.array([np.eye(n, dtype=complex)] * (cfg.queries + 1))
-    best: tuple[float, int, np.ndarray, np.ndarray, bool] | None = None
+    best: tuple[float, int, np.ndarray, np.ndarray, np.ndarray, bool] | None = None
     histories: list[list[float]] = []
     # At T = 0 the single interleaver cancels in the overlap: one restart, nothing to optimize.
     for r in range(cfg.restarts if cfg.queries else 1):
         rng = np.random.default_rng([cfg.seed, r])
         probe = random_state_from_rng(n, rng)
         ws = identity if r == 0 else haar_unitary_from_rng(n, rng, (cfg.queries + 1,))
+        states = evolve_branches(ws, probe, a, b, d, ancilla)
         history, exhausted = [1.0], False
         if cfg.queries:
-            ws, history, exhausted = _descend(ws, probe, a, b, d, ancilla, cfg)
+            ws, states, history, exhausted = _descend(ws, states, probe, a, b, d, ancilla, cfg)
         histories.append(history)
         if best is None or history[-1] < best[0]:
-            best = (history[-1], r, ws, probe, exhausted)
+            best = (history[-1], r, ws, probe, states, exhausted)
         if best[0] < PERFECT_OVERLAP:
             break  # perfect discrimination found: later restarts cannot do better
 
     assert best is not None
-    _, best_restart, ws, probe, best_exhausted = best
+    _, best_restart, ws, probe, states, best_exhausted = best
     protocol = Protocol(d, ancilla, cfg.queries, ws, probe)
-    trace = run_protocol(pair, protocol)
+    trace = record_trace(states)
     overlap = trace.final_overlap
 
     eps = min(0.5, helstrom_error(overlap))

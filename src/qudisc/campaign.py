@@ -18,13 +18,14 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .bounds import t_min_bounded, t_min_onesided
-from .builder import (SearchConfig, build_parallel, check_copies, check_seed, optimize_protocol,
-                      search_size, simulate_parallel)
+from .builder import (SearchConfig, build_parallel, check_copies, check_integer, check_seed,
+                      optimize_protocol, search_size, simulate_parallel)
 from .errors import CapacityError, UsageError, ValidationError
 from .linalg import (DIM_CAP, UnitaryPair, haar_unitary_from_rng, relative_spectrum,
                      require_entries)
 from .geometry import smallest_arc
 from .measurement import StatePair, evaluate_povm, helstrom_povm, unambiguous_povm
+# run_protocol is not called here: the benchmark's tracer wraps campaign.run_protocol.
 from .protocol import audit_step_slacks, run_protocol, simulate_random, simulation_size
 from .serialize import config_from_fields, integer_field, integer_pair_field, string_field
 from .tolerances import D0_TOL, LEMMA_SLACK_TOL, THEOREM_SLACK_TOL
@@ -47,6 +48,12 @@ class CampaignConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for name in ("instances", "dim", "seed"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
+        if not isinstance(self.t_range, (tuple, list)) or len(self.t_range) != 2:
+            raise ValidationError(f"t_range must be a (lo, hi) pair, got {self.t_range!r}")
+        object.__setattr__(self, "t_range", tuple(
+            check_integer(end, f"t_range[{k}]") for k, end in enumerate(self.t_range)))
         if self.instances < 1:
             raise ValidationError("instances must be >= 1")
         if self.dim < 2:

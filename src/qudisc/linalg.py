@@ -143,6 +143,15 @@ class PhaseSpectrum:
     # geometry.smallest_arc the first time it is asked for this spectrum.
     arc: object = field(default=None, init=False, repr=False)
 
+    def __post_init__(self):
+        # attributes only: every verified instance builds a spectrum, so no pass over the phases
+        p = self.phases
+        if not isinstance(p, np.ndarray) or p.ndim != 1:
+            raise ShapeError(f"phases must be a 1-D array, got {type(p).__name__} "
+                             f"of shape {np.shape(p)}")
+        if p.dtype.kind != "f":
+            raise DomainError(f"phases must be real floats, got dtype {p.dtype}")
+
     @property
     def dim(self) -> int:
         return int(self.phases.shape[0])

@@ -25,7 +25,7 @@ from qudisc import (
 )
 from qudisc.builder import _overlap_derivatives
 from qudisc.linalg import random_state_from_rng
-from qudisc.protocol import evolve_branches
+from qudisc.protocol import apply_query, evolve_branches
 from qudisc.tolerances import CEILING_GUARD
 
 I2 = np.eye(2, dtype=complex)
@@ -165,6 +165,19 @@ class TestParallelPlan:
 
 
 class TestSearchConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("queries", 2.5), ("queries", 2.0), ("restarts", 2.0), ("max_iterations", 30.0),
+        ("seed", 1.5), ("queries", True),
+    ])
+    def test_non_integer_counts_are_refused(self, field, value):
+        # each was accepted and failed later with an untyped TypeError, or ran as given
+        with pytest.raises(ValidationError, match=field):
+            SearchConfig(**{"queries": 2, field: value})
+
+    def test_numpy_integers_are_counts(self):
+        cfg = SearchConfig(queries=np.int64(2), restarts=np.uint8(1), seed=np.uint64(2**64 - 1))
+        assert (type(cfg.queries), type(cfg.restarts), cfg.seed) == (int, int, 2**64 - 1)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             SearchConfig(queries=1, restarts=0)
@@ -253,6 +266,19 @@ class TestOptimizeProtocol:
             trace = run_protocol(u1, u2, result.protocol)
             assert trace.final_overlap == pytest.approx(result.overlap, abs=1e-12)
 
+    @pytest.mark.parametrize("dim, queries", [(2, 0), (2, 1), (2, 3), (3, 2)])
+    def test_trace_is_the_protocols_simulation_bit_for_bit(self, dim, queries):
+        # the descent's own states are the trace: a fresh simulation gives the same bits
+        rng = np.random.default_rng(67 + dim + queries)
+        u1, u2 = haar_unitary_from_rng(dim, rng, (2,))
+        cfg = SearchConfig(queries=queries, restarts=2, max_iterations=10,
+                           step_tolerance=1e-3, seed=queries)
+        result = optimize_protocol(u1, u2, cfg)
+        fresh = run_protocol(u1, u2, result.protocol)
+        assert np.array_equal(result.trace.states, fresh.states)
+        assert result.trace.distances == fresh.distances
+        assert result.overlap == result.trace.final_overlap == fresh.final_overlap
+
     @pytest.mark.parametrize("seed", range(12))
     def test_readme_example_reaches_perfection_for_every_seed(self, seed):
         result = optimize_protocol(I2, EIGHTH_TURN, SearchConfig(queries=4, seed=seed))
@@ -291,8 +317,7 @@ class TestOverlapDerivative:
             y1, y2 = evolve_branches(interleavers, probe, u1, u2, d, d)
             return np.vdot(y1[-1], y2[-1])
 
-        y1, y2 = evolve_branches(ws, probe, u1, u2, d, d)
-        ns = _overlap_derivatives(ws, y1, y2, u1, u2, d, d)
+        ns = _overlap_derivatives(ws, evolve_branches(ws, probe, u1, u2, d, d), u1, u2, d, d)
         h = 1e-5
         for k in range(queries + 1):
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -302,3 +327,22 @@ class TestOverlapDerivative:
             minus[k] = scipy.linalg.expm(-h * x) @ ws[k]
             numeric = (overlap(plus) - overlap(minus)) / (2.0 * h)
             assert abs(numeric - np.trace(x @ ns[k])) <= 1e-8
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("queries", [0, 1, 4])
+    def test_stack_equals_per_step_outer_products(self, d, queries):
+        # the stacked pass forms the same elementwise products as one np.outer pair per step
+        rng = np.random.default_rng(61 + 10 * d + queries)
+        n = d * d
+        u1, u2 = haar_unitary_from_rng(d, rng, (2,))
+        ws = haar_unitary_from_rng(n, rng, (queries + 1,))
+        y1, y2 = evolve_branches(ws, random_state_from_rng(n, rng), u1, u2, d, d)
+        expected = np.empty_like(ws)
+        b1, b2 = y2[-1], y1[-1]
+        for k in range(queries, -1, -1):
+            expected[k] = np.outer(y2[k], b2.conj()) - np.outer(b1, y1[k].conj())
+            if k:
+                b1 = apply_query(ws[k].conj().T @ b1, u1.conj().T, d, d)
+                b2 = apply_query(ws[k].conj().T @ b2, u2.conj().T, d, d)
+        ns = _overlap_derivatives(ws, np.array([y1, y2]), u1, u2, d, d)
+        assert np.array_equal(ns, expected)

@@ -172,18 +172,30 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("queries", [0, 2])
     def test_optimized_instance_simulates_its_protocol_once(self, monkeypatch, queries):
-        calls = []
+        calls, evolved, found, audited = [], [], [], []
+
+        def wrap(module, name, seen):
+            original = getattr(module, name)
+
+            def recorded(*args, **kwargs):
+                result = original(*args, **kwargs)
+                seen.append((args, result))
+                return result
+
+            monkeypatch.setattr(module, name, recorded)
+
         for module in (builder, campaign_mod):
-            original = module.run_protocol
-
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, "run_protocol", counted)
+            wrap(module, "run_protocol", calls)
+        wrap(builder, "evolve_branches", evolved)
+        wrap(campaign_mod, "optimize_protocol", found)
+        wrap(campaign_mod, "audit_step_slacks", audited)
         run_instance(small_config(t_range=(queries, queries), protocol_source="optimized"), 0)
-        # the search's own simulation is the trace the campaign audits and measures
-        assert len(calls) == 1
+        # the search's own descent states are the trace the campaign audits and measures
+        assert calls == []
+        ((_, result),) = found
+        (((trace, _theta), _),) = audited
+        assert trace is result.trace
+        assert any(result.trace.states is states for _, states in evolved)
 
     def test_optimized_source_smoke(self):
         report = run_campaign(small_config(instances=2, t_range=(1, 2),
@@ -199,6 +211,30 @@ class TestConfigValidation:
     def test_bad_t_range(self):
         with pytest.raises(ValidationError):
             small_config(t_range=(3, 1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("t_range", (1.5, 1.5)),  # every instance ran at T = 1, outside its own range
+        ("t_range", (1, 2.0)),
+        ("instances", 3.0),
+        ("dim", 2.0),
+        ("seed", 1.0),
+        ("instances", True),
+    ])
+    def test_non_integer_counts_are_refused(self, field, value):
+        # each was accepted when built and failed later with an untyped TypeError, or ran
+        with pytest.raises(ValidationError, match=field):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("t_range", [5, (1,), (1, 2, 3)])
+    def test_t_range_must_be_a_pair(self, t_range):
+        with pytest.raises(ValidationError, match="t_range"):
+            small_config(t_range=t_range)
+
+    def test_numpy_integers_are_counts(self):
+        cfg = small_config(instances=np.int64(2), dim=np.int32(2),
+                           t_range=(np.int64(1), np.int64(2)), seed=np.uint64(2**64 - 1))
+        # stored as Python ints: a numpy integer made the JSON report raise TypeError
+        assert json.loads(render_report(run_campaign(cfg), "json"))["config"]["t_range"] == [1, 2]
 
     def test_bad_source(self):
         with pytest.raises(ValidationError):

@@ -68,6 +68,16 @@ class TestSmallestArc:
             smallest_arc(spectrum)
         assert spectrum.arc is None
 
+    @pytest.mark.parametrize("phases, error", [
+        (np.array([[0.1, 0.2]]), ShapeError),
+        (np.array(0.3), ShapeError),
+        (np.array([0.1, 0.2], dtype=complex), DomainError),
+    ], ids=["2-d", "0-d", "complex"])
+    def test_spectrum_refuses_phases_not_a_real_vector(self, phases, error):
+        # each was built unchecked and gave smallest_arc an untyped TypeError
+        with pytest.raises(error, match="phases"):
+            PhaseSpectrum(phases)
+
     def test_accepts_phase_spectrum(self):
         spec = UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0])).spectrum
         assert smallest_arc(spec).theta == pytest.approx(np.pi)
