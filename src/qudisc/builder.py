@@ -11,7 +11,7 @@ returns respects the query-count lower bound.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +20,7 @@ from .bounds import t_min_bounded
 from .errors import DomainError, IndistinguishableError, ShapeError, ValidationError
 from .geometry import closest_hull_point, smallest_arc
 from .linalg import (
+    check_integer,
     haar_unitary_from_rng,
     pair_args,
     random_state_from_rng,
@@ -100,9 +101,10 @@ def build_parallel(u1, u2=None, t=None) -> ParallelPlan:
 
 
 def check_copies(t: int) -> None:
-    """Refuse a copy count below 1, or one whose per-copy Gram stacks (at most 3x3 string
-    pairs for each of t copies and the idle tail) would not fit ``ENTRY_CAP``."""
-    if t < 1:
+    """Refuse a copy count that is not an integer, is below 1, or whose per-copy Gram stacks
+    (at most 3x3 string pairs for each of t copies and the idle tail) would not fit
+    ``ENTRY_CAP``."""
+    if check_integer(t, "copy count") < 1:
         raise DomainError(f"copy count must be >= 1, got {t!r}")
     require_entries(9 * (t + 1), f"a parallel plan on {t} copies")
 
@@ -144,20 +146,6 @@ def simulate_parallel(u1, u2=None, plan=None) -> SimulationTrace:
     return record_trace(states)
 
 
-def check_integer(value, what: str) -> int:
-    """Every config count and seed is an integer: what ``operator.index`` takes, but not a bool.
-
-    Returns it as a Python int, which the configs store, so a numpy integer
-    reaches a JSON report as a plain number.
-    """
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
-
-
 def check_seed(seed: int) -> None:
     """Every config seed is a u64: it lies in [0, 2**64)."""
     if not 0 <= seed < 2**64:
@@ -183,9 +171,13 @@ class SearchConfig:
             raise ValidationError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
+        tol = self.step_tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise ValidationError(f"step_tolerance must be a number, got {tol!r}")
         # above 1 the step-halving loop tries no step at all, and the search stops at its start
-        if not 0.0 < self.step_tolerance <= 1.0:
-            raise ValidationError(f"step_tolerance must lie in (0, 1], got {self.step_tolerance!r}")
+        if not 0.0 < tol <= 1.0:
+            raise ValidationError(f"step_tolerance must lie in (0, 1], got {tol!r}")
+        object.__setattr__(self, "step_tolerance", float(tol))
         check_seed(self.seed)
 
 

@@ -18,16 +18,16 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .bounds import t_min_bounded, t_min_onesided
-from .builder import (SearchConfig, build_parallel, check_copies, check_integer, check_seed,
-                      optimize_protocol, search_size, simulate_parallel)
+from .builder import (SearchConfig, build_parallel, check_copies, check_seed, optimize_protocol,
+                      search_size, simulate_parallel)
 from .errors import CapacityError, UsageError, ValidationError
-from .linalg import (DIM_CAP, UnitaryPair, haar_unitary_from_rng, relative_spectrum,
-                     require_entries)
+from .linalg import (DIM_CAP, UnitaryPair, check_integer, haar_unitary_from_rng,
+                     relative_spectrum, require_entries)
 from .geometry import smallest_arc
 from .measurement import StatePair, evaluate_povm, helstrom_povm, unambiguous_povm
 # run_protocol is not called here: the benchmark's tracer wraps campaign.run_protocol.
 from .protocol import audit_step_slacks, run_protocol, simulate_random, simulation_size
-from .serialize import config_from_fields, integer_field, integer_pair_field, string_field
+from .serialize import config_from_fields
 from .tolerances import D0_TOL, LEMMA_SLACK_TOL, THEOREM_SLACK_TOL
 
 PROTOCOL_SOURCES = ("random", "parallel", "optimized")
@@ -63,11 +63,13 @@ class CampaignConfig:
         if lo > hi or lo < 0:
             raise ValidationError(f"t_range must be a nonempty interval of nonnegative"
                                   f" integers, got {self.t_range}")
-        if self.protocol_source not in PROTOCOL_SOURCES:
+        source = self.protocol_source
+        if not isinstance(source, str) or source not in PROTOCOL_SOURCES:
             raise ValidationError(
-                f"protocol_source must be one of {PROTOCOL_SOURCES}, got {self.protocol_source!r}"
-            )
-        if self.protocol_source == "parallel":
+                f"protocol_source must be one of {PROTOCOL_SOURCES}, got {source!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValidationError(f"output_path must be a string, got {self.output_path!r}")
+        if source == "parallel":
             # the plan acts on the system alone, at O(T) cost
             if lo < 1:
                 raise ValidationError("parallel protocols need at least one query")
@@ -79,7 +81,7 @@ class CampaignConfig:
         except CapacityError as exc:
             raise ValidationError(f"dim {self.dim} is too large: {exc}") from exc
         try:
-            _SIZE_RULES[self.protocol_source](self.dim, hi)
+            _SIZE_RULES[source](self.dim, hi)
         except CapacityError as exc:
             raise ValidationError(f"t_range {list(self.t_range)} is too large: {exc}") from exc
         check_seed(self.seed)
@@ -295,12 +297,6 @@ def render_csv(report: CampaignReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Config keys and their parsers; absent keys take CampaignConfig's defaults.
-_CONFIG_FIELDS = {"instances": integer_field, "dim": integer_field, "t_range": integer_pair_field,
-                  "seed": integer_field, "protocol_source": string_field,
-                  "output_path": string_field}
-
-
 def config_to_obj(cfg: CampaignConfig) -> dict:
     obj = {**asdict(cfg), "t_range": list(cfg.t_range)}
     if cfg.output_path is None:
@@ -309,7 +305,7 @@ def config_to_obj(cfg: CampaignConfig) -> dict:
 
 
 def config_from_obj(obj) -> CampaignConfig:
-    return config_from_fields(obj, CampaignConfig, _CONFIG_FIELDS, "campaign config")
+    return config_from_fields(obj, CampaignConfig, "campaign config")
 
 
 def report_to_obj(report: CampaignReport) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from functools import cache, cached_property
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import CapacityError, DomainError, NumericalError, ShapeError
+from .errors import CapacityError, DomainError, NumericalError, ShapeError, ValidationError
 from .tolerances import EIGEN_TOL, UNITARY_TOL
 
 # Hard cap on any dense matrix dimension handled by the toolkit.
@@ -126,6 +127,20 @@ def require_entries(count: int, what: str) -> None:
     """Refuse an array of more than ``ENTRY_CAP`` entries before it is allocated."""
     if count > ENTRY_CAP:
         raise CapacityError(f"{what} needs {count} entries, above the cap of {ENTRY_CAP}")
+
+
+def check_integer(value, what: str) -> int:
+    """Every count and seed is an integer: what ``operator.index`` takes, but not a bool.
+
+    Returns it as a Python int, which the configs and protocols store, so a
+    numpy integer reaches a JSON file as a plain number.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(eq=False)

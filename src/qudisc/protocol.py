@@ -18,6 +18,7 @@ from .geometry import trace_distance_pure
 from .linalg import (
     DIM_CAP,
     _defects,
+    check_integer,
     haar_isometry_from_rng,
     pair_args,
     random_state_from_rng,
@@ -45,6 +46,8 @@ class Protocol:
     probe: np.ndarray
 
     def __post_init__(self):
+        for name in ("system_dim", "ancilla_dim", "queries"):
+            setattr(self, name, check_integer(getattr(self, name), f"protocol: {name}"))
         total = simulation_size(self.system_dim, self.ancilla_dim, self.queries)
         if len(self.interleavers) != self.queries + 1:
             raise ValidationError(
@@ -64,8 +67,11 @@ class Protocol:
 
 
 def simulation_size(system_dim: int, ancilla_dim: int, queries: int) -> int:
-    """n = system_dim * ancilla_dim of a simulation at T queries, once n fits ``DIM_CAP``
-    and the trace's 2(T+1) recorded states of n amplitudes fit ``ENTRY_CAP``."""
+    """n = system_dim * ancilla_dim of a simulation at T queries, once all three are integers,
+    n fits ``DIM_CAP`` and the trace's 2(T+1) recorded states of n amplitudes fit ``ENTRY_CAP``."""
+    system_dim = check_integer(system_dim, "system_dim")
+    ancilla_dim = check_integer(ancilla_dim, "ancilla_dim")
+    queries = check_integer(queries, "queries")
     if system_dim < 1 or ancilla_dim < 1:
         raise ValidationError("system and ancilla dimensions must be >= 1")
     if queries < 0:

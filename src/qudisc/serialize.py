@@ -10,19 +10,22 @@ Schemas (complex numbers are [re, im] pairs, matrices row-major):
               "step_tolerance": x, "seed": s}
 
 Floats are emitted with Python's shortest round-trip representation, so
-parsing back reproduces every value bit for bit. ``config_from_fields``
-reads every config, the campaign's through the table in ``campaign``.
+parsing back reproduces every value bit for bit. The readers only map JSON
+to Python, with an integral float such as ``2.0`` read as an int; the
+constructors of ``Protocol`` and of the configs check every field, and
+``config_from_fields`` reads every config by its dataclass fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 
 from .builder import SearchConfig
 from .errors import CapacityError, ValidationError
-from .linalg import DIM_CAP
+from .linalg import DIM_CAP, check_integer
 from .protocol import Protocol
 
 
@@ -42,39 +45,19 @@ def _from_pairs(pairs, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def integer_field(value, what: str) -> int:
-    """A JSON integer field: an int, or a float with no fractional part; not a bool."""
+def _from_json_number(value):
+    """JSON has one number type, so an integral float such as ``2.0`` is read as the int 2,
+    element by element in lists; every other value is left for its constructor to check."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
-
-
-def _real_field(value, what: str) -> float:
-    """A JSON number field, as a float; not a bool."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValidationError(f"{what} must be a number, got {value!r}")
-
-
-def string_field(value, what: str) -> str:
-    """A JSON string field."""
-    if isinstance(value, str):
-        return value
-    raise ValidationError(f"{what} must be a string, got {value!r}")
-
-
-def integer_pair_field(value, what: str) -> tuple[int, int]:
-    """A JSON [lo, hi] pair of integer fields."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValidationError(f"{what} must be a [lo, hi] pair, got {value!r}")
-    return integer_field(value[0], f"{what}[0]"), integer_field(value[1], f"{what}[1]")
+    if isinstance(value, list):
+        return [_from_json_number(v) for v in value]
+    return value
 
 
 def _dim_of(obj, what: str) -> int:
     """The declared dimension, checked against the cap before any entry is parsed."""
-    dim = integer_field(obj["dim"], f"{what}: dim")
+    dim = check_integer(_from_json_number(obj["dim"]), f"{what}: dim")
     if dim < 1:
         raise ValidationError(f"{what}: dim must be positive")
     if dim > DIM_CAP:
@@ -130,9 +113,9 @@ def protocol_from_obj(obj) -> Protocol:
         if not isinstance(interleavers, list):
             raise ValidationError("protocol: interleavers must be a list of matrices")
         return Protocol(
-            system_dim=integer_field(obj["system_dim"], "protocol: system_dim"),
-            ancilla_dim=integer_field(obj["ancilla_dim"], "protocol: ancilla_dim"),
-            queries=integer_field(obj["queries"], "protocol: queries"),
+            system_dim=_from_json_number(obj["system_dim"]),
+            ancilla_dim=_from_json_number(obj["ancilla_dim"]),
+            queries=_from_json_number(obj["queries"]),
             interleavers=[
                 matrix_from_obj(w, f"interleaver {k}") for k, w in enumerate(interleavers)
             ],
@@ -142,28 +125,25 @@ def protocol_from_obj(obj) -> Protocol:
         raise ValidationError(f"protocol: missing field {exc}") from exc
 
 
-def config_from_fields(obj, cls, parsers: dict, what: str):
-    """Read a config object: each key present goes through its parser, absent keys
-    take ``cls``'s defaults, and ``cls`` checks the result when it is built.
-    A key with no parser is refused, so a misspelt one is not silently dropped."""
+def config_from_fields(obj, cls, what: str):
+    """Read a config object: each key present names one of ``cls``'s fields and its value goes
+    to ``cls`` with integral floats read as ints, absent keys take ``cls``'s defaults, and
+    ``cls`` checks every value when it is built. A key that names no field is refused, so a
+    misspelt one is not silently dropped."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{what}: expected a JSON object")
-    unknown = [k for k in obj if k not in parsers]
+    known = {f.name for f in dataclasses.fields(cls)}
+    unknown = [k for k in obj if k not in known]
     if unknown:
         raise ValidationError(f"malformed {what}: unknown keys {', '.join(map(repr, unknown))}")
     try:
-        return cls(**{k: parse(obj[k], k) for k, parse in parsers.items() if k in obj})
+        return cls(**{k: _from_json_number(v) for k, v in obj.items()})
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from exc
 
 
-_SEARCH_FIELDS = {"queries": integer_field, "restarts": integer_field,
-                  "max_iterations": integer_field, "step_tolerance": _real_field,
-                  "seed": integer_field}
-
-
 def search_config_from_obj(obj) -> SearchConfig:
-    return config_from_fields(obj, SearchConfig, _SEARCH_FIELDS, "search config")
+    return config_from_fields(obj, SearchConfig, "search config")
 
 
 def load_json(path: str):

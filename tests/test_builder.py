@@ -76,6 +76,12 @@ class TestParallelPlan:
         with pytest.raises(IndistinguishableError):
             build_parallel(I2, I2, 2)
 
+    @pytest.mark.parametrize("copies", [2.0, True, "2"])
+    def test_non_integer_copy_count_is_refused(self, copies):
+        # 2.0 raised numpy's untyped TypeError; True ran as one copy
+        with pytest.raises(ValidationError, match="copy count must be an integer"):
+            build_parallel(I2, EIGHTH_TURN, copies)
+
     def test_sixty_four_copies_need_no_tensor_power(self):
         # 2**64 amplitudes could never be formed; the plan stays O(T)
         plan = build_parallel(I2, EIGHTH_TURN, 64)

@@ -138,6 +138,16 @@ class TestProtocolValidation:
         with pytest.raises(ShapeError):
             Protocol(2, 2, 0, [np.eye(4)], PLUS)
 
+    @pytest.mark.parametrize("field, value", [
+        ("system_dim", 2.0),  # was built, then failed in run_protocol with an untyped TypeError
+        ("queries", True),  # was built as a one-query protocol
+        ("ancilla_dim", "1"),
+    ])
+    def test_non_integer_counts_are_refused(self, field, value):
+        counts = {"system_dim": 2, "ancilla_dim": 1, "queries": 1, field: value}
+        with pytest.raises(ValidationError, match=f"^protocol: {field} must be an integer"):
+            Protocol(**counts, interleavers=[I2, I2], probe=PLUS)
+
     def test_interleavers_are_one_stack(self):
         # a list of interleavers was checked as one stack, then split back into a list
         protocol = identity_protocol(3)
@@ -329,6 +339,11 @@ class TestSimulateRandom:
             simulate_random(I2, Z, 2, -1, rng)
         with pytest.raises(CapacityError):
             simulate_random(I2, Z, 2049, 1, rng)
+        # each raised numpy's untyped TypeError
+        with pytest.raises(ValidationError, match="queries must be an integer, got 2.0"):
+            simulate_random(I2, Z, 1, 2.0, rng)
+        with pytest.raises(ValidationError, match="ancilla_dim must be an integer, got 1.0"):
+            simulate_random(I2, Z, 1.0, 2, rng)
 
     def test_non_isometry_is_refused(self, monkeypatch):
         def stretched(n, k, rng, batch):

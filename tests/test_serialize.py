@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qudisc.serialize import (
     state_to_obj,
 )
 from qudisc.builder import SearchConfig
+from qudisc.campaign import CampaignConfig, config_from_obj
 
 
 def test_matrix_round_trip_is_exact():
@@ -68,6 +70,18 @@ def test_protocol_round_trip():
     assert np.array_equal(q.probe, p.probe)
     for a, b in zip(q.interleavers, p.interleavers):
         assert np.array_equal(a, b)
+
+
+def test_protocol_with_numpy_counts_writes_json():
+    # json.dumps raised "Object of type int64 is not JSON serializable"
+    p = Protocol(np.int64(2), np.int32(1), np.uint8(0), [np.eye(2)], np.array([1.0, 0.0]))
+    assert json.loads(json.dumps(protocol_to_obj(p)))["system_dim"] == 2
+
+
+def test_protocol_counts_read_integral_floats():
+    obj = protocol_to_obj(Protocol(2, 1, 0, [np.eye(2)], np.array([1.0, 0.0])))
+    p = protocol_from_obj({**obj, "system_dim": 2.0, "queries": 0.0})
+    assert repr((p.system_dim, p.queries)) == "(2, 0)"
 
 
 def test_protocol_missing_field():
@@ -132,3 +146,56 @@ def test_search_config_seed_is_a_u64():
             search_config_from_obj({"queries": 2, "seed": seed})
         with pytest.raises(ValidationError, match="seed"):
             SearchConfig(queries=2, seed=seed)
+
+
+# Each config's class, its JSON reader, and the fewest keys it needs.
+CONFIGS = {
+    "search": (SearchConfig, search_config_from_obj, {"queries": 2}),
+    "campaign": (CampaignConfig, config_from_obj,
+                 {"instances": 1, "dim": 2, "t_range": [1, 1], "seed": 1}),
+}
+
+
+@pytest.mark.parametrize("config, field, value", [
+    ("search", "queries", 2.5),
+    ("search", "queries", "2"),
+    ("search", "restarts", True),
+    ("search", "restarts", 0),
+    ("search", "max_iterations", None),
+    ("search", "seed", -1),
+    ("search", "step_tolerance", True),  # was accepted from Python as 1.0
+    ("search", "step_tolerance", "0.1"),  # raised an untyped TypeError from Python
+    ("search", "step_tolerance", None),
+    ("search", "step_tolerance", [1e-3]),
+    ("search", "step_tolerance", 2),
+    ("campaign", "instances", 1.5),
+    ("campaign", "instances", False),
+    ("campaign", "dim", "2"),
+    ("campaign", "dim", 1),
+    ("campaign", "t_range", [1, 2.5]),
+    ("campaign", "t_range", [1, 2, 3]),
+    ("campaign", "t_range", "12"),
+    ("campaign", "seed", 2**64),
+    ("campaign", "protocol_source", 5),
+    ("campaign", "protocol_source", "psychic"),
+    ("campaign", "output_path", 5),  # was accepted from Python
+    ("campaign", "output_path", ["report.csv"]),
+])
+def test_python_and_json_refuse_the_same_values(config, field, value):
+    cls, from_obj, needed = CONFIGS[config]
+    for build in (lambda fields: cls(**fields), from_obj):
+        with pytest.raises(ValidationError, match=field):
+            build({**needed, field: value})
+
+
+@pytest.mark.parametrize("config, field, value, read", [
+    ("search", "queries", 2.0, 2),
+    ("search", "step_tolerance", 1, 1.0),
+    ("search", "seed", 7.0, 7),
+    ("campaign", "t_range", [1.0, 2.0], (1, 2)),
+    ("campaign", "output_path", None, None),  # JSON null is read as absent
+])
+def test_json_numbers_are_read_as_python_values(config, field, value, read):
+    _, from_obj, needed = CONFIGS[config]
+    # repr tells 2 from 2.0 and a tuple from a list
+    assert repr(getattr(from_obj({**needed, field: value}), field)) == repr(read)
