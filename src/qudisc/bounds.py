@@ -3,7 +3,8 @@
 Everything here is a function of theta, the eigenphase spread of U1†U2,
 and the tolerated failure probability. ``raw_value`` is the real-valued
 bound before rounding; ``t_lower`` applies the ceiling after subtracting
-``CEILING_GUARD``, so analytically exact integers are not bumped by
+a guard, ``CEILING_GUARD`` or, above a raw value of 3e6, the raw value's
+own rounding, so analytically exact integers are not bumped by
 floating-point noise.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, IndistinguishableError
 from .linalg import TWO_PI
-from .tolerances import CEILING_GUARD
+from .tolerances import CEILING_GUARD, CEILING_ROUNDING
 
 
 class ErrorMode(str, enum.Enum):
@@ -55,9 +56,25 @@ def _check_epsilon(epsilon: float, mode: ErrorMode) -> None:
 
 
 def _ceil_guarded(raw: float, theta: float) -> int:
+    """ceil(raw - guard) for the guard max(CEILING_GUARD, CEILING_ROUNDING*u*raw), u = 2**-53.
+
+    raw is a quotient, pi/theta or 2h/theta, rounded once, and ``math.pi``
+    is low by 0.36u relative, so raw lies within 1.4u*raw of the exact count
+    x (for 2h/theta, exact in theta and in the half-span h as computed); the
+    subtraction rounds by at most u*raw more. With CEILING_ROUNDING = 3 the
+    guard covers both. The answer is k + 1, for k = floor(raw), only where
+    raw - guard > k, so x > k; it is k only where raw - guard rounds to at
+    most k, so x <= k + guard + 2.4u*raw < k + 2*guard. Hence
+    ceil(x - 2*guard) <= answer <= ceil(x) while 1.4u*raw < 1, that is for
+    raw below about 6e15. Below a raw count of 3e6 the guard is
+    ``CEILING_GUARD``, and every answer is ceil(raw - CEILING_GUARD) as
+    computed in floating point. An integral raw is its own answer.
+    """
     if not math.isfinite(raw):  # a tiny theta overflows the quotient to inf
         raise DomainError(f"theta {theta!r} is too small: its bound {raw} is not finite")
-    return max(0, math.ceil(raw - CEILING_GUARD))
+    guard = max(CEILING_GUARD, CEILING_ROUNDING * 2.0**-53 * raw)
+    k = math.floor(raw)
+    return k if raw - guard <= k else k + 1
 
 
 def _needed_half_span(epsilon: float, mode: ErrorMode) -> float:
@@ -96,10 +113,14 @@ def t_min_onesided(theta: float, epsilon: float) -> BoundReport:
 def t_perfect(theta: float) -> int:
     """Query count at which perfect discrimination becomes achievable: ceil(pi/theta).
 
-    Computed as ceil(pi/theta - CEILING_GUARD), so it is exact only up to the
-    guard: where pi/theta lies less than ``CEILING_GUARD`` above an integer
-    k, it answers k, at which the best final overlap is not 0 but at most
-    theta*CEILING_GUARD/2.
+    Computed as ceil(pi/theta - guard), with the guard of ``_ceil_guarded``:
+    ``CEILING_GUARD``, or 3u*pi/theta (u = 2**-53) from pi/theta = 3e6 on,
+    where the quotient's rounding outgrows it. So it is exact only up to the
+    guard: it never answers above ceil(pi/theta) or below
+    ceil(pi/theta - 2*guard), and where the computed pi/theta lies at most
+    the guard above an integer k it answers k. There the best final overlap
+    is not 0 but at most max(theta*CEILING_GUARD/2, 1.5u*pi) plus the
+    rounding: 1e-15 beyond theta*CEILING_GUARD/2 at most.
     """
     _check_theta(theta)
     return _ceil_guarded(math.pi / theta, theta)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import t_min_bounded
-from .errors import DomainError, IndistinguishableError, ShapeError, ValidationError
+from .errors import IndistinguishableError, ShapeError, ValidationError
 from .geometry import closest_hull_point, smallest_arc
 from .linalg import (
     check_integer,
@@ -105,7 +105,7 @@ def check_copies(t: int) -> None:
     (at most 3x3 string pairs for each of t copies and the idle tail) would not fit
     ``ENTRY_CAP``."""
     if check_integer(t, "copy count") < 1:
-        raise DomainError(f"copy count must be >= 1, got {t!r}")
+        raise ValidationError(f"copy count must be >= 1, got {t!r}")
     require_entries(9 * (t + 1), f"a parallel plan on {t} copies")
 
 
@@ -219,18 +219,37 @@ def _overlap_derivatives(ws: np.ndarray, y: np.ndarray, u1, u2, d: int, anc: int
 
 
 def _gauss_newton_step(c: complex, ns: np.ndarray) -> np.ndarray:
-    """Smallest skew-Hermitian (X_0..X_T) whose first-order change cancels c.
+    """Smallest skew-Hermitian (X_0..X_T) whose first-order change cancels c, damped.
 
-    Re tr(X N) and Im tr(X N) are inner products of X with the skew-Hermitian
-    directions below, so the step lies in their span and one damped 2x2
-    system (Levenberg-Marquardt with lambda = |c|^2 * tr(G)) fixes it.
+    Re tr(X N) and Im tr(X N), summed over k, are inner products of X with
+    the skew-Hermitian directions p = (N^H - N)/2 and q = i(N^H + N)/2, so
+    the step -(alpha p + beta q) lies in their span, and the Levenberg-
+    Marquardt system (G + lambda I)(alpha, beta) = (Re c, Im c), with
+    lambda = |c|^2 tr(G), fixes it. Neither direction is formed: with
+    s = sum_k |N_k|_F^2 and tau = sum_k tr(N_k N_k), the Gram of (p, q) is
+    G = 1/2 [[s - Re tau, -Im tau], [-Im tau, s + Re tau]], so tr(G) = s.
+    Cramer's rule on it, with z = alpha - i beta and sigma = s (1 + 2|c|^2),
+    reads z = 2 (sigma conj(c) + conj(tau) c) / (sigma^2 - |tau|^2), and the
+    step is X = (z N - conj(z) N^H)/2, formed as a - a^H from a = z N / 2,
+    so skew-Hermitian bit for bit.
+
+    The determinant (sigma^2 - |tau|^2)/4 is at least lambda s + lambda^2,
+    since |tau| <= s, so it is positive unless s = 0 or c = 0. Where it is
+    not, the zero step is returned: the minimum-norm solution, since there
+    the system's matrix or its right-hand side is 0. Otherwise, while |c| stays
+    at or above ``PERFECT_OVERLAP``, the damped system's condition number is
+    at most about (1 + |c|^2)/|c|^2 <= 1e10, far below the 1/(2 eps) at which
+    a least-squares solve with numpy's default cutoff would drop a singular
+    value, so this is that solve's answer up to rounding.
     """
-    nh = ns.conj().transpose(0, 2, 1)
-    dirs = ((nh - ns) / 2.0, 0.5j * (nh + ns))
-    g = np.array([[np.vdot(p, q).real for q in dirs] for p in dirs])
-    g += abs(c) ** 2 * np.trace(g) * np.eye(2)
-    alpha, beta = np.linalg.lstsq(g, np.array([c.real, c.imag]), rcond=None)[0]
-    return -(alpha * dirs[0] + beta * dirs[1])
+    s = np.vdot(ns, ns).real
+    tau = np.einsum("kij,kji->", ns, ns)
+    sigma = s * (1.0 + 2.0 * abs(c) ** 2)
+    det = sigma * sigma - abs(tau) ** 2
+    if det <= 0.0:
+        return np.zeros_like(ns)
+    a = (sigma * c.conjugate() + tau.conjugate() * c) / det * ns
+    return a - a.conj().transpose(0, 2, 1)
 
 
 def _descend(ws: np.ndarray, y: np.ndarray, probe: np.ndarray, u1, u2, d: int, anc: int,
@@ -241,8 +260,10 @@ def _descend(ws: np.ndarray, y: np.ndarray, probe: np.ndarray, u1, u2, d: int, a
     states (the start's when no step is accepted), the history and whether
     the budget ran out.
 
-    Each step is halved until the overlap drops; the restart ends once the
-    step has shrunk below ``step_tolerance`` of the full Gauss-Newton step.
+    Each iteration takes the closed-form damped Gauss-Newton step of
+    ``_gauss_newton_step`` and turns it into unitaries through one stacked
+    ``eigh``. Each step is halved until the overlap drops; the restart ends
+    once the step has shrunk below ``step_tolerance`` of the full step.
     """
     c = np.vdot(y[0, -1], y[1, -1])
     history = [float(abs(c))]

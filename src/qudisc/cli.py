@@ -20,7 +20,7 @@ from .errors import NumericalError
 from .geometry import fidelity_closed_form, fidelity_hull_oracle, smallest_arc
 from .linalg import relative_spectrum
 from .protocol import run_protocol
-from .tolerances import CEILING_GUARD
+from .tolerances import CEILING_GUARD, CEILING_ROUNDING
 
 _MODES = {"bounded": t_min_bounded, "onesided": t_min_onesided}
 
@@ -186,10 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="minimum query count at a given phase spread and error budget",
         epilog=(
-            "t_lower = ceil(raw_value - CEILING_GUARD), with CEILING_GUARD = "
-            f"{CEILING_GUARD:g} from qudisc.tolerances: the small subtraction keeps "
-            "analytically exact integer bounds from being bumped up by "
-            "floating-point noise."
+            "t_lower = ceil(raw_value - guard), with the guard max(CEILING_GUARD, "
+            "CEILING_ROUNDING*u*raw_value), u = 2**-53, and CEILING_GUARD = "
+            f"{CEILING_GUARD:g} and CEILING_ROUNDING = {CEILING_ROUNDING} from "
+            "qudisc.tolerances: the small subtraction keeps analytically exact integer "
+            "bounds from being bumped up by floating-point noise, the quotient's own "
+            "rounding included."
         ),
     )
     p.add_argument("--theta", type=float, required=True, help="phase spread in (0, 2*pi)")
@@ -202,9 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="query count for perfect discrimination",
         epilog=(
-            f"t_perfect = ceil(pi/theta - CEILING_GUARD), with CEILING_GUARD = {CEILING_GUARD:g}: "
-            "exact up to the guard, so the best final overlap at t_perfect is at most "
-            "theta*CEILING_GUARD/2, not 0, where pi/theta lies just above an integer."
+            "t_perfect = ceil(pi/theta - guard), with the guard max(CEILING_GUARD, "
+            f"CEILING_ROUNDING*u*pi/theta), u = 2**-53, CEILING_GUARD = {CEILING_GUARD:g} "
+            f"and CEILING_ROUNDING = {CEILING_ROUNDING}: exact up to the guard, it lies "
+            "between ceil(pi/theta - 2*guard) and ceil(pi/theta), so the best final overlap "
+            "at t_perfect is at most max(theta*CEILING_GUARD/2, 1.5u*pi) plus the "
+            "rounding, not 0, where pi/theta lies just above an integer."
         ),
     )
     p.add_argument("--theta", type=float, required=True, help="phase spread in (0, 2*pi)")

@@ -48,6 +48,10 @@ class Protocol:
     def __post_init__(self):
         for name in ("system_dim", "ancilla_dim", "queries"):
             setattr(self, name, check_integer(getattr(self, name), f"protocol: {name}"))
+        # a type test, not a numpy pass: the search builds one protocol per problem
+        for name, kind in (("interleavers", "a list of matrices"), ("probe", "a state vector")):
+            if not isinstance(getattr(self, name), (np.ndarray, list, tuple)):
+                raise ValidationError(f"protocol: {name} must be {kind}")
         total = simulation_size(self.system_dim, self.ancilla_dim, self.queries)
         if len(self.interleavers) != self.queries + 1:
             raise ValidationError(

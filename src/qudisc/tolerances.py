@@ -16,6 +16,8 @@ POVM_TOL = 1e-9
 COINCIDE_TOL = 1e-9
 # Subtracted from a bound before its ceiling, so exact integers are not bumped up by rounding.
 CEILING_GUARD = 1e-9
+# ... or this many units of roundoff (2**-53) of the bound, when larger: the bound's own rounding.
+CEILING_ROUNDING = 3
 
 # Campaign gates.
 # Lowest query-count bound slack a record may show.

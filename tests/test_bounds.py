@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qudisc import (
     t_min_onesided,
     t_perfect,
 )
+from qudisc.tolerances import CEILING_GUARD, CEILING_ROUNDING
 
 PI = math.pi
 
@@ -111,6 +113,72 @@ class TestPerfectCount:
         with pytest.raises(DomainError, match="theta"):
             t_perfect(5e-324)
         assert t_perfect(sys.float_info.min) == math.ceil(PI / sys.float_info.min)
+
+
+# pi lies strictly between these two 30-digit rationals.
+PI_LOW = Fraction(3141592653589793238462643383279, 10**30)
+PI_HIGH = PI_LOW + Fraction(1, 10**30)
+
+
+def guarded_count_is_exact_up_to_its_guard(answer, low, high, raw):
+    """The exact count x lies in [low, high]; the answer is at most ceil(x) and at least
+    ceil(x - 2 * guard), for the guard max(CEILING_GUARD, CEILING_ROUNDING * u * raw)."""
+    assert math.ceil(low) == math.ceil(high), "the reference does not decide the ceiling"
+    guard = max(Fraction(CEILING_GUARD), CEILING_ROUNDING * Fraction(1, 2**53) * Fraction(raw))
+    return math.ceil(high - 2 * guard) <= answer <= math.ceil(low)
+
+
+# Query counts 1..39, then log-uniform up to 1e12.
+SAMPLED_COUNTS = [*range(1, 40),
+                  *(int(k) for k in 10.0 ** np.random.default_rng(83).uniform(1.5, 12.0, 600))]
+
+
+def sampled_thetas(quotient):
+    """theta = quotient/k and its two neighbouring floats, for every sampled count k."""
+    for k in SAMPLED_COUNTS:
+        theta = quotient / k
+        yield from (theta, math.nextafter(theta, 0.0), math.nextafter(theta, 4.0))
+
+
+class TestCeilingGuard:
+    def test_intended_integer_counts_are_not_bumped(self):
+        # theta = pi/k or 2/k, rounded, moves the quotient up to one ulp off k: more than
+        # CEILING_GUARD from k = 2**23 on, where k + 1 was answered
+        for k in SAMPLED_COUNTS:
+            assert t_perfect(PI / k) == k
+            assert t_min_bounded(2.0 / k, 0.0).t_lower == k
+            assert t_min_onesided(2.0 / k, 0.0).t_lower == k
+
+    def test_perfect_count_is_exact_up_to_its_guard(self):
+        # the quotient's rounding and math.pi's error, checked against the exact ceiling
+        for theta in sampled_thetas(math.pi):
+            exact = Fraction(theta)
+            assert guarded_count_is_exact_up_to_its_guard(
+                t_perfect(theta), PI_LOW / exact, PI_HIGH / exact, PI / theta)
+
+    @pytest.mark.parametrize("bound", [t_min_bounded, t_min_onesided])
+    def test_zero_error_bounds_are_exact_up_to_their_guard(self, bound):
+        for theta in sampled_thetas(2.0):
+            report = bound(theta, 0.0)
+            exact = 2 / Fraction(theta)
+            assert guarded_count_is_exact_up_to_its_guard(
+                report.t_lower, exact, exact, report.raw_value)
+
+    def test_perfect_count_just_above_ten_million(self):
+        # pi/theta is 10000016 + 1.23e-9 here: under the guard of 3.3e-9, so either count holds
+        theta = 3.1415876270495896e-07
+        assert math.ceil(PI_LOW / Fraction(theta)) == 10000017
+        assert t_perfect(theta) in (10000016, 10000017)
+
+    def test_small_counts_keep_their_answers(self):
+        # below a raw count of 3e6 the guard is CEILING_GUARD, subtracted as it always was,
+        # also where raw lies within one rounding of the guard above an integer
+        rng = np.random.default_rng(89)
+        near = [k + CEILING_GUARD + m * math.ulp(k) / 4
+                for k in rng.integers(1, 3_000_000, 300).astype(float) for m in range(-4, 40)]
+        for raw in [*near, *10.0 ** rng.uniform(-0.25, 6.45, 3000)]:
+            theta = PI / float(raw)
+            assert t_perfect(theta) == max(0, math.ceil(PI / theta - CEILING_GUARD))
 
 
 def test_radical_simplifies_to_linear():

@@ -23,7 +23,7 @@ from qudisc import (
     smallest_arc,
     t_perfect,
 )
-from qudisc.builder import _overlap_derivatives
+from qudisc.builder import _gauss_newton_step, _overlap_derivatives
 from qudisc.linalg import random_state_from_rng
 from qudisc.protocol import apply_query, evolve_branches
 from qudisc.tolerances import CEILING_GUARD
@@ -75,6 +75,13 @@ class TestParallelPlan:
     def test_identical_pair_rejected(self):
         with pytest.raises(IndistinguishableError):
             build_parallel(I2, I2, 2)
+
+    @pytest.mark.parametrize("copies", [0, -1])
+    def test_copy_count_below_one_is_a_validation_error(self, copies):
+        # was a DomainError, where simulate_random and SearchConfig refuse a negative count
+        # with a ValidationError
+        with pytest.raises(ValidationError, match="copy count must be >= 1"):
+            build_parallel(I2, EIGHTH_TURN, copies)
 
     @pytest.mark.parametrize("copies", [2.0, True, "2"])
     def test_non_integer_copy_count_is_refused(self, copies):
@@ -352,3 +359,54 @@ class TestOverlapDerivative:
                 b2 = apply_query(ws[k].conj().T @ b2, u2.conj().T, d, d)
         ns = _overlap_derivatives(ws, np.array([y1, y2]), u1, u2, d, d)
         assert np.array_equal(ns, expected)
+
+
+def lstsq_step(c, ns):
+    """The damped Gauss-Newton step from its two directions and a least-squares solve."""
+    nh = ns.conj().transpose(0, 2, 1)
+    dirs = ((nh - ns) / 2.0, 0.5j * (nh + ns))
+    g = np.array([[np.vdot(p, q).real for q in dirs] for p in dirs])
+    g += abs(c) ** 2 * np.trace(g) * np.eye(2)
+    alpha, beta = np.linalg.lstsq(g, np.array([c.real, c.imag]), rcond=None)[0]
+    return -(alpha * dirs[0] + beta * dirs[1]), complex(alpha, beta)
+
+
+def random_steps(count):
+    """(c, N) over seeded random stacks: T <= 5, n in {2, 4, 9}, |c| in [1e-5, 1]."""
+    rng = np.random.default_rng(71)
+    for _ in range(count):
+        t, n = int(rng.integers(0, 6)), int(rng.choice([2, 4, 9]))
+        ns = rng.standard_normal((t + 1, n, n)) + 1j * rng.standard_normal((t + 1, n, n))
+        c = 10.0 ** rng.uniform(-5.0, 0.0) * np.exp(2j * np.pi * rng.uniform())
+        yield np.complex128(c), ns
+
+
+class TestGaussNewtonStep:
+    def test_matches_the_least_squares_solve(self):
+        for c, ns in random_steps(300):
+            expected, _ = lstsq_step(c, ns)
+            step = _gauss_newton_step(c, ns)
+            assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_is_skew_hermitian_bit_for_bit(self):
+        for c, ns in random_steps(50):
+            step = _gauss_newton_step(c, ns)
+            assert np.array_equal(step, -step.conj().transpose(0, 2, 1))
+
+    def test_first_order_change_cancels_c_up_to_the_damping(self):
+        # (G + lambda I) w = c: the change sum_k tr(X_k N_k) is -c + lambda w, lambda = |c|^2 s
+        for c, ns in random_steps(50):
+            _, w = lstsq_step(c, ns)
+            change = np.einsum("kij,kji->", _gauss_newton_step(c, ns), ns)
+            damping = abs(c) ** 2 * np.vdot(ns, ns).real * w
+            assert abs(change - (damping - c)) <= 1e-12 * abs(c)
+            if abs(c) <= 1e-3:
+                assert abs(change + c) <= 1e-5 * abs(c)
+
+    @pytest.mark.parametrize("c, scale", [(0.3 - 0.4j, 0.0), (0j, 1.0)])
+    def test_zero_derivative_or_overlap_gives_the_zero_step(self, c, scale):
+        # the least-squares solve's minimum-norm answer on its singular system
+        ns = scale * (np.arange(18.0).reshape(2, 3, 3) + 1j)
+        step = _gauss_newton_step(np.complex128(c), ns.astype(complex))
+        assert step.shape == ns.shape
+        assert not step.any()

@@ -148,6 +148,17 @@ class TestProtocolValidation:
         with pytest.raises(ValidationError, match=f"^protocol: {field} must be an integer"):
             Protocol(**counts, interleavers=[I2, I2], probe=PLUS)
 
+    @pytest.mark.parametrize("field, value", [
+        ("interleavers", 5),  # raised TypeError: object of type 'int' has no len()
+        ("probe", "ab"),  # raised ValueError: complex() arg is a malformed string
+        ("interleavers", "ab"),
+        ("probe", None),
+    ])
+    def test_non_array_interleavers_or_probe_are_refused(self, field, value):
+        fields = {"interleavers": [I2], "probe": PLUS, field: value}
+        with pytest.raises(ValidationError, match=f"^protocol: {field} must be"):
+            Protocol(2, 1, 0, **fields)
+
     def test_interleavers_are_one_stack(self):
         # a list of interleavers was checked as one stack, then split back into a list
         protocol = identity_protocol(3)
