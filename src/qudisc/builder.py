@@ -20,6 +20,7 @@ from .bounds import t_min_bounded
 from .errors import IndistinguishableError, ShapeError, ValidationError
 from .geometry import closest_hull_point, smallest_arc
 from .linalg import (
+    UnitaryPair,
     check_integer,
     haar_unitary_from_rng,
     pair_args,
@@ -56,14 +57,11 @@ class ParallelPlan:
     predicted_overlap: float
 
 
-def build_parallel(u1, u2=None, t=None) -> ParallelPlan:
+def build_parallel(pair: UnitaryPair, t: int) -> ParallelPlan:
     """Parallel plan for t simultaneous copies of the unknown unitary.
 
-    Takes the two unitaries, or a UnitaryPair in their place:
-    ``build_parallel(pair, t)``. Raises IndistinguishableError when the
-    pair has zero phase spread.
+    Raises IndistinguishableError when the pair has zero phase spread.
     """
-    pair, t = pair_args(u1, u2, t)
     check_copies(t)
     spectrum = pair.spectrum  # with eigenvectors: the strings are made of them
     arc = smallest_arc(spectrum)
@@ -109,12 +107,10 @@ def check_copies(t: int) -> None:
     require_entries(9 * (t + 1), f"a parallel plan on {t} copies")
 
 
-def simulate_parallel(u1, u2=None, plan=None) -> SimulationTrace:
+def simulate_parallel(pair: UnitaryPair, plan: ParallelPlan) -> SimulationTrace:
     """Run the parallel plan one copy at a time so step audits apply.
 
-    Takes the two unitaries, or a UnitaryPair in their place:
-    ``simulate_parallel(pair, plan)``. The plan must come from
-    ``build_parallel`` on the same pair.
+    The plan must come from ``build_parallel`` on the same pair.
 
     After j queries branch i holds (U_i^{x j} x I)|probe>. In the frame
     of the strings moved by U_1^{x j}, branch 1 is sqrt(weights) and branch
@@ -124,7 +120,6 @@ def simulate_parallel(u1, u2=None, plan=None) -> SimulationTrace:
     the plan independently; distances and overlaps do not depend on the
     frame. Cost O(T) for at most 3 strings: no d**T vector is formed.
     """
-    pair, plan = pair_args(u1, u2, plan)
     if plan.eigenvectors.shape[0] != pair.dim:
         raise ShapeError(
             f"plan has dimension {plan.eigenvectors.shape[0]}, the unitaries {pair.dim}"
@@ -293,8 +288,9 @@ def _descend(ws: np.ndarray, y: np.ndarray, probe: np.ndarray, u1, u2, d: int, a
 def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
     """Search interleavers for the lowest final overlap at fixed T.
 
-    Takes the two unitaries, or a UnitaryPair in their place:
-    ``optimize_protocol(pair, cfg)``.
+    Takes a UnitaryPair and the config: ``optimize_protocol(pair, cfg)``.
+    The two unitaries in the pair's place are accepted only because the
+    benchmark's workloads pass them so.
 
     The search keeps the T+1 interleavers themselves as its state; the
     probe stays fixed per restart, since W_0 reaches every state. Restart

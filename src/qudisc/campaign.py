@@ -45,7 +45,6 @@ class CampaignConfig:
     t_range: tuple[int, int]
     seed: int
     protocol_source: str = "random"
-    output_path: str | None = None
 
     def __post_init__(self):
         for name in ("instances", "dim", "seed"):
@@ -67,8 +66,6 @@ class CampaignConfig:
         if not isinstance(source, str) or source not in PROTOCOL_SOURCES:
             raise ValidationError(
                 f"protocol_source must be one of {PROTOCOL_SOURCES}, got {source!r}")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ValidationError(f"output_path must be a string, got {self.output_path!r}")
         if source == "parallel":
             # the plan acts on the system alone, at O(T) cost
             if lo < 1:
@@ -298,10 +295,7 @@ def render_csv(report: CampaignReport) -> str:
 
 
 def config_to_obj(cfg: CampaignConfig) -> dict:
-    obj = {**asdict(cfg), "t_range": list(cfg.t_range)}
-    if cfg.output_path is None:
-        del obj["output_path"]
-    return obj
+    return {**asdict(cfg), "t_range": list(cfg.t_range)}
 
 
 def config_from_obj(obj) -> CampaignConfig:

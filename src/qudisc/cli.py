@@ -18,7 +18,7 @@ from .bounds import t_min_bounded, t_min_onesided, t_perfect
 from .builder import optimize_protocol
 from .errors import NumericalError
 from .geometry import fidelity_closed_form, fidelity_hull_oracle, smallest_arc
-from .linalg import relative_spectrum
+from .linalg import UnitaryPair, relative_spectrum
 from .protocol import run_protocol
 from .tolerances import CEILING_GUARD, CEILING_ROUNDING
 
@@ -43,15 +43,15 @@ def _load_config(args, from_obj):
     return cfg if args.seed is None else dataclasses.replace(cfg, seed=args.seed)
 
 
-def _load_unitary_pair(args):
+def _load_unitary_pair(args) -> UnitaryPair:
+    """The pair of --u1 and --u2, checked; an error names the flag of the bad matrix."""
     u1 = serialize.matrix_from_obj(serialize.load_json(args.u1), "u1")
     u2 = serialize.matrix_from_obj(serialize.load_json(args.u2), "u2")
-    return u1, u2
+    return UnitaryPair.of(u1, u2)
 
 
 def _cmd_theta(args) -> int:
-    u1, u2 = _load_unitary_pair(args)
-    arc = smallest_arc(relative_spectrum(u1, u2))
+    arc = smallest_arc(relative_spectrum(_load_unitary_pair(args)))
     _emit_json(
         args,
         {"theta": arc.theta, "start_phase": arc.start_phase, "end_phase": arc.end_phase},
@@ -60,8 +60,7 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_fidelity(args) -> int:
-    u1, u2 = _load_unitary_pair(args)
-    spectrum = relative_spectrum(u1, u2)
+    spectrum = relative_spectrum(_load_unitary_pair(args))
     value = fidelity_closed_form(smallest_arc(spectrum).theta)
     out = {"fidelity": value}
     if args.oracle:
@@ -93,9 +92,9 @@ def _cmd_perfect(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    u1, u2 = _load_unitary_pair(args)
+    pair = _load_unitary_pair(args)
     protocol = serialize.protocol_from_obj(serialize.load_json(args.protocol))
-    trace = run_protocol(u1, u2, protocol)
+    trace = run_protocol(pair, protocol)
     error, inconclusive = campaign_mod.measure_pair(trace.final)
     _emit_json(
         args,
@@ -110,9 +109,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    u1, u2 = _load_unitary_pair(args)
+    pair = _load_unitary_pair(args)
     cfg = _load_config(args, serialize.search_config_from_obj)
-    result = optimize_protocol(u1, u2, cfg)
+    result = optimize_protocol(pair, cfg)
     _emit_json(
         args,
         {
@@ -128,7 +127,7 @@ def _cmd_search(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args, campaign_mod.config_from_obj)
     report = campaign_mod.run_campaign(cfg)
-    _write(args.output or cfg.output_path, campaign_mod.render_report(report, args.format))
+    _write(args.output, campaign_mod.render_report(report, args.format))
     summary = report.summary
     print(
         f"instances={summary.instances} violations={summary.violation_count} "

@@ -34,31 +34,26 @@ def _require_unit_circle(points: np.ndarray) -> None:
         raise DomainError(f"points must lie on the unit circle (max modulus error {off:.3e})")
 
 
-def smallest_arc(spectrum) -> ArcResult:
+def smallest_arc(spectrum: PhaseSpectrum) -> ArcResult:
     """Smallest closed arc containing every phase of a spectrum.
 
-    Sorts the phases and removes the largest circular gap: the covering
-    arc is the complement of that gap, so theta = 2*pi - max_gap. Ties in
-    the max gap are broken toward the gap with the smallest starting
-    phase; theta is unaffected, only the reported endpoints.
-
-    Accepts a PhaseSpectrum or a bare sequence of phases (radians). A
-    bare sequence is wrapped and sorted; a spectrum's phases are taken as
-    they are, checked ascending in [0, 2*pi), and its arc is found once and
-    kept on the spectrum.
+    Removes the largest circular gap between the ascending phases: the
+    covering arc is the complement of that gap, so theta = 2*pi - max_gap.
+    Ties in the max gap are broken toward the gap with the smallest
+    starting phase; theta is unaffected, only the reported endpoints. The
+    phases are taken as they are, checked ascending in [0, 2*pi), and the
+    arc is found once and kept on the spectrum.
 
     Raises:
-        DomainError: no phases, a phase that is not finite, or a spectrum
-            whose phases are not ascending in [0, 2*pi).
+        ShapeError: the argument is not a PhaseSpectrum.
+        DomainError: no phases, or phases that are not ascending in
+            [0, 2*pi) (a NaN among them included).
     """
-    if isinstance(spectrum, PhaseSpectrum):
-        if spectrum.arc is None:
-            spectrum.arc = _covering_arc(spectrum.phases)
-        return spectrum.arc
-    phases = np.asarray(spectrum, dtype=float).ravel()
-    if not np.isfinite(phases).all():
-        raise DomainError("phases must be finite")
-    return _covering_arc(np.sort(wrap_phase(phases)))
+    if not isinstance(spectrum, PhaseSpectrum):
+        raise ShapeError(f"smallest_arc takes a PhaseSpectrum, got {type(spectrum).__name__}")
+    if spectrum.arc is None:
+        spectrum.arc = _covering_arc(spectrum.phases)
+    return spectrum.arc
 
 
 def _covering_arc(p: np.ndarray) -> ArcResult:

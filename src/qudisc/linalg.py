@@ -324,9 +324,9 @@ class UnitaryPair:
     as far as the first reader needs: ``relative_spectrum`` takes its phases
     alone, ``spectrum`` (for the parallel plan) its eigenvectors too. Each
     is kept, and a spectrum keeps its smallest covering arc once
-    ``geometry.smallest_arc`` has found it. The functions that take two
-    candidate unitaries accept a UnitaryPair in their place, so a pair used
-    by several of them is checked, decomposed and given its arc once.
+    ``geometry.smallest_arc`` has found it. Every builder and simulator
+    takes a pair, so a pair used by several of them is checked, decomposed
+    and given its arc once.
     """
 
     u1: np.ndarray
@@ -358,10 +358,13 @@ class UnitaryPair:
 def pair_args(u1, u2=None, *rest) -> tuple:
     """``(pair, *rest)`` for a call ``f(u1, u2, *rest)`` or ``f(pair, *rest)``.
 
-    A UnitaryPair fills the places of both unitaries, so whether the later
-    arguments come by position or by keyword, one parameter of ``f`` is
-    left at its default of None; it is dropped here. Every other argument is
-    required: one more left at None is a TypeError, before any other check.
+    Kept only for ``relative_spectrum``, ``run_protocol`` and
+    ``optimize_protocol``, which the benchmark's workloads call with two
+    matrices; every other function takes the pair alone. A UnitaryPair
+    fills the places of both unitaries, so whether the later arguments come
+    by position or by keyword, one parameter of ``f`` is left at its
+    default of None; it is dropped here. Every other argument is required:
+    one more left at None is a TypeError, before any other check.
     """
     is_pair = isinstance(u1, UnitaryPair)
     args = [u2, *rest]
@@ -379,7 +382,8 @@ def pair_args(u1, u2=None, *rest) -> tuple:
 def relative_spectrum(u1, u2=None) -> PhaseSpectrum:
     """Eigenphases of U1†U2, the object all discrimination quantities derive from.
 
-    Takes the two unitaries, or a UnitaryPair alone. Forms no eigenvectors
+    Takes a UnitaryPair; the two unitaries in its place are accepted only
+    because the benchmark's workloads pass them so. Forms no eigenvectors
     (``vectors`` is None) unless the pair already holds its ``spectrum``,
     which is then returned as it is. The phases are the same bits as
     ``spectrum``'s. Kept on the pair, so a pair is decomposed once.
@@ -405,9 +409,15 @@ def haar_isometry_from_rng(n: int, k: int, rng: np.random.Generator,
     from one draw and one stacked QR. They take the real, then the
     imaginary, Gaussians of each isometry in turn from the stream, as one
     call per isometry does, so they equal such calls bit for bit.
+
+    Refuses n above ``DIM_CAP``, or more than ``ENTRY_CAP`` complex entries
+    in all, with a CapacityError before the stream is touched.
     """
     if not 1 <= k <= n:
         raise DomainError(f"isometry needs 1 <= k <= n, got k={k} for n={n}")
+    if n > DIM_CAP:
+        raise CapacityError(f"isometry dimension {n} exceeds cap {DIM_CAP}")
+    require_entries(math.prod(batch) * n * k, "a Haar draw")
     g = rng.standard_normal((*batch, 2, n, k))
     # numpy's QR kernels, the LAPACK calls its qr wrapper makes, called directly:
     # qr_r_raw factors the fresh stack in place (R on and above the diagonal)

@@ -17,6 +17,7 @@ from .errors import CapacityError, NumericalError, ShapeError, ValidationError
 from .geometry import trace_distance_pure
 from .linalg import (
     DIM_CAP,
+    UnitaryPair,
     _defects,
     check_integer,
     haar_isometry_from_rng,
@@ -125,8 +126,9 @@ def evolve_branches(ws, probe: np.ndarray, u1: np.ndarray, u2: np.ndarray, d: in
 def run_protocol(u1, u2=None, protocol=None) -> SimulationTrace:
     """Run the protocol against both candidate unitaries and record the trace.
 
-    Takes the two unitaries, or a UnitaryPair in their place:
-    ``run_protocol(pair, protocol)``. The states are those of ``evolve_branches``.
+    Takes a UnitaryPair and the protocol: ``run_protocol(pair, protocol)``.
+    The two unitaries in the pair's place are accepted only because the
+    benchmark's workloads pass them so. The states are those of ``evolve_branches``.
     """
     pair, protocol = pair_args(u1, u2, protocol)
     a, b = pair.u1, pair.u2
@@ -140,11 +142,9 @@ def run_protocol(u1, u2=None, protocol=None) -> SimulationTrace:
         evolve_branches(protocol.interleavers, protocol.probe, a, b, d, protocol.ancilla_dim))
 
 
-def simulate_random(u1, u2=None, ancilla_dim=None, queries=None, rng=None) -> SimulationTrace:
+def simulate_random(pair: UnitaryPair, ancilla_dim: int, queries: int,
+                    rng: np.random.Generator) -> SimulationTrace:
     """Run a protocol with a Haar-random probe and Haar interleavers on both candidates.
-
-    Takes the two unitaries, or a UnitaryPair in their place:
-    ``simulate_random(pair, ancilla_dim, queries, rng)``.
 
     Only the pair's span is sampled. A Haar W_0 turns any probe into a
     uniform random state. Before interleaver k+1 the branches hold t_1 and
@@ -159,7 +159,6 @@ def simulate_random(u1, u2=None, ancilla_dim=None, queries=None, rng=None) -> Si
     stream in the order one draw per query would, and what the draws hold
     beyond the recorded states stays O(n) for any T.
     """
-    pair, ancilla_dim, queries, rng = pair_args(u1, u2, ancilla_dim, queries, rng)
     a, b = pair.u1, pair.u2
     d = a.shape[0]
     n = simulation_size(d, ancilla_dim, queries)

@@ -6,7 +6,15 @@ agreement between the two is evidence, not tautology.
 
 import numpy as np
 
+from qudisc import PhaseSpectrum
+from qudisc.linalg import wrap_phase
+
 TWO_PI = 2.0 * np.pi
+
+
+def as_spectrum(phases) -> PhaseSpectrum:
+    """Any phases as a spectrum, the form a decomposition returns: wrapped and ascending."""
+    return PhaseSpectrum(np.sort(wrap_phase(np.asarray(phases, dtype=float))))
 
 
 def anchored_arc_theta(phases) -> float:

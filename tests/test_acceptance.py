@@ -28,12 +28,14 @@ from qudisc import (
     Povm,
     Protocol,
     StatePair,
+    UnitaryPair,
 )
 from qudisc.campaign import CampaignConfig, run_campaign
 from qudisc.cli import main as cli_main
 
 from .oracles import (
     anchored_arc_theta,
+    as_spectrum,
     dense_effect,
     random_state,
     random_two_effect_povm,
@@ -115,7 +117,7 @@ def test_criterion_3_fidelity_routes_agree(spectra_10k):
     start = time.perf_counter()
     worst = 0.0
     for phases in spectra_10k:
-        closed = fidelity_closed_form(smallest_arc(phases).theta)
+        closed = fidelity_closed_form(smallest_arc(as_spectrum(phases)).theta)
         hull = fidelity_hull_oracle(np.exp(1j * phases))
         worst = max(worst, abs(closed - hull))
     elapsed = time.perf_counter() - start
@@ -126,7 +128,8 @@ def test_criterion_3_fidelity_routes_agree(spectra_10k):
 def test_criterion_4_arc_matches_exhaustive_oracle(spectra_10k):
     worst = 0.0
     for phases in spectra_10k:
-        worst = max(worst, abs(smallest_arc(phases).theta - anchored_arc_theta(phases)))
+        theta = smallest_arc(as_spectrum(phases)).theta
+        worst = max(worst, abs(theta - anchored_arc_theta(phases)))
     ok = worst <= 1e-9
     _report(4, f"10^4 spectra, max |max-gap - anchored oracle| = {worst:.2e}", ok)
 
@@ -180,9 +183,10 @@ def test_criterion_6_unambiguous_saturation():
 
 
 def test_criterion_7_eighth_turn_fixture():
-    theta = smallest_arc(relative_spectrum(I2, EIGHTH_TURN)).theta
-    plan = build_parallel(I2, EIGHTH_TURN, 4)
-    overlap = simulate_parallel(I2, EIGHTH_TURN, plan).final_overlap
+    pair = UnitaryPair.of(I2, EIGHTH_TURN)
+    theta = smallest_arc(relative_spectrum(pair)).theta
+    plan = build_parallel(pair, 4)
+    overlap = simulate_parallel(pair, plan).final_overlap
     ok = (
         abs(theta - np.pi / 4) <= 1e-12
         and t_min_bounded(theta, 0.0).t_lower == 3
@@ -202,7 +206,7 @@ def test_criterion_8_hand_fixtures():
     b2 = t_min_onesided(0.2, 0.6)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     protocol = Protocol(2, 1, 1, [I2.copy(), I2.copy()], plus)
-    trace = run_protocol(I2, Z, protocol)
+    trace = run_protocol(UnitaryPair.of(I2, Z), protocol)
     out = evaluate_povm(helstrom_povm(trace.final), trace.final)
     error = 1.0 - min(out.p_correct_1, out.p_correct_2)
     ok = (

@@ -33,27 +33,33 @@ EIGHTH_TURN = np.diag([1.0, np.exp(1j * np.pi / 4)])
 Z = np.diag([1.0, -1.0]).astype(complex)
 
 
+def eighth_turn() -> UnitaryPair:
+    return UnitaryPair.of(I2, EIGHTH_TURN)
+
+
 class TestParallelPlan:
     def test_four_copies_discriminate_perfectly(self):
-        plan = build_parallel(I2, EIGHTH_TURN, 4)
+        pair = eighth_turn()
+        plan = build_parallel(pair, 4)
         assert plan.predicted_overlap == pytest.approx(0.0, abs=1e-15)
-        trace = simulate_parallel(I2, EIGHTH_TURN, plan)
+        trace = simulate_parallel(pair, plan)
         assert trace.final_overlap <= 1e-8
 
     def test_single_copy_equals_fidelity(self):
-        plan = build_parallel(I2, EIGHTH_TURN, 1)
+        plan = build_parallel(eighth_turn(), 1)
         assert plan.predicted_overlap == pytest.approx(math.cos(math.pi / 8), abs=1e-12)
 
     def test_half_turn_needs_one_copy(self):
-        plan = build_parallel(I2, Z, 1)
+        pair = UnitaryPair.of(I2, Z)
+        plan = build_parallel(pair, 1)
         assert plan.predicted_overlap == pytest.approx(0.0, abs=1e-15)
-        assert simulate_parallel(I2, Z, plan).final_overlap <= 1e-12
+        assert simulate_parallel(pair, plan).final_overlap <= 1e-12
 
     def test_probe_is_normalized(self):
         # the probe sum_s sqrt(w_s)|s> has norm 1 iff the weights sum to 1 over orthonormal strings
         wide = np.diag(np.exp(1j * np.array([0.0, 2.2, 4.4])))  # theta > pi
         for u1, u2, t in [(I2, EIGHTH_TURN, 3), (I2, EIGHTH_TURN, 6), (np.eye(3), wide, 2)]:
-            plan = build_parallel(u1, u2, t)
+            plan = build_parallel(UnitaryPair.of(u1, u2), t)
             assert abs(plan.weights.sum() - 1.0) <= 1e-12
             assert np.all(plan.weights > 0.0) and len(plan.weights) <= 3
             factors = plan.eigenvectors[:, plan.strings]  # d x strings x copies
@@ -65,43 +71,45 @@ class TestParallelPlan:
         for _ in range(20):
             u1 = haar_unitary_from_rng(2, rng)
             u2 = haar_unitary_from_rng(2, rng)
-            spectrum = relative_spectrum(u1, u2)
+            pair = UnitaryPair.of(u1, u2)
+            spectrum = relative_spectrum(pair)
             arc = smallest_arc(spectrum)
             a, b = spectrum.phases[[arc.start, arc.end]]
             assert (b - a) % (2 * np.pi) == pytest.approx(arc.theta, abs=1e-12)
             # the plan's strings are made of the eigenvectors the arc's indices name
-            assert set(build_parallel(u1, u2, 2).strings.ravel()) <= {arc.start, arc.end}
+            assert set(build_parallel(pair, 2).strings.ravel()) <= {arc.start, arc.end}
 
     def test_identical_pair_rejected(self):
         with pytest.raises(IndistinguishableError):
-            build_parallel(I2, I2, 2)
+            build_parallel(UnitaryPair.of(I2, I2), 2)
 
     @pytest.mark.parametrize("copies", [0, -1])
     def test_copy_count_below_one_is_a_validation_error(self, copies):
         # was a DomainError, where simulate_random and SearchConfig refuse a negative count
         # with a ValidationError
         with pytest.raises(ValidationError, match="copy count must be >= 1"):
-            build_parallel(I2, EIGHTH_TURN, copies)
+            build_parallel(eighth_turn(), copies)
 
     @pytest.mark.parametrize("copies", [2.0, True, "2"])
     def test_non_integer_copy_count_is_refused(self, copies):
         # 2.0 raised numpy's untyped TypeError; True ran as one copy
         with pytest.raises(ValidationError, match="copy count must be an integer"):
-            build_parallel(I2, EIGHTH_TURN, copies)
+            build_parallel(eighth_turn(), copies)
 
     def test_sixty_four_copies_need_no_tensor_power(self):
         # 2**64 amplitudes could never be formed; the plan stays O(T)
-        plan = build_parallel(I2, EIGHTH_TURN, 64)
+        pair = eighth_turn()
+        plan = build_parallel(pair, 64)
         assert plan.strings.shape[1] == 64
-        trace = simulate_parallel(I2, EIGHTH_TURN, plan)
+        trace = simulate_parallel(pair, plan)
         assert trace.final_overlap <= 1e-12
         assert trace.states.shape[2] <= 3
 
     def test_memory_stays_linear_in_copies(self):
-        u2 = np.diag([1.0, np.exp(2e-3j)])  # t_perfect = 1571
+        pair = UnitaryPair.of(I2, np.diag([1.0, np.exp(2e-3j)]))  # t_perfect = 1571
         tracemalloc.start()
         try:
-            trace = simulate_parallel(I2, u2, build_parallel(I2, u2, 2000))
+            trace = simulate_parallel(pair, build_parallel(pair, 2000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -110,9 +118,9 @@ class TestParallelPlan:
 
     def test_perfect_at_t_perfect_where_the_even_split_was_not(self):
         # theta = 1 wraps |cos(T*theta/2)| to 0.416 at t_perfect = 4
-        u2 = np.diag([1.0, np.exp(1.0j)])
-        plan = build_parallel(I2, u2, t_perfect(1.0))
-        trace = simulate_parallel(I2, u2, plan)
+        pair = UnitaryPair.of(I2, np.diag([1.0, np.exp(1.0j)]))
+        plan = build_parallel(pair, t_perfect(1.0))
+        trace = simulate_parallel(pair, plan)
         assert trace.final_overlap <= 1e-12
         assert trace.distances[0] == 0.0
 
@@ -150,11 +158,12 @@ class TestParallelPlan:
         phases = np.array([0.0, theta] + [f * theta for f in inner[: dim - 2]])
         u1 = np.diag(np.exp(1j * (offset + np.arange(dim))))
         u2 = u1 @ np.diag(np.exp(1j * phases))
-        spread = smallest_arc(relative_spectrum(u1, u2)).theta
+        pair = UnitaryPair.of(u1, u2)
+        spread = smallest_arc(relative_spectrum(pair)).theta
         perfect = t_perfect(spread)
         for t in range(1, 2 * perfect + 1):  # the optimum is 0 from t = perfect on
-            plan = build_parallel(u1, u2, t)
-            trace = simulate_parallel(u1, u2, plan)
+            plan = build_parallel(pair, t)
+            trace = simulate_parallel(pair, plan)
             optimum = 0.0 if t * spread >= np.pi else math.cos(t * spread / 2.0)
             assert abs(plan.predicted_overlap - optimum) <= 1e-12
             assert abs(trace.final_overlap - optimum) <= 1e-12
@@ -166,12 +175,13 @@ class TestParallelPlan:
         for _ in range(1000):
             u1 = haar_unitary_from_rng(2, rng)
             u2 = haar_unitary_from_rng(2, rng)
-            theta = smallest_arc(relative_spectrum(u1, u2)).theta
+            pair = UnitaryPair.of(u1, u2)
+            theta = smallest_arc(relative_spectrum(pair)).theta
             for t in range(1, 9):
                 if t * theta > np.pi:
                     break
-                plan = build_parallel(u1, u2, t)
-                trace = simulate_parallel(u1, u2, plan)
+                plan = build_parallel(pair, t)
+                trace = simulate_parallel(pair, plan)
                 assert abs(trace.final_overlap - plan.predicted_overlap) <= 1e-8
                 checked += 1
         assert checked > 500
@@ -207,7 +217,7 @@ class TestSearchConfig:
 
     def test_full_step_tolerance_still_searches(self):
         cfg = SearchConfig(queries=3, restarts=1, max_iterations=30, step_tolerance=1.0, seed=1)
-        result = optimize_protocol(I2, np.diag([1.0, np.exp(0.9j)]), cfg)
+        result = optimize_protocol(UnitaryPair.of(I2, np.diag([1.0, np.exp(0.9j)])), cfg)
         assert len(result.histories[0]) > 2
 
 
@@ -215,28 +225,27 @@ class TestOptimizeProtocol:
     def test_commuting_pair_reaches_parallel_perfection(self):
         cfg = SearchConfig(queries=4, restarts=8, max_iterations=60,
                            step_tolerance=1e-4, seed=11)
-        result = optimize_protocol(I2, EIGHTH_TURN, cfg)
+        result = optimize_protocol(eighth_turn(), cfg)
         assert result.overlap <= 1e-4
 
     def test_zero_queries_cannot_distinguish(self):
-        result = optimize_protocol(I2, EIGHTH_TURN, SearchConfig(queries=0, seed=3))
+        result = optimize_protocol(eighth_turn(), SearchConfig(queries=0, seed=3))
         assert result.overlap == 1.0
 
     def test_single_query_rediscovers_fidelity(self):
         rng = np.random.default_rng(5)
-        u1 = haar_unitary_from_rng(2, rng)
-        u2 = haar_unitary_from_rng(2, rng)
-        theta = smallest_arc(relative_spectrum(u1, u2)).theta
+        pair = UnitaryPair.of(haar_unitary_from_rng(2, rng), haar_unitary_from_rng(2, rng))
+        theta = smallest_arc(relative_spectrum(pair)).theta
         cfg = SearchConfig(queries=1, restarts=4, max_iterations=60,
                            step_tolerance=1e-5, seed=7)
-        result = optimize_protocol(u1, u2, cfg)
+        result = optimize_protocol(pair, cfg)
         assert abs(result.overlap - fidelity_closed_form(theta)) <= 1e-3
 
     def test_determinism(self):
         cfg = SearchConfig(queries=2, restarts=2, max_iterations=10,
                            step_tolerance=1e-3, seed=19)
-        r1 = optimize_protocol(I2, EIGHTH_TURN, cfg)
-        r2 = optimize_protocol(I2, EIGHTH_TURN, cfg)
+        r1 = optimize_protocol(eighth_turn(), cfg)
+        r2 = optimize_protocol(eighth_turn(), cfg)
         assert r1.overlap == r2.overlap
         assert np.array_equal(r1.protocol.probe, r2.protocol.probe)
         for w1, w2 in zip(r1.protocol.interleavers, r2.protocol.interleavers):
@@ -245,56 +254,55 @@ class TestOptimizeProtocol:
     def test_histories_are_monotone(self):
         cfg = SearchConfig(queries=2, restarts=3, max_iterations=15,
                            step_tolerance=1e-3, seed=23)
-        result = optimize_protocol(I2, EIGHTH_TURN, cfg)
+        result = optimize_protocol(eighth_turn(), cfg)
         for history in result.histories:
             assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_tiny_budget_sets_exhausted_flag(self):
         rng = np.random.default_rng(29)
-        u1 = haar_unitary_from_rng(2, rng)
-        u2 = haar_unitary_from_rng(2, rng)
+        pair = UnitaryPair.of(haar_unitary_from_rng(2, rng), haar_unitary_from_rng(2, rng))
         cfg = SearchConfig(queries=2, restarts=1, max_iterations=1,
                            step_tolerance=1e-9, seed=1)
-        result = optimize_protocol(u1, u2, cfg)
+        result = optimize_protocol(pair, cfg)
         assert result.budget_exhausted
 
     def test_indistinguishable_pair_rejected(self):
         with pytest.raises(IndistinguishableError):
-            optimize_protocol(I2, np.exp(0.4j) * I2, SearchConfig(queries=1, seed=0))
+            optimize_protocol(UnitaryPair.of(I2, np.exp(0.4j) * I2),
+                              SearchConfig(queries=1, seed=0))
 
     def test_returned_protocols_respect_the_bound(self):
         rng = np.random.default_rng(47)
         for _ in range(5):
-            u1 = haar_unitary_from_rng(2, rng)
-            u2 = haar_unitary_from_rng(2, rng)
-            theta = smallest_arc(relative_spectrum(u1, u2)).theta
+            pair = UnitaryPair.of(haar_unitary_from_rng(2, rng), haar_unitary_from_rng(2, rng))
+            theta = smallest_arc(relative_spectrum(pair)).theta
             queries = int(rng.integers(1, 4))
             cfg = SearchConfig(queries=queries, restarts=2, max_iterations=15,
                                step_tolerance=1e-3, seed=int(rng.integers(1 << 30)))
-            result = optimize_protocol(u1, u2, cfg)
+            result = optimize_protocol(pair, cfg)
             eps = helstrom_error(result.overlap)
             lhs = 2.0 * math.sqrt(1.0 - 4.0 * eps * (1.0 - eps))
             assert lhs <= queries * theta + 1e-6
             # re-simulating the returned protocol reproduces the reported overlap
-            trace = run_protocol(u1, u2, result.protocol)
+            trace = run_protocol(pair, result.protocol)
             assert trace.final_overlap == pytest.approx(result.overlap, abs=1e-12)
 
     @pytest.mark.parametrize("dim, queries", [(2, 0), (2, 1), (2, 3), (3, 2)])
     def test_trace_is_the_protocols_simulation_bit_for_bit(self, dim, queries):
         # the descent's own states are the trace: a fresh simulation gives the same bits
         rng = np.random.default_rng(67 + dim + queries)
-        u1, u2 = haar_unitary_from_rng(dim, rng, (2,))
+        pair = UnitaryPair.of(*haar_unitary_from_rng(dim, rng, (2,)))
         cfg = SearchConfig(queries=queries, restarts=2, max_iterations=10,
                            step_tolerance=1e-3, seed=queries)
-        result = optimize_protocol(u1, u2, cfg)
-        fresh = run_protocol(u1, u2, result.protocol)
+        result = optimize_protocol(pair, cfg)
+        fresh = run_protocol(pair, result.protocol)
         assert np.array_equal(result.trace.states, fresh.states)
         assert result.trace.distances == fresh.distances
         assert result.overlap == result.trace.final_overlap == fresh.final_overlap
 
     @pytest.mark.parametrize("seed", range(12))
     def test_readme_example_reaches_perfection_for_every_seed(self, seed):
-        result = optimize_protocol(I2, EIGHTH_TURN, SearchConfig(queries=4, seed=seed))
+        result = optimize_protocol(eighth_turn(), SearchConfig(queries=4, seed=seed))
         assert result.overlap <= 1e-5
 
     @pytest.mark.parametrize("dim, restarts, iterations, pairs", [(2, 8, 60, 8), (3, 2, 20, 4)])
@@ -303,15 +311,14 @@ class TestOptimizeProtocol:
         rng = np.random.default_rng(53 + dim)
         checked = 0
         while checked < pairs:
-            u1 = haar_unitary_from_rng(dim, rng)
-            u2 = haar_unitary_from_rng(dim, rng)
-            theta = smallest_arc(relative_spectrum(u1, u2)).theta
+            pair = UnitaryPair.of(haar_unitary_from_rng(dim, rng), haar_unitary_from_rng(dim, rng))
+            theta = smallest_arc(relative_spectrum(pair)).theta
             queries = math.ceil(np.pi / theta) - 1  # the most queries with T*theta < pi
             if not 1 <= queries <= 4:
                 continue
             cfg = SearchConfig(queries=queries, restarts=restarts,
                                max_iterations=iterations, seed=checked)
-            result = optimize_protocol(u1, u2, cfg)
+            result = optimize_protocol(pair, cfg)
             assert abs(result.overlap - math.cos(queries * theta / 2.0)) <= 1e-6
             checked += 1
 

@@ -10,6 +10,7 @@ from qudisc import (
     SearchConfig,
     Povm,
     StatePair,
+    UnitaryPair,
     UsageError,
     ValidationError,
     build_parallel,
@@ -286,13 +287,13 @@ class TestConfigValidation:
                                  "protocol_source": source})
 
     def test_library_entries_refuse_before_they_allocate(self):
-        u1, u2 = np.eye(16), np.diag(np.exp(0.5j * np.arange(16)))
+        pair = UnitaryPair.of(np.eye(16), np.diag(np.exp(0.5j * np.arange(16))))
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="257 interleavers at dimension 256"):
-                optimize_protocol(u1, u2, SearchConfig(queries=256))
+                optimize_protocol(pair, SearchConfig(queries=256))
             with pytest.raises(CapacityError, match="a parallel plan on 10000000 copies"):
-                build_parallel(u1, u2, 10**7)
+                build_parallel(pair, 10**7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qudisc import Protocol
-from qudisc.campaign import CampaignReport, config_from_obj, render_csv, run_campaign, summarize
+from qudisc.campaign import CampaignReport, run_campaign, summarize
 from qudisc.cli import main
 from qudisc.serialize import matrix_to_obj, protocol_to_obj
 
@@ -62,11 +62,25 @@ class TestTheta:
         assert {"start_phase", "end_phase"} <= set(obj)
 
     def test_rejects_non_unitary(self, fixtures, tmp_path, capsys):
+        # every subcommand that reads a pair names the flag whose matrix is bad
         bad = tmp_path / "bad.json"
         write_json(matrix_to_obj(np.diag([1.0, 0.5])), str(bad))
-        code, _, err = run_cli(capsys, ["theta", "--u1", str(bad), "--u2", fixtures["i2"]])
+        extra = {"theta": [], "fidelity": [], "simulate": ["--protocol", fixtures["protocol"]],
+                 "search": ["--config", fixtures["search"]]}
+        for command, rest in extra.items():
+            for flag, other in (("u1", "u2"), ("u2", "u1")):
+                files = {flag: str(bad), other: fixtures["i2"]}
+                code, out, err = run_cli(capsys, [command, "--u1", files["u1"],
+                                                  "--u2", files["u2"], *rest])
+                assert code == 2 and out == "", (command, flag)
+                assert err.startswith(f"error: {flag} is not unitary"), (command, flag, err)
+
+    def test_rejects_a_dimension_mismatch(self, fixtures, tmp_path, capsys):
+        three = tmp_path / "three.json"
+        write_json(matrix_to_obj(np.eye(3)), str(three))
+        code, _, err = run_cli(capsys, ["theta", "--u1", fixtures["i2"], "--u2", str(three)])
         assert code == 2
-        assert "error:" in err
+        assert err.startswith("error: dimension mismatch: shapes (2, 2) vs (3, 3)")
 
 
 class TestFidelity:
@@ -251,17 +265,6 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
-    def test_config_output_path_receives_the_report(self, tmp_path, capsys):
-        obj = {"instances": 2, "dim": 2, "t_range": [1, 2], "seed": 3,
-               "output_path": str(tmp_path / "report.csv")}
-        config = tmp_path / "campaign.json"
-        write_json(obj, str(config))
-        code, out, _ = run_cli(capsys, ["verify", "--config", str(config), "--format", "csv"])
-        assert code == 0
-        assert out == ""
-        expected = render_csv(run_campaign(config_from_obj(obj)))
-        assert (tmp_path / "report.csv").read_text() == expected
-
     def test_json_to_stdout(self, fixtures, capsys):
         code, out, _ = run_cli(capsys, ["verify", "--config", fixtures["campaign"]])
         assert code == 0
@@ -319,13 +322,15 @@ class TestWireFormatTypes:
         assert err.startswith(f"error: {message}")
 
     def test_verify_with_a_file_descriptor_as_output_path(self, tmp_path, capsys):
-        # open(1, "w") wrote the report to stdout and then closed it
+        # open(1, "w") once wrote the report to stdout and then closed it; the report's path
+        # is --output's alone now, and a config that carries one is refused
         bad = tmp_path / "campaign.json"
-        write_json({"instances": 1, "dim": 2, "t_range": [1, 1], "seed": 1, "output_path": 1},
-                   str(bad))
-        code, out, err = run_cli(capsys, ["verify", "--config", str(bad)])
-        assert code == 2 and out == ""
-        assert err.startswith("error: malformed campaign config: output_path must be a string, got 1")
+        for path in (1, "report.csv"):
+            write_json({"instances": 1, "dim": 2, "t_range": [1, 1], "seed": 1,
+                        "output_path": path}, str(bad))
+            code, out, err = run_cli(capsys, ["verify", "--config", str(bad)])
+            assert code == 2 and out == ""
+            assert err.startswith("error: malformed campaign config: unknown keys 'output_path'")
 
     def test_verify_with_non_integral_dim(self, tmp_path, capsys):
         bad = tmp_path / "campaign.json"

@@ -20,7 +20,7 @@ from qudisc import (
 )
 from qudisc.linalg import TWO_PI
 
-from .oracles import anchored_arc_theta, min_combination_sampled
+from .oracles import anchored_arc_theta, as_spectrum, min_combination_sampled
 
 
 def random_phases(rng, max_size=8):
@@ -33,31 +33,32 @@ def random_phases(rng, max_size=8):
 
 class TestSmallestArc:
     def test_single_point(self):
-        arc = smallest_arc([0.0])
+        arc = smallest_arc(as_spectrum([0.0]))
         assert arc.theta == 0.0
         assert arc.start_phase == arc.end_phase == 0.0
 
     def test_three_points(self):
-        assert smallest_arc([0.0, np.pi / 2, np.pi]).theta == pytest.approx(np.pi, abs=1e-12)
+        arc = smallest_arc(as_spectrum([0.0, np.pi / 2, np.pi]))
+        assert arc.theta == pytest.approx(np.pi, abs=1e-12)
 
     def test_wraparound(self):
-        arc = smallest_arc([0.1, 0.2, 6.2])
+        arc = smallest_arc(as_spectrum([0.1, 0.2, 6.2]))
         assert arc.theta == pytest.approx(TWO_PI - 6.0, abs=1e-12)
         assert arc.start_phase == pytest.approx(6.2)
         assert arc.end_phase == pytest.approx(0.2)
 
     def test_empty_raises(self):
         with pytest.raises(DomainError):
-            smallest_arc([])
+            smallest_arc(as_spectrum([]))
 
     def test_tie_breaks_toward_smallest_gap_start(self):
-        arc = smallest_arc([0.0, np.pi])
+        arc = smallest_arc(as_spectrum([0.0, np.pi]))
         assert arc.theta == pytest.approx(np.pi)
         assert arc.start_phase == pytest.approx(np.pi)
         assert arc.end_phase == 0.0
 
     @pytest.mark.parametrize("phases", [
-        [3.0, 1.0],  # descending: its arc read -2.0, where the bare list gives 2.0
+        [3.0, 1.0],  # descending: its arc read -2.0, where the ascending phases give 2.0
         [7.0, 0.5],  # 7.0 beyond 2*pi: its arc read -6.5
         [],  # an untyped IndexError
         [0.5, np.nan],
@@ -78,6 +79,13 @@ class TestSmallestArc:
         with pytest.raises(error, match="phases"):
             PhaseSpectrum(phases)
 
+    @pytest.mark.parametrize("phases", [[0.1, 0.2], np.array([0.1, 0.2]), (0.5,)],
+                             ids=["list", "array", "tuple"])
+    def test_takes_a_spectrum_only(self, phases):
+        # bare phases were wrapped and sorted; a decomposition's spectrum is the one input
+        with pytest.raises(ShapeError, match="takes a PhaseSpectrum"):
+            smallest_arc(phases)
+
     def test_accepts_phase_spectrum(self):
         spec = UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0])).spectrum
         assert smallest_arc(spec).theta == pytest.approx(np.pi)
@@ -86,7 +94,7 @@ class TestSmallestArc:
         rng = np.random.default_rng(10)
         for _ in range(300):
             phases = random_phases(rng)
-            arc = smallest_arc(phases)
+            arc = smallest_arc(as_spectrum(phases))
             wrapped = np.mod(phases, TWO_PI)
             assert any(abs(p - arc.start_phase) <= 1e-12 for p in wrapped)
             assert any(abs(p - arc.end_phase) <= 1e-12 for p in wrapped)
@@ -98,7 +106,7 @@ class TestSmallestArc:
         rng = np.random.default_rng(11)
         for _ in range(2000):
             phases = random_phases(rng)
-            assert smallest_arc(phases).theta == pytest.approx(
+            assert smallest_arc(as_spectrum(phases)).theta == pytest.approx(
                 anchored_arc_theta(phases), abs=1e-9
             )
 
@@ -109,8 +117,8 @@ class TestSmallestArc:
     )
     def test_rotation_invariance(self, shift, seed):
         phases = random_phases(np.random.default_rng(seed))
-        base = smallest_arc(phases).theta
-        rotated = smallest_arc(np.mod(phases + shift, TWO_PI)).theta
+        base = smallest_arc(as_spectrum(phases)).theta
+        rotated = smallest_arc(as_spectrum(np.mod(phases + shift, TWO_PI))).theta
         assert rotated == pytest.approx(base, abs=1e-9)
 
     def test_indices_name_the_endpoints_of_haar_spectra(self):
@@ -129,7 +137,7 @@ class TestSmallestArc:
         ([0.0, 0.0, np.pi, np.pi], 2, 0),  # two gaps of pi: the first ends the arc
     ])
     def test_indices_are_the_first_of_tied_endpoints(self, phases, start, end):
-        arc = smallest_arc(phases)
+        arc = smallest_arc(as_spectrum(phases))
         ascending = np.sort(np.asarray(phases))
         assert (arc.start, arc.end) == (start, end)
         assert ascending[arc.start] == arc.start_phase
@@ -143,9 +151,9 @@ class TestSmallestArc:
             phases = random_phases(rng)
             if phases.size < 2:
                 continue
-            full = smallest_arc(phases).theta
+            full = smallest_arc(as_spectrum(phases)).theta
             drop = int(rng.integers(phases.size))
-            reduced = smallest_arc(np.delete(phases, drop)).theta
+            reduced = smallest_arc(as_spectrum(np.delete(phases, drop))).theta
             assert reduced <= full + 1e-12
 
 
@@ -187,7 +195,7 @@ class TestHullOracle:
         rng = np.random.default_rng(13)
         for _ in range(1000):
             phases = random_phases(rng)
-            closed = fidelity_closed_form(smallest_arc(phases).theta)
+            closed = fidelity_closed_form(smallest_arc(as_spectrum(phases)).theta)
             hull = fidelity_hull_oracle(np.exp(1j * phases))
             assert abs(closed - hull) <= 1e-6
 

@@ -1,3 +1,4 @@
+import ast
 import importlib.machinery
 import os
 import subprocess
@@ -13,6 +14,7 @@ from qudisc import (
     CapacityError,
     DomainError,
     NumericalError,
+    SearchConfig,
     ShapeError,
     UnitaryPair,
     build_parallel,
@@ -23,7 +25,8 @@ from qudisc import (
     simulate_parallel,
     simulate_random,
 )
-from qudisc import linalg
+from qudisc import builder, linalg
+from qudisc import protocol as protocol_mod
 from qudisc.geometry import smallest_arc
 from qudisc.protocol import Protocol
 from qudisc.linalg import (
@@ -216,7 +219,7 @@ class TestEigenSystem:
     def test_schur_loads_without_scipy_linalg(self):
         # fails if a scipy upgrade moves the wrapper and qudisc falls back on scipy.linalg
         script = ("import sys, numpy as np, qudisc; "
-                  "qudisc.relative_spectrum(np.eye(2), np.diag([1, 1j])); "
+                  "qudisc.relative_spectrum(qudisc.UnitaryPair.of(np.eye(2), np.diag([1, 1j]))); "
                   "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'; "
                   "import scipy.linalg; "
                   "assert qudisc.linalg._gees is scipy.linalg.get_lapack_funcs(('gees',), "
@@ -282,7 +285,7 @@ class TestEigenSystem:
     def test_theta_only_phases_equal_eigen_system_bit_for_bit(self, d):
         rng = np.random.default_rng([d, 18])
         u1, u2 = haar_unitary_from_rng(d, rng), haar_unitary_from_rng(d, rng)
-        phases = relative_spectrum(u1, u2)
+        phases = relative_spectrum(UnitaryPair.of(u1, u2))
         assert phases.vectors is None
         assert np.array_equal(phases.phases, spectrum_of(u1.conj().T @ u2).phases)
 
@@ -302,7 +305,7 @@ class TestEigenSystem:
 
         monkeypatch.setattr(linalg, "_gees", injected)
         with pytest.raises(NumericalError, match="accuracy contract"):
-            relative_spectrum(np.eye(2), np.diag([1.0, -1.0]))
+            relative_spectrum(UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0])))
 
 
 class TestHaarUnitary:
@@ -403,6 +406,35 @@ class TestHaarIsometry:
         with pytest.raises(DomainError):
             haar_isometry_from_rng(n, k, np.random.default_rng(1))
 
+    @pytest.mark.parametrize("draw, message", [
+        # asked the generator for a (2, 5000, 5000) Gaussian stack
+        (lambda rng: haar_unitary_from_rng(5000, rng), "dimension 5000 exceeds cap"),
+        # asked it for 2.56e11 entries
+        (lambda rng: haar_isometry_from_rng(64, 2, rng, (10**9,)), "a Haar draw needs"),
+        (lambda rng: haar_unitary_from_rng(4, rng, (2**20 + 1,)), "a Haar draw needs"),
+    ], ids=["dim", "batch", "one-past-the-cap"])
+    def test_capped_before_the_stream_is_touched(self, draw, message):
+        with pytest.raises(CapacityError, match=message):
+            draw(_StubGenerator())
+
+    @pytest.mark.parametrize("d, queries", [(2, 2**20 - 1), (64, 0)])
+    def test_every_search_start_the_size_rule_accepts_is_drawn(self, d, queries):
+        # the search's Haar start is (T+1) n x n unitaries, the very entries search_size caps
+        n = builder.search_size(d, queries)
+        with pytest.raises(_StreamReached):
+            haar_unitary_from_rng(n, _StubGenerator(), (queries + 1,))
+
+
+class _StreamReached(Exception):
+    pass
+
+
+class _StubGenerator:
+    """A generator whose stream raises when it is first drawn from, so nothing is allocated."""
+
+    def standard_normal(self, *args, **kwargs):
+        raise _StreamReached
+
 
 def test_unitaries_preserve_norm():
     rng = np.random.default_rng(8)
@@ -466,7 +498,7 @@ class TestUnitaryPair:
         spectrum = held.spectrum
         assert relative_spectrum(held) is spectrum
         assert calls == [False, True, True]
-        assert np.array_equal(relative_spectrum(u1, u2).phases, phases.phases)
+        assert np.array_equal(relative_spectrum(UnitaryPair.of(u1, u2)).phases, phases.phases)
 
     def test_product_of_checked_unitaries_is_not_checked_again(self):
         # each factor's defect is 9.0e-11, within UNITARY_TOL; U1†U2's is 1.8e-10, beyond it
@@ -480,27 +512,52 @@ class TestUnitaryPair:
             UnitaryPair.of(np.eye(2), u1.conj().T @ u2)
 
     def test_stands_in_for_both_unitaries(self):
+        # the three calls the benchmark's workloads make with two matrices, bit for bit as
+        # the pair form; no other function takes them
         rng = np.random.default_rng(61)
         u1, u2 = haar_unitary_from_rng(2, rng), haar_unitary_from_rng(2, rng)
         pair = UnitaryPair.of(u1, u2)
-        plan = build_parallel(u1, u2, 3)
-        assert np.array_equal(build_parallel(pair, 3).weights, plan.weights)
-        assert np.array_equal(build_parallel(pair, t=3).weights, plan.weights)
-        assert simulate_parallel(pair, plan).distances == simulate_parallel(u1, u2, plan).distances
-        protocol = Protocol(2, 1, 1, [np.eye(2), np.eye(2)], np.array([1.0, 0.0]))
-        assert run_protocol(pair, protocol).distances == run_protocol(u1, u2, protocol).distances
-        by_matrices = simulate_random(u1, u2, 2, 3, np.random.default_rng(5)).distances
-        assert simulate_random(pair, 2, 3, np.random.default_rng(5)).distances == by_matrices
-        assert simulate_random(pair, 2, queries=3, rng=np.random.default_rng(5)).distances \
-            == by_matrices
+        assert np.array_equal(linalg.relative_spectrum(u1, u2).phases,
+                              relative_spectrum(pair).phases)
+        cfg = SearchConfig(queries=2, restarts=2, max_iterations=10, seed=3)
+        by_matrices = builder.optimize_protocol(u1, u2, cfg)
+        by_pair = optimize_protocol(pair, cfg)
+        assert by_matrices.overlap == by_pair.overlap
+        assert by_matrices.histories == by_pair.histories
+        assert np.array_equal(by_matrices.protocol.interleavers, by_pair.protocol.interleavers)
+        assert np.array_equal(by_matrices.protocol.probe, by_pair.protocol.probe)
+        assert np.array_equal(by_matrices.trace.states, by_pair.trace.states)
+        trace = protocol_mod.run_protocol(u1, u2, by_matrices.protocol)
+        assert np.array_equal(trace.states, run_protocol(pair, by_pair.protocol).states)
+        plan = build_parallel(pair, 3)
+        calls = [lambda: build_parallel(u1, u2, 3), lambda: simulate_parallel(u1, u2, plan),
+                 lambda: simulate_random(u1, u2, 2, 3, np.random.default_rng(5))]
+        for call in calls:
+            with pytest.raises(TypeError, match="positional arguments but"):
+                call()
+
+    def test_shim_serves_only_the_benchmarks_calls(self):
+        # pair_args is called once in each of these three functions and nowhere else
+        calls = []
+        for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            enclosing = {}  # node -> name of its innermost function; ast.walk goes outside in
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    for node in ast.walk(fn):
+                        enclosing[node] = getattr(fn, "name", "<lambda>")
+            calls += [(path.stem, enclosing.get(node)) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and "pair_args" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))]
+        assert sorted(calls) == [("builder", "optimize_protocol"), ("linalg", "relative_spectrum"),
+                                 ("protocol", "run_protocol")]
 
     def test_spectrum_keeps_its_arc(self):
         rng = np.random.default_rng(62)
         pair = UnitaryPair.of(haar_unitary_from_rng(4, rng), haar_unitary_from_rng(4, rng))
         arc = smallest_arc(pair.spectrum)
         assert smallest_arc(relative_spectrum(pair)) is arc
-        # the spectrum's phases are taken as they are: same bits as from the bare phases
-        assert arc == smallest_arc(list(pair.spectrum.phases))
 
     def test_one_argument_too_many(self):
         pair = UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0]))
@@ -511,9 +568,8 @@ class TestUnitaryPair:
         u1, u2 = np.eye(2), np.diag([1.0, -1.0])
         pair = UnitaryPair.of(u1, u2)
         calls = [lambda: run_protocol(pair), lambda: simulate_parallel(pair),
-                 lambda: optimize_protocol(u1, u2), lambda: simulate_random(u1, u2, 2, 4),
-                 lambda: simulate_random(pair, 2, 4), lambda: build_parallel(pair),
-                 lambda: relative_spectrum(u1)]
+                 lambda: optimize_protocol(pair), lambda: simulate_random(pair, 2, 4),
+                 lambda: build_parallel(pair), lambda: relative_spectrum(u1)]
         for call in calls:
-            with pytest.raises(TypeError, match="missing 1 required argument"):
+            with pytest.raises(TypeError, match="missing 1 required"):
                 call()

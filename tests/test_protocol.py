@@ -59,7 +59,7 @@ def random_protocol(rng, system_dim=2, ancilla_dim=2, queries=None):
 
 class TestRunProtocol:
     def test_single_query_identity_vs_z(self):
-        trace = run_protocol(I2, Z, identity_protocol(1))
+        trace = run_protocol(UnitaryPair.of(I2, Z), identity_protocol(1))
         assert trace.distances[0] == 0.0
         assert trace.distances[1] == pytest.approx(2.0, abs=1e-12)
         assert trace.final_overlap == pytest.approx(0.0, abs=1e-12)
@@ -67,17 +67,17 @@ class TestRunProtocol:
     def test_identical_unitaries_never_separate(self):
         rng = np.random.default_rng(21)
         u = haar_unitary_from_rng(2, rng)
-        trace = run_protocol(u, u, random_protocol(rng))
+        trace = run_protocol(UnitaryPair.of(u, u), random_protocol(rng))
         assert all(d == 0.0 for d in trace.distances)
         assert trace.final_overlap == 1.0
 
     def test_two_queries_of_an_eighth_turn(self):
         u2 = np.diag([1.0, np.exp(1j * np.pi / 4)])
-        trace = run_protocol(I2, u2, identity_protocol(2))
+        trace = run_protocol(UnitaryPair.of(I2, u2), identity_protocol(2))
         assert trace.final_overlap == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
 
     def test_zero_queries(self):
-        trace = run_protocol(I2, Z, identity_protocol(0))
+        trace = run_protocol(UnitaryPair.of(I2, Z), identity_protocol(0))
         assert trace.distances == [0.0]
         assert trace.final_overlap == 1.0
 
@@ -86,7 +86,7 @@ class TestRunProtocol:
         for _ in range(50):
             u1 = haar_unitary_from_rng(2, rng)
             u2 = haar_unitary_from_rng(2, rng)
-            trace = run_protocol(u1, u2, random_protocol(rng))
+            trace = run_protocol(UnitaryPair.of(u1, u2), random_protocol(rng))
             expected = 2.0 * np.sqrt(1.0 - trace.final_overlap**2)
             assert trace.distances[-1] == pytest.approx(expected, abs=1e-9)
 
@@ -95,7 +95,7 @@ class TestRunProtocol:
         for _ in range(20):
             u1 = haar_unitary_from_rng(2, rng)
             u2 = haar_unitary_from_rng(2, rng)
-            trace = run_protocol(u1, u2, random_protocol(rng))
+            trace = run_protocol(UnitaryPair.of(u1, u2), random_protocol(rng))
             for s in trace.states.reshape(-1, 4):
                 assert abs(np.linalg.norm(s) - 1.0) <= 1e-9
 
@@ -103,7 +103,7 @@ class TestRunProtocol:
         rng = np.random.default_rng(44)
         u1, u2 = haar_unitary_from_rng(2, rng, (2,))
         protocol = random_protocol(rng, queries=4)
-        trace = run_protocol(u1, u2, protocol)
+        trace = run_protocol(UnitaryPair.of(u1, u2), protocol)
         s1 = s2 = protocol.interleavers[0] @ protocol.probe
         assert np.array_equal(trace.states[0, 0], s1) and np.array_equal(trace.states[1, 0], s2)
         for k, w in enumerate(protocol.interleavers[1:], start=1):
@@ -114,7 +114,7 @@ class TestRunProtocol:
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            run_protocol(np.eye(3), np.eye(3), identity_protocol(1))
+            run_protocol(UnitaryPair.of(np.eye(3), np.eye(3)), identity_protocol(1))
 
 
 class TestProtocolValidation:
@@ -165,22 +165,22 @@ class TestProtocolValidation:
         assert isinstance(protocol.interleavers, np.ndarray)
         assert protocol.interleavers.shape == (4, 2, 2)
         assert protocol.interleavers.dtype == complex
-        found = optimize_protocol(I2, Z, SearchConfig(queries=2, restarts=2, max_iterations=5,
-                                                      seed=3)).protocol
+        cfg = SearchConfig(queries=2, restarts=2, max_iterations=5, seed=3)
+        found = optimize_protocol(UnitaryPair.of(I2, Z), cfg).protocol
         assert isinstance(found.interleavers, np.ndarray)
         assert found.interleavers.shape == (3, 4, 4)
 
 
 def _eighth_turns(d):
-    return np.eye(d), np.diag(np.exp(1j * np.pi / 4 * np.arange(d)))
+    return UnitaryPair.of(np.eye(d), np.diag(np.exp(1j * np.pi / 4 * np.arange(d))))
 
 
 # The three entries that size a simulation, each at (system_dim, ancilla_dim, queries).
 SIZED_ENTRIES = {
     "Protocol": lambda d, anc, t: Protocol(d, anc, t, [], np.ones(d * anc) / np.sqrt(d * anc)),
-    "simulate_random": lambda d, anc, t: simulate_random(*_eighth_turns(d), anc, t,
+    "simulate_random": lambda d, anc, t: simulate_random(_eighth_turns(d), anc, t,
                                                          np.random.default_rng(0)),
-    "optimize_protocol": lambda d, anc, t: optimize_protocol(*_eighth_turns(d),
+    "optimize_protocol": lambda d, anc, t: optimize_protocol(_eighth_turns(d),
                                                              SearchConfig(queries=t)),
 }
 
@@ -214,7 +214,7 @@ def test_one_size_rule_for_every_simulation(entry, size):
 
 class TestStepAudit:
     def test_tight_on_identity_vs_z(self):
-        trace = run_protocol(I2, Z, identity_protocol(1))
+        trace = run_protocol(UnitaryPair.of(I2, Z), identity_protocol(1))
         slacks = audit_step_slacks(trace, np.pi)
         assert slacks == [pytest.approx(0.0, abs=1e-12)]
 
@@ -222,7 +222,7 @@ class TestStepAudit:
         rng = np.random.default_rng(24)
         u = haar_unitary_from_rng(2, rng)
         protocol = random_protocol(rng, queries=3)
-        trace = run_protocol(u, u, protocol)
+        trace = run_protocol(UnitaryPair.of(u, u), protocol)
         theta = 0.9
         f = fidelity_closed_form(theta)
         expected = 2.0 * np.sqrt(1.0 - f * f)
@@ -233,45 +233,42 @@ class TestStepAudit:
     def test_optimal_parallel_plan_at_tiny_theta(self, t):
         # 2*sqrt(1 - cos(theta/2)**2) cancelled and read -1e-8 here, past LEMMA_SLACK_TOL
         theta = 1e-8
-        u2 = np.diag([1.0, np.exp(1j * theta)])
-        trace = simulate_parallel(I2, u2, build_parallel(I2, u2, t))
+        pair = UnitaryPair.of(I2, np.diag([1.0, np.exp(1j * theta)]))
+        trace = simulate_parallel(pair, build_parallel(pair, t))
         assert min(audit_step_slacks(trace, theta)) >= -1e-15
 
     def test_monte_carlo_never_negative(self):
         rng = np.random.default_rng(25)
         worst = np.inf
         for _ in range(300):
-            u1 = haar_unitary_from_rng(2, rng)
-            u2 = haar_unitary_from_rng(2, rng)
-            theta = smallest_arc(relative_spectrum(u1, u2)).theta
-            trace = run_protocol(u1, u2, random_protocol(rng))
+            pair = UnitaryPair.of(haar_unitary_from_rng(2, rng), haar_unitary_from_rng(2, rng))
+            theta = smallest_arc(relative_spectrum(pair)).theta
+            trace = run_protocol(pair, random_protocol(rng))
             worst = min(worst, min(audit_step_slacks(trace, theta)))
         assert worst >= -1e-9
 
     def test_telescoped_bound(self):
         rng = np.random.default_rng(26)
         for _ in range(100):
-            u1 = haar_unitary_from_rng(2, rng)
-            u2 = haar_unitary_from_rng(2, rng)
-            theta = smallest_arc(relative_spectrum(u1, u2)).theta
+            pair = UnitaryPair.of(haar_unitary_from_rng(2, rng), haar_unitary_from_rng(2, rng))
+            theta = smallest_arc(relative_spectrum(pair)).theta
             f = fidelity_closed_form(theta)
-            trace = run_protocol(u1, u2, random_protocol(rng))
+            trace = run_protocol(pair, random_protocol(rng))
             t = len(trace.distances) - 1
             assert trace.distances[-1] <= 2.0 * t * np.sqrt(1.0 - f * f) + 1e-6
 
 
 def test_swapping_an_interleaver_leaves_earlier_distances_alone():
     rng = np.random.default_rng(27)
-    u1 = haar_unitary_from_rng(2, rng)
-    u2 = haar_unitary_from_rng(2, rng)
+    pair = UnitaryPair.of(haar_unitary_from_rng(2, rng), haar_unitary_from_rng(2, rng))
     base = random_protocol(rng, queries=4)
     k = 2  # replace the interleaver applied at step k+1
     replaced = [w.copy() for w in base.interleavers]
     replaced[k + 1] = haar_unitary_from_rng(4, rng)
     other = Protocol(2, 2, 4, replaced, base.probe.copy())
 
-    t1 = run_protocol(u1, u2, base)
-    t2 = run_protocol(u1, u2, other)
+    t1 = run_protocol(pair, base)
+    t2 = run_protocol(pair, other)
     # the new interleaver multiplies both branches equally: D_{k+1} is unchanged
     for j in range(k + 2):
         assert t2.distances[j] == pytest.approx(t1.distances[j], abs=1e-9)
@@ -286,7 +283,7 @@ class TestSimulateRandom:
         # interleavers are unitary: <s1|s2> after a step equals <(U1 x I)s1|(U2 x I)s2> before it
         rng = np.random.default_rng(31)
         u1, u2 = haar_pair(rng, 3)
-        trace = simulate_random(u1, u2, 3, 4, rng)
+        trace = simulate_random(UnitaryPair.of(u1, u2), 3, 4, rng)
         assert trace.states.shape == (2, 5, 9)
         assert trace.distances[0] == 0.0
         for k in range(4):
@@ -314,17 +311,17 @@ class TestSimulateRandom:
 
     def test_same_generator_state_gives_identical_traces(self):
         rng = np.random.default_rng(32)
-        u1, u2 = haar_pair(rng, 2)
-        a = simulate_random(u1, u2, 2, 3, np.random.default_rng(5))
-        b = simulate_random(u1, u2, 2, 3, np.random.default_rng(5))
+        pair = UnitaryPair.of(*haar_pair(rng, 2))
+        a = simulate_random(pair, 2, 3, np.random.default_rng(5))
+        b = simulate_random(pair, 2, 3, np.random.default_rng(5))
         assert a.distances == b.distances and a.final_overlap == b.final_overlap
 
     def test_audit_holds(self):
         rng = np.random.default_rng(33)
         for _ in range(50):
-            u1, u2 = haar_pair(rng, 2)
-            theta = smallest_arc(relative_spectrum(u1, u2)).theta
-            trace = simulate_random(u1, u2, 2, int(rng.integers(0, 6)), rng)
+            pair = UnitaryPair.of(*haar_pair(rng, 2))
+            theta = smallest_arc(relative_spectrum(pair)).theta
+            trace = simulate_random(pair, 2, int(rng.integers(0, 6)), rng)
             assert all(s >= -1e-9 for s in audit_step_slacks(trace, theta))
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -332,29 +329,27 @@ class TestSimulateRandom:
         """Two-sample KS test: span sampling and dense Haar interleavers, same pairs."""
         dense, span = [], []
         for i in range(1000):
-            u1, u2 = haar_pair(np.random.default_rng([d, i, 0]), d)
+            pair = UnitaryPair.of(*haar_pair(np.random.default_rng([d, i, 0]), d))
             rng = np.random.default_rng([d, i, 1])
             protocol = random_protocol(rng, system_dim=d, ancilla_dim=d, queries=3)
-            dense.append(run_protocol(u1, u2, protocol).final_overlap)
+            dense.append(run_protocol(pair, protocol).final_overlap)
             rng = np.random.default_rng([d, i, 2])
-            span.append(simulate_random(u1, u2, d, 3, rng).final_overlap)
+            span.append(simulate_random(pair, d, 3, rng).final_overlap)
         assert scipy.stats.ks_2samp(dense, span).pvalue > 0.01
 
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(34)
-        with pytest.raises(ShapeError):
-            simulate_random(I2, np.eye(3), 2, 1, rng)
         with pytest.raises(ValidationError):
-            simulate_random(I2, Z, 0, 1, rng)
+            simulate_random(UnitaryPair.of(I2, Z), 0, 1, rng)
         with pytest.raises(ValidationError):
-            simulate_random(I2, Z, 2, -1, rng)
+            simulate_random(UnitaryPair.of(I2, Z), 2, -1, rng)
         with pytest.raises(CapacityError):
-            simulate_random(I2, Z, 2049, 1, rng)
+            simulate_random(UnitaryPair.of(I2, Z), 2049, 1, rng)
         # each raised numpy's untyped TypeError
         with pytest.raises(ValidationError, match="queries must be an integer, got 2.0"):
-            simulate_random(I2, Z, 1, 2.0, rng)
+            simulate_random(UnitaryPair.of(I2, Z), 1, 2.0, rng)
         with pytest.raises(ValidationError, match="ancilla_dim must be an integer, got 1.0"):
-            simulate_random(I2, Z, 1.0, 2, rng)
+            simulate_random(UnitaryPair.of(I2, Z), 1.0, 2, rng)
 
     def test_non_isometry_is_refused(self, monkeypatch):
         def stretched(n, k, rng, batch):
@@ -362,7 +357,7 @@ class TestSimulateRandom:
 
         monkeypatch.setattr(protocol_mod, "haar_isometry_from_rng", stretched)
         with pytest.raises(NumericalError, match="interleaver 1 is not an isometry"):
-            simulate_random(I2, Z, 2, 1, np.random.default_rng(35))
+            simulate_random(UnitaryPair.of(I2, Z), 2, 1, np.random.default_rng(35))
 
     def test_nan_isometry_is_refused(self, monkeypatch):
         # a NaN Gram defect compared False against the tolerance and was accepted
@@ -373,7 +368,7 @@ class TestSimulateRandom:
 
         monkeypatch.setattr(protocol_mod, "haar_isometry_from_rng", nan_block)
         with pytest.raises(NumericalError, match="interleaver 1 is not an isometry"):
-            simulate_random(I2, Z, 2, 3, np.random.default_rng(37))
+            simulate_random(UnitaryPair.of(I2, Z), 2, 3, np.random.default_rng(37))
 
     def test_batched_draw_names_the_first_bad_interleaver(self, monkeypatch):
         def second_stretched(n, k, rng, batch):
@@ -384,7 +379,7 @@ class TestSimulateRandom:
 
         monkeypatch.setattr(protocol_mod, "haar_isometry_from_rng", second_stretched)
         with pytest.raises(NumericalError, match="interleaver 2 is not an isometry"):
-            simulate_random(I2, Z, 2, 4, np.random.default_rng(36))
+            simulate_random(UnitaryPair.of(I2, Z), 2, 4, np.random.default_rng(36))
 
     def test_bad_interleaver_in_a_later_draw_is_named_by_its_query(self, monkeypatch):
         draws = []
@@ -398,7 +393,7 @@ class TestSimulateRandom:
 
         monkeypatch.setattr(protocol_mod, "haar_isometry_from_rng", stretched_in_second_draw)
         with pytest.raises(NumericalError, match="interleaver 66 is not an isometry"):
-            simulate_random(I2, Z, 2, 70, np.random.default_rng(36))
+            simulate_random(UnitaryPair.of(I2, Z), 2, 70, np.random.default_rng(36))
         assert draws == [(64,), (6,)]
 
     @pytest.mark.parametrize("d", [2, 8])
@@ -407,7 +402,7 @@ class TestSimulateRandom:
         """Bit for bit against the per-query loop the stacked draw replaced, n = d*d."""
         u1, u2 = haar_pair(np.random.default_rng([d, queries, 37]), d)
         stacked, looped = np.random.default_rng([d, 38]), np.random.default_rng([d, 38])
-        trace = simulate_random(u1, u2, d, queries, stacked)
+        trace = simulate_random(UnitaryPair.of(u1, u2), d, queries, stacked)
 
         s1 = random_state_from_rng(d * d, looped)
         s2 = s1.copy()

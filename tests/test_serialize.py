@@ -178,8 +178,6 @@ CONFIGS = {
     ("campaign", "seed", 2**64),
     ("campaign", "protocol_source", 5),
     ("campaign", "protocol_source", "psychic"),
-    ("campaign", "output_path", 5),  # was accepted from Python
-    ("campaign", "output_path", ["report.csv"]),
 ])
 def test_python_and_json_refuse_the_same_values(config, field, value):
     cls, from_obj, needed = CONFIGS[config]
@@ -193,7 +191,6 @@ def test_python_and_json_refuse_the_same_values(config, field, value):
     ("search", "step_tolerance", 1, 1.0),
     ("search", "seed", 7.0, 7),
     ("campaign", "t_range", [1.0, 2.0], (1, 2)),
-    ("campaign", "output_path", None, None),  # JSON null is read as absent
 ])
 def test_json_numbers_are_read_as_python_values(config, field, value, read):
     _, from_obj, needed = CONFIGS[config]
