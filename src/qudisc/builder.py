@@ -127,7 +127,8 @@ def simulate_parallel(pair: UnitaryPair, plan: ParallelPlan) -> SimulationTrace:
     used = np.unique(plan.strings)
     index = np.searchsorted(used, plan.strings)
     x = plan.eigenvectors[:, used]
-    query = (pair.u1 @ x).conj().T @ (pair.u2 @ x)
+    moved = pair.unitaries @ x
+    query = moved[0].conj().T @ moved[1]
     idle = x.conj().T @ x
     rows, cols = index[:, None, :], index[None, :, :]
     queried = np.cumprod(query[rows, cols], axis=2)  # [..., j-1]: copies 0..j-1
@@ -194,21 +195,20 @@ def search_size(d: int, queries: int) -> int:
     return n
 
 
-def _overlap_derivatives(ws: np.ndarray, y: np.ndarray, u1, u2, d: int, anc: int) -> np.ndarray:
+def _overlap_derivatives(ws: np.ndarray, y: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     """N_k such that replacing W_k by exp(X)W_k changes <s1|s2> by tr(X N_k).
 
     ``y`` is the (2, T+1, n) array of ``evolve_branches``. ``back[i, k]``
     carries the other branch's final state back through branch i's steps
-    after W_k, so one backward pass per branch gives every N_k, as the
-    outer products y_2[k] back_2[k]† - back_1[k] y_1[k]†.
+    after W_k, so one backward pass over both branches gives every N_k, as
+    the outer products y_2[k] back_2[k]† - back_1[k] y_1[k]†.
     """
     back = np.empty_like(y)
     back[:, -1] = y[::-1, -1]
-    uh = (u1.conj().T, u2.conj().T)
+    uh = unitaries.conj().transpose(0, 2, 1)
     wh = ws.conj().transpose(0, 2, 1)
     for k in range(len(ws) - 1, 0, -1):
-        for i in (0, 1):
-            back[i, k - 1] = apply_query(wh[k] @ back[i, k], uh[i], d, anc)
+        back[:, k - 1] = apply_query(np.matmul(wh[k], back[:, k, :, None])[..., 0], uh)
     forward = y[1, :, :, None] * back[1, :, None, :].conj()
     return forward - back[0, :, :, None] * y[0, :, None, :].conj()
 
@@ -247,7 +247,7 @@ def _gauss_newton_step(c: complex, ns: np.ndarray) -> np.ndarray:
     return a - a.conj().transpose(0, 2, 1)
 
 
-def _descend(ws: np.ndarray, y: np.ndarray, probe: np.ndarray, u1, u2, d: int, anc: int,
+def _descend(ws: np.ndarray, y: np.ndarray, probe: np.ndarray, unitaries: np.ndarray,
              cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray, list[float], bool]:
     """Gauss-Newton iterations on the final overlap, from interleavers ``ws`` and states ``y``.
 
@@ -263,7 +263,7 @@ def _descend(ws: np.ndarray, y: np.ndarray, probe: np.ndarray, u1, u2, d: int, a
     c = np.vdot(y[0, -1], y[1, -1])
     history = [float(abs(c))]
     for _ in range(cfg.max_iterations):
-        x = _gauss_newton_step(c, _overlap_derivatives(ws, y, u1, u2, d, anc))
+        x = _gauss_newton_step(c, _overlap_derivatives(ws, y, unitaries))
         # exp(tX) through the eigenbasis of the Hermitian -iX: unitary to machine precision
         vals, vecs = np.linalg.eigh(-1j * x)
         scale = 1.0
@@ -271,7 +271,7 @@ def _descend(ws: np.ndarray, y: np.ndarray, probe: np.ndarray, u1, u2, d: int, a
         while scale >= cfg.step_tolerance:
             rotations = (vecs * np.exp(1j * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
             trial = rotations @ ws
-            trial_y = evolve_branches(trial, probe, u1, u2, d, anc)
+            trial_y = evolve_branches(trial, probe, unitaries)
             trial_c = np.vdot(trial_y[0, -1], trial_y[1, -1])
             if abs(trial_c) < abs(c):
                 ws, y, c = trial, trial_y, trial_c
@@ -303,8 +303,7 @@ def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
     the protocol is asserted against the query-count bound on it.
     """
     pair, cfg = pair_args(u1, u2, cfg)
-    a, b = pair.u1, pair.u2
-    d = ancilla = a.shape[0]
+    d = pair.dim
     n = search_size(d, cfg.queries)
     theta = smallest_arc(relative_spectrum(pair)).theta
     if theta == 0.0:
@@ -320,10 +319,10 @@ def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
         rng = np.random.default_rng([cfg.seed, r])
         probe = random_state_from_rng(n, rng)
         ws = identity if r == 0 else haar_unitary_from_rng(n, rng, (cfg.queries + 1,))
-        states = evolve_branches(ws, probe, a, b, d, ancilla)
+        states = evolve_branches(ws, probe, pair.unitaries)
         history, exhausted = [1.0], False
         if cfg.queries:
-            ws, states, history, exhausted = _descend(ws, states, probe, a, b, d, ancilla, cfg)
+            ws, states, history, exhausted = _descend(ws, states, probe, pair.unitaries, cfg)
         histories.append(history)
         if best is None or history[-1] < best[0]:
             best = (history[-1], r, ws, probe, states, exhausted)
@@ -332,7 +331,7 @@ def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
 
     assert best is not None
     _, best_restart, ws, probe, states, best_exhausted = best
-    protocol = Protocol(d, ancilla, cfg.queries, ws, probe)
+    protocol = Protocol(d, d, cfg.queries, ws, probe)
     trace = record_trace(states)
     overlap = trace.final_overlap
 

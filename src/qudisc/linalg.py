@@ -51,10 +51,6 @@ def as_complex_matrix(m, name="matrix") -> np.ndarray:
     return a
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
-
-
 def _member(name, k: int | None) -> str:
     """Name of stack member k (None: the lone matrix): name[k] for a sequence, else "name k"."""
     if k is None:
@@ -317,42 +313,49 @@ def _eigen_phases(a: np.ndarray) -> PhaseSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class UnitaryPair:
-    """Two checked candidate unitaries of equal dimension.
+    """Two checked candidate unitaries of equal dimension: one (2, d, d) stack, ``unitaries``.
 
-    Build it with ``UnitaryPair.of``, which checks both as one stack; their
-    product U1†U2 is not checked again. U1†U2 is decomposed on first use,
-    as far as the first reader needs: ``relative_spectrum`` takes its phases
-    alone, ``spectrum`` (for the parallel plan) its eigenvectors too. Each
-    is kept, and a spectrum keeps its smallest covering arc once
-    ``geometry.smallest_arc`` has found it. Every builder and simulator
-    takes a pair, so a pair used by several of them is checked, decomposed
-    and given its arc once.
+    Build it with ``UnitaryPair.of``, which checks both as that one stack;
+    ``u1`` and ``u2`` are views of it, and a query acts on both in one
+    product. Their product U1†U2 is not checked again; it is decomposed on
+    first use, as far as the first reader needs: ``relative_spectrum``
+    takes its phases alone, ``spectrum`` (for the parallel plan) its
+    eigenvectors too. Each is kept, and a spectrum keeps its smallest
+    covering arc once ``geometry.smallest_arc`` has found it. Every builder
+    and simulator takes a pair, so a pair used by several of them is
+    checked, decomposed and given its arc once.
     """
 
-    u1: np.ndarray
-    u2: np.ndarray
+    unitaries: np.ndarray
 
     @classmethod
     def of(cls, u1, u2) -> "UnitaryPair":
         if np.shape(u1) != np.shape(u2):
             raise ShapeError(f"dimension mismatch: shapes {np.shape(u1)} vs {np.shape(u2)}")
-        a, b = require_unitary((u1, u2), name=("u1", "u2"))
-        return cls(a, b)
+        return cls(require_unitary((u1, u2), name=("u1", "u2")))
+
+    @property
+    def u1(self) -> np.ndarray:
+        return self.unitaries[0]
+
+    @property
+    def u2(self) -> np.ndarray:
+        return self.unitaries[1]
 
     @property
     def dim(self) -> int:
-        return int(self.u1.shape[0])
+        return int(self.unitaries.shape[-1])
 
     @cached_property
     def spectrum(self) -> PhaseSpectrum:
         """Eigenphases and eigenvectors of U1†U2: the one eigenvector decomposition."""
-        return _eigen_system(dagger(self.u1) @ self.u2)
+        return _eigen_system(self.u1.conj().T @ self.u2)
 
     @cached_property
     def _phase_spectrum(self) -> PhaseSpectrum:
         """``spectrum`` if it is held already, else the eigenphases of U1†U2 alone."""
         held = self.__dict__.get("spectrum")
-        return held if held is not None else _eigen_phases(dagger(self.u1) @ self.u2)
+        return held if held is not None else _eigen_phases(self.u1.conj().T @ self.u2)
 
 
 def pair_args(u1, u2=None, *rest) -> tuple:
@@ -410,9 +413,11 @@ def haar_isometry_from_rng(n: int, k: int, rng: np.random.Generator,
     imaginary, Gaussians of each isometry in turn from the stream, as one
     call per isometry does, so they equal such calls bit for bit.
 
-    Refuses n above ``DIM_CAP``, or more than ``ENTRY_CAP`` complex entries
-    in all, with a CapacityError before the stream is touched.
+    Refuses a non-integer n, k or batch size, n above ``DIM_CAP``, or more
+    than ``ENTRY_CAP`` complex entries in all, before the stream is touched.
     """
+    n, k = check_integer(n, "isometry dimension"), check_integer(k, "isometry column count")
+    batch = tuple(check_integer(b, "batch size") for b in batch)
     if not 1 <= k <= n:
         raise DomainError(f"isometry needs 1 <= k <= n, got k={k} for n={n}")
     if n > DIM_CAP:
@@ -435,13 +440,18 @@ def haar_unitary_from_rng(d: int, rng: np.random.Generator,
     A ``batch`` shape gives a stack of independent ones, as
     ``haar_isometry_from_rng`` does, equal bit for bit to one call each.
     """
+    d = check_integer(d, "unitary dimension")
     return haar_isometry_from_rng(d, d, rng, batch)
 
 
 def random_state_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized state with complex Gaussian amplitudes."""
+    """Normalized state with complex Gaussian amplitudes, of an integer dimension from 1 to
+    ``DIM_CAP``; any other is refused before the stream is touched."""
+    dim = check_integer(dim, "state dimension")
     if dim < 1:
         raise DomainError("dimension must be >= 1")
+    if dim > DIM_CAP:
+        raise CapacityError(f"state dimension {dim} exceeds cap {DIM_CAP}")
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     # the 2-norm as np.linalg.norm forms it, without its wrapper
     return v / math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))

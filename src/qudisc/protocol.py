@@ -104,22 +104,23 @@ class SimulationTrace:
     final: StatePair
 
 
-def apply_query(state: np.ndarray, u: np.ndarray, system_dim: int, ancilla_dim: int) -> np.ndarray:
-    """Apply U on the system factor of a system*ancilla state vector."""
-    return (u @ state.reshape(system_dim, ancilla_dim)).ravel()
+def apply_query(states: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """U_i x I on branch i of a (2, n) array of system*ancilla states, for a pair's (2, d, d)
+    stack: one batched product on the states' (2, d, n/d) view, the ancilla size read off it."""
+    return (unitaries @ states.reshape(2, unitaries.shape[-1], -1)).reshape(states.shape)
 
 
-def evolve_branches(ws, probe: np.ndarray, u1: np.ndarray, u2: np.ndarray, d: int, anc: int):
+def evolve_branches(ws, probe: np.ndarray, unitaries: np.ndarray):
     """Both branches' states right after each interleaver W_k of the (T+1, n, n) stack ``ws``,
-    W_0 first, as one (2, T+1, n) array.
+    W_0 first, as one (2, T+1, n) array, queried with the (2, d, d) stack ``unitaries``.
 
-    Branch i: state_0 = W_0 |probe>, then state_{k+1} = W_{k+1} (U_i x I) state_k.
+    Branch i: state_0 = W_0 |probe>, then state_{k+1} = W_{k+1} (U_i x I) state_k,
+    both branches in one product, W applied to each as ``W @ v`` is, bit for bit.
     """
     y = np.empty((2, len(ws), probe.shape[0]), dtype=complex)
     y[:, 0] = ws[0] @ probe
     for k in range(1, len(ws)):
-        y[0, k] = ws[k] @ apply_query(y[0, k - 1], u1, d, anc)
-        y[1, k] = ws[k] @ apply_query(y[1, k - 1], u2, d, anc)
+        y[:, k] = np.matmul(ws[k], apply_query(y[:, k - 1], unitaries)[..., None])[..., 0]
     return y
 
 
@@ -131,15 +132,11 @@ def run_protocol(u1, u2=None, protocol=None) -> SimulationTrace:
     benchmark's workloads pass them so. The states are those of ``evolve_branches``.
     """
     pair, protocol = pair_args(u1, u2, protocol)
-    a, b = pair.u1, pair.u2
-    d = protocol.system_dim
-    if a.shape[0] != d or b.shape[0] != d:
+    if pair.dim != protocol.system_dim:
         raise ShapeError(
-            f"candidate unitaries have dimension {a.shape[0]}/{b.shape[0]}, "
-            f"protocol expects {d}"
+            f"candidate unitaries have dimension {pair.dim}, protocol expects {protocol.system_dim}"
         )
-    return record_trace(
-        evolve_branches(protocol.interleavers, protocol.probe, a, b, d, protocol.ancilla_dim))
+    return record_trace(evolve_branches(protocol.interleavers, protocol.probe, pair.unitaries))
 
 
 def simulate_random(pair: UnitaryPair, ancilla_dim: int, queries: int,
@@ -159,22 +156,15 @@ def simulate_random(pair: UnitaryPair, ancilla_dim: int, queries: int,
     stream in the order one draw per query would, and what the draws hold
     beyond the recorded states stays O(n) for any T.
     """
-    a, b = pair.u1, pair.u2
-    d = a.shape[0]
-    n = simulation_size(d, ancilla_dim, queries)
-
+    n = simulation_size(pair.dim, ancilla_dim, queries)
     states = np.empty((2, queries + 1, n), dtype=complex)
-    s1 = s2 = random_state_from_rng(n, rng)
-    states[:, 0] = s1
+    states[:, 0] = random_state_from_rng(n, rng)
     for k, v in enumerate(_haar_isometries(n, queries, rng), 1):
-        t1 = apply_query(s1, a, d, ancilla_dim)
-        t2 = apply_query(s2, b, d, ancilla_dim)
+        t1, t2 = apply_query(states[:, k - 1], pair.unitaries)
         c = np.vdot(t1, t2)
         x = t2 - c * t1
         r = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))  # as np.linalg.norm forms it
-        s1 = v[:, 0]
-        s2 = c * s1 + r * v[:, 1]
-        states[0, k], states[1, k] = s1, s2
+        states[:, k] = v[:, 0], c * v[:, 0] + r * v[:, 1]
     return record_trace(states)
 
 

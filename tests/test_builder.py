@@ -25,7 +25,7 @@ from qudisc import (
 )
 from qudisc.builder import _gauss_newton_step, _overlap_derivatives
 from qudisc.linalg import random_state_from_rng
-from qudisc.protocol import apply_query, evolve_branches
+from qudisc.protocol import evolve_branches
 from qudisc.tolerances import CEILING_GUARD
 
 I2 = np.eye(2, dtype=complex)
@@ -328,16 +328,15 @@ class TestOverlapDerivative:
         rng = np.random.default_rng(59)
         d, queries = 2, 3
         n = d * d
-        u1 = haar_unitary_from_rng(d, rng)
-        u2 = haar_unitary_from_rng(d, rng)
+        us = np.array([haar_unitary_from_rng(d, rng) for _ in range(2)])
         ws = np.array([haar_unitary_from_rng(n, rng) for _ in range(queries + 1)])
         probe = random_state_from_rng(n, rng)
 
         def overlap(interleavers):
-            y1, y2 = evolve_branches(interleavers, probe, u1, u2, d, d)
+            y1, y2 = evolve_branches(interleavers, probe, us)
             return np.vdot(y1[-1], y2[-1])
 
-        ns = _overlap_derivatives(ws, evolve_branches(ws, probe, u1, u2, d, d), u1, u2, d, d)
+        ns = _overlap_derivatives(ws, evolve_branches(ws, probe, us), us)
         h = 1e-5
         for k in range(queries + 1):
             g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -354,17 +353,19 @@ class TestOverlapDerivative:
         # the stacked pass forms the same elementwise products as one np.outer pair per step
         rng = np.random.default_rng(61 + 10 * d + queries)
         n = d * d
-        u1, u2 = haar_unitary_from_rng(d, rng, (2,))
+        us = haar_unitary_from_rng(d, rng, (2,))
+        u1, u2 = us
         ws = haar_unitary_from_rng(n, rng, (queries + 1,))
-        y1, y2 = evolve_branches(ws, random_state_from_rng(n, rng), u1, u2, d, d)
+        y1, y2 = evolve_branches(ws, random_state_from_rng(n, rng), us)
         expected = np.empty_like(ws)
         b1, b2 = y2[-1], y1[-1]
         for k in range(queries, -1, -1):
             expected[k] = np.outer(y2[k], b2.conj()) - np.outer(b1, y1[k].conj())
             if k:
-                b1 = apply_query(ws[k].conj().T @ b1, u1.conj().T, d, d)
-                b2 = apply_query(ws[k].conj().T @ b2, u2.conj().T, d, d)
-        ns = _overlap_derivatives(ws, np.array([y1, y2]), u1, u2, d, d)
+                # (U_i^dagger x I) spelt out, so the reference shares no code with its subject
+                b1 = (u1.conj().T @ (ws[k].conj().T @ b1).reshape(d, d)).ravel()
+                b2 = (u2.conj().T @ (ws[k].conj().T @ b2).reshape(d, d)).ravel()
+        ns = _overlap_derivatives(ws, np.array([y1, y2]), us)
         assert np.array_equal(ns, expected)
 
 

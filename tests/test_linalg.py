@@ -17,6 +17,7 @@ from qudisc import (
     SearchConfig,
     ShapeError,
     UnitaryPair,
+    ValidationError,
     build_parallel,
     haar_unitary_from_rng,
     optimize_protocol,
@@ -412,9 +413,23 @@ class TestHaarIsometry:
         # asked it for 2.56e11 entries
         (lambda rng: haar_isometry_from_rng(64, 2, rng, (10**9,)), "a Haar draw needs"),
         (lambda rng: haar_unitary_from_rng(4, rng, (2**20 + 1,)), "a Haar draw needs"),
-    ], ids=["dim", "batch", "one-past-the-cap"])
+        # asked it for 1e9 Gaussians twice
+        (lambda rng: random_state_from_rng(10**9, rng), "state dimension 1000000000 exceeds cap"),
+    ], ids=["dim", "batch", "one-past-the-cap", "state"])
     def test_capped_before_the_stream_is_touched(self, draw, message):
         with pytest.raises(CapacityError, match=message):
+            draw(_StubGenerator())
+
+    @pytest.mark.parametrize("draw, message", [
+        (lambda rng: haar_unitary_from_rng(2.5, rng), "unitary dimension must be an integer"),
+        (lambda rng: haar_unitary_from_rng(True, rng), "unitary dimension must be an integer"),
+        (lambda rng: random_state_from_rng(2.5, rng), "state dimension must be an integer"),
+        (lambda rng: haar_isometry_from_rng(4, 2.0, rng), "column count must be an integer"),
+        (lambda rng: haar_unitary_from_rng(2, rng, (True,)), "batch size must be an integer"),
+    ], ids=["unitary-float", "unitary-bool", "state-float", "isometry-float", "batch-bool"])
+    def test_counts_must_be_integers(self, draw, message):
+        # numpy's own refusal was an untyped TypeError, raised from the stream
+        with pytest.raises(ValidationError, match=message):
             draw(_StubGenerator())
 
     @pytest.mark.parametrize("d, queries", [(2, 2**20 - 1), (64, 0)])
@@ -552,6 +567,13 @@ class TestUnitaryPair:
                                           getattr(node.func, "attr", None))]
         assert sorted(calls) == [("builder", "optimize_protocol"), ("linalg", "relative_spectrum"),
                                  ("protocol", "run_protocol")]
+
+    def test_members_are_views_of_the_one_stack(self):
+        pair = UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0]))
+        assert pair.unitaries.shape == (2, 2, 2)
+        assert np.shares_memory(pair.u1, pair.unitaries)
+        assert np.shares_memory(pair.u2, pair.unitaries)
+        assert np.array_equal(pair.u2, np.diag([1.0, -1.0]))
 
     def test_spectrum_keeps_its_arc(self):
         rng = np.random.default_rng(62)

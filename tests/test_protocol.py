@@ -101,16 +101,19 @@ class TestRunProtocol:
 
     def test_states_equal_the_branch_loop_bit_for_bit(self):
         rng = np.random.default_rng(44)
-        u1, u2 = haar_unitary_from_rng(2, rng, (2,))
-        protocol = random_protocol(rng, queries=4)
-        trace = run_protocol(UnitaryPair.of(u1, u2), protocol)
-        s1 = s2 = protocol.interleavers[0] @ protocol.probe
-        assert np.array_equal(trace.states[0, 0], s1) and np.array_equal(trace.states[1, 0], s2)
-        for k, w in enumerate(protocol.interleavers[1:], start=1):
-            s1 = w @ (u1 @ s1.reshape(2, 2)).ravel()
-            s2 = w @ (u2 @ s2.reshape(2, 2)).ravel()
-            assert np.array_equal(trace.states[0, k], s1)
-            assert np.array_equal(trace.states[1, k], s2)
+        # at d != anc, a query that swapped system and ancilla would show
+        for d, anc in [(2, 2), (2, 1), (2, 3), (3, 2), (8, 8)]:
+            u1, u2 = haar_unitary_from_rng(d, rng, (2,))
+            protocol = random_protocol(rng, d, anc, queries=4)
+            trace = run_protocol(UnitaryPair.of(u1, u2), protocol)
+            s1 = s2 = protocol.interleavers[0] @ protocol.probe
+            assert np.array_equal(trace.states[0, 0], s1)
+            assert np.array_equal(trace.states[1, 0], s2)
+            for k, w in enumerate(protocol.interleavers[1:], start=1):
+                s1 = w @ (u1 @ s1.reshape(d, anc)).ravel()
+                s2 = w @ (u2 @ s2.reshape(d, anc)).ravel()
+                assert np.array_equal(trace.states[0, k], s1)
+                assert np.array_equal(trace.states[1, k], s2)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -396,23 +399,27 @@ class TestSimulateRandom:
             simulate_random(UnitaryPair.of(I2, Z), 2, 70, np.random.default_rng(36))
         assert draws == [(64,), (6,)]
 
-    @pytest.mark.parametrize("d", [2, 8])
+    @pytest.mark.parametrize("d, anc", [(2, 2), (8, 8), (2, 1), (2, 3), (3, 2)],
+                             ids=["2", "8", "2x1", "2x3", "3x2"])
     @pytest.mark.parametrize("queries", [0, 1, 5, 70])
-    def test_states_equal_one_draw_per_query(self, d, queries):
-        """Bit for bit against the per-query loop the stacked draw replaced, n = d*d."""
+    def test_states_equal_one_draw_per_query(self, d, anc, queries):
+        """Bit for bit against the per-query loop the stacked draw replaced, n = d*anc.
+
+        At d != anc, a query that swapped system and ancilla would show.
+        """
         u1, u2 = haar_pair(np.random.default_rng([d, queries, 37]), d)
         stacked, looped = np.random.default_rng([d, 38]), np.random.default_rng([d, 38])
-        trace = simulate_random(UnitaryPair.of(u1, u2), d, queries, stacked)
+        trace = simulate_random(UnitaryPair.of(u1, u2), anc, queries, stacked)
 
-        s1 = random_state_from_rng(d * d, looped)
+        s1 = random_state_from_rng(d * anc, looped)
         s2 = s1.copy()
         expected = [(s1, s2)]
         for _ in range(queries):
-            t1 = (u1 @ s1.reshape(d, d)).ravel()
-            t2 = (u2 @ s2.reshape(d, d)).ravel()
+            t1 = (u1 @ s1.reshape(d, anc)).ravel()
+            t2 = (u2 @ s2.reshape(d, anc)).ravel()
             c = np.vdot(t1, t2)
             r = np.linalg.norm(t2 - c * t1)
-            v = haar_isometry_from_rng(d * d, 2, looped)
+            v = haar_isometry_from_rng(d * anc, 2, looped)
             s1, s2 = v[:, 0], c * v[:, 0] + r * v[:, 1]
             expected.append((s1, s2))
 
