@@ -102,8 +102,7 @@ def check_copies(t: int) -> None:
     """Refuse a copy count that is not an integer, is below 1, or whose per-copy Gram stacks
     (at most 3x3 string pairs for each of t copies and the idle tail) would not fit
     ``ENTRY_CAP``."""
-    if check_integer(t, "copy count") < 1:
-        raise ValidationError(f"copy count must be >= 1, got {t!r}")
+    check_integer(t, "copy count", 1)
     require_entries(9 * (t + 1), f"a parallel plan on {t} copies")
 
 
@@ -159,14 +158,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("queries", "restarts", "max_iterations", "seed"):
-            object.__setattr__(self, name, check_integer(getattr(self, name), name))
-        if self.queries < 0:
-            raise ValidationError("query count must be nonnegative")
-        if self.restarts < 1:
-            raise ValidationError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
+        for name, floor in (("queries", 0), ("restarts", 1), ("max_iterations", 1), ("seed", None)):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, floor))
         tol = self.step_tolerance
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
             raise ValidationError(f"step_tolerance must be a number, got {tol!r}")
@@ -335,7 +328,7 @@ def optimize_protocol(u1, u2=None, cfg=None) -> SearchResult:
     trace = record_trace(states)
     overlap = trace.final_overlap
 
-    eps = min(0.5, helstrom_error(overlap))
+    eps = helstrom_error(overlap)
     bound = t_min_bounded(theta, eps)
     if bound.slack(cfg.queries) < -BOUND_SAFETY_TOL:
         raise AssertionError(

@@ -47,21 +47,14 @@ class CampaignConfig:
     protocol_source: str = "random"
 
     def __post_init__(self):
-        for name in ("instances", "dim", "seed"):
-            object.__setattr__(self, name, check_integer(getattr(self, name), name))
+        # dim >= 2: every 1x1 pair differs by a global phase at most, so theta = 0
+        for name, floor in (("instances", 1), ("dim", 2), ("seed", None)):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, floor))
         if not isinstance(self.t_range, (tuple, list)) or len(self.t_range) != 2:
             raise ValidationError(f"t_range must be a (lo, hi) pair, got {self.t_range!r}")
-        object.__setattr__(self, "t_range", tuple(
-            check_integer(end, f"t_range[{k}]") for k, end in enumerate(self.t_range)))
-        if self.instances < 1:
-            raise ValidationError("instances must be >= 1")
-        if self.dim < 2:
-            # every 1x1 pair differs by a global phase at most: theta = 0
-            raise ValidationError("dim must be >= 2")
-        lo, hi = self.t_range
-        if lo > hi or lo < 0:
-            raise ValidationError(f"t_range must be a nonempty interval of nonnegative"
-                                  f" integers, got {self.t_range}")
+        lo = check_integer(self.t_range[0], "t_range[0]", 0)
+        hi = check_integer(self.t_range[1], "t_range[1]", lo)
+        object.__setattr__(self, "t_range", (lo, hi))
         source = self.protocol_source
         if not isinstance(source, str) or source not in PROTOCOL_SOURCES:
             raise ValidationError(

@@ -18,7 +18,8 @@ class CapacityError(ValueError):
 
 
 class ValidationError(ValueError):
-    """A structured object (POVM, protocol, config, JSON payload) violates its invariants."""
+    """A structured object (POVM, protocol, config, JSON payload) violates its invariants,
+    or a count is not an integer or is below its floor (``linalg.check_integer``)."""
 
 
 class UsageError(ValueError):

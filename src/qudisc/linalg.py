@@ -125,8 +125,9 @@ def require_entries(count: int, what: str) -> None:
         raise CapacityError(f"{what} needs {count} entries, above the cap of {ENTRY_CAP}")
 
 
-def check_integer(value, what: str) -> int:
-    """Every count and seed is an integer: what ``operator.index`` takes, but not a bool.
+def check_integer(value, what: str, lo: int | None = None) -> int:
+    """Every count and seed is an integer: what ``operator.index`` takes, but not a bool; a
+    count below its floor ``lo`` is refused too. Either is a ``ValidationError`` naming ``what``.
 
     Returns it as a Python int, which the configs and protocols store, so a
     numpy integer reaches a JSON file as a plain number.
@@ -134,9 +135,12 @@ def check_integer(value, what: str) -> int:
     try:
         if isinstance(value, bool):
             raise TypeError
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    if lo is not None and n < lo:
+        raise ValidationError(f"{what} must be >= {lo}, got {n}")
+    return n
 
 
 @dataclass(eq=False)
@@ -413,13 +417,13 @@ def haar_isometry_from_rng(n: int, k: int, rng: np.random.Generator,
     imaginary, Gaussians of each isometry in turn from the stream, as one
     call per isometry does, so they equal such calls bit for bit.
 
-    Refuses a non-integer n, k or batch size, n above ``DIM_CAP``, or more
-    than ``ENTRY_CAP`` complex entries in all, before the stream is touched.
+    Refuses before the stream is touched: with a ``ValidationError`` a non-integer n, k or
+    batch size, or one below its floor (k >= 1, n >= k, batch sizes >= 0); with a
+    ``CapacityError`` n above ``DIM_CAP`` or more than ``ENTRY_CAP`` complex entries in all.
     """
-    n, k = check_integer(n, "isometry dimension"), check_integer(k, "isometry column count")
-    batch = tuple(check_integer(b, "batch size") for b in batch)
-    if not 1 <= k <= n:
-        raise DomainError(f"isometry needs 1 <= k <= n, got k={k} for n={n}")
+    k = check_integer(k, "isometry column count", 1)
+    n = check_integer(n, "isometry dimension", k)
+    batch = tuple(check_integer(b, "batch size", 0) for b in batch)
     if n > DIM_CAP:
         raise CapacityError(f"isometry dimension {n} exceeds cap {DIM_CAP}")
     require_entries(math.prod(batch) * n * k, "a Haar draw")
@@ -440,16 +444,15 @@ def haar_unitary_from_rng(d: int, rng: np.random.Generator,
     A ``batch`` shape gives a stack of independent ones, as
     ``haar_isometry_from_rng`` does, equal bit for bit to one call each.
     """
-    d = check_integer(d, "unitary dimension")
+    d = check_integer(d, "unitary dimension", 1)
     return haar_isometry_from_rng(d, d, rng, batch)
 
 
 def random_state_from_rng(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Normalized state with complex Gaussian amplitudes, of an integer dimension from 1 to
-    ``DIM_CAP``; any other is refused before the stream is touched."""
-    dim = check_integer(dim, "state dimension")
-    if dim < 1:
-        raise DomainError("dimension must be >= 1")
+    ``DIM_CAP``. Before the stream is touched, a non-integer or one below 1 is refused with
+    a ``ValidationError``, one above the cap with a ``CapacityError``."""
+    dim = check_integer(dim, "state dimension", 1)
     if dim > DIM_CAP:
         raise CapacityError(f"state dimension {dim} exceeds cap {DIM_CAP}")
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

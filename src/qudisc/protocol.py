@@ -73,14 +73,11 @@ class Protocol:
 
 def simulation_size(system_dim: int, ancilla_dim: int, queries: int) -> int:
     """n = system_dim * ancilla_dim of a simulation at T queries, once all three are integers,
-    n fits ``DIM_CAP`` and the trace's 2(T+1) recorded states of n amplitudes fit ``ENTRY_CAP``."""
-    system_dim = check_integer(system_dim, "system_dim")
-    ancilla_dim = check_integer(ancilla_dim, "ancilla_dim")
-    queries = check_integer(queries, "queries")
-    if system_dim < 1 or ancilla_dim < 1:
-        raise ValidationError("system and ancilla dimensions must be >= 1")
-    if queries < 0:
-        raise ValidationError("query count must be nonnegative")
+    both dimensions are >= 1 and T >= 0 (else a ``ValidationError`` naming the count), n fits
+    ``DIM_CAP`` and the trace's 2(T+1) recorded states of n amplitudes fit ``ENTRY_CAP``."""
+    system_dim = check_integer(system_dim, "system_dim", 1)
+    ancilla_dim = check_integer(ancilla_dim, "ancilla_dim", 1)
+    queries = check_integer(queries, "queries", 0)
     n = system_dim * ancilla_dim
     if n > DIM_CAP:
         raise CapacityError(f"system*ancilla dimension {n} exceeds cap {DIM_CAP}")

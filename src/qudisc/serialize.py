@@ -57,9 +57,7 @@ def _from_json_number(value):
 
 def _dim_of(obj, what: str) -> int:
     """The declared dimension, checked against the cap before any entry is parsed."""
-    dim = check_integer(_from_json_number(obj["dim"]), f"{what}: dim")
-    if dim < 1:
-        raise ValidationError(f"{what}: dim must be positive")
+    dim = check_integer(_from_json_number(obj["dim"]), f"{what}: dim", 1)
     if dim > DIM_CAP:
         raise CapacityError(f"{what}: dim {dim} exceeds cap {DIM_CAP}")
     return dim

@@ -11,6 +11,7 @@ import scipy.linalg
 
 from qudisc import (
     DIM_CAP,
+    CampaignConfig,
     CapacityError,
     DomainError,
     NumericalError,
@@ -30,6 +31,7 @@ from qudisc import builder, linalg
 from qudisc import protocol as protocol_mod
 from qudisc.geometry import smallest_arc
 from qudisc.protocol import Protocol
+from qudisc.serialize import matrix_from_obj
 from qudisc.linalg import (
     TWO_PI,
     as_complex_matrix,
@@ -327,7 +329,7 @@ class TestHaarUnitary:
         assert abs(np.mean(samples) - 0.5) <= 0.02
 
     def test_zero_dim_raises(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             haar_unitary_from_rng(0, np.random.default_rng(1))
 
     @pytest.mark.parametrize("n, k, batch", [
@@ -404,7 +406,7 @@ class TestHaarIsometry:
 
     @pytest.mark.parametrize("n, k", [(0, 1), (3, 0), (3, 4)])
     def test_bad_shape_raises(self, n, k):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             haar_isometry_from_rng(n, k, np.random.default_rng(1))
 
     @pytest.mark.parametrize("draw, message", [
@@ -432,12 +434,42 @@ class TestHaarIsometry:
         with pytest.raises(ValidationError, match=message):
             draw(_StubGenerator())
 
+    @pytest.mark.parametrize("draw, message", [
+        # was numpy's untyped ValueError, raised from the stream
+        (lambda rng: haar_isometry_from_rng(4, 2, rng, (-1,)), "batch size must be >= 0, got -1"),
+        (lambda rng: haar_isometry_from_rng(0, 1, rng), "isometry dimension must be >= 1, got 0"),
+        (lambda rng: haar_isometry_from_rng(3, 0, rng), "column count must be >= 1, got 0"),
+        (lambda rng: haar_isometry_from_rng(3, 4, rng), "isometry dimension must be >= 4, got 3"),
+        (lambda rng: haar_unitary_from_rng(0, rng), "unitary dimension must be >= 1, got 0"),
+        (lambda rng: random_state_from_rng(0, rng), "state dimension must be >= 1, got 0"),
+        (lambda rng: simulate_random(_PAIR, 0, 1, rng), "ancilla_dim must be >= 1, got 0"),
+        (lambda rng: simulate_random(_PAIR, 2, -1, rng), "queries must be >= 0, got -1"),
+        (lambda rng: build_parallel(_PAIR, 0), "copy count must be >= 1, got 0"),
+        (lambda rng: SearchConfig(queries=2, restarts=0), "restarts must be >= 1, got 0"),
+        (lambda rng: SearchConfig(queries=-1), "queries must be >= 0, got -1"),
+        (lambda rng: CampaignConfig(0, 2, (1, 1), 1), "instances must be >= 1, got 0"),
+        (lambda rng: CampaignConfig(1, 1, (1, 1), 1), "dim must be >= 2, got 1"),
+        (lambda rng: CampaignConfig(1, 2, (-1, 1), 1), r"t_range\[0\] must be >= 0, got -1"),
+        (lambda rng: CampaignConfig(1, 2, (3, 1), 1), r"t_range\[1\] must be >= 3, got 1"),
+        (lambda rng: Protocol(0, 1, 0, [np.eye(0)], np.ones(0)), "system_dim must be >= 1, got 0"),
+        (lambda rng: matrix_from_obj({"dim": 0, "entries": []}), "matrix: dim must be >= 1, got 0"),
+    ], ids=["batch", "isometry-n", "isometry-k", "k-above-n", "unitary", "state",
+            "ancilla", "queries", "copies", "restarts", "search-queries", "instances",
+            "campaign-dim", "t-range-lo", "t-range-hi", "protocol", "matrix-file"])
+    def test_counts_below_their_floor_are_refused_alike(self, draw, message):
+        # one ValidationError form for every count at every entry; draws refuse it unread
+        with pytest.raises(ValidationError, match=message):
+            draw(_StubGenerator())
+
     @pytest.mark.parametrize("d, queries", [(2, 2**20 - 1), (64, 0)])
     def test_every_search_start_the_size_rule_accepts_is_drawn(self, d, queries):
         # the search's Haar start is (T+1) n x n unitaries, the very entries search_size caps
         n = builder.search_size(d, queries)
         with pytest.raises(_StreamReached):
             haar_unitary_from_rng(n, _StubGenerator(), (queries + 1,))
+
+
+_PAIR = UnitaryPair.of(np.eye(2), np.diag([1.0, 1j]))
 
 
 class _StreamReached(Exception):
