@@ -173,7 +173,8 @@ def run_instance(cfg: CampaignConfig, index: int) -> tuple[InstanceRecord, float
     queries = int(rng.integers(lo, hi + 1))
 
     # The pair is checked, and U1†U2 decomposed and given its arc, once for the whole instance.
-    # Only the parallel plan reads eigenvectors, so only it decomposes with them, before theta.
+    # Only the parallel plan reads eigenvectors, so only it asks for them, before theta: the
+    # phases come with them, and relative_spectrum then returns that spectrum.
     pair = UnitaryPair.of(u1, u2)
     if cfg.protocol_source == "parallel":
         pair.spectrum

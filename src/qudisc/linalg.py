@@ -8,12 +8,8 @@ All dense objects are capped at dimension ``DIM_CAP`` to bound memory.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
 import operator
-import os
-import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -145,11 +141,11 @@ def check_integer(value, what: str, lo: int | None = None) -> int:
 
 @dataclass(eq=False)
 class PhaseSpectrum:
-    """Eigenphases of a unitary matrix, with an aligned orthonormal eigenbasis if one was formed.
+    """Eigenphases of a unitary matrix, with an aligned orthonormal eigenbasis if one is held.
 
     ``phases`` is ascending in [0, 2*pi). ``vectors`` is None for a spectrum
-    decomposed for its phases alone (``relative_spectrum``); otherwise
-    column j is the eigenvector belonging to ``phases[j]``.
+    read for its phases alone (``relative_spectrum``); otherwise column j is
+    the eigenvector belonging to ``phases[j]``.
     """
 
     phases: np.ndarray
@@ -185,134 +181,67 @@ def wrap_phase(phases) -> np.ndarray:
     return p
 
 
-_FLAPACK = "scipy.linalg._flapack"
-
-
-def _flapack_gees():
-    """zgees from scipy's f2py LAPACK wrapper, loaded without scipy.linalg's package init.
-
-    The wrapper is one extension module in scipy's package directory, found
-    without importing scipy and loaded under its own name. The load enters
-    it in ``sys.modules`` (it is a single-phase extension); that entry is
-    removed, so a later ``import scipy.linalg`` runs whole. None when scipy
-    or the file is missing or the load fails: on Windows, scipy's own init
-    registers the DLL directory the wrapper needs.
-    """
-    if _FLAPACK in sys.modules:  # scipy.linalg is imported already
-        return sys.modules[_FLAPACK].zgees
-    spec = importlib.util.find_spec("scipy")
-    roots = spec.submodule_search_locations if spec is not None else None
-    paths = (os.path.join(root, "linalg", "_flapack" + suffix)
-             for root in roots or () for suffix in importlib.machinery.EXTENSION_SUFFIXES)
-    path = next(filter(os.path.isfile, paths), None)
-    if path is None:
-        return None
-    flapack = importlib.util.spec_from_loader(
-        _FLAPACK, importlib.machinery.ExtensionFileLoader(_FLAPACK, path))
-    try:
-        return importlib.util.module_from_spec(flapack).zgees
-    except (ImportError, OSError):
-        return None
-    finally:
-        sys.modules.pop(_FLAPACK, None)
-
-
-def _scipy_linalg_gees():
-    """zgees as ``scipy.linalg.schur`` finds it, through scipy.linalg's package init."""
-    import scipy.linalg
-
-    gees, = scipy.linalg.get_lapack_funcs(("gees",), dtype=np.complex128)
-    return gees
-
-
-# LAPACK's complex Schur routine, called directly: scipy.linalg.schur would
-# query the workspace and re-check finiteness on every call. Both loaders give
-# the same routine; the direct one spares every process scipy.linalg's import.
-_gees = _flapack_gees() or _scipy_linalg_gees()
-
-
-def _no_sort(_):
-    """Eigenvalue selector for an unsorted Schur form; LAPACK never calls it."""
-
-
 @cache
-def _gees_lwork(n: int) -> int:
-    """Optimal zgees workspace for dimension n, which depends on n alone."""
-    work = _gees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2]
-    return int(work[0].real)
+def _identity(n: int) -> np.ndarray:
+    """The n x n complex identity, for the Cayley step of ``_eigen_system``; never written to."""
+    return np.eye(n, dtype=complex)
 
 
-def _schur(a: np.ndarray, vectors: bool) -> tuple:
-    """One zgees call on a: (ascending phases, their order, Schur factor, Schur vectors).
+def _eigen_system(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases and orthonormal eigenvectors of U1†U2, from one Hermitian eigenproblem.
 
-    Without ``vectors`` LAPACK forms no Schur vectors and the last item is
-    a placeholder. The phases are the same bits either way: the Schur
-    factor is reduced alike, and both calls take the workspace queried
-    once per dimension.
+    ``a`` is a product of checked unitaries, so it is normal, and its Cayley
+    transform is Hermitian with the same eigenvectors:
+    1. The eigenvalues of A + A† are twice the cosines of the phases, so the
+       symmetrised set ±arccos c holds every phase. The centre beta of its
+       largest gap lies at least pi/(2d) from each, as 2d points leave a gap
+       of pi/d.
+    2. B = -e^{-i beta} A has its eigenvalues e^{i psi} at least that far from
+       -1, so H = i(I + B)^{-1}(I - B), formed by one solve, is Hermitian,
+       with eigenvalues tan(psi/2).
+    3. The phases are 2 arctan(w) + beta - pi for the eigenvalues w of H.
+
+    LAPACK's Hermitian solvers are numpy's own, called directly, and give an
+    orthonormal eigenbasis also within a degenerate eigenspace. The gap, and
+    the phases from w, are found on Python floats: O(d) work, which costs
+    less than numpy's per-call overhead at small d. beta = pi, the centre
+    for a spectrum near 1, shifts A by exactly 1.
+
+    Returns the phases ascending in [0, 2*pi) and their eigenvectors,
+    column j for ``phases[j]``. The contract covers the phases: H's
+    Hermitian defect, before ``eigh`` reads its lower triangle alone, must
+    stay within ``EIGEN_TOL``. A NaN in H fails it, and a NaN eigenvalue is
+    a failure to converge; each is a ``NumericalError``.
     """
-    t, _, eigvals, q, _, info = _gees(_no_sort, a, compute_v=vectors,
-                                      lwork=_gees_lwork(a.shape[0]))
-    if info != 0:
-        raise NumericalError(f"eigendecomposition did not converge (zgees info {info})")
-    phases = wrap_phase(np.angle(eigvals))
-    order = np.argsort(phases, kind="stable")
-    return phases[order], order, t, q
-
-
-def _eigen_system(a: np.ndarray) -> PhaseSpectrum:
-    """Orthonormal eigendecomposition of a square matrix whose factors were checked unitary.
-
-    Uses the complex Schur form: for a normal matrix the Schur factor is
-    diagonal and the Schur vectors form an exactly orthonormal eigenbasis,
-    which plain ``eig`` does not guarantee on degenerate spectra. LAPACK's
-    ``zgees`` is called directly, with its workspace size queried once per
-    dimension, and gives the same bits as ``scipy.linalg.schur``: it is
-    scipy's own f2py wrapper, loaded without scipy.linalg's package init
-    where it can be and through ``scipy.linalg`` otherwise.
-
-    Returns the phases ascending in [0, 2*pi) and their eigenvectors.
-
-    Raises:
-        NumericalError: the Schur form did not converge, or the largest
-            eigenvector residual or orthonormality defect exceeds ``EIGEN_TOL``.
-    """
-    phases, order, _, q = _schur(a, vectors=True)
-    vectors = q[:, order]
-
-    # largest column norm of the eigen-equation residual
-    diff = a @ vectors - vectors * np.exp(1j * phases)
-    residual = math.sqrt(np.add.reduce(diff.real * diff.real + diff.imag * diff.imag).max())
-    ortho = float(_defects(vectors))
-    if not (residual <= EIGEN_TOL and ortho <= EIGEN_TOL):
-        raise NumericalError(
-            f"eigendecomposition failed accuracy contract: "
-            f"max residual {residual:.3e}, orthonormality defect {ortho:.3e}"
-        )
-    return PhaseSpectrum(phases=phases, vectors=vectors)
-
-
-def _eigen_phases(a: np.ndarray) -> PhaseSpectrum:
-    """Eigenphases alone of a square matrix whose factors were checked unitary already.
-
-    The contract covers what is returned. A unitary's Schur factor is
-    diagonal, and its diagonal holds the eigenvalues, on the unit circle;
-    so every strictly upper entry, and each diagonal entry's distance from
-    the circle, must stay within ``EIGEN_TOL``. A NaN in either fails.
-    """
-    phases, _, t, _ = _schur(a, vectors=False)
-    # |T| with each diagonal entry replaced by its distance from the circle, in place;
-    # LAPACK leaves T's strictly lower part zero
-    deviation = np.abs(t)
-    radial = np.einsum("ii->i", deviation)
-    radial -= 1.0
-    np.abs(radial, out=radial)
-    worst = deviation.max()
-    if not worst <= EIGEN_TOL:
-        raise NumericalError(
-            f"Schur form failed accuracy contract: off-diagonal entry or distance of an "
-            f"eigenvalue from the unit circle {worst:.3e}"
-        )
-    return PhaseSpectrum(phases=phases)
+    twice_cos = _umath_linalg.eigvalsh_lo(a + a.conj().T, signature="D->d").tolist()
+    # the arccos of each cosine, ascending in [0, pi]; rounding can take |c| past 1
+    arcs = [math.acos(0.5 * c) if -2.0 <= c <= 2.0 else (0.0 if c > 0.0 else math.pi)
+            for c in reversed(twice_cos)]
+    # the set is symmetric about 0: the gaps at 0 and at pi, then those between the arcs
+    gap, beta = 2.0 * arcs[0], 0.0
+    if 2.0 * (math.pi - arcs[-1]) > gap:
+        gap, beta = 2.0 * (math.pi - arcs[-1]), math.pi
+    for lo, hi in zip(arcs, arcs[1:]):
+        if hi - lo > gap:
+            gap, beta = hi - lo, 0.5 * (lo + hi)
+    # -e^{-i beta} = e^{i (pi - beta)}, with pi - beta exactly 0 at beta = pi
+    shift = math.pi - beta
+    b = complex(math.cos(shift), math.sin(shift)) * a
+    eye = _identity(a.shape[0])
+    h = _umath_linalg.solve(eye + b, eye - b, signature="DD->D")
+    h *= 1j
+    defect = np.abs(h - h.conj().T).max()
+    if not defect <= EIGEN_TOL:
+        raise NumericalError(f"eigendecomposition failed accuracy contract: "
+                             f"Hermitian defect of the Cayley transform {defect:.3e}")
+    w, v = _umath_linalg.eigh_lo(h, signature="D->dD")
+    phases = [2.0 * math.atan(x) - shift for x in w.tolist()]
+    if not math.isfinite(sum(phases)):
+        raise NumericalError("eigendecomposition did not converge (NaN eigenvalue)")
+    # into [0, 2*pi) as wrap_phase does: a tiny negative phase rounds up to 2*pi, which folds to 0
+    phases = [p if p >= 0.0 else (q if (q := p + TWO_PI) < TWO_PI else 0.0) for p in phases]
+    order = sorted(range(len(phases)), key=phases.__getitem__)
+    return np.array([phases[k] for k in order]), v.take(order, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,12 +251,13 @@ class UnitaryPair:
     Build it with ``UnitaryPair.of``, which checks both as that one stack;
     ``u1`` and ``u2`` are views of it, and a query acts on both in one
     product. Their product U1†U2 is not checked again; it is decomposed on
-    first use, as far as the first reader needs: ``relative_spectrum``
-    takes its phases alone, ``spectrum`` (for the parallel plan) its
-    eigenvectors too. Each is kept, and a spectrum keeps its smallest
-    covering arc once ``geometry.smallest_arc`` has found it. Every builder
-    and simulator takes a pair, so a pair used by several of them is
-    checked, decomposed and given its arc once.
+    first use, by the one routine ``_eigen_system``, so its two readers find
+    the same phases whichever comes first: ``relative_spectrum`` keeps the
+    phases alone, ``spectrum`` (for the parallel plan) the eigenvectors
+    too, held to their own contract. Each is kept, and a spectrum keeps its
+    smallest covering arc once ``geometry.smallest_arc`` has found it. Every
+    builder and simulator takes a pair, so a pair used by several of them
+    is checked, decomposed and given its arc once.
     """
 
     unitaries: np.ndarray
@@ -352,14 +282,31 @@ class UnitaryPair:
 
     @cached_property
     def spectrum(self) -> PhaseSpectrum:
-        """Eigenphases and eigenvectors of U1†U2: the one eigenvector decomposition."""
-        return _eigen_system(self.u1.conj().T @ self.u2)
+        """Eigenphases and eigenvectors of U1†U2, the eigenvectors held to their contract.
+
+        Raises:
+            NumericalError: as ``relative_spectrum``, or the largest
+                eigenvector residual or orthonormality defect exceeds ``EIGEN_TOL``.
+        """
+        a = self.u1.conj().T @ self.u2
+        phases, vectors = _eigen_system(a)
+        # largest column norm of the eigen-equation residual
+        diff = a @ vectors - vectors * np.exp(1j * phases)
+        residual = math.sqrt(np.add.reduce(diff.real * diff.real + diff.imag * diff.imag).max())
+        ortho = float(_defects(vectors))
+        if not (residual <= EIGEN_TOL and ortho <= EIGEN_TOL):
+            raise NumericalError(
+                f"eigendecomposition failed accuracy contract: "
+                f"max residual {residual:.3e}, orthonormality defect {ortho:.3e}"
+            )
+        return PhaseSpectrum(phases=phases, vectors=vectors)
 
     @cached_property
     def _phase_spectrum(self) -> PhaseSpectrum:
         """``spectrum`` if it is held already, else the eigenphases of U1†U2 alone."""
         held = self.__dict__.get("spectrum")
-        return held if held is not None else _eigen_phases(self.u1.conj().T @ self.u2)
+        return held if held is not None else PhaseSpectrum(
+            phases=_eigen_system(self.u1.conj().T @ self.u2)[0])
 
 
 def pair_args(u1, u2=None, *rest) -> tuple:
@@ -390,15 +337,14 @@ def relative_spectrum(u1, u2=None) -> PhaseSpectrum:
     """Eigenphases of U1†U2, the object all discrimination quantities derive from.
 
     Takes a UnitaryPair; the two unitaries in its place are accepted only
-    because the benchmark's workloads pass them so. Forms no eigenvectors
+    because the benchmark's workloads pass them so. Returns the phases alone
     (``vectors`` is None) unless the pair already holds its ``spectrum``,
     which is then returned as it is. The phases are the same bits as
     ``spectrum``'s. Kept on the pair, so a pair is decomposed once.
 
     Raises:
-        NumericalError: the Schur form did not converge, or its largest
-            strictly upper entry or an eigenvalue's distance from the unit
-            circle exceeds ``EIGEN_TOL``.
+        NumericalError: the Cayley transform's Hermitian defect exceeds
+            ``EIGEN_TOL``, or an eigenvalue is NaN.
     """
     (pair,) = pair_args(u1, u2)
     return pair._phase_spectrum

@@ -7,7 +7,8 @@ agreement between the two is evidence, not tautology.
 import numpy as np
 
 from qudisc import PhaseSpectrum
-from qudisc.linalg import wrap_phase
+from qudisc.linalg import (haar_isometry_from_rng, haar_unitary_from_rng, random_state_from_rng,
+                           wrap_phase)
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,3 +81,73 @@ def state_pair_at_angle(delta: float, dim: int, rng: np.random.Generator):
     """
     e1, e2 = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))[0].T
     return e1, np.exp(1j * rng.uniform(0.0, TWO_PI)) * (np.cos(delta) * e1 + np.sin(delta) * e2)
+
+
+def _frame(t1, t2) -> np.ndarray:
+    """A dense unitary whose first two columns are t1 and the unit part of t2 orthogonal to it."""
+    q, r = np.linalg.qr(np.stack([t1, t2], axis=1), mode="complete")
+    q[:, :2] *= np.diag(r) / np.abs(np.diag(r))
+    return q
+
+
+def _trace_norm(a, b) -> float:
+    """||rho_a - rho_b||_1 of two pure states, from the eigenvalues of the dense difference."""
+    return float(np.abs(np.linalg.eigvalsh(np.outer(a, a.conj()) - np.outer(b, b.conj()))).sum())
+
+
+def reference_record(cfg, index: int) -> dict:
+    """The record of a ``random`` campaign instance, recomputed with dense, independent math.
+
+    The draws are inputs, not the subject: they come from the stream
+    ``default_rng([seed, index])`` through the package's own draw functions,
+    in the order the campaign takes them (the pair, T, the probe, one n x 2
+    isometry per query). Everything else is dense: theta from
+    ``np.linalg.eigvals``; queries as ``kron(U_i, I)`` on full n-vectors;
+    each isometry V completed to a dense unitary by QR, and the interleaver
+    taken as that unitary times the adjoint of a frame of the incoming pair,
+    so it maps the first state to V's first column; distances as trace norms
+    of the density-matrix difference. The bound columns are the paper's
+    formulas, written out here. Returns the record's fields by name.
+    """
+    d = cfg.dim
+    n = d * d  # the ancilla matches the system
+    rng = np.random.default_rng([cfg.seed, index])
+    u1, u2 = haar_unitary_from_rng(d, rng, (2,))
+    t = int(rng.integers(cfg.t_range[0], cfg.t_range[1] + 1))
+    theta = anchored_arc_theta(np.angle(np.linalg.eigvals(u1.conj().T @ u2)))
+    states = [random_state_from_rng(n, rng)] * 2
+    distances = [0.0]
+    for _ in range(t):
+        v = haar_isometry_from_rng(n, 2, rng)
+        t1, t2 = (np.kron(u, np.eye(d)) @ s for u, s in zip((u1, u2), states))
+        completed = _frame(v[:, 0], v[:, 1])
+        w = completed @ _frame(t1, t2).conj().T
+        states = [w @ t1, w @ t2]
+        distances.append(_trace_norm(*states))
+    a, b = states
+    # of the normalised states, so one state twice (no query) reads exactly 1
+    overlap = float(abs(np.vdot(a, b)) / np.sqrt(np.vdot(a, a).real * np.vdot(b, b).real))
+    helstrom = (1.0 - distances[-1] / 2.0) / 2.0  # Helstrom: (1 - ||rho1 - rho2||_1 / 2) / 2
+    inconclusive = overlap                        # Ivanovic-Dieks-Peres: the overlap itself
+    # Theorem 1: T >= (2/theta) sqrt(1 - 4 eps (1 - eps)) at error eps, and
+    # T >= (2/theta) sqrt(1 - eps0^2) at inconclusive rate eps0
+    need = np.sqrt(max(0.0, 1.0 - 4.0 * helstrom * (1.0 - helstrom)))
+    need_onesided = np.sqrt(max(0.0, 1.0 - inconclusive**2))
+    raw = 2.0 * need / theta
+    # Lemma 2: a query grows the trace distance by at most 2 sqrt(1 - F^2), F = cos(theta/2)
+    # below theta = pi and 0 from there on, so 2 sin(min(theta, pi)/2)
+    step = 2.0 * np.sin(min(theta, np.pi) / 2.0)
+    slacks = [distances[k] + step - distances[k + 1] for k in range(t)]
+    return {
+        "index": index,
+        "theta": theta,
+        "queries": t,
+        "overlap": overlap,
+        "helstrom_error": helstrom,
+        "inconclusive": inconclusive,
+        "bound_raw": raw,
+        "bound_t": int(np.ceil(raw - 1e-9)),  # the ceiling, less the guard against rounding
+        "lemma2_min_slack": min(slacks) if slacks else None,
+        "theorem1_slack": t * theta / 2.0 - need,
+        "theorem1_slack_onesided": t * theta / 2.0 - need_onesided,
+    }

@@ -1,8 +1,11 @@
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qudisc import (
     DIM_CAP,
@@ -38,7 +41,7 @@ from qudisc.campaign import (
     violations,
 )
 
-from .oracles import state_pair_at_angle, state_pair_with_overlap
+from .oracles import reference_record, state_pair_at_angle, state_pair_with_overlap
 
 
 def small_config(**overrides):
@@ -141,8 +144,9 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("source", ["random", "parallel", "optimized"])
     def test_one_check_per_unitary_and_one_schur_per_instance(self, monkeypatch, source):
-        counts = {"checks": 0, "schur": [], "arcs": 0}
-        require, gees, covering_arc = linalg.require_unitary, linalg._gees, geometry._covering_arc
+        counts = {"checks": 0, "decompositions": 0, "arcs": 0}
+        require, eigen_system = linalg.require_unitary, linalg._eigen_system
+        covering_arc = geometry._covering_arc
         cfg = small_config(instances=6, t_range=(1, 3 if source == "optimized" else 8),
                            protocol_source=source)
 
@@ -152,24 +156,24 @@ class TestRunCampaign:
                 counts["checks"] += len(a) if a.ndim == 3 else 1  # matrices checked
             return a
 
-        def counted_gees(*args, **kwargs):
-            counts["schur"].append(bool(kwargs["compute_v"]))  # whether Schur vectors are formed
-            return gees(*args, **kwargs)
+        def counted_eigen_system(a):
+            counts["decompositions"] += 1
+            return eigen_system(a)
 
         def counted_arc(p):
             counts["arcs"] += 1
             return covering_arc(p)
 
-        linalg._gees_lwork(cfg.dim)  # the once-per-dimension workspace query is not a Schur
         monkeypatch.setattr(linalg, "require_unitary", counted_require)
-        monkeypatch.setattr(linalg, "_gees", counted_gees)
+        monkeypatch.setattr(linalg, "_eigen_system", counted_eigen_system)
         monkeypatch.setattr(geometry, "_covering_arc", counted_arc)
         for index in range(cfg.instances):
-            counts.update(checks=0, schur=[], arcs=0)
+            counts.update(checks=0, decompositions=0, arcs=0)
             run_instance(cfg, index)
-            # u1 and u2 as one stack, and U1†U2 not again; eigenvectors only for the parallel
-            # plan; the arc is found once although the plan and the search ask for it again
-            assert counts == {"checks": 2, "schur": [source == "parallel"], "arcs": 1}
+            # u1 and u2 as one stack, and U1†U2 not again; one decomposition, with eigenvectors
+            # checked only for the parallel plan; the arc is found once although the plan and
+            # the search ask for it again
+            assert counts == {"checks": 2, "decompositions": 1, "arcs": 1}
 
     @pytest.mark.parametrize("queries", [0, 2])
     def test_optimized_instance_simulates_its_protocol_once(self, monkeypatch, queries):
@@ -392,6 +396,25 @@ class TestReportFormats:
         report = run_campaign(small_config(instances=1))
         with pytest.raises(UsageError):
             render_report(report, "xml")
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 10**6), dim=st.sampled_from([2, 3]),
+       t_range=st.tuples(st.integers(0, 4), st.integers(0, 4)).map(sorted))
+def test_random_record_matches_the_dense_oracle(seed, index, dim, t_range):
+    # every column recomputed from the same draws by dense, independent math
+    cfg = CampaignConfig(index + 1, dim, tuple(t_range), seed)
+    record = asdict(run_instance(cfg, index)[0])
+    reference = reference_record(cfg, index)
+    assert record.keys() == reference.keys()
+    for column, value in record.items():
+        expected = reference[column]
+        if column in ("index", "queries", "bound_t") or expected is None:
+            assert value == expected, column
+        else:
+            # bound_raw divides by theta: held relative to its size
+            scale = max(1.0, abs(expected)) if column == "bound_raw" else 1.0
+            assert abs(value - expected) <= 1e-12 * scale, (column, value, expected)
 
 
 def tiny_phase_pair(rng, dim):

@@ -1,13 +1,12 @@
 import ast
-import importlib.machinery
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from qudisc import (
     DIM_CAP,
@@ -135,13 +134,30 @@ class TestDimCap:
             require_unitary(big)
 
 
+def patch_lapack(monkeypatch, name, wrap):
+    """Give ``linalg`` numpy's LAPACK gufuncs with one of them, ``name``, replaced by
+    ``wrap(original)``; the others, and every other module, keep the originals."""
+    real = linalg._umath_linalg
+    proxy = types.SimpleNamespace(**{k: getattr(real, k) for k in dir(real) if k[0] != "_"})
+    setattr(proxy, name, wrap(getattr(real, name)))
+    monkeypatch.setattr(linalg, "_umath_linalg", proxy)
+
+
+def nan_eigenvalues(eigh):
+    """``eigh`` as it reads where LAPACK's Hermitian solver did not converge: NaN eigenvalues."""
+    def call(*args, **kwargs):
+        w, v = eigh(*args, **kwargs)
+        return np.full_like(w, np.nan), v
+    return call
+
+
 def spectrum_of(u):
     """The eigendecomposition of u that a pair takes: I†u is u bit for bit."""
     return UnitaryPair.of(np.eye(np.shape(u)[0]), u).spectrum
 
 
 class TestEigenSystem:
-    """``_eigen_system``, the one eigenvector decomposition, as ``UnitaryPair.spectrum`` runs it."""
+    """``_eigen_system``, the one decomposition, as ``UnitaryPair`` and its readers run it."""
 
     def test_pauli_z(self):
         spec = spectrum_of(np.diag([1.0, -1.0]))
@@ -194,74 +210,43 @@ class TestEigenSystem:
         with pytest.raises(DomainError, match="u2 is not unitary"):
             spectrum_of(np.diag([1.0, 0.5]))
 
-    # the direct loader, the one qudisc takes, keeps the plain dimension ids
-    @pytest.mark.parametrize("d, loader", [
-        *(pytest.param(d, "direct", id=str(d)) for d in (1, 2, 3, 8, 64)),
-        *(pytest.param(d, "scipy.linalg", id=f"{d}-scipy.linalg") for d in (1, 2, 3, 8, 64)),
-    ])
-    def test_direct_schur_equals_scipy_bit_for_bit(self, d, loader, monkeypatch):
-        if loader == "direct":
-            # this process imported scipy.linalg: drop its wrapper so the file is found and loaded
-            monkeypatch.delitem(sys.modules, linalg._FLAPACK)
-            gees = linalg._flapack_gees()
-            assert gees is not None and linalg._FLAPACK not in sys.modules
-        else:
-            gees = linalg._scipy_linalg_gees()
-        monkeypatch.setattr(linalg, "_gees", gees)
-        u = haar_unitary_from_rng(d, np.random.default_rng([d, 15]))
-        t, q = scipy.linalg.schur(u, output="complex")
-        direct = gees(linalg._no_sort, u, lwork=linalg._gees_lwork(d))
-        assert np.array_equal(direct[0], t) and np.array_equal(direct[3], q)
-        # the decomposition as it read on scipy.linalg.schur, spelled out
-        phases = wrap_phase(np.angle(np.diag(t)))
-        order = np.argsort(phases, kind="stable")
-        spec = spectrum_of(u)
-        assert np.array_equal(spec.phases, phases[order])
-        assert np.array_equal(spec.vectors, q[:, order])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    def test_phases_equal_eigvals(self, d):
+        # each phase within 1e-13 of one of np.linalg.eigvals', on the circle, and each of
+        # those within 1e-13 of a phase: Haar spectra are simple, so the matching is 1:1
+        rng = np.random.default_rng([d, 15])
+        u1, u2 = haar_unitary_from_rng(d, rng), haar_unitary_from_rng(d, rng)
+        reference = np.angle(np.linalg.eigvals(u1.conj().T @ u2))
+        phases = relative_spectrum(UnitaryPair.of(u1, u2)).phases
+        gaps = np.abs(np.angle(np.exp(1j * (phases[:, None] - reference[None, :]))))
+        assert gaps.min(axis=1).max() <= 1e-13 and gaps.min(axis=0).max() <= 1e-13
 
-    def test_schur_loads_without_scipy_linalg(self):
-        # fails if a scipy upgrade moves the wrapper and qudisc falls back on scipy.linalg
+    def test_spectrum_loads_no_scipy(self):
         script = ("import sys, numpy as np, qudisc; "
-                  "qudisc.relative_spectrum(qudisc.UnitaryPair.of(np.eye(2), np.diag([1, 1j]))); "
-                  "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg was imported'; "
-                  "import scipy.linalg; "
-                  "assert qudisc.linalg._gees is scipy.linalg.get_lapack_funcs(('gees',), "
-                  "dtype=np.complex128)[0]")
+                  "pair = qudisc.UnitaryPair.of(np.eye(2), np.diag([1, 1j])); "
+                  "qudisc.relative_spectrum(pair); pair.spectrum; "
+                  "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+                  "assert not loaded, loaded")
         # the qudisc under test, whether a checkout's src or site-packages
         env = dict(os.environ, PYTHONPATH=str(Path(linalg.__file__).resolve().parents[1]))
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
-    @pytest.mark.parametrize("failure", ["no file", "load error"])
-    def test_direct_loader_gives_way_to_scipy_linalg(self, failure, monkeypatch):
-        monkeypatch.delitem(sys.modules, linalg._FLAPACK, raising=False)
-        if failure == "no file":
-            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
-        else:
-            def refuse(self, spec):
-                raise ImportError("DLL load failed")
-
-            monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "create_module", refuse)
-        assert linalg._flapack_gees() is None
-        assert linalg._FLAPACK not in sys.modules
-
     def test_non_unitary_input_is_refused_before_a_schur_failure(self, monkeypatch):
-        gees = linalg._gees
-        monkeypatch.setattr(linalg, "_gees", lambda *a, **kw: (*gees(*a, **kw)[:-1], 1))
+        patch_lapack(monkeypatch, "eigh_lo", nan_eigenvalues)
         with pytest.raises(DomainError, match="u2 is not unitary within 1e-10"):
             spectrum_of(np.diag([1.0, 0.5]))
 
     def test_nan_eigenbasis_fails_the_accuracy_contract(self, monkeypatch):
         # a NaN defect compared False against the tolerance and was accepted
-        gees = linalg._gees
+        def nan_vectors(eigh):
+            def call(*args, **kwargs):
+                w, v = eigh(*args, **kwargs)
+                return w, np.full_like(v, np.nan)
+            return call
 
-        def nan_vectors(*args, **kwargs):
-            out = list(gees(*args, **kwargs))
-            out[3] = np.full_like(out[3], np.nan)
-            return tuple(out)
-
-        monkeypatch.setattr(linalg, "_gees", nan_vectors)
+        patch_lapack(monkeypatch, "eigh_lo", nan_vectors)
         with pytest.raises(NumericalError, match="accuracy contract"):
             spectrum_of(np.diag([1.0, -1.0]))
 
@@ -275,14 +260,9 @@ class TestEigenSystem:
             spectrum_of(bad)
 
     def test_schur_failure_is_a_numerical_error(self, monkeypatch):
-        gees = linalg._gees
-
-        def failing(*args, **kwargs):
-            return (*gees(*args, **kwargs)[:-1], 1)  # zgees: the QR algorithm did not converge
-
-        monkeypatch.setattr(linalg, "_gees", failing)
+        patch_lapack(monkeypatch, "eigh_lo", nan_eigenvalues)
         with pytest.raises(NumericalError, match="did not converge"):
-            spectrum_of(np.diag([1.0, -1.0]))
+            relative_spectrum(UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0])))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
     def test_theta_only_phases_equal_eigen_system_bit_for_bit(self, d):
@@ -293,20 +273,21 @@ class TestEigenSystem:
         assert np.array_equal(phases.phases, spectrum_of(u1.conj().T @ u2).phases)
 
     @pytest.mark.parametrize("entry, value", [
-        ((0, 1), 1e-6),     # a strictly upper entry: the factor is not diagonal
+        ((0, 1), 1e-6),     # one off-diagonal entry: the Cayley transform is not Hermitian
         ((0, 1), np.nan),
-        ((1, 1), np.nan),   # a diagonal entry, which the eigenvalues copy
+        ((1, 1), np.nan),   # a diagonal entry, of which eigh would read only the real part
     ])
     def test_theta_only_schur_factor_fails_the_accuracy_contract(self, entry, value,
                                                                  monkeypatch):
-        gees = linalg._gees
+        # the solve's result is (I + B)^{-1}(I - B), the transform H up to a factor i
+        def injected(solve):
+            def call(*args, **kwargs):
+                k = solve(*args, **kwargs)
+                k[entry] = value
+                return k
+            return call
 
-        def injected(*args, **kwargs):
-            t, sdim, w, *rest = gees(*args, **kwargs)
-            t[entry] = value
-            return (t, sdim, np.diagonal(t).copy(), *rest)
-
-        monkeypatch.setattr(linalg, "_gees", injected)
+        patch_lapack(monkeypatch, "solve", injected)
         with pytest.raises(NumericalError, match="accuracy contract"):
             relative_spectrum(UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0])))
 
@@ -524,27 +505,26 @@ class TestUnitaryPair:
     def test_spectrum_is_decomposed_once_and_kept(self, monkeypatch):
         rng = np.random.default_rng(60)
         u1, u2 = haar_unitary_from_rng(3, rng), haar_unitary_from_rng(3, rng)
-        gees, calls = linalg._gees, []
+        eigen_system, calls = linalg._eigen_system, []
 
-        def counted_gees(*args, **kwargs):
-            calls.append(bool(kwargs["compute_v"]))
-            return gees(*args, **kwargs)
+        def counted(a):
+            calls.append(a.shape)
+            return eigen_system(a)
 
-        linalg._gees_lwork(3)  # the once-per-dimension workspace query is not a Schur
-        monkeypatch.setattr(linalg, "_gees", counted_gees)
+        monkeypatch.setattr(linalg, "_eigen_system", counted)
         pair = UnitaryPair.of(u1, u2)
         phases = relative_spectrum(pair)
         assert phases.vectors is None and relative_spectrum(pair) is phases
-        assert calls == [False]
-        # the parallel plan's reader decomposes with vectors, once, and finds the same phases
+        assert len(calls) == 1
+        # the parallel plan's reader decomposes again, once, and finds the same phases
         assert pair.spectrum is pair.spectrum and pair.spectrum.vectors is not None
         assert np.array_equal(pair.spectrum.phases, phases.phases)
-        assert calls == [False, True]
-        # a pair that holds its spectrum gives it for its phases, without a second Schur
+        assert len(calls) == 2
+        # a pair that holds its spectrum gives it for its phases, without a second decomposition
         held = UnitaryPair.of(u1, u2)
         spectrum = held.spectrum
         assert relative_spectrum(held) is spectrum
-        assert calls == [False, True, True]
+        assert len(calls) == 3
         assert np.array_equal(relative_spectrum(UnitaryPair.of(u1, u2)).phases, phases.phases)
 
     def test_product_of_checked_unitaries_is_not_checked_again(self):
