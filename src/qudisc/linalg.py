@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -181,12 +181,6 @@ def wrap_phase(phases) -> np.ndarray:
     return p
 
 
-@cache
-def _identity(n: int) -> np.ndarray:
-    """The n x n complex identity, for the Cayley step of ``_eigen_system``; never written to."""
-    return np.eye(n, dtype=complex)
-
-
 def _eigen_system(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases and orthonormal eigenvectors of U1†U2, from one Hermitian eigenproblem.
 
@@ -196,22 +190,27 @@ def _eigen_system(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
        symmetrised set ±arccos c holds every phase. The centre beta of its
        largest gap lies at least pi/(2d) from each, as 2d points leave a gap
        of pi/d.
-    2. B = -e^{-i beta} A has its eigenvalues e^{i psi} at least that far from
-       -1, so H = i(I + B)^{-1}(I - B), formed by one solve, is Hermitian,
-       with eigenvalues tan(psi/2).
-    3. The phases are 2 arctan(w) + beta - pi for the eigenvalues w of H.
+    2. B = -e^{-i beta} A has its eigenvalues e^{i psi} at least gap/2 from
+       -1 in angle, so H = i(I + B)^{-1}(I - B), formed by one solve, is
+       Hermitian, with eigenvalues tan(psi/2).
+    3. The phases are 2 arctan(w) + beta - pi for the eigenvalues w of
+       H's Hermitian part.
 
     LAPACK's Hermitian solvers are numpy's own, called directly, and give an
     orthonormal eigenbasis also within a degenerate eigenspace. The gap, and
     the phases from w, are found on Python floats: O(d) work, which costs
     less than numpy's per-call overhead at small d. beta = pi, the centre
-    for a spectrum near 1, shifts A by exactly 1.
+    for a spectrum near 1, leaves A unturned.
 
     Returns the phases ascending in [0, 2*pi) and their eigenvectors,
-    column j for ``phases[j]``. The contract covers the phases: H's
-    Hermitian defect, before ``eigh`` reads its lower triangle alone, must
-    stay within ``EIGEN_TOL``. A NaN in H fails it, and a NaN eigenvalue is
-    a failure to converge; each is a ``NumericalError``.
+    column j for ``phases[j]``. The contract covers the phases. H - H† is
+    2i (I + B)^{-1}(I - BB†)(I + B)^{-†}: a unitarity defect of A, or a
+    rounding of the solve, shows in H magnified by up to
+    2|(I + B)^{-1}|^2 <= 1 / (2 sin^2(gap/4)). H's Hermitian defect, taken
+    back to A's scale by that factor, must stay within ``EIGEN_TOL``; to
+    first order a phase then moves by no more than A's own defect. A NaN in
+    H fails it, and a NaN eigenvalue is a failure to converge; each is a
+    ``NumericalError``.
     """
     twice_cos = _umath_linalg.eigvalsh_lo(a + a.conj().T, signature="D->d").tolist()
     # the arccos of each cosine, ascending in [0, pi]; rounding can take |c| past 1
@@ -226,16 +225,23 @@ def _eigen_system(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             gap, beta = hi - lo, 0.5 * (lo + hi)
     # -e^{-i beta} = e^{i (pi - beta)}, with pi - beta exactly 0 at beta = pi
     shift = math.pi - beta
-    b = complex(math.cos(shift), math.sin(shift)) * a
-    eye = _identity(a.shape[0])
-    h = _umath_linalg.solve(eye + b, eye - b, signature="DD->D")
-    h *= 1j
-    defect = np.abs(h - h.conj().T).max()
+    turn = complex(math.cos(shift), math.sin(shift))
+    # I + B and i(I - B), each A scaled with its diagonal raised in place: no identity formed
+    step = a.shape[0] + 1
+    plus = turn * a
+    plus.ravel()[::step] += 1.0
+    minus = (-1j * turn) * a
+    minus.ravel()[::step] += 1j
+    h = _umath_linalg.solve(plus, minus, signature="DD->D")
+    h_adj = h.conj().T
+    defect = np.abs(h - h_adj).max() * 2.0 * math.sin(0.25 * gap) ** 2
     if not defect <= EIGEN_TOL:
-        raise NumericalError(f"eigendecomposition failed accuracy contract: "
-                             f"Hermitian defect of the Cayley transform {defect:.3e}")
+        raise NumericalError(f"eigendecomposition failed accuracy contract: Hermitian "
+                             f"defect of the Cayley transform {defect:.3e} on A's scale")
+    # twice H's Hermitian part, exactly Hermitian, whose eigenvalues are 2w
+    h += h_adj
     w, v = _umath_linalg.eigh_lo(h, signature="D->dD")
-    phases = [2.0 * math.atan(x) - shift for x in w.tolist()]
+    phases = [2.0 * math.atan(0.5 * x) - shift for x in w.tolist()]
     if not math.isfinite(sum(phases)):
         raise NumericalError("eigendecomposition did not converge (NaN eigenvalue)")
     # into [0, 2*pi) as wrap_phase does: a tiny negative phase rounds up to 2*pi, which folds to 0
@@ -343,8 +349,8 @@ def relative_spectrum(u1, u2=None) -> PhaseSpectrum:
     ``spectrum``'s. Kept on the pair, so a pair is decomposed once.
 
     Raises:
-        NumericalError: the Cayley transform's Hermitian defect exceeds
-            ``EIGEN_TOL``, or an eigenvalue is NaN.
+        NumericalError: the Cayley transform's Hermitian defect, on the
+            scale of U1†U2, exceeds ``EIGEN_TOL``, or an eigenvalue is NaN.
     """
     (pair,) = pair_args(u1, u2)
     return pair._phase_spectrum

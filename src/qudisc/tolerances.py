@@ -8,7 +8,8 @@ bounds; no other module spells a threshold as a literal.
 # Unitarity |M†M - I| of a matrix or isometry, |norm - 1| of a state, |modulus - 1| on the circle.
 UNITARY_TOL = 1e-10
 # Eigendecomposition contract: residual |U v - e^{i phi} v| and eigenbasis defect |V†V - I|;
-# for the phases, the Hermitian defect |H - H†| of the Cayley transform they are read from.
+# for the phases, the Hermitian defect |H - H†| of the Cayley transform they are read from,
+# times 2 sin^2(gap/4), which takes it back to the scale of the matrix decomposed.
 EIGEN_TOL = 1e-8
 # POVM defects: |B - B^H|, depth of a negative eigenvalue or weight, |sum - I|, |basis†basis - I|.
 POVM_TOL = 1e-9

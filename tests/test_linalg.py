@@ -221,6 +221,20 @@ class TestEigenSystem:
         gaps = np.abs(np.angle(np.exp(1j * (phases[:, None] - reference[None, :]))))
         assert gaps.min(axis=1).max() <= 1e-13 and gaps.min(axis=0).max() <= 1e-13
 
+    @pytest.mark.parametrize("d", [32, 64, 256])
+    def test_near_unitary_input_is_read_to_its_own_accuracy(self, d):
+        # two inputs that require_unitary accepts: a clock matrix scaled by 1 + 4e-11 (defect
+        # 8e-11) and a Haar unitary written out to 12 decimals. Near -1 the Cayley map
+        # magnifies their defect by up to 2(2d/pi)^2, past EIGEN_TOL from d = 32; taken back
+        # to A's scale it passes, and the phases stay within 1e-13 of np.linalg.eigvals'
+        clock = np.diag((1 + 4e-11) * np.exp(2j * np.pi * np.arange(d) / d))
+        u = haar_unitary_from_rng(d, np.random.default_rng([d, 27]))
+        for u2 in (clock, np.round(u.real, 12) + 1j * np.round(u.imag, 12)):
+            reference = np.angle(np.linalg.eigvals(u2))
+            phases = spectrum_of(u2).phases
+            gaps = np.abs(np.angle(np.exp(1j * (phases[:, None] - reference[None, :]))))
+            assert gaps.min(axis=1).max() <= 1e-13 and gaps.min(axis=0).max() <= 1e-13
+
     def test_spectrum_loads_no_scipy(self):
         script = ("import sys, numpy as np, qudisc; "
                   "pair = qudisc.UnitaryPair.of(np.eye(2), np.diag([1, 1j])); "
