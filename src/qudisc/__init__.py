@@ -9,6 +9,7 @@ runs randomized campaigns checking that nothing ever beats the bounds.
 from .bounds import (
     BoundReport,
     ErrorMode,
+    optimal_overlap,
     t_min_bounded,
     t_min_onesided,
     t_perfect,
@@ -101,6 +102,7 @@ __all__ = [
     "haar_unitary_from_rng",
     "helstrom_error",
     "helstrom_povm",
+    "optimal_overlap",
     "optimize_protocol",
     "relative_spectrum",
     "render_report",

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, IndistinguishableError
-from .linalg import TWO_PI
+from .linalg import TWO_PI, check_integer
 from .tolerances import CEILING_GUARD, CEILING_ROUNDING
 
 
@@ -108,6 +108,20 @@ def t_min_onesided(theta: float, epsilon: float) -> BoundReport:
     raw_value = 2*sqrt(1 - eps^2) / theta.
     """
     return _t_min(theta, epsilon, ErrorMode.ONE_SIDED)
+
+
+def optimal_overlap(theta: float, t: int) -> float:
+    """Least final overlap |<s1|s2>| that any protocol reaches with t queries at spread theta.
+
+    cos(t*theta/2) while t*theta < pi, else 0: each query turns the Bures
+    angle between the two branches by at most theta/2, with or without an
+    ancilla, and the parallel plan turns it by exactly that (Acin, PRL 87,
+    177901, 2001). theta must lie in [0, 2*pi) and t be an integer >= 0.
+    """
+    if not 0.0 <= theta < TWO_PI:
+        raise DomainError(f"theta must lie in [0, 2*pi), got {theta!r}")
+    t = check_integer(t, "query count", 0)
+    return 0.0 if t * theta >= math.pi else math.cos(t * theta / 2.0)
 
 
 def t_perfect(theta: float) -> int:

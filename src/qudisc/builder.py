@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import t_min_bounded
+from .bounds import optimal_overlap, t_min_bounded
 from .errors import IndistinguishableError, ShapeError, ValidationError
 from .geometry import closest_hull_point, smallest_arc
 from .linalg import (
@@ -46,8 +46,13 @@ class ParallelPlan:
     over at most 3 strings. Each string only picks up its product phase, so
     the final overlap is |sum_s weights[s] e^{i Phi_s}|: the distance from
     the origin to the hull of the chosen phases. For the strings
-    ``build_parallel`` picks that is cos(T*theta/2) while T*theta < pi and 0
-    from there on, the optimum over all protocols (Acin, PRL 87, 177901, 2001).
+    ``build_parallel`` picks that is ``bounds.optimal_overlap(theta, T)``,
+    the optimum over all protocols (Acin, PRL 87, 177901, 2001).
+
+    The fields are checked when the plan is built: a ``ValidationError``
+    for a copy count that is not an integer >= 1 or strings that are not
+    integers naming columns of ``eigenvectors``, a ``ShapeError`` for arrays
+    of the wrong shape.
     """
 
     copies: int
@@ -56,13 +61,31 @@ class ParallelPlan:
     weights: np.ndarray
     predicted_overlap: float
 
+    def __post_init__(self):
+        # attributes and one pass over the strings: the campaign builds one plan per instance
+        self.copies = check_copies(self.copies)
+        v, s, w = self.eigenvectors, self.strings, self.weights
+        if not (isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[0] == v.shape[1]):
+            raise ShapeError(f"plan: eigenvectors must be a square matrix, got shape {np.shape(v)}")
+        if not (isinstance(s, np.ndarray) and s.dtype.kind in "iu"):
+            raise ValidationError("plan: strings must be an array of integers")
+        if s.ndim != 2 or not 1 <= s.shape[0] <= 3 or s.shape[1] != self.copies:
+            raise ShapeError(f"plan: strings has shape {s.shape}, expected 1 to 3 rows of "
+                             f"{self.copies} copies")
+        if not (isinstance(w, np.ndarray) and w.shape == s.shape[:1]):
+            raise ShapeError(f"plan: weights has shape {np.shape(w)}, expected ({s.shape[0]},)")
+        # read as unsigned, a negative column is above every dimension: one max covers both ends
+        if s.view(f"u{s.itemsize}").max() >= v.shape[1]:
+            raise ValidationError(f"plan: strings must name columns 0 to {v.shape[1] - 1} "
+                                  f"of eigenvectors")
+
 
 def build_parallel(pair: UnitaryPair, t: int) -> ParallelPlan:
     """Parallel plan for t simultaneous copies of the unknown unitary.
 
     Raises IndistinguishableError when the pair has zero phase spread.
     """
-    check_copies(t)
+    t = check_copies(t)
     spectrum = pair.spectrum  # with eigenvectors: the strings are made of them
     arc = smallest_arc(spectrum)
     if arc.theta == 0.0:
@@ -84,7 +107,7 @@ def build_parallel(pair: UnitaryPair, t: int) -> ParallelPlan:
     _, weights = closest_hull_point(np.exp(1j * phases))
     chosen = np.flatnonzero(weights)
     strings = np.full((chosen.size, t), arc.start)
-    for row, c in zip(strings, chosen):
+    for row, c in zip(strings, chosen.tolist()):
         if c <= t:
             row[t - c:] = arc.end
         else:
@@ -94,16 +117,17 @@ def build_parallel(pair: UnitaryPair, t: int) -> ParallelPlan:
         eigenvectors=spectrum.vectors,
         strings=strings,
         weights=weights[chosen],
-        predicted_overlap=0.0 if t * arc.theta >= math.pi else math.cos(t * arc.theta / 2.0),
+        predicted_overlap=optimal_overlap(arc.theta, t),
     )
 
 
-def check_copies(t: int) -> None:
-    """Refuse a copy count that is not an integer, is below 1, or whose per-copy Gram stacks
-    (at most 3x3 string pairs for each of t copies and the idle tail) would not fit
+def check_copies(t: int) -> int:
+    """A copy count as a Python int, refused unless it is an integer >= 1 whose per-copy Gram
+    stacks (at most 3x3 string pairs for each of t copies and the idle tail) fit
     ``ENTRY_CAP``."""
-    check_integer(t, "copy count", 1)
+    t = check_integer(t, "copy count", 1)
     require_entries(9 * (t + 1), f"a parallel plan on {t} copies")
+    return t
 
 
 def simulate_parallel(pair: UnitaryPair, plan: ParallelPlan) -> SimulationTrace:
@@ -118,26 +142,32 @@ def simulate_parallel(pair: UnitaryPair, plan: ParallelPlan) -> SimulationTrace:
     come from the matrices, not from the phases, so the simulation checks
     the plan independently; distances and overlaps do not depend on the
     frame. Cost O(T) for at most 3 strings: no d**T vector is formed.
+
+    The prefix products of the query Grams and the suffix products of the
+    idle ones are two running products over copies, and every M_j sqrt(weights)
+    comes from one batched product: the same multiplications, in the same
+    order, as a loop over the copies makes.
     """
     if plan.eigenvectors.shape[0] != pair.dim:
         raise ShapeError(
             f"plan has dimension {plan.eigenvectors.shape[0]}, the unitaries {pair.dim}"
         )
     used = np.unique(plan.strings)
-    index = np.searchsorted(used, plan.strings)
+    index = np.searchsorted(used, plan.strings.T)  # (T, strings): copy m's columns of used
     x = plan.eigenvectors[:, used]
     moved = pair.unitaries @ x
     query = moved[0].conj().T @ moved[1]
     idle = x.conj().T @ x
-    rows, cols = index[:, None, :], index[None, :, :]
-    queried = np.cumprod(query[rows, cols], axis=2)  # [..., j-1]: copies 0..j-1
-    waiting = np.cumprod(idle[rows, cols][..., ::-1], axis=2)[..., ::-1]  # [..., j]: copies j..
-    waiting = np.concatenate([waiting, np.ones_like(waiting[..., :1])], axis=2)
+    rows, cols = index[:, :, None], index[:, None, :]
+    t, n = index.shape
+    queried = np.multiply.accumulate(query[rows, cols], axis=0)  # [j-1]: copies 0..j-1
+    waiting = np.empty((t + 1, n, n), dtype=complex)
+    waiting[t] = 1.0  # no copy left
+    np.multiply.accumulate(idle[rows, cols][::-1], axis=0, out=waiting[-2::-1])  # [j]: copies j..
     amp = np.sqrt(plan.weights).astype(complex)
-    states = np.empty((2, plan.copies + 1, amp.size), dtype=complex)
+    states = np.empty((2, t + 1, n), dtype=complex)
     states[0] = states[1, 0] = amp
-    for j in range(1, plan.copies + 1):
-        states[1, j] = (queried[..., j - 1] * waiting[..., j]) @ amp
+    np.matmul(queried * waiting[1:], amp, out=states[1, 1:])
     return record_trace(states)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, ShapeError
 from .linalg import TWO_PI, PhaseSpectrum, require_normalized, wrap_phase
@@ -28,10 +29,11 @@ class ArcResult:
     end: int  # first index of end_phase in the ascending phases
 
 
-def _require_unit_circle(points: np.ndarray) -> None:
-    off = np.max(np.abs(np.abs(points) - 1.0))
-    if not off <= UNITARY_TOL:  # a NaN point is refused too
-        raise DomainError(f"points must lie on the unit circle (max modulus error {off:.3e})")
+def _require_unit_circle(points: list[complex]) -> None:
+    """Refuse a point off the unit circle; a NaN fails the comparison, so it is refused too."""
+    off = [e for z in points if not (e := abs(abs(z) - 1.0)) <= UNITARY_TOL]
+    if off:
+        raise DomainError(f"points must lie on the unit circle (modulus error {off[0]:.3e})")
 
 
 def smallest_arc(spectrum: PhaseSpectrum) -> ArcResult:
@@ -108,34 +110,44 @@ def closest_hull_point(points) -> tuple[float, np.ndarray]:
     If the origin lies in a triangle of the fan from the first vertex, the
     distance is 0 and the weights are its barycentric coordinates there.
     Otherwise the minimum is attained on an edge or vertex.
+
+    The order comes from numpy's ``angle``, as the phases of a spectrum do:
+    points of one phase formed two ways (x_b a^(T-1) and a^(T-1) b in
+    ``build_parallel``) keep the order numpy gives them. Every later step is
+    O(m) work on Python floats, which at the few points of a plan costs less
+    than numpy's per-call overhead; one 3x3 solve is left to LAPACK.
     """
     pts = np.asarray(points, dtype=complex).ravel()
-    if pts.size == 0:
+    zs = pts.tolist()
+    if not zs:
         raise DomainError("need at least one point")
-    _require_unit_circle(pts)
-
-    order = np.argsort(wrap_phase(np.angle(pts)))
-    p = pts[order]
-    weights = np.zeros(pts.size)
-    if p.size == 1:
+    _require_unit_circle(zs)
+    order = np.argsort(wrap_phase(np.angle(pts))).tolist()
+    p = [zs[k] for k in order]
+    weights = [0.0] * len(p)
+    if len(p) == 1:
         weights[order[0]] = 1.0
-        return 1.0, weights
+        return 1.0, np.array(weights)
 
-    if p.size > 2:
-        weights_in = _fan_weights(p)
-        if weights_in is not None:
-            weights[order] = weights_in
-            return 0.0, weights
+    fan = _fan_weights(p) if len(p) > 2 else None
+    if fan is not None:
+        for k, w in fan:
+            weights[order[k]] = w
+        return 0.0, np.array(weights)
 
     # two points bound a single segment, not two edges
-    edges = [(k, (k + 1) % p.size) for k in range(1 if p.size == 2 else p.size)]
+    edges = [(k, (k + 1) % len(p)) for k in range(1 if len(p) == 2 else len(p))]
     dist, t, (i, j) = min(_closest_on_segment(p[i], p[j]) + ((i, j),) for i, j in edges)
     weights[order[i]] += 1.0 - t
     weights[order[j]] += t
-    return float(dist), weights
+    return dist, np.array(weights)
 
 
-def _fan_weights(p: np.ndarray) -> np.ndarray | None:
+# right-hand side of the barycentric system: the combination is the origin, weights sum to 1
+_ORIGIN = np.array([0.0, 0.0, 1.0])
+
+
+def _fan_weights(p: list[complex]) -> list[tuple[int, float]] | None:
     """Convex weights over CCW-sorted circle points that sum them to the origin, or None.
 
     Looks for the origin in the fan of triangles (p_0, p_i, p_i+1). Twice
@@ -144,29 +156,29 @@ def _fan_weights(p: np.ndarray) -> np.ndarray | None:
     origin deepest. The weights come from a pivoted solve, which leaves a
     residual of rounding size whenever they are all nonnegative. None when
     the origin lies outside, or on the boundary within rounding, where the
-    nearest edge answers to rounding as well.
+    nearest edge answers to rounding as well. Returns (index into p, weight)
+    for the triangle's three corners.
     """
-    a, b, c = p[0], p[1:-1], p[2:]
-    areas = np.array([_cross(b, c), _cross(c, a), _cross(a, b)])
-    best = int(np.argmax(areas.min(axis=0)))
-    if areas[:, best].min() < 0.0:
+    a = p[0]
+    depths = [min(_cross(b, c), _cross(c, a), _cross(a, b)) for b, c in zip(p[1:-1], p[2:])]
+    best = max(range(len(depths)), key=depths.__getitem__)  # the first deepest, as argmax
+    if depths[best] < 0.0:
         return None
-    tri = [0, best + 1, best + 2]
-    system = np.array([p[tri].real, p[tri].imag, np.ones(3)])
-    try:
-        w = np.linalg.solve(system, np.array([0.0, 0.0, 1.0]))
-    except np.linalg.LinAlgError:
+    b, c = p[best + 1], p[best + 2]
+    system = np.array([[a.real, b.real, c.real], [a.imag, b.imag, c.imag], [1.0, 1.0, 1.0]])
+    # np.linalg.solve's LAPACK call; a singular system (two equal corners) fills w with NaN,
+    # which the sign test refuses, where np.linalg.solve would raise
+    with np.errstate(all="ignore"):
+        w = _umath_linalg.solve1(system, _ORIGIN, signature="dd->d").tolist()
+    if not (w[0] >= 0.0 and w[1] >= 0.0 and w[2] >= 0.0):
         return None
-    if not np.all(w >= 0.0):
-        return None
-    out = np.zeros(p.size)
-    out[tri] = w / w.sum()
-    return out
+    total = w[0] + w[1] + w[2]
+    return [(0, w[0] / total), (best + 1, w[1] / total), (best + 2, w[2] / total)]
 
 
-def _cross(u, v):
-    """z-component of the cross product of complex numbers as plane vectors."""
-    return (np.conj(u) * v).imag
+def _cross(u: complex, v: complex) -> float:
+    """z-component of the cross product of complex numbers as plane vectors: Im(conj(u) v)."""
+    return u.real * v.imag - u.imag * v.real
 
 
 def _closest_on_segment(a: complex, b: complex) -> tuple[float, float]:

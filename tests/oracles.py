@@ -9,6 +9,7 @@ import numpy as np
 from qudisc import PhaseSpectrum
 from qudisc.linalg import (haar_isometry_from_rng, haar_unitary_from_rng, random_state_from_rng,
                            wrap_phase)
+from qudisc.tolerances import UNITARY_TOL
 
 TWO_PI = 2.0 * np.pi
 
@@ -151,3 +152,68 @@ def reference_record(cfg, index: int) -> dict:
         "theorem1_slack": t * theta / 2.0 - need,
         "theorem1_slack_onesided": t * theta / 2.0 - need_onesided,
     }
+
+
+def closest_hull_point_numpy(points) -> tuple[float, np.ndarray]:
+    """``geometry.closest_hull_point`` as it was written on numpy arrays, frozen as a reference.
+
+    The package's routine walks the same fan and edges on Python floats; the
+    two must agree bit for bit on distance and weights. Sorting by wrapped
+    phase, the fan of triangles from the first vertex with the deepest one
+    solved by ``np.linalg.solve``, then the nearest point over the edges.
+    """
+    pts = np.asarray(points, dtype=complex).ravel()
+    if pts.size == 0:
+        raise ValueError("need at least one point")
+    off = np.max(np.abs(np.abs(pts) - 1.0))
+    if not off <= UNITARY_TOL:
+        raise ValueError(f"points must lie on the unit circle (max modulus error {off:.3e})")
+    order = np.argsort(wrap_phase(np.angle(pts)))
+    p = pts[order]
+    weights = np.zeros(pts.size)
+    if p.size == 1:
+        weights[order[0]] = 1.0
+        return 1.0, weights
+    if p.size > 2:
+        weights_in = _fan_weights_numpy(p)
+        if weights_in is not None:
+            weights[order] = weights_in
+            return 0.0, weights
+    edges = [(k, (k + 1) % p.size) for k in range(1 if p.size == 2 else p.size)]
+    dist, t, (i, j) = min(_closest_on_segment_numpy(p[i], p[j]) + ((i, j),) for i, j in edges)
+    weights[order[i]] += 1.0 - t
+    weights[order[j]] += t
+    return float(dist), weights
+
+
+def _fan_weights_numpy(p: np.ndarray) -> np.ndarray | None:
+    a, b, c = p[0], p[1:-1], p[2:]
+    areas = np.array([_cross_numpy(b, c), _cross_numpy(c, a), _cross_numpy(a, b)])
+    best = int(np.argmax(areas.min(axis=0)))
+    if areas[:, best].min() < 0.0:
+        return None
+    tri = [0, best + 1, best + 2]
+    system = np.array([p[tri].real, p[tri].imag, np.ones(3)])
+    try:
+        w = np.linalg.solve(system, np.array([0.0, 0.0, 1.0]))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(w >= 0.0):
+        return None
+    out = np.zeros(p.size)
+    out[tri] = w / w.sum()
+    return out
+
+
+def _cross_numpy(u, v):
+    return (np.conj(u) * v).imag
+
+
+def _closest_on_segment_numpy(a: complex, b: complex) -> tuple[float, float]:
+    ab = b - a
+    denom = abs(ab) ** 2
+    if denom == 0.0:
+        return abs(a), 0.0
+    t = -(a.real * ab.real + a.imag * ab.imag) / denom
+    t = min(1.0, max(0.0, t))
+    return abs(a + t * ab), t

@@ -9,6 +9,8 @@ from qudisc import (
     DomainError,
     ErrorMode,
     IndistinguishableError,
+    ValidationError,
+    optimal_overlap,
     t_min_bounded,
     t_min_onesided,
     t_perfect,
@@ -93,6 +95,32 @@ def test_each_mode_reports_itself_and_its_epsilon_domain():
     assert t_min_onesided(0.2, 0.6).mode is ErrorMode.ONE_SIDED
     with pytest.raises(DomainError):
         t_min_bounded(0.1, 0.6)  # a bounded error above 1/2 is no budget
+
+
+class TestOptimalOverlap:
+    def test_closed_form_below_a_half_turn_and_zero_from_it(self):
+        assert optimal_overlap(PI / 4, 0) == 1.0
+        assert optimal_overlap(0.0, 5) == 1.0
+        assert optimal_overlap(PI / 4, 2) == math.cos(PI / 4)
+        assert optimal_overlap(PI / 4, 4) == 0.0  # T*theta = pi exactly
+        assert optimal_overlap(4.4, 1) == 0.0
+        assert optimal_overlap(1.0, 3) == math.cos(1.5)
+
+    def test_never_increases_with_queries(self):
+        for theta in np.linspace(0.01, 2 * PI - 0.01, 50):
+            values = [optimal_overlap(float(theta), t) for t in range(40)]
+            assert all(b <= a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("theta", [-0.1, 2 * PI, math.nan])
+    def test_theta_outside_its_domain_is_refused(self, theta):
+        with pytest.raises(DomainError, match="theta"):
+            optimal_overlap(theta, 1)
+
+    @pytest.mark.parametrize("t, message", [(-1, "query count must be >= 0"),
+                                            (1.5, "query count must be an integer")])
+    def test_query_count_outside_its_domain_is_refused(self, t, message):
+        with pytest.raises(ValidationError, match=message):
+            optimal_overlap(0.5, t)
 
 
 class TestPerfectCount:

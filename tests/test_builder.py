@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from qudisc import (
     IndistinguishableError,
     SearchConfig,
+    ShapeError,
     UnitaryPair,
     ValidationError,
     build_parallel,
     fidelity_closed_form,
     haar_unitary_from_rng,
     helstrom_error,
+    optimal_overlap,
     optimize_protocol,
     relative_spectrum,
     run_protocol,
@@ -164,7 +167,7 @@ class TestParallelPlan:
         for t in range(1, 2 * perfect + 1):  # the optimum is 0 from t = perfect on
             plan = build_parallel(pair, t)
             trace = simulate_parallel(pair, plan)
-            optimum = 0.0 if t * spread >= np.pi else math.cos(t * spread / 2.0)
+            optimum = optimal_overlap(spread, t)
             assert abs(plan.predicted_overlap - optimum) <= 1e-12
             assert abs(trace.final_overlap - optimum) <= 1e-12
             assert trace.distances[0] == 0.0
@@ -185,6 +188,112 @@ class TestParallelPlan:
                 assert abs(trace.final_overlap - plan.predicted_overlap) <= 1e-8
                 checked += 1
         assert checked > 500
+
+
+def per_copy_states(pair: UnitaryPair, plan) -> np.ndarray:
+    """The plan's (2, T+1, strings) states, one copy at a time.
+
+    The Gram entries are taken as ``simulate_parallel`` takes them, on an
+    (strings, strings, copies) table. After j queries branch 2 is
+    (P_j * S_j) @ sqrt(weights): P_j is the product of the query Grams of
+    copies 0..j-1, read off their running product along the copies, and S_j
+    that of the idle Grams of copies j..T-1, read off their running product
+    from the last copy down, and 1 once no copy is left.
+    """
+    used = np.unique(plan.strings)
+    index = np.searchsorted(used, plan.strings)
+    x = plan.eigenvectors[:, used]
+    moved = pair.unitaries @ x
+    query = moved[0].conj().T @ moved[1]
+    idle = x.conj().T @ x
+    rows, cols = index[:, None, :], index[None, :, :]
+    prefix = np.cumprod(query[rows, cols], axis=2)
+    suffix = np.cumprod(idle[rows, cols][..., ::-1], axis=2)[..., ::-1]
+    none_left = np.ones((plan.weights.size,) * 2, dtype=complex)
+    amp = np.sqrt(plan.weights).astype(complex)
+    states = np.empty((2, plan.copies + 1, amp.size), dtype=complex)
+    states[0] = states[1, 0] = amp
+    for j in range(1, plan.copies + 1):
+        waiting = suffix[..., j] if j < plan.copies else none_left
+        states[1, j] = (prefix[..., j - 1] * waiting) @ amp
+    return states
+
+
+class TestParallelSimulationPerCopy:
+    """``simulate_parallel`` forms every copy's state from running products over copies and
+    one batched product; it must equal the loop over copies bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_states_equal_a_loop_over_copies(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        pairs = [UnitaryPair.of(*haar_unitary_from_rng(dim, rng, (2,))) for _ in range(6)]
+        if dim == 3:  # theta = 4.4 > pi on a diagonal pair, so the plan takes a third eigenvector
+            pairs.append(UnitaryPair.of(np.eye(3), np.diag(np.exp(1j * np.array([0.0, 2.2, 4.4])))))
+        wide = 0
+        for pair in pairs:
+            wide += smallest_arc(pair.spectrum).theta >= math.pi
+            for t in (1, 2, 8, 64, 2000):
+                plan = build_parallel(pair, t)
+                states = simulate_parallel(pair, plan).states
+                assert states.tobytes() == per_copy_states(pair, plan).tobytes()
+        assert wide >= (1 if dim > 2 else 0)  # plans with theta >= pi are among them
+
+
+class TestParallelPlanFields:
+    """A plan checks its fields when built: each case below reached the simulation, which
+    ran it silently or failed with an untyped numpy error."""
+
+    @staticmethod
+    def plan():
+        return build_parallel(eighth_turn(), 3)
+
+    def test_negative_strings_are_refused(self):
+        # numpy read -2 and -1 as columns counted from the end: the valid plan's overlap
+        with pytest.raises(ValidationError, match="strings must name columns 0 to 1"):
+            dataclasses.replace(self.plan(), strings=self.plan().strings - 2)
+
+    def test_strings_past_the_last_column_are_refused(self):
+        # an IndexError in simulate_parallel
+        with pytest.raises(ValidationError, match="strings must name columns 0 to 1"):
+            dataclasses.replace(self.plan(), strings=self.plan().strings + 2)
+
+    def test_strings_with_too_few_copies_are_refused(self):
+        # an IndexError in simulate_parallel
+        with pytest.raises(ShapeError, match="strings has shape"):
+            dataclasses.replace(self.plan(), strings=self.plan().strings[:, :-1])
+
+    def test_weights_of_the_wrong_length_are_refused(self):
+        # numpy's ValueError from the batched product
+        with pytest.raises(ShapeError, match="weights has shape"):
+            dataclasses.replace(self.plan(), weights=self.plan().weights[:-1])
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("copies", 3.0, ValidationError),
+        ("strings", np.zeros((2, 3)), ValidationError),
+        ("strings", np.zeros((4, 3), dtype=int), ShapeError),
+        ("eigenvectors", np.eye(2)[:, :1], ShapeError),
+    ])
+    def test_mistyped_fields_are_refused(self, field, value, error):
+        with pytest.raises(error, match="copy count|plan:"):
+            dataclasses.replace(self.plan(), **{field: value})
+
+    def test_a_built_plan_passes(self):
+        plan = self.plan()
+        assert plan.copies == 3 and plan.strings.shape == (plan.weights.size, 3)
+
+
+class TestOptimalOverlap:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_parallel_plan_reaches_it(self, dim):
+        rng = np.random.default_rng(70 + dim)
+        for _ in range(30):
+            pair = UnitaryPair.of(*haar_unitary_from_rng(dim, rng, (2,)))
+            theta = smallest_arc(relative_spectrum(pair)).theta
+            for t in (1, 2, 3, 5, 8, 20):
+                plan = build_parallel(pair, t)
+                assert plan.predicted_overlap == optimal_overlap(theta, t)
+                overlap = simulate_parallel(pair, plan).final_overlap
+                assert abs(overlap - optimal_overlap(theta, t)) <= 1e-12
 
 
 class TestSearchConfig:

@@ -20,7 +20,8 @@ from qudisc import (
 )
 from qudisc.linalg import TWO_PI
 
-from .oracles import anchored_arc_theta, as_spectrum, min_combination_sampled
+from .oracles import (anchored_arc_theta, as_spectrum, closest_hull_point_numpy,
+                      min_combination_sampled)
 
 
 def random_phases(rng, max_size=8):
@@ -233,6 +234,82 @@ class TestHullWeights:
         distance, w = closest_hull_point(points)
         assert distance == 0.0
         assert abs(np.dot(w, points)) == 0.0
+
+
+def plan_candidates(rng) -> np.ndarray:
+    """Phases as ``build_parallel`` forms them: j*theta for j = 0..T, and from theta >= pi the
+    spectrum's other phases turned by the start phase, which can repeat or nearly repeat one
+    of the steps. T*theta runs past 2*pi, so the steps wrap around the circle."""
+    t = int(rng.integers(1, 40))
+    if rng.random() < 0.3:  # a rational turn: candidates on a diameter or repeating exactly
+        theta = math.pi * int(rng.integers(1, 8)) / int(rng.integers(1, 16)) % TWO_PI or 0.5
+    else:
+        theta = rng.uniform(0.01, TWO_PI - 0.01)
+    phases = list(np.arange(t + 1) * theta)
+    if theta >= math.pi:
+        phases += list(rng.uniform(0, TWO_PI, int(rng.integers(0, 4))) - rng.uniform(0, TWO_PI))
+        # x_b a^(T-1) beside a^(T-1) b: the step theta again, formed as a difference of phases
+        phases += [theta, np.nextafter(theta, 10.0)][: int(rng.integers(0, 3))]
+    return np.array(phases)
+
+
+def tied_points(rng) -> np.ndarray:
+    """Points with exact duplicates, and phases a few ulps apart."""
+    base = rng.uniform(0, TWO_PI, int(rng.integers(1, 7)))
+    dupes = list(rng.choice(base, int(rng.integers(1, 4))))
+    nudged = [x + k * math.ulp(x) for x in base[:2] for k in (-2, 1, 3)]
+    return np.array(list(base) + dupes + nudged[: int(rng.integers(0, 7))])
+
+
+class TestHullAgainstFrozenOracle:
+    """``closest_hull_point`` walks the fan and the edges on Python floats; the numpy routine it
+    replaced, frozen in ``oracles``, must give the same distance and weights bit for bit."""
+
+    @staticmethod
+    def same(points):
+        distance, w = closest_hull_point(points)
+        ref_distance, ref_w = closest_hull_point_numpy(points)
+        assert type(distance) is float and distance == ref_distance
+        assert w.dtype == ref_w.dtype and w.tobytes() == ref_w.tobytes()
+
+    @pytest.mark.parametrize("draw", [random_phases, plan_candidates, tied_points])
+    def test_fuzzed_points(self, draw):
+        rng = np.random.default_rng(17)
+        for _ in range(1500):
+            phases = draw(rng)
+            self.same(np.exp(1j * rng.permutation(phases)))
+
+    @pytest.mark.parametrize("points", [
+        [1.0, 1.0, -1.0],  # the origin on an edge, through a duplicate
+        [1.0, -1.0, 1j],
+        [1j, -1j, 1.0, 1.0],
+        [1.0, -1.0],
+        [-1.0, 1.0, 1j, -1j],  # on both diagonals of the fan
+        [1.0, 1j, -1.0, -1j, 1.0, -1.0],
+    ])
+    def test_exact_points_on_an_edge_or_diagonal(self, points):
+        self.same(points)
+
+    def test_rounded_diameters_agree_to_rounding(self):
+        # two points a diameter apart up to rounding put the origin on an edge within 1e-16:
+        # whether the fan or the nearest edge answers then rests on a cross product that
+        # numpy rounds once (a fused multiply-add, on CPUs that have one) and Python twice,
+        # so only the distance is pinned, to rounding, and the weights must still reach it
+        rng = np.random.default_rng(18)
+        for _ in range(500):
+            a = rng.uniform(0, TWO_PI)
+            side = rng.uniform(0, math.pi, int(rng.integers(0, 4))) * rng.choice([1, -1])
+            points = np.exp(1j * np.array([a, a + math.pi, *(a + side)]))
+            distance, w = closest_hull_point(points)
+            assert abs(distance - closest_hull_point_numpy(points)[0]) <= 1e-15
+            assert distance <= 1e-15 and np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+            assert abs(np.dot(w, points)) <= 1e-15
+
+    def test_nan_after_the_first_point_is_refused(self):
+        # Python's max skips a NaN that is not first; the check must not
+        for points in ([1.0, 1j, np.nan], [1.0, complex(np.nan, 0.0), -1.0]):
+            with pytest.raises(DomainError, match="unit circle"):
+                closest_hull_point(points)
 
 
 class TestHullQuery:
