@@ -9,8 +9,10 @@ pair, so they are built, validated and evaluated there: each effect is a
 2x2 block in an orthonormal basis of the span (1x1 for coinciding states)
 plus a weight on the projector onto the complement. No n x n array is
 formed, at any ambient dimension n.
-The 2x2 blocks' entries are formed and checked in closed form on Python
-scalars, since numpy's per-call overhead would dwarf the arithmetic.
+The 2x2 blocks' entries are formed in closed form on Python scalars, and
+blocks of size at most 2 are validated and evaluated on Python scalars,
+since numpy's per-call overhead would dwarf the arithmetic. Larger blocks,
+of a dense POVM passed in, are validated and evaluated as one stack.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ class Povm:
     rest: np.ndarray | None = None
 
     def __post_init__(self):
+        if isinstance(self.labels, str):  # would be split into characters
+            raise ValidationError(
+                f"labels must be a sequence of outcome labels, got the string {self.labels!r}")
         self.labels = tuple(self.labels)
         if not self.labels:
             raise ValidationError("a POVM needs at least one effect")
@@ -65,12 +70,19 @@ class Povm:
         if len(shape) != 3 or shape[0] != m or not 0 < shape[1] == shape[2]:
             raise ValidationError(f"effects must stack into {m} square blocks, got shape {shape}")
         k = shape[1]
-        self.basis = np.asarray(np.eye(k) if self.basis is None else self.basis, dtype=complex)
+        try:
+            self.basis = np.asarray(np.eye(k) if self.basis is None else self.basis, dtype=complex)
+        except (TypeError, ValueError):  # a ragged list of rows
+            raise ValidationError(f"basis must be an n x {k} matrix of numbers") from None
         if self.basis.ndim != 2 or self.basis.shape[1] != k:
             raise ValidationError(f"basis must be an n x {k} matrix, got shape {self.basis.shape}")
-        if self.rest is None:
-            self.rest = np.zeros(m)
-        self.rest = np.asarray(self.rest, dtype=float)
+        try:
+            rest = np.asarray(np.zeros(m) if self.rest is None else self.rest)
+        except ValueError:  # a ragged list
+            rest = None
+        if rest is None or rest.dtype.kind not in "iuf":  # casting would drop imaginary parts
+            raise ValidationError("rest must be real numbers, one complement weight per effect")
+        self.rest = rest.astype(float, copy=False)
         if self.rest.shape != (m,):
             raise ValidationError("one complement weight per effect required")
 
@@ -81,21 +93,26 @@ class Povm:
     def validate(self) -> None:
         """Check finiteness, the basis, then hermiticity, positivity and completeness.
 
-        Each property is checked for all blocks at once, on their stack.
+        Blocks of size at most 2, the span form's, are read once onto Python
+        scalars and checked in closed form; larger ones are checked as one stack.
         """
         n, k = self.basis.shape
+        figures = _block_figures if k <= 2 else _stack_figures
+        bad_block, basis_finite, basis_defect, asymmetry, lowest, defect = figures(self.basis,
+                                                                                   self.effects)
         # every tolerance comparison below is False for NaN: refuse non-finite input first
-        if not np.isfinite(self.effects).all():
-            j = int(np.argmax(~np.isfinite(self.effects).all(axis=(1, 2))))
-            raise ValidationError(f"{self._name(j)} has non-finite entries")
+        if bad_block is not None:
+            raise ValidationError(f"{self._name(bad_block)} has non-finite entries")
         rest = self.rest.tolist()
         for j, w in enumerate(rest):  # finite weights may still overflow their sum, checked last
             if not math.isfinite(w):
                 raise ValidationError(f"{self._name(j)} has non-finite complement weight {w}")
-        if not np.isfinite(self.basis).all():
-            raise ValidationError("basis entries must be finite")
-        gram = self.basis.conj().T @ self.basis
-        basis_defect, asymmetry, lowest, defect = _validation_figures(gram, self.effects)
+        # A non-finite entry in column j makes gram[j][j] non-finite, and so does a finite
+        # basis whose Gram overflows: only then is the basis itself read.
+        if not basis_finite:
+            if not np.isfinite(self.basis).all():
+                raise ValidationError("basis entries must be finite")
+            raise ValidationError("basis columns are not orthonormal")
         if basis_defect > POVM_TOL:
             raise ValidationError("basis columns are not orthonormal")
         for j, (asym, lo, weight) in enumerate(zip(asymmetry, lowest, rest)):
@@ -117,36 +134,72 @@ class Povm:
         return f"effect {j} ({self.labels[j]})"
 
 
-def _validation_figures(gram: np.ndarray,
-                        blocks: np.ndarray) -> tuple[float, list[float], list[float], float]:
-    """The figures ``Povm.validate`` checks, for a basis Gram matrix and a stack of k x k blocks.
+# What Povm.validate checks, from the basis and the blocks: the first block with a non-finite
+# entry (None if none), whether the diagonal of the basis Gram matrix is finite, the largest
+# entry of |gram - I|, each block's largest entry of |B - B^H|, the lowest eigenvalue of each
+# block's Hermitian part (B + B^H)/2, and the largest entry of |sum of blocks - I|.
+_Figures = tuple[int | None, bool, float, list[float], list[float], float]
 
-    Returns the largest entry of |gram - I|, each block's largest entry of
-    |B - B^H|, the lowest eigenvalue of each block's Hermitian part
-    (B + B^H)/2, and the largest entry of |sum of blocks - I|. The span
-    form's 2x2 blocks take the closed form on Python scalars, free of
-    per-call array overhead: the eigenvalues of [[a, c], [c*, d]] are
-    (a + d)/2 -+ sqrt(((a - d)/2)^2 + |c|^2). Other sizes (1x1 for a
-    coinciding pair, the full effects of a dense POVM) take one batched eigvalsh.
+
+def _block_figures(basis: np.ndarray, blocks: np.ndarray) -> _Figures:
+    """The figures for 1x1 or 2x2 blocks, in closed form on Python scalars.
+
+    The eigenvalues of [[a, c], [c*, d]] are (a + d)/2 -+ sqrt(((a - d)/2)^2 + |c|^2),
+    that of [[a]] is Re a. A non-finite entry makes its column of the
+    blocks' sum non-finite, and so may an overflow: only then are the
+    entries read one by one. The Gram entries come from ``np.vdot``, which,
+    unlike a matrix product, warns of no overflow or infinite entry.
     """
-    k = blocks.shape[1]
-    if k != 2:
-        eye = np.eye(k)
-        adjoints = blocks.conj().swapaxes(1, 2)
-        asymmetry = np.abs(blocks - adjoints).max(axis=(1, 2)).tolist()
-        lowest = (np.linalg.eigvalsh(blocks + adjoints)[:, 0] / 2.0).tolist()
-        return (float(np.abs(gram - eye).max()), asymmetry, lowest,
-                float(np.abs(blocks.sum(axis=0) - eye).max()))
+    blocks = blocks.tolist()
+    if len(blocks[0]) == 1:
+        g = complex(np.vdot(basis, basis))
+        entries = [a for ((a,),) in blocks]
+        total = sum(entries)
+        return (_first_non_finite(blocks, total), _finite(g), abs(g - 1.0),
+                [2.0 * abs(a.imag) for a in entries], [a.real for a in entries], abs(total - 1.0))
     asymmetry, lowest = [], []
     s00 = s01 = s10 = s11 = 0j
-    for (a, c), (c_low, d) in blocks.tolist():
-        asymmetry.append(max(2.0 * abs(a.imag), 2.0 * abs(d.imag), abs(c - c_low.conjugate())))
-        half_gap = math.hypot((a.real - d.real) / 2.0, abs(c + c_low.conjugate()) / 2.0)
-        lowest.append((a.real + d.real) / 2.0 - half_gap)
+    hypot = math.hypot
+    for (a, c), (c_low, d) in blocks:
+        c_up = c_low.conjugate()  # the entry of B^H facing c
+        ar, dr = a.real, d.real
+        asymmetry.append(max(2.0 * abs(a.imag), 2.0 * abs(d.imag), abs(c - c_up)))
+        lowest.append((ar + dr) / 2.0 - hypot((ar - dr) / 2.0, abs(c + c_up) / 2.0))
         s00, s01, s10, s11 = s00 + a, s01 + c, s10 + c_low, s11 + d
-    (g00, g01), (g10, g11) = gram.tolist()
-    return (_identity_defect(g00, g01, g10, g11), asymmetry, lowest,
+    b0, b1 = basis.T
+    g00, g01, g11 = complex(np.vdot(b0, b0)), complex(np.vdot(b0, b1)), complex(np.vdot(b1, b1))
+    return (_first_non_finite(blocks, s00 + s01 + s10 + s11), _finite(g00 + g11),
+            _identity_defect(g00, g01, g01.conjugate(), g11), asymmetry, lowest,
             _identity_defect(s00, s01, s10, s11))
+
+
+def _finite(z: complex) -> bool:
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
+def _first_non_finite(blocks: list[list[list[complex]]], total: complex) -> int | None:
+    """The first block with a non-finite entry, given the sum of all their entries."""
+    if _finite(total):
+        return None
+    for j, block in enumerate(blocks):
+        if not all(_finite(z) for row in block for z in row):
+            return j
+    return None  # the sum overflowed
+
+
+def _stack_figures(basis: np.ndarray, blocks: np.ndarray) -> _Figures:
+    """The figures for a stack of k x k blocks, k > 2: one batched eigvalsh, on finite blocks."""
+    finite = np.isfinite(blocks).all(axis=(1, 2))
+    if not finite.all():
+        return int(np.argmin(finite)), False, math.nan, [], [], math.nan
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by the caller, without a warning
+        gram = basis.conj().T @ basis
+    eye = np.eye(blocks.shape[1])
+    adjoints = blocks.conj().swapaxes(1, 2)
+    asymmetry = np.abs(blocks - adjoints).max(axis=(1, 2)).tolist()
+    lowest = (np.linalg.eigvalsh(blocks + adjoints)[:, 0] / 2.0).tolist()
+    return (None, bool(np.isfinite(gram.diagonal()).all()), float(np.abs(gram - eye).max()),
+            asymmetry, lowest, float(np.abs(blocks.sum(axis=0) - eye).max()))
 
 
 def _identity_defect(m00: complex, m01: complex, m10: complex, m11: complex) -> float:
@@ -159,11 +212,27 @@ def _born(blocks: np.ndarray, rest: np.ndarray, x: np.ndarray) -> list[list[floa
 
     Row s of ``x`` holds state s's coordinates in the basis; the state's
     mass outside the span, 1 - |x_s|^2, meets each effect's complement weight.
+    Blocks of size at most 2 take <x|B|x> on Python scalars, larger ones one einsum.
     """
-    x_conj = x.conj()
-    inside = np.einsum("si,eik,sk->es", x_conj, blocks, x).real
-    outside = 1.0 - np.einsum("si,si->s", x_conj, x).real
-    return (inside + rest[:, None] * outside).clip(0.0, 1.0).tolist()
+    k = blocks.shape[1]
+    if k > 2:
+        x_conj = x.conj()
+        inside = np.einsum("si,eik,sk->es", x_conj, blocks, x).real
+        outside = 1.0 - np.einsum("si,si->s", x_conj, x).real
+        return (inside + rest[:, None] * outside).clip(0.0, 1.0).tolist()
+    # both states unrolled: each is one coordinate pair, padded with 0 for a 1x1 block
+    (p1, q1), (p2, q2) = x.tolist() if k == 2 else [(p, 0j) for p, in x.tolist()]
+    c1, d1, c2, d2 = p1.conjugate(), q1.conjugate(), p2.conjugate(), q2.conjugate()
+    out1, out2 = 1.0 - ((c1 * p1).real + (d1 * q1).real), 1.0 - ((c2 * p2).real + (d2 * q2).real)
+    probs = []
+    for block, w in zip(blocks.tolist(), rest.tolist()):
+        (b00, b01), (b10, b11) = block if k == 2 else ((block[0][0], 0j), (0j, 0j))
+        v1 = (c1 * (b00 * p1 + b01 * q1) + d1 * (b10 * p1 + b11 * q1)).real + w * out1
+        v2 = (c2 * (b00 * p2 + b01 * q2) + d2 * (b10 * p2 + b11 * q2)).real + w * out2
+        # clamped as numpy's clip does, which keeps a NaN
+        probs.append([0.0 if v1 < 0.0 else 1.0 if v1 > 1.0 else v1,
+                      0.0 if v2 < 0.0 else 1.0 if v2 > 1.0 else v2])
+    return probs
 
 
 @dataclass(frozen=True)
@@ -318,10 +387,4 @@ def evaluate_povm(povm: Povm, pair: StatePair) -> DiscriminationOutcome:
     p1, _ = by_label.get(IDENTIFY_1, absent)
     _, p2 = by_label.get(IDENTIFY_2, absent)
     inc1, inc2 = by_label.get(INCONCLUSIVE, absent)
-    return DiscriminationOutcome(
-        p_correct_1=p1,
-        p_correct_2=p2,
-        p_inconclusive_1=inc1,
-        p_inconclusive_2=inc2,
-        p_s=p1 + p2,
-    )
+    return DiscriminationOutcome(p1, p2, inc1, inc2, p1 + p2)

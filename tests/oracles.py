@@ -4,12 +4,15 @@ These deliberately avoid the algorithms used inside the package so that
 agreement between the two is evidence, not tautology.
 """
 
+import math
+from functools import reduce
+
 import numpy as np
 
-from qudisc import PhaseSpectrum
+from qudisc import PhaseSpectrum, UnitaryPair, ValidationError, build_parallel
 from qudisc.linalg import (haar_isometry_from_rng, haar_unitary_from_rng, random_state_from_rng,
                            wrap_phase)
-from qudisc.tolerances import UNITARY_TOL
+from qudisc.tolerances import POVM_TOL, UNITARY_TOL
 
 TWO_PI = 2.0 * np.pi
 
@@ -96,35 +99,69 @@ def _trace_norm(a, b) -> float:
     return float(np.abs(np.linalg.eigvalsh(np.outer(a, a.conj()) - np.outer(b, b.conj()))).sum())
 
 
-def reference_record(cfg, index: int) -> dict:
-    """The record of a ``random`` campaign instance, recomputed with dense, independent math.
+def _random_steps(u1, u2, t: int, rng: np.random.Generator) -> list[list[np.ndarray]]:
+    """The state pairs of a ``random`` instance, before the first query and after each.
 
-    The draws are inputs, not the subject: they come from the stream
-    ``default_rng([seed, index])`` through the package's own draw functions,
-    in the order the campaign takes them (the pair, T, the probe, one n x 2
-    isometry per query). Everything else is dense: theta from
-    ``np.linalg.eigvals``; queries as ``kron(U_i, I)`` on full n-vectors;
-    each isometry V completed to a dense unitary by QR, and the interleaver
-    taken as that unitary times the adjoint of a frame of the incoming pair,
-    so it maps the first state to V's first column; distances as trace norms
-    of the density-matrix difference. The bound columns are the paper's
-    formulas, written out here. Returns the record's fields by name.
+    Queries act as ``kron(U_i, I)`` on full n-vectors, n = d^2. Each drawn
+    isometry V is completed to a dense unitary by QR, and the interleaver is
+    that unitary times the adjoint of a frame of the incoming pair, so it maps
+    the first state to V's first column.
     """
-    d = cfg.dim
+    d = u1.shape[0]
     n = d * d  # the ancilla matches the system
-    rng = np.random.default_rng([cfg.seed, index])
-    u1, u2 = haar_unitary_from_rng(d, rng, (2,))
-    t = int(rng.integers(cfg.t_range[0], cfg.t_range[1] + 1))
-    theta = anchored_arc_theta(np.angle(np.linalg.eigvals(u1.conj().T @ u2)))
     states = [random_state_from_rng(n, rng)] * 2
-    distances = [0.0]
+    steps = [states]
     for _ in range(t):
         v = haar_isometry_from_rng(n, 2, rng)
         t1, t2 = (np.kron(u, np.eye(d)) @ s for u, s in zip((u1, u2), states))
         completed = _frame(v[:, 0], v[:, 1])
         w = completed @ _frame(t1, t2).conj().T
         states = [w @ t1, w @ t2]
-        distances.append(_trace_norm(*states))
+        steps.append(states)
+    return steps
+
+
+def _parallel_steps(u1, u2, t: int) -> list[list[np.ndarray]]:
+    """The state pairs of a ``parallel`` instance, before the first query and after each.
+
+    The probe is a dense d^T vector, sum_s sqrt(w_s) v_{s_1} x ... x v_{s_T}
+    over the plan's strings s and weights w, with v the plan's eigenvectors.
+    After j queries branch i holds (U_i x ... x U_i x I x ... x I) probe, the
+    first j copies queried, as one ``kron`` product.
+    """
+    plan = build_parallel(UnitaryPair.of(u1, u2), t)
+    vectors = plan.eigenvectors
+    probe = sum(np.sqrt(w) * reduce(np.kron, vectors[:, string].T)
+                for w, string in zip(plan.weights, plan.strings))
+    eye = np.eye(u1.shape[0])
+    return [[reduce(np.kron, [u] * j + [eye] * (t - j)) @ probe for u in (u1, u2)]
+            for j in range(t + 1)]
+
+
+def reference_record(cfg, index: int) -> dict:
+    """The record of a ``random`` or ``parallel`` campaign instance, recomputed with dense,
+    independent math.
+
+    The draws are inputs, not the subject: they come from the stream
+    ``default_rng([seed, index])`` through the package's own draw functions,
+    in the order the campaign takes them (the pair, T, and for ``random`` the
+    probe and one n x 2 isometry per query). For ``parallel`` the plan from
+    ``build_parallel`` is an input too. Everything else is dense: theta from
+    ``np.linalg.eigvals``; the states as full vectors (``_random_steps``,
+    ``_parallel_steps``); distances as trace norms of the density-matrix
+    difference. The bound columns are the paper's formulas, written out
+    here. Returns the record's fields by name.
+    """
+    rng = np.random.default_rng([cfg.seed, index])
+    u1, u2 = haar_unitary_from_rng(cfg.dim, rng, (2,))
+    t = int(rng.integers(cfg.t_range[0], cfg.t_range[1] + 1))
+    theta = anchored_arc_theta(np.angle(np.linalg.eigvals(u1.conj().T @ u2)))
+    if cfg.protocol_source == "parallel":
+        steps = _parallel_steps(u1, u2, t)
+    else:
+        steps = _random_steps(u1, u2, t, rng)
+    distances = [0.0] + [_trace_norm(*states) for states in steps[1:]]
+    states = steps[-1]
     a, b = states
     # of the normalised states, so one state twice (no query) reads exactly 1
     overlap = float(abs(np.vdot(a, b)) / np.sqrt(np.vdot(a, a).real * np.vdot(b, b).real))
@@ -217,3 +254,79 @@ def _closest_on_segment_numpy(a: complex, b: complex) -> tuple[float, float]:
     t = -(a.real * ab.real + a.imag * ab.imag) / denom
     t = min(1.0, max(0.0, t))
     return abs(a + t * ab), t
+
+
+def validate_numpy(povm) -> None:
+    """``Povm.validate`` as it was written with numpy finiteness passes, frozen as a reference.
+
+    The package's routine reads blocks of size at most 2 on Python scalars;
+    the two must raise the same ``ValidationError`` message, or none. The
+    effects' and the basis's finiteness by ``np.isfinite``, then one figure
+    per check: the 2x2 blocks in closed form, other sizes by one batched
+    ``eigvalsh``.
+    """
+    n, k = povm.basis.shape
+
+    def name(j):
+        return f"effect {j} ({povm.labels[j]})"
+
+    if not np.isfinite(povm.effects).all():
+        j = int(np.argmax(~np.isfinite(povm.effects).all(axis=(1, 2))))
+        raise ValidationError(f"{name(j)} has non-finite entries")
+    rest = povm.rest.tolist()
+    for j, w in enumerate(rest):
+        if not math.isfinite(w):
+            raise ValidationError(f"{name(j)} has non-finite complement weight {w}")
+    if not np.isfinite(povm.basis).all():
+        raise ValidationError("basis entries must be finite")
+    gram = povm.basis.conj().T @ povm.basis
+    basis_defect, asymmetry, lowest, defect = _validation_figures_numpy(gram, povm.effects)
+    if basis_defect > POVM_TOL:
+        raise ValidationError("basis columns are not orthonormal")
+    for j, (asym, lo, weight) in enumerate(zip(asymmetry, lowest, rest)):
+        if asym > POVM_TOL:
+            raise ValidationError(f"{name(j)} is not Hermitian")
+        if lo < -POVM_TOL:
+            raise ValidationError(f"{name(j)} has negative eigenvalue {lo:.3e}")
+        if weight < -POVM_TOL:
+            raise ValidationError(f"{name(j)} has negative complement weight {weight:.3e}")
+    if defect > POVM_TOL:
+        raise ValidationError(f"effects sum to identity only within {defect:.3e}")
+    total = sum(rest)
+    if k < n and abs(total - 1.0) > POVM_TOL:
+        raise ValidationError(f"complement weights sum to {total:.12g}, not 1")
+
+
+def _validation_figures_numpy(gram, blocks):
+    k = blocks.shape[1]
+    if k != 2:
+        eye = np.eye(k)
+        adjoints = blocks.conj().swapaxes(1, 2)
+        asymmetry = np.abs(blocks - adjoints).max(axis=(1, 2)).tolist()
+        lowest = (np.linalg.eigvalsh(blocks + adjoints)[:, 0] / 2.0).tolist()
+        return (float(np.abs(gram - eye).max()), asymmetry, lowest,
+                float(np.abs(blocks.sum(axis=0) - eye).max()))
+    asymmetry, lowest = [], []
+    s00 = s01 = s10 = s11 = 0j
+    for (a, c), (c_low, d) in blocks.tolist():
+        asymmetry.append(max(2.0 * abs(a.imag), 2.0 * abs(d.imag), abs(c - c_low.conjugate())))
+        half_gap = math.hypot((a.real - d.real) / 2.0, abs(c + c_low.conjugate()) / 2.0)
+        lowest.append((a.real + d.real) / 2.0 - half_gap)
+        s00, s01, s10, s11 = s00 + a, s01 + c, s10 + c_low, s11 + d
+    (g00, g01), (g10, g11) = gram.tolist()
+    return (_identity_defect_numpy(g00, g01, g10, g11), asymmetry, lowest,
+            _identity_defect_numpy(s00, s01, s10, s11))
+
+
+def _identity_defect_numpy(m00, m01, m10, m11) -> float:
+    return max(abs(m00 - 1.0), abs(m01), abs(m10), abs(m11 - 1.0))
+
+
+def born_numpy(blocks, rest, x) -> list[list[float]]:
+    """The Born rule as one ``einsum``, frozen as a reference: probability of each outcome (row)
+    for each state (column), clamped into [0, 1]. Row s of ``x`` holds state s's coordinates in
+    the basis; its mass outside the span meets each effect's complement weight."""
+    x_conj = x.conj()
+    inside = np.einsum("si,eik,sk->es", x_conj, blocks, x).real
+    outside = 1.0 - np.einsum("si,si->s", x_conj, x).real
+    return (inside + rest[:, None] * outside).clip(0.0, 1.0).tolist()

@@ -398,12 +398,8 @@ class TestReportFormats:
             render_report(report, "xml")
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 10**6), dim=st.sampled_from([2, 3]),
-       t_range=st.tuples(st.integers(0, 4), st.integers(0, 4)).map(sorted))
-def test_random_record_matches_the_dense_oracle(seed, index, dim, t_range):
+def assert_record_matches_the_dense_oracle(cfg, index):
     # every column recomputed from the same draws by dense, independent math
-    cfg = CampaignConfig(index + 1, dim, tuple(t_range), seed)
     record = asdict(run_instance(cfg, index)[0])
     reference = reference_record(cfg, index)
     assert record.keys() == reference.keys()
@@ -415,6 +411,24 @@ def test_random_record_matches_the_dense_oracle(seed, index, dim, t_range):
             # bound_raw divides by theta: held relative to its size
             scale = max(1.0, abs(expected)) if column == "bound_raw" else 1.0
             assert abs(value - expected) <= 1e-12 * scale, (column, value, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 10**6), dim=st.sampled_from([2, 3]),
+       t_range=st.tuples(st.integers(0, 4), st.integers(0, 4)).map(sorted))
+def test_random_record_matches_the_dense_oracle(seed, index, dim, t_range):
+    assert_record_matches_the_dense_oracle(CampaignConfig(index + 1, dim, tuple(t_range), seed),
+                                           index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 10**6), dim=st.sampled_from([2, 3]),
+       t_range=st.tuples(st.integers(1, 4), st.integers(1, 4)).map(sorted))
+def test_parallel_record_matches_the_dense_oracle(seed, index, dim, t_range):
+    # the plan is an input; at T*theta >= pi the final overlap is 0 and the
+    # measured errors are rounding noise on both sides
+    cfg = CampaignConfig(index + 1, dim, tuple(t_range), seed, "parallel")
+    assert_record_matches_the_dense_oracle(cfg, index)
 
 
 def tiny_phase_pair(rng, dim):

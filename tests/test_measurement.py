@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qudisc import (
     DIM_CAP,
@@ -18,10 +20,10 @@ from qudisc import (
 )
 from qudisc.campaign import measure_pair
 from qudisc.protocol import record_trace
-from qudisc.tolerances import COINCIDE_TOL
+from qudisc.tolerances import COINCIDE_TOL, POVM_TOL
 
-from .oracles import (dense_effect, random_state, random_two_effect_povm, state_pair_at_angle,
-                      state_pair_with_overlap)
+from .oracles import (born_numpy, dense_effect, random_state, random_two_effect_povm,
+                      state_pair_at_angle, state_pair_with_overlap, validate_numpy)
 
 E0 = np.array([1, 0, 0, 0], dtype=complex)
 E1 = np.array([0, 1, 0, 0], dtype=complex)
@@ -270,6 +272,25 @@ class TestPovmStructure:
         with pytest.raises(ValidationError, match="effects must"):
             Povm(effects=effects, labels=["identify_1", "identify_2"])
 
+    @pytest.mark.parametrize("rest", [[0.5 + 1j, 0.5], np.array([0.5 + 1j, 0.5]), ["a", "b"]],
+                             ids=["complex", "complex-array", "text"])
+    def test_weights_that_are_not_real_numbers_are_refused_when_built(self, rest):
+        # numpy's TypeError and ValueError escaped untyped; a complex array lost its imaginary part
+        with pytest.raises(ValidationError, match="rest must be real numbers"):
+            Povm(effects=[np.eye(2) / 2, np.eye(2) / 2], labels=["identify_1", "identify_2"],
+                 basis=np.eye(3)[:, :2], rest=rest)
+
+    def test_ragged_basis_is_refused_when_built(self):
+        # numpy's ValueError escaped untyped
+        with pytest.raises(ValidationError, match="basis must be an n x 2 matrix"):
+            Povm(effects=[np.eye(2) / 2, np.eye(2) / 2], labels=["identify_1", "identify_2"],
+                 basis=[[1, 0], [0]])
+
+    def test_one_string_of_labels_is_refused_when_built(self):
+        # the string was split into characters and refused as "unknown outcome label 'i'"
+        with pytest.raises(ValidationError, match="labels must be a sequence of outcome labels"):
+            Povm(effects=[np.eye(2)], labels="identify_1")
+
     def test_basis_narrower_than_the_blocks_is_refused_when_built(self):
         with pytest.raises(ValidationError, match="basis must be an n x 2 matrix"):
             Povm(effects=[np.eye(2) / 2, np.eye(2) / 2], labels=["identify_1", "identify_2"],
@@ -395,6 +416,19 @@ class TestSpanForm:
         with pytest.raises(ValidationError, match=r"effect 2 \(inconclusive\) has non-finite"):
             Povm(effects=good.effects, labels=good.labels, basis=good.basis, rest=rest).validate()
 
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("scale, message", [(np.inf, "basis entries must be finite"),
+                                                (1e160, "basis columns are not orthonormal"),
+                                                (1e200, "basis columns are not orthonormal")])
+    def test_validate_refuses_a_huge_basis_without_a_warning(self, column, scale, message):
+        # a finite basis whose Gram overflowed warned, and passed when its defect read NaN
+        pair = StatePair.of(*state_pair_with_overlap(0.5, 4, np.random.default_rng(47)))
+        good = helstrom_povm(pair)
+        basis = good.basis.copy()
+        basis[2, column] *= scale
+        with pytest.raises(ValidationError, match=message):
+            Povm(effects=good.effects, labels=good.labels, basis=basis, rest=good.rest).validate()
+
     def test_validate_refuses_a_non_finite_basis(self):
         pair = StatePair.of(*state_pair_with_overlap(0.5, 4, np.random.default_rng(47)))
         good = helstrom_povm(pair)
@@ -486,3 +520,84 @@ class TestTwoByTwoKernel:
             for povm in (span, dense):
                 with pytest.raises(ValidationError, match=message):
                     povm.validate()
+
+
+def _verdict(check) -> str | None:
+    """The message of the ValidationError a check raises, or None when it passes."""
+    try:
+        check()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+SPAN_DEFECTS = ("none", "non_finite_entry", "nan_weight", "nan_basis", "scaled_basis", "skew",
+                "negative_eigenvalue", "negative_weight", "completeness", "overflowing_weights")
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4, 64]),
+       coinciding=st.booleans(), unambiguous=st.booleans(), defect=st.sampled_from(SPAN_DEFECTS),
+       effect=st.integers(0, 2), size=st.sampled_from([2e-10, 2e-9, 1e-6, 0.3, 0.7]),
+       value=st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)]),
+       scale=st.sampled_from([1.0 + 2e-10, 1.0 + 1e-8, 2.0]))
+def test_span_checks_and_born_rule_match_the_frozen_numpy_routines(
+        seed, n, coinciding, unambiguous, defect, effect, size, value, scale):
+    # The span form's 1x1 (coinciding states) and 2x2 blocks, valid or with exactly one
+    # defect: the same verdict and message as the numpy routine, and on a valid POVM the
+    # same Born probabilities within 2 ulp of 1.
+    rng = np.random.default_rng(seed)
+    if coinciding:
+        phi = random_state(n, rng)
+        pair = StatePair.of(phi, phi * np.exp(1j * rng.uniform(0.0, 2 * np.pi)))
+        good = helstrom_povm(pair)
+    else:
+        pair = StatePair.of(*state_pair_with_overlap(rng.uniform(0.0, 0.99), n, rng))
+        good = (unambiguous_povm if unambiguous else helstrom_povm)(pair)
+    m, k = good.effects.shape[:2]
+    j = effect % m
+    other = (j + 1) % m
+    effects, rest, basis = good.effects.copy(), good.rest.copy(), good.basis.copy()
+    r, c = (int(i) for i in rng.integers(k, size=2))
+    eye = np.eye(k)
+    if defect == "non_finite_entry":
+        effects[j, r, c] = value
+    elif defect == "nan_weight":
+        rest[j] = np.nan
+    elif defect == "nan_basis":
+        basis[rng.integers(n), c] = np.nan
+    elif defect == "scaled_basis":
+        basis *= scale
+    elif defect == "skew":  # kept out of the sum, so only hermiticity fails
+        skew = size * (1j if r == c else 1.0)
+        effects[j, r, c] += skew
+        effects[other, r, c] -= skew
+    elif defect == "negative_eigenvalue":
+        shift = np.linalg.eigvalsh(effects[j])[0] + size
+        effects[j] -= shift * eye
+        effects[other] += shift * eye
+    elif defect == "negative_weight":
+        shift = rest[j] + size
+        rest[j] -= shift
+        rest[other] += shift
+    elif defect == "completeness":
+        effects[j] += size * eye
+    elif defect == "overflowing_weights":
+        rest[:] = 1e308
+    povm = good if defect == "none" else Povm(effects, good.labels, basis, rest)
+    verdict = _verdict(povm.validate)
+    assert verdict == _verdict(lambda: validate_numpy(povm))
+    sized = defect in ("skew", "negative_eigenvalue", "negative_weight", "completeness")
+    harmless = (defect == "none" or sized and size < POVM_TOL
+                or defect == "scaled_basis" and scale < 1.0 + POVM_TOL / 2
+                or defect == "overflowing_weights" and k == n)  # no complement to weigh
+    assert (verdict is None) == harmless
+    if defect == "none":
+        rows = dict(zip(povm.labels, born_numpy(povm.effects, povm.rest, pair.coords)))
+        absent = (0.0, 0.0)
+        expected = (rows.get("identify_1", absent)[0], rows.get("identify_2", absent)[1],
+                    *rows.get("inconclusive", absent))
+        out = evaluate_povm(povm, pair)
+        got = (out.p_correct_1, out.p_correct_2, out.p_inconclusive_1, out.p_inconclusive_2)
+        assert max(abs(a - b) for a, b in zip(got, expected)) <= 4.4e-16, (got, expected)
+        assert out.p_s == got[0] + got[1]
