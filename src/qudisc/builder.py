@@ -21,6 +21,7 @@ from .errors import IndistinguishableError, ShapeError, ValidationError
 from .geometry import closest_hull_point, smallest_arc
 from .linalg import (
     UnitaryPair,
+    _eigenvectors,
     check_integer,
     haar_unitary_from_rng,
     pair_args,
@@ -41,13 +42,13 @@ from .tolerances import BOUND_SAFETY_TOL, PERFECT_OVERLAP
 class ParallelPlan:
     """Probe T copies at once with a superposition of eigenvector product strings.
 
-    Row s of ``strings`` names, per copy, a column of ``eigenvectors`` (the
-    eigenbasis of U1†U2); the probe is sum_s sqrt(weights[s]) |string s>,
-    over at most 3 strings. Each string only picks up its product phase, so
-    the final overlap is |sum_s weights[s] e^{i Phi_s}|: the distance from
-    the origin to the hull of the chosen phases. For the strings
-    ``build_parallel`` picks that is ``bounds.optimal_overlap(theta, T)``,
-    the optimum over all protocols (Acin, PRL 87, 177901, 2001).
+    Row s of ``strings`` names, per copy, a column of ``eigenvectors``, the d x m, m <= 4,
+    orthonormal eigenvectors of U1†U2 that the strings use; the probe is sum_s sqrt(weights[s])
+    |string s>, over at most 3 strings. Each string only picks up its product phase, so the
+    final overlap is |sum_s weights[s] e^{i Phi_s}|: the distance from the origin to the hull of
+    the chosen phases. For the strings ``build_parallel`` picks that is
+    ``bounds.optimal_overlap(theta, T)``, the optimum over all protocols (Acin, PRL 87, 177901,
+    2001).
 
     The fields are checked when the plan is built: a ``ValidationError``
     for a copy count that is not an integer >= 1 or strings that are not
@@ -65,8 +66,8 @@ class ParallelPlan:
         # attributes and one pass over the strings: the campaign builds one plan per instance
         self.copies = check_copies(self.copies)
         v, s, w = self.eigenvectors, self.strings, self.weights
-        if not (isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[0] == v.shape[1]):
-            raise ShapeError(f"plan: eigenvectors must be a square matrix, got shape {np.shape(v)}")
+        if not (isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] <= 4):
+            raise ShapeError(f"plan: eigenvectors must be d x m, m <= 4, got shape {np.shape(v)}")
         if not (isinstance(s, np.ndarray) and s.dtype.kind in "iu"):
             raise ValidationError("plan: strings must be an array of integers")
         if s.ndim != 2 or not 1 <= s.shape[0] <= 3 or s.shape[1] != self.copies:
@@ -83,10 +84,11 @@ class ParallelPlan:
 def build_parallel(pair: UnitaryPair, t: int) -> ParallelPlan:
     """Parallel plan for t simultaneous copies of the unknown unitary.
 
-    Raises IndistinguishableError when the pair has zero phase spread.
+    The arc, hull and strings come from the eigenphases; then the at most 4 eigenvectors the
+    strings use are found. Raises IndistinguishableError when the pair has zero phase spread.
     """
     t = check_copies(t)
-    spectrum = pair.spectrum  # with eigenvectors: the strings are made of them
+    spectrum = relative_spectrum(pair)
     arc = smallest_arc(spectrum)
     if arc.theta == 0.0:
         raise IndistinguishableError(
@@ -112,9 +114,12 @@ def build_parallel(pair: UnitaryPair, t: int) -> ParallelPlan:
             row[t - c:] = arc.end
         else:
             row[0] = others[c - t - 1]
+    # the phase index of each eigenvector used, in order of first use; strings name its column
+    columns = list(dict.fromkeys(strings.ravel().tolist()))
+    strings = (strings[..., None] == columns).argmax(axis=-1)
     return ParallelPlan(
         copies=t,
-        eigenvectors=spectrum.vectors,
+        eigenvectors=_eigenvectors(pair, columns),
         strings=strings,
         weights=weights[chosen],
         predicted_overlap=optimal_overlap(arc.theta, t),
@@ -148,16 +153,13 @@ def simulate_parallel(pair: UnitaryPair, plan: ParallelPlan) -> SimulationTrace:
     comes from one batched product: the same multiplications, in the same
     order, as a loop over the copies makes.
     """
-    if plan.eigenvectors.shape[0] != pair.dim:
-        raise ShapeError(
-            f"plan has dimension {plan.eigenvectors.shape[0]}, the unitaries {pair.dim}"
-        )
-    used = np.unique(plan.strings)
-    index = np.searchsorted(used, plan.strings.T)  # (T, strings): copy m's columns of used
-    x = plan.eigenvectors[:, used]
+    x = plan.eigenvectors
+    if x.shape[0] != pair.dim:
+        raise ShapeError(f"plan has dimension {x.shape[0]}, the unitaries {pair.dim}")
     moved = pair.unitaries @ x
     query = moved[0].conj().T @ moved[1]
     idle = x.conj().T @ x
+    index = plan.strings.T  # (T, strings): copy m's columns of x
     rows, cols = index[:, :, None], index[:, None, :]
     t, n = index.shape
     queried = np.multiply.accumulate(query[rows, cols], axis=0)  # [j-1]: copies 0..j-1

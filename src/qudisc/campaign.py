@@ -173,11 +173,7 @@ def run_instance(cfg: CampaignConfig, index: int) -> tuple[InstanceRecord, float
     queries = int(rng.integers(lo, hi + 1))
 
     # The pair is checked, and U1†U2 decomposed and given its arc, once for the whole instance.
-    # Only the parallel plan reads eigenvectors, so only it asks for them, before theta: the
-    # phases come with them, and relative_spectrum then returns that spectrum.
     pair = UnitaryPair.of(u1, u2)
-    if cfg.protocol_source == "parallel":
-        pair.spectrum
     theta = smallest_arc(relative_spectrum(pair)).theta
     if theta == 0.0:
         # Every protocol ends at overlap 1 on such a pair: nothing to build.

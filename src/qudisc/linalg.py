@@ -17,7 +17,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import CapacityError, DomainError, NumericalError, ShapeError, ValidationError
-from .tolerances import EIGEN_TOL, UNITARY_TOL
+from .tolerances import EIGEN_TOL, INVERSE_SHIFT, UNITARY_TOL
 
 # Hard cap on any dense matrix dimension handled by the toolkit.
 DIM_CAP = 4096
@@ -141,15 +141,10 @@ def check_integer(value, what: str, lo: int | None = None) -> int:
 
 @dataclass(eq=False)
 class PhaseSpectrum:
-    """Eigenphases of a unitary matrix, with an aligned orthonormal eigenbasis if one is held.
-
-    ``phases`` is ascending in [0, 2*pi). ``vectors`` is None for a spectrum
-    read for its phases alone (``relative_spectrum``); otherwise column j is
-    the eigenvector belonging to ``phases[j]``.
-    """
+    """Eigenphases of a unitary matrix, ascending in [0, 2*pi), without eigenvectors: a plan's
+    few are found on demand, by their phases' indices, by ``_eigenvectors``."""
 
     phases: np.ndarray
-    vectors: np.ndarray | None = None
     # The smallest covering arc (a geometry.ArcResult), kept by
     # geometry.smallest_arc the first time it is asked for this spectrum.
     arc: object = field(default=None, init=False, repr=False)
@@ -181,8 +176,8 @@ def wrap_phase(phases) -> np.ndarray:
     return p
 
 
-def _eigen_system(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenphases and orthonormal eigenvectors of U1†U2, from one Hermitian eigenproblem.
+def _eigenphases(a: np.ndarray) -> np.ndarray:
+    """Eigenphases of U1†U2, from the eigenvalues of one Hermitian matrix.
 
     ``a`` is a product of checked unitaries, so it is normal, and its Cayley
     transform is Hermitian with the same eigenvectors:
@@ -196,14 +191,12 @@ def _eigen_system(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     3. The phases are 2 arctan(w) + beta - pi for the eigenvalues w of
        H's Hermitian part.
 
-    LAPACK's Hermitian solvers are numpy's own, called directly, and give an
-    orthonormal eigenbasis also within a degenerate eigenspace. The gap, and
-    the phases from w, are found on Python floats: O(d) work, which costs
-    less than numpy's per-call overhead at small d. beta = pi, the centre
-    for a spectrum near 1, leaves A unturned.
+    LAPACK's Hermitian eigenvalue solver, numpy's own, is called directly and forms no
+    eigenvectors. The gap, and the phases from w, are found on Python floats: O(d) work, which
+    costs less than numpy's per-call overhead at small d. beta = pi, the centre for a spectrum
+    near 1, leaves A unturned.
 
-    Returns the phases ascending in [0, 2*pi) and their eigenvectors,
-    column j for ``phases[j]``. The contract covers the phases. H - H† is
+    Returns the phases ascending in [0, 2*pi). H - H† is
     2i (I + B)^{-1}(I - BB†)(I + B)^{-†}: a unitarity defect of A, or a
     rounding of the solve, shows in H magnified by up to
     2|(I + B)^{-1}|^2 <= 1 / (2 sin^2(gap/4)). H's Hermitian defect, taken
@@ -240,14 +233,13 @@ def _eigen_system(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                              f"defect of the Cayley transform {defect:.3e} on A's scale")
     # twice H's Hermitian part, exactly Hermitian, whose eigenvalues are 2w
     h += h_adj
-    w, v = _umath_linalg.eigh_lo(h, signature="D->dD")
+    w = _umath_linalg.eigvalsh_lo(h, signature="D->d")
     phases = [2.0 * math.atan(0.5 * x) - shift for x in w.tolist()]
     if not math.isfinite(sum(phases)):
         raise NumericalError("eigendecomposition did not converge (NaN eigenvalue)")
     # into [0, 2*pi) as wrap_phase does: a tiny negative phase rounds up to 2*pi, which folds to 0
-    phases = [p if p >= 0.0 else (q if (q := p + TWO_PI) < TWO_PI else 0.0) for p in phases]
-    order = sorted(range(len(phases)), key=phases.__getitem__)
-    return np.array([phases[k] for k in order]), v.take(order, axis=1)
+    return np.array(sorted(p if p >= 0.0 else (q if (q := p + TWO_PI) < TWO_PI else 0.0)
+                           for p in phases))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,14 +248,11 @@ class UnitaryPair:
 
     Build it with ``UnitaryPair.of``, which checks both as that one stack;
     ``u1`` and ``u2`` are views of it, and a query acts on both in one
-    product. Their product U1†U2 is not checked again; it is decomposed on
-    first use, by the one routine ``_eigen_system``, so its two readers find
-    the same phases whichever comes first: ``relative_spectrum`` keeps the
-    phases alone, ``spectrum`` (for the parallel plan) the eigenvectors
-    too, held to their own contract. Each is kept, and a spectrum keeps its
-    smallest covering arc once ``geometry.smallest_arc`` has found it. Every
-    builder and simulator takes a pair, so a pair used by several of them
-    is checked, decomposed and given its arc once.
+    product. Their product U1†U2 is not checked again. Its eigenphases are
+    the pair's one decomposition, found on first use by ``relative_spectrum``
+    and kept, with the smallest covering arc once ``geometry.smallest_arc``
+    has found it. Every builder and simulator takes a pair, so a pair used
+    by several of them is checked, decomposed and given its arc once.
     """
 
     unitaries: np.ndarray
@@ -287,32 +276,8 @@ class UnitaryPair:
         return int(self.unitaries.shape[-1])
 
     @cached_property
-    def spectrum(self) -> PhaseSpectrum:
-        """Eigenphases and eigenvectors of U1†U2, the eigenvectors held to their contract.
-
-        Raises:
-            NumericalError: as ``relative_spectrum``, or the largest
-                eigenvector residual or orthonormality defect exceeds ``EIGEN_TOL``.
-        """
-        a = self.u1.conj().T @ self.u2
-        phases, vectors = _eigen_system(a)
-        # largest column norm of the eigen-equation residual
-        diff = a @ vectors - vectors * np.exp(1j * phases)
-        residual = math.sqrt(np.add.reduce(diff.real * diff.real + diff.imag * diff.imag).max())
-        ortho = float(_defects(vectors))
-        if not (residual <= EIGEN_TOL and ortho <= EIGEN_TOL):
-            raise NumericalError(
-                f"eigendecomposition failed accuracy contract: "
-                f"max residual {residual:.3e}, orthonormality defect {ortho:.3e}"
-            )
-        return PhaseSpectrum(phases=phases, vectors=vectors)
-
-    @cached_property
-    def _phase_spectrum(self) -> PhaseSpectrum:
-        """``spectrum`` if it is held already, else the eigenphases of U1†U2 alone."""
-        held = self.__dict__.get("spectrum")
-        return held if held is not None else PhaseSpectrum(
-            phases=_eigen_system(self.u1.conj().T @ self.u2)[0])
+    def _spectrum(self) -> PhaseSpectrum:
+        return PhaseSpectrum(_eigenphases(self.u1.conj().T @ self.u2))
 
 
 def pair_args(u1, u2=None, *rest) -> tuple:
@@ -343,17 +308,48 @@ def relative_spectrum(u1, u2=None) -> PhaseSpectrum:
     """Eigenphases of U1†U2, the object all discrimination quantities derive from.
 
     Takes a UnitaryPair; the two unitaries in its place are accepted only
-    because the benchmark's workloads pass them so. Returns the phases alone
-    (``vectors`` is None) unless the pair already holds its ``spectrum``,
-    which is then returned as it is. The phases are the same bits as
-    ``spectrum``'s. Kept on the pair, so a pair is decomposed once.
+    because the benchmark's workloads pass them so. The phases are found
+    once per pair and kept, so every caller gets the one spectrum.
 
     Raises:
         NumericalError: the Cayley transform's Hermitian defect, on the
             scale of U1†U2, exceeds ``EIGEN_TOL``, or an eigenvalue is NaN.
     """
     (pair,) = pair_args(u1, u2)
-    return pair._phase_spectrum
+    return pair._spectrum
+
+
+def _eigenvectors(pair: UnitaryPair, indices: list[int]) -> np.ndarray:
+    """Orthonormal eigenvectors of U1†U2 at ``relative_spectrum(pair).phases[indices]``: the
+    columns of a d x m matrix, m <= 4, by two steps of inverse iteration and one QR.
+
+    Each step solves (A - mu_j I) y = x_j for every column j in one call, an LU per column,
+    mu_j being e^{i phi_j} pushed off the circle by ``INVERSE_SHIFT``. Column j starts from
+    e^{i k f_j}, k = 1..d, with f_j = sqrt(j + 2) no rational multiple of pi, so no start is
+    orthogonal to an eigenvector of a diagonal or a circulant matrix. The QR keeps columns of
+    one eigenspace, or of close phases, orthonormal.
+
+    Raises:
+        NumericalError: the residual |A Q - Q diag(e^{i phi})|_F or the
+            orthonormality defect exceeds ``EIGEN_TOL``; a NaN fails it.
+    """
+    a = pair.u1.conj().T @ pair.u2
+    d, m = a.shape[0], len(indices)
+    eigenvalues = np.exp(1j * relative_spectrum(pair).phases[indices])
+    shifted = np.repeat(a[None], m, axis=0)
+    shifted.reshape(m, d * d)[:, ::d + 1] -= ((1.0 + INVERSE_SHIFT) * eigenvalues)[:, None]
+    x = np.exp(1j * np.multiply.outer(np.sqrt(np.arange(2.0, m + 2.0)), np.arange(1.0, d + 1.0)))
+    for _ in range(2):
+        x = _umath_linalg.solve(shifted, x[..., None], signature="DD->D")[..., 0]
+    x = x.T.copy()  # d x m; numpy's QR kernels, called directly, factor it in place
+    q = _umath_linalg.qr_reduced(x, _umath_linalg.qr_r_raw(x, signature="D->D"),
+                                 signature="DD->D")
+    diff = a @ q - q * eigenvalues
+    residual, ortho = math.sqrt(np.vdot(diff, diff).real), float(_defects(q))
+    if not (residual <= EIGEN_TOL and ortho <= EIGEN_TOL):
+        raise NumericalError(f"eigenvectors failed accuracy contract: residual "
+                             f"{residual:.3e}, orthonormality defect {ortho:.3e}")
+    return q
 
 
 def haar_isometry_from_rng(n: int, k: int, rng: np.random.Generator,

@@ -382,7 +382,9 @@ def evaluate_povm(povm: Povm, pair: StatePair) -> DiscriminationOutcome:
     povm.validate()
 
     x = pair.coords if povm.basis is pair.basis else pair.states @ povm.basis.conj()
-    by_label = dict(zip(povm.labels, _born(povm.effects, povm.rest, x)))
+    # a basis of the whole space leaves no mass outside it: its weights meet no rounding of 0
+    rest = povm.rest if povm.basis.shape[1] < n else np.zeros_like(povm.rest)
+    by_label = dict(zip(povm.labels, _born(povm.effects, rest, x)))
     absent = (0.0, 0.0)
     p1, _ = by_label.get(IDENTIFY_1, absent)
     _, p2 = by_label.get(IDENTIFY_2, absent)

@@ -322,11 +322,14 @@ def _identity_defect_numpy(m00, m01, m10, m11) -> float:
     return max(abs(m00 - 1.0), abs(m01), abs(m10), abs(m11 - 1.0))
 
 
-def born_numpy(blocks, rest, x) -> list[list[float]]:
+def born_numpy(blocks, rest, x, n) -> list[list[float]]:
     """The Born rule as one ``einsum``, frozen as a reference: probability of each outcome (row)
     for each state (column), clamped into [0, 1]. Row s of ``x`` holds state s's coordinates in
-    the basis; its mass outside the span meets each effect's complement weight."""
+    the basis; its mass outside the span meets each effect's complement weight. A basis of all
+    n dimensions leaves no complement, so then no weight is read."""
     x_conj = x.conj()
     inside = np.einsum("si,eik,sk->es", x_conj, blocks, x).real
+    if x.shape[1] == n:
+        return inside.clip(0.0, 1.0).tolist()
     outside = 1.0 - np.einsum("si,si->s", x_conj, x).real
     return (inside + rest[:, None] * outside).clip(0.0, 1.0).tolist()

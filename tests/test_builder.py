@@ -79,8 +79,10 @@ class TestParallelPlan:
             arc = smallest_arc(spectrum)
             a, b = spectrum.phases[[arc.start, arc.end]]
             assert (b - a) % (2 * np.pi) == pytest.approx(arc.theta, abs=1e-12)
-            # the plan's strings are made of the eigenvectors the arc's indices name
-            assert set(build_parallel(pair, 2).strings.ravel()) <= {arc.start, arc.end}
+            # the plan's strings are made of the eigenvectors of the arc's endpoints, a first
+            vectors = build_parallel(pair, 2).eigenvectors
+            resid = u1.conj().T @ u2 @ vectors - vectors * np.exp(1j * np.array([a, b]))
+            assert vectors.shape == (2, 2) and np.abs(resid).max() <= 1e-12
 
     def test_identical_pair_rejected(self):
         with pytest.raises(IndistinguishableError):
@@ -194,15 +196,14 @@ def per_copy_states(pair: UnitaryPair, plan) -> np.ndarray:
     """The plan's (2, T+1, strings) states, one copy at a time.
 
     The Gram entries are taken as ``simulate_parallel`` takes them, on an
-    (strings, strings, copies) table. After j queries branch 2 is
+    (strings, strings, copies) table of the plan's columns. After j queries branch 2 is
     (P_j * S_j) @ sqrt(weights): P_j is the product of the query Grams of
     copies 0..j-1, read off their running product along the copies, and S_j
     that of the idle Grams of copies j..T-1, read off their running product
     from the last copy down, and 1 once no copy is left.
     """
-    used = np.unique(plan.strings)
-    index = np.searchsorted(used, plan.strings)
-    x = plan.eigenvectors[:, used]
+    index = plan.strings
+    x = plan.eigenvectors
     moved = pair.unitaries @ x
     query = moved[0].conj().T @ moved[1]
     idle = x.conj().T @ x
@@ -231,7 +232,7 @@ class TestParallelSimulationPerCopy:
             pairs.append(UnitaryPair.of(np.eye(3), np.diag(np.exp(1j * np.array([0.0, 2.2, 4.4])))))
         wide = 0
         for pair in pairs:
-            wide += smallest_arc(pair.spectrum).theta >= math.pi
+            wide += smallest_arc(relative_spectrum(pair)).theta >= math.pi
             for t in (1, 2, 8, 64, 2000):
                 plan = build_parallel(pair, t)
                 states = simulate_parallel(pair, plan).states
@@ -271,7 +272,8 @@ class TestParallelPlanFields:
         ("copies", 3.0, ValidationError),
         ("strings", np.zeros((2, 3)), ValidationError),
         ("strings", np.zeros((4, 3), dtype=int), ShapeError),
-        ("eigenvectors", np.eye(2)[:, :1], ShapeError),
+        ("eigenvectors", np.ones(2, dtype=complex), ShapeError),
+        ("eigenvectors", np.ones((8, 5), dtype=complex), ShapeError),  # only 4 columns are used
     ])
     def test_mistyped_fields_are_refused(self, field, value, error):
         with pytest.raises(error, match="copy count|plan:"):

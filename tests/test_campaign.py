@@ -42,6 +42,7 @@ from qudisc.campaign import (
 )
 
 from .oracles import reference_record, state_pair_at_angle, state_pair_with_overlap
+from .test_linalg import patch_lapack
 
 
 def small_config(**overrides):
@@ -143,10 +144,11 @@ class TestRunCampaign:
         assert report.summary.violation_count == 0
 
     @pytest.mark.parametrize("source", ["random", "parallel", "optimized"])
-    def test_one_check_per_unitary_and_one_schur_per_instance(self, monkeypatch, source):
-        counts = {"checks": 0, "decompositions": 0, "arcs": 0}
-        require, eigen_system = linalg.require_unitary, linalg._eigen_system
-        covering_arc = geometry._covering_arc
+    def test_one_check_per_unitary_and_one_phase_decomposition_per_instance(self, monkeypatch,
+                                                                            source):
+        counts = {"checks": 0, "decompositions": 0, "eigenvector calls": 0, "arcs": 0}
+        require, eigenphases = linalg.require_unitary, linalg._eigenphases
+        eigenvectors, covering_arc = builder._eigenvectors, geometry._covering_arc
         cfg = small_config(instances=6, t_range=(1, 3 if source == "optimized" else 8),
                            protocol_source=source)
 
@@ -156,24 +158,36 @@ class TestRunCampaign:
                 counts["checks"] += len(a) if a.ndim == 3 else 1  # matrices checked
             return a
 
-        def counted_eigen_system(a):
+        def counted_eigenphases(a):
             counts["decompositions"] += 1
-            return eigen_system(a)
+            return eigenphases(a)
+
+        def counted_eigenvectors(pair, indices):
+            counts["eigenvector calls"] += 1
+            return eigenvectors(pair, indices)
 
         def counted_arc(p):
             counts["arcs"] += 1
             return covering_arc(p)
 
+        def unreachable(eigh):
+            def call(*args, **kwargs):
+                raise AssertionError("a full eigendecomposition was formed")
+            return call
+
         monkeypatch.setattr(linalg, "require_unitary", counted_require)
-        monkeypatch.setattr(linalg, "_eigen_system", counted_eigen_system)
+        monkeypatch.setattr(linalg, "_eigenphases", counted_eigenphases)
+        monkeypatch.setattr(builder, "_eigenvectors", counted_eigenvectors)
         monkeypatch.setattr(geometry, "_covering_arc", counted_arc)
+        patch_lapack(monkeypatch, "eigh_lo", unreachable)
         for index in range(cfg.instances):
-            counts.update(checks=0, decompositions=0, arcs=0)
+            counts.update(dict.fromkeys(counts, 0))
             run_instance(cfg, index)
-            # u1 and u2 as one stack, and U1†U2 not again; one decomposition, with eigenvectors
-            # checked only for the parallel plan; the arc is found once although the plan and
-            # the search ask for it again
-            assert counts == {"checks": 2, "decompositions": 1, "arcs": 1}
+            # u1 and u2 as one stack, and U1†U2 not again; one decomposition, to phases alone,
+            # whichever source asks first; the parallel plan's few eigenvectors in one call;
+            # the arc found once although the plan and the search ask for it again
+            assert counts == {"checks": 2, "decompositions": 1,
+                              "eigenvector calls": int(source == "parallel"), "arcs": 1}
 
     @pytest.mark.parametrize("queries", [0, 2])
     def test_optimized_instance_simulates_its_protocol_once(self, monkeypatch, queries):

@@ -15,6 +15,7 @@ from qudisc import (
     haar_unitary_from_rng,
     fidelity_closed_form,
     fidelity_hull_oracle,
+    relative_spectrum,
     smallest_arc,
     trace_distance_pure,
 )
@@ -88,7 +89,7 @@ class TestSmallestArc:
             smallest_arc(phases)
 
     def test_accepts_phase_spectrum(self):
-        spec = UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0])).spectrum
+        spec = relative_spectrum(UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0])))
         assert smallest_arc(spec).theta == pytest.approx(np.pi)
 
     def test_endpoints_are_members_and_cover(self):
@@ -126,7 +127,8 @@ class TestSmallestArc:
         rng = np.random.default_rng(13)
         for d in (2, 3, 8):
             for _ in range(50):
-                spectrum = UnitaryPair.of(np.eye(d), haar_unitary_from_rng(d, rng)).spectrum
+                pair = UnitaryPair.of(np.eye(d), haar_unitary_from_rng(d, rng))
+                spectrum = relative_spectrum(pair)
                 arc = smallest_arc(spectrum)
                 assert spectrum.phases[arc.start] == arc.start_phase
                 assert spectrum.phases[arc.end] == arc.end_phase

@@ -143,21 +143,54 @@ def patch_lapack(monkeypatch, name, wrap):
     monkeypatch.setattr(linalg, "_umath_linalg", proxy)
 
 
-def nan_eigenvalues(eigh):
-    """``eigh`` as it reads where LAPACK's Hermitian solver did not converge: NaN eigenvalues."""
+def nan_eigenvalues(eigvalsh):
+    """``eigvalsh`` as it reads where LAPACK's Hermitian solver did not converge: NaN
+    eigenvalues, on every call after the first, which reads the cosines that place the Cayley
+    transform's shift; the next reads the transform's eigenvalues, the phases."""
+    calls = []
+
     def call(*args, **kwargs):
-        w, v = eigh(*args, **kwargs)
-        return np.full_like(w, np.nan), v
+        calls.append(None)
+        w = eigvalsh(*args, **kwargs)
+        return w if len(calls) == 1 else np.full_like(w, np.nan)
     return call
 
 
+def nan_result(solve):
+    """``solve`` as it reads where LAPACK met an exactly singular matrix: NaN entries."""
+    def call(*args, **kwargs):
+        return np.full_like(solve(*args, **kwargs), np.nan)
+    return call
+
+
+def pair_of(u):
+    """The pair (I, u), whose U1†U2 is u bit for bit."""
+    return UnitaryPair.of(np.eye(np.shape(u)[0]), u)
+
+
 def spectrum_of(u):
-    """The eigendecomposition of u that a pair takes: I†u is u bit for bit."""
-    return UnitaryPair.of(np.eye(np.shape(u)[0]), u).spectrum
+    """The eigenphases of u that a pair takes."""
+    return relative_spectrum(pair_of(u))
+
+
+def vectors_of(u, indices):
+    """The eigenvectors of u at the phase indices, as a plan asks for them, with u's phases."""
+    pair = pair_of(u)
+    return linalg._eigenvectors(pair, indices), relative_spectrum(pair).phases[indices]
+
+
+def assert_eigenvectors(u, vectors, phases):
+    """Each column's eigen-equation residual and the columns' orthonormality defect, within
+    ``EIGEN_TOL``."""
+    resid = u @ vectors - vectors * np.exp(1j * phases)
+    assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-8
+    gram = vectors.conj().T @ vectors
+    assert np.max(np.abs(gram - np.eye(len(phases)))) <= 1e-8
 
 
 class TestEigenSystem:
-    """``_eigen_system``, the one decomposition, as ``UnitaryPair`` and its readers run it."""
+    """``_eigenphases``, the pair's one decomposition, and ``_eigenvectors``, the few columns a
+    plan asks for, as ``UnitaryPair`` and ``build_parallel`` run them."""
 
     def test_pauli_z(self):
         spec = spectrum_of(np.diag([1.0, -1.0]))
@@ -186,25 +219,51 @@ class TestEigenSystem:
         rng = np.random.default_rng(4)
         for _ in range(30):
             u = haar_unitary_from_rng(6, rng)
-            spec = spectrum_of(u)
-            resid = u @ spec.vectors - spec.vectors * np.exp(1j * spec.phases)
-            assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-8
-            gram = spec.vectors.conj().T @ spec.vectors
-            assert np.max(np.abs(gram - np.eye(6))) <= 1e-8
+            indices = sorted(rng.choice(6, size=4, replace=False).tolist())
+            assert_eigenvectors(u, *vectors_of(u, indices))
 
     def test_reconstruction(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             u = haar_unitary_from_rng(4, rng)  # Haar spectra are simple a.s.
-            spec = spectrum_of(u)
-            rebuilt = (spec.vectors * np.exp(1j * spec.phases)) @ spec.vectors.conj().T
+            vectors, phases = vectors_of(u, [0, 1, 2, 3])
+            rebuilt = (vectors * np.exp(1j * phases)) @ vectors.conj().T
             assert np.max(np.abs(rebuilt - u)) <= 1e-7
 
     def test_degenerate_spectrum_keeps_orthonormal_basis(self):
         u = np.kron(np.diag([1.0, -1.0]), np.eye(2))  # each eigenvalue twice
-        spec = spectrum_of(u)
-        gram = spec.vectors.conj().T @ spec.vectors
-        assert np.max(np.abs(gram - np.eye(4))) <= 1e-8
+        assert_eigenvectors(u, *vectors_of(u, [0, 1, 2, 3]))
+
+    def test_two_hull_columns_sharing_a_phase(self):
+        # theta = 4 >= pi at d = 4, with the phase 4 twice: the arc's endpoints, the partner of
+        # the end in its two-dimensional eigenspace, and the other hull vertex, four columns
+        # in all; inverse iteration puts two of them in one eigenspace, and the QR makes all
+        # four orthonormal
+        v = haar_unitary_from_rng(4, np.random.default_rng(6))
+        u = v @ np.diag(np.exp(1j * np.array([0.0, 2.0, 4.0, 4.0]))) @ v.conj().T
+        arc = smallest_arc(spectrum_of(u))
+        assert arc.theta == pytest.approx(4.0, abs=1e-12) and arc.start != arc.end
+        shared = [k for k, p in enumerate(spectrum_of(u).phases) if abs(p - 4.0) <= 1e-12]
+        assert len(shared) == 2 and arc.end in shared
+        indices = [arc.start, *shared, 6 - arc.start - sum(shared)]
+        assert_eigenvectors(u, *vectors_of(u, indices))
+        pair = pair_of(u)
+        for t in (1, 2, 3):
+            overlap = simulate_parallel(pair, build_parallel(pair, t)).final_overlap
+            assert overlap <= 1e-12
+
+    def test_endpoints_a_billionth_apart(self):
+        # the two eigenvalues lie 1e-9 apart: each solve shrinks the other's share by only
+        # about 1e-3, yet the residuals stay at rounding size, and so does the QR's pair
+        v = haar_unitary_from_rng(3, np.random.default_rng(7))
+        for d in (2, 3):
+            u = v[:d, :d] if d == 3 else haar_unitary_from_rng(2, np.random.default_rng(8))
+            u = u @ np.diag(np.exp(1j * np.array([0.3, 0.3 + 1e-9, 2.0][:d]))) @ u.conj().T
+            arc = smallest_arc(spectrum_of(u))
+            vectors, phases = vectors_of(u, [arc.start, arc.end])
+            resid = u @ vectors - vectors * np.exp(1j * phases)
+            assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-14
+            assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(2))) <= 1e-14
 
     def test_rejects_non_unitary(self):
         with pytest.raises(DomainError, match="u2 is not unitary"):
@@ -238,7 +297,7 @@ class TestEigenSystem:
     def test_spectrum_loads_no_scipy(self):
         script = ("import sys, numpy as np, qudisc; "
                   "pair = qudisc.UnitaryPair.of(np.eye(2), np.diag([1, 1j])); "
-                  "qudisc.relative_spectrum(pair); pair.spectrum; "
+                  "qudisc.relative_spectrum(pair); qudisc.build_parallel(pair, 2); "
                   "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
                   "assert not loaded, loaded")
         # the qudisc under test, whether a checkout's src or site-packages
@@ -248,21 +307,20 @@ class TestEigenSystem:
         assert done.returncode == 0, done.stderr
 
     def test_non_unitary_input_is_refused_before_a_schur_failure(self, monkeypatch):
-        patch_lapack(monkeypatch, "eigh_lo", nan_eigenvalues)
+        patch_lapack(monkeypatch, "eigvalsh_lo", nan_eigenvalues)
         with pytest.raises(DomainError, match="u2 is not unitary within 1e-10"):
             spectrum_of(np.diag([1.0, 0.5]))
 
     def test_nan_eigenbasis_fails_the_accuracy_contract(self, monkeypatch):
-        # a NaN defect compared False against the tolerance and was accepted
-        def nan_vectors(eigh):
-            def call(*args, **kwargs):
-                w, v = eigh(*args, **kwargs)
-                return w, np.full_like(v, np.nan)
-            return call
-
-        patch_lapack(monkeypatch, "eigh_lo", nan_vectors)
-        with pytest.raises(NumericalError, match="accuracy contract"):
-            spectrum_of(np.diag([1.0, -1.0]))
+        # a NaN defect compares False against the tolerance; the phases are found and kept
+        # before the solve is patched, so only the inverse iteration's solves read NaN
+        pair = pair_of(np.diag([1.0, -1.0]))
+        relative_spectrum(pair)
+        patch_lapack(monkeypatch, "solve", nan_result)
+        with pytest.raises(NumericalError, match="eigenvectors failed accuracy contract"):
+            linalg._eigenvectors(pair, [0, 1])
+        with pytest.raises(NumericalError, match="eigenvectors failed accuracy contract"):
+            build_parallel(pair, 2)
 
     @pytest.mark.parametrize("bad, error", [
         (np.array([np.eye(2)] * 2), ShapeError),
@@ -274,17 +332,23 @@ class TestEigenSystem:
             spectrum_of(bad)
 
     def test_schur_failure_is_a_numerical_error(self, monkeypatch):
-        patch_lapack(monkeypatch, "eigh_lo", nan_eigenvalues)
+        patch_lapack(monkeypatch, "eigvalsh_lo", nan_eigenvalues)
         with pytest.raises(NumericalError, match="did not converge"):
             relative_spectrum(UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0])))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
-    def test_theta_only_phases_equal_eigen_system_bit_for_bit(self, d):
+    def test_no_eigenvector_is_formed_for_the_phases(self, d, monkeypatch):
+        # the phases come from eigenvalues alone: LAPACK's eigh with vectors is never reached
+        def unreachable(eigh):
+            def call(*args, **kwargs):
+                raise AssertionError("eigh_lo called")
+            return call
+
+        patch_lapack(monkeypatch, "eigh_lo", unreachable)
         rng = np.random.default_rng([d, 18])
         u1, u2 = haar_unitary_from_rng(d, rng), haar_unitary_from_rng(d, rng)
-        phases = relative_spectrum(UnitaryPair.of(u1, u2))
-        assert phases.vectors is None
-        assert np.array_equal(phases.phases, spectrum_of(u1.conj().T @ u2).phases)
+        spectrum = relative_spectrum(UnitaryPair.of(u1, u2))
+        assert spectrum.phases.shape == (d,) and not hasattr(spectrum, "vectors")
 
     @pytest.mark.parametrize("entry, value", [
         ((0, 1), 1e-6),     # one off-diagonal entry: the Cayley transform is not Hermitian
@@ -519,27 +583,31 @@ class TestUnitaryPair:
     def test_spectrum_is_decomposed_once_and_kept(self, monkeypatch):
         rng = np.random.default_rng(60)
         u1, u2 = haar_unitary_from_rng(3, rng), haar_unitary_from_rng(3, rng)
-        eigen_system, calls = linalg._eigen_system, []
+        eigenphases, eigenvectors = linalg._eigenphases, linalg._eigenvectors
+        calls = {"phases": 0, "vectors": 0}
 
-        def counted(a):
-            calls.append(a.shape)
-            return eigen_system(a)
+        def counted_phases(a):
+            calls["phases"] += 1
+            return eigenphases(a)
 
-        monkeypatch.setattr(linalg, "_eigen_system", counted)
+        def counted_vectors(pair, indices):
+            calls["vectors"] += 1
+            return eigenvectors(pair, indices)
+
+        monkeypatch.setattr(linalg, "_eigenphases", counted_phases)
+        monkeypatch.setattr(builder, "_eigenvectors", counted_vectors)
         pair = UnitaryPair.of(u1, u2)
-        phases = relative_spectrum(pair)
-        assert phases.vectors is None and relative_spectrum(pair) is phases
-        assert len(calls) == 1
-        # the parallel plan's reader decomposes again, once, and finds the same phases
-        assert pair.spectrum is pair.spectrum and pair.spectrum.vectors is not None
-        assert np.array_equal(pair.spectrum.phases, phases.phases)
-        assert len(calls) == 2
-        # a pair that holds its spectrum gives it for its phases, without a second decomposition
-        held = UnitaryPair.of(u1, u2)
-        spectrum = held.spectrum
-        assert relative_spectrum(held) is spectrum
-        assert len(calls) == 3
-        assert np.array_equal(relative_spectrum(UnitaryPair.of(u1, u2)).phases, phases.phases)
+        spectrum = relative_spectrum(pair)
+        assert relative_spectrum(pair) is spectrum
+        assert calls == {"phases": 1, "vectors": 0}
+        # the parallel plan reads the kept phases, then asks for its few eigenvectors once
+        plan = build_parallel(pair, 3)
+        assert relative_spectrum(pair) is spectrum
+        assert calls == {"phases": 1, "vectors": 1}
+        assert plan.eigenvectors.shape[1] <= 4
+        # a fresh pair decomposes again, to the same phases
+        assert np.array_equal(relative_spectrum(UnitaryPair.of(u1, u2)).phases, spectrum.phases)
+        assert calls == {"phases": 2, "vectors": 1}
 
     def test_product_of_checked_unitaries_is_not_checked_again(self):
         # each factor's defect is 9.0e-11, within UNITARY_TOL; U1†U2's is 1.8e-10, beyond it
@@ -547,7 +615,8 @@ class TestUnitaryPair:
         u2 = np.diag([1 + 0.45e-10, 1j])
         pair = UnitaryPair.of(u1, u2)
         assert np.array_equal(relative_spectrum(pair).phases, [0.0, np.pi / 2])
-        assert np.array_equal(pair.spectrum.phases, [0.0, np.pi / 2])
+        # the plan's eigenvectors are held to their contract on the unchecked product too
+        assert build_parallel(pair, 1).eigenvectors.shape == (2, 2)
         # a matrix handed in alone is checked: a pair made of the product refuses it
         with pytest.raises(DomainError, match="defect 1.800e-10"):
             UnitaryPair.of(np.eye(2), u1.conj().T @ u2)
@@ -604,7 +673,7 @@ class TestUnitaryPair:
     def test_spectrum_keeps_its_arc(self):
         rng = np.random.default_rng(62)
         pair = UnitaryPair.of(haar_unitary_from_rng(4, rng), haar_unitary_from_rng(4, rng))
-        arc = smallest_arc(pair.spectrum)
+        arc = smallest_arc(relative_spectrum(pair))
         assert smallest_arc(relative_spectrum(pair)) is arc
 
     def test_one_argument_too_many(self):

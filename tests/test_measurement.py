@@ -390,6 +390,31 @@ class TestSpanForm:
         with pytest.raises(ValidationError, match="weights sum to inf"):
             bad.validate()
 
+    def test_weights_are_not_read_where_the_basis_spans_the_space(self):
+        # with k = n no mass lies outside the span, and validate checks no weight sum, yet the
+        # weights met the rounding of 1 - |x|^2: 1e308 each read p_correct 0 and 1, and the
+        # built Helstrom POVM at n = 2 added its weight of 1 times that rounding
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            c = rng.uniform(0.0, 0.999)
+            pair = StatePair.of(*state_pair_with_overlap(c, 2, rng))
+            good = helstrom_povm(pair)
+            assert good.basis.shape == (2, 2)
+            huge = Povm(effects=good.effects, labels=good.labels, basis=good.basis,
+                        rest=[1e308, 1e308])
+            expected = (1.0 + math.sqrt(1.0 - c * c)) / 2.0
+            outcomes = [evaluate_povm(povm, pair) for povm in (good, huge)]
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0].p_correct_1 == pytest.approx(expected, abs=1e-15)
+            assert outcomes[0].p_correct_2 == pytest.approx(expected, abs=1e-15)
+            # a dense 3 x 3 POVM, evaluated by the einsum path, on a pair in three dimensions
+            pair3 = StatePair.of(*state_pair_with_overlap(c, 3, rng))
+            dense = helstrom_povm(pair3)
+            effects = [dense_effect(dense, label) for label in dense.labels]
+            out = evaluate_povm(Povm(effects, dense.labels, rest=[1e308, 1e308]), pair3)
+            assert out.p_correct_1 == pytest.approx(expected, abs=1e-14)
+            assert out.p_correct_2 == pytest.approx(expected, abs=1e-14)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_validate_refuses_a_non_finite_two_by_two_block(self, value):
         pair = StatePair.of(*state_pair_with_overlap(0.5, 4, np.random.default_rng(45)))
@@ -593,7 +618,7 @@ def test_span_checks_and_born_rule_match_the_frozen_numpy_routines(
                 or defect == "overflowing_weights" and k == n)  # no complement to weigh
     assert (verdict is None) == harmless
     if defect == "none":
-        rows = dict(zip(povm.labels, born_numpy(povm.effects, povm.rest, pair.coords)))
+        rows = dict(zip(povm.labels, born_numpy(povm.effects, povm.rest, pair.coords, n)))
         absent = (0.0, 0.0)
         expected = (rows.get("identify_1", absent)[0], rows.get("identify_2", absent)[1],
                     *rows.get("inconclusive", absent))
