@@ -42,13 +42,13 @@ from .tolerances import BOUND_SAFETY_TOL, PERFECT_OVERLAP
 class ParallelPlan:
     """Probe T copies at once with a superposition of eigenvector product strings.
 
-    Row s of ``strings`` names, per copy, a column of ``eigenvectors``, the d x m, m <= 4,
+    Row s of ``strings`` names, per copy, a column of ``eigenvectors``, the d x m, m <= 3,
     orthonormal eigenvectors of U1†U2 that the strings use; the probe is sum_s sqrt(weights[s])
     |string s>, over at most 3 strings. Each string only picks up its product phase, so the
     final overlap is |sum_s weights[s] e^{i Phi_s}|: the distance from the origin to the hull of
-    the chosen phases. For the strings ``build_parallel`` picks that is
-    ``bounds.optimal_overlap(theta, T)``, the optimum over all protocols (Acin, PRL 87, 177901,
-    2001).
+    the chosen phases. For the strings ``build_parallel`` picks (the arc strings below theta =
+    pi, one copy on at most 3 eigenvectors from pi on) that is ``bounds.optimal_overlap(theta,
+    T)``, the optimum over all protocols (Acin, PRL 87, 177901, 2001).
 
     The fields are checked when the plan is built: a ``ValidationError``
     for a copy count that is not an integer >= 1 or strings that are not
@@ -66,8 +66,8 @@ class ParallelPlan:
         # attributes and one pass over the strings: the campaign builds one plan per instance
         self.copies = check_copies(self.copies)
         v, s, w = self.eigenvectors, self.strings, self.weights
-        if not (isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] <= 4):
-            raise ShapeError(f"plan: eigenvectors must be d x m, m <= 4, got shape {np.shape(v)}")
+        if not (isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] <= 3):
+            raise ShapeError(f"plan: eigenvectors must be d x m, m <= 3, got shape {np.shape(v)}")
         if not (isinstance(s, np.ndarray) and s.dtype.kind in "iu"):
             raise ValidationError("plan: strings must be an array of integers")
         if s.ndim != 2 or not 1 <= s.shape[0] <= 3 or s.shape[1] != self.copies:
@@ -84,8 +84,12 @@ class ParallelPlan:
 def build_parallel(pair: UnitaryPair, t: int) -> ParallelPlan:
     """Parallel plan for t simultaneous copies of the unknown unitary.
 
-    The arc, hull and strings come from the eigenphases; then the at most 4 eigenvectors the
-    strings use are found. Raises IndistinguishableError when the pair has zero phase spread.
+    One family of strings per regime, from the eigenphases, before the at most 3 eigenvectors
+    they use are found. Below pi: a^(T-j) b^j, j = 0..T, for the arc endpoints a, b, whose
+    phases relative to a^T step by theta. From pi on, the spectrum's own hull holds the origin:
+    copy 0 takes its at most 3 eigenvectors and every later copy the first of them, so one query
+    discriminates. The strings are distinct, so orthonormal. Raises IndistinguishableError when
+    the pair has zero phase spread.
     """
     t = check_copies(t)
     spectrum = relative_spectrum(pair)
@@ -94,29 +98,18 @@ def build_parallel(pair: UnitaryPair, t: int) -> ParallelPlan:
         raise IndistinguishableError(
             "the pair differs by a global phase at most; parallel probing cannot help"
         )
-    # Candidates a^(T-j) b^j, j = 0..T, for the arc endpoints a, b: their
-    # phases, taken relative to a^T, step by theta from 0 to T*theta. From
-    # theta >= pi a step can jump over the origin, so x_k a^(T-1) joins for
-    # every other eigenvector x_k (x_a gives a^T again, and at T = 1 x_b
-    # gives b): those phases are the spectrum's own, turned. No two
-    # candidates are the same string, so the chosen ones are orthonormal.
-    phases = np.arange(t + 1) * arc.theta
-    others = []
-    if arc.theta >= math.pi:
-        taken = (arc.start,) if t > 1 else (arc.start, arc.end)
-        others = [k for k in range(spectrum.dim) if k not in taken]
-        phases = np.concatenate([phases, spectrum.phases[others] - arc.start_phase])
-    _, weights = closest_hull_point(np.exp(1j * phases))
-    chosen = np.flatnonzero(weights)
-    strings = np.full((chosen.size, t), arc.start)
-    for row, c in zip(strings, chosen.tolist()):
-        if c <= t:
-            row[t - c:] = arc.end
-        else:
-            row[0] = others[c - t - 1]
-    # the phase index of each eigenvector used, in order of first use; strings name its column
-    columns = list(dict.fromkeys(strings.ravel().tolist()))
-    strings = (strings[..., None] == columns).argmax(axis=-1)
+    if arc.theta < math.pi:
+        _, weights = closest_hull_point(np.exp(1j * np.arange(t + 1) * arc.theta))
+        chosen = np.flatnonzero(weights)
+        columns = [arc.start, arc.end]
+        # string j takes b on its last j copies
+        strings = (np.arange(t) >= t - chosen[:, None]).astype(np.intp)
+    else:
+        _, weights = closest_hull_point(spectrum.points())
+        chosen = np.flatnonzero(weights)
+        columns = chosen.tolist()
+        # string s takes x_s on copy 0 and x_0, the first of them, on every later copy
+        strings = np.arange(chosen.size)[:, None] * (np.arange(t) == 0)
     return ParallelPlan(
         copies=t,
         eigenvectors=_eigenvectors(pair, columns),

@@ -111,11 +111,10 @@ def closest_hull_point(points) -> tuple[float, np.ndarray]:
     distance is 0 and the weights are its barycentric coordinates there.
     Otherwise the minimum is attained on an edge or vertex.
 
-    The order comes from numpy's ``angle``, as the phases of a spectrum do:
-    points of one phase formed two ways (x_b a^(T-1) and a^(T-1) b in
-    ``build_parallel``) keep the order numpy gives them. Every later step is
-    O(m) work on Python floats, which at the few points of a plan costs less
-    than numpy's per-call overhead; one 3x3 solve is left to LAPACK.
+    The order comes from numpy's ``angle``, as the phases of a spectrum do: points of one phase
+    (equal phases of a degenerate spectrum, or the arc's steps j*theta = k*theta mod 2*pi) keep
+    the order numpy gives them. Every later step is O(m) work on Python floats, which at the few
+    points of a plan costs less than numpy's per-call overhead; one 3x3 solve is left to LAPACK.
     """
     pts = np.asarray(points, dtype=complex).ravel()
     zs = pts.tolist()

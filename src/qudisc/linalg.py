@@ -321,7 +321,7 @@ def relative_spectrum(u1, u2=None) -> PhaseSpectrum:
 
 def _eigenvectors(pair: UnitaryPair, indices: list[int]) -> np.ndarray:
     """Orthonormal eigenvectors of U1†U2 at ``relative_spectrum(pair).phases[indices]``: the
-    columns of a d x m matrix, m <= 4, by two steps of inverse iteration and one QR.
+    columns of a d x m matrix, m <= 3, by two steps of inverse iteration and one QR.
 
     Each step solves (A - mu_j I) y = x_j for every column j in one call, an LU per column,
     mu_j being e^{i phi_j} pushed off the circle by ``INVERSE_SHIFT``. Column j starts from

@@ -34,12 +34,16 @@ def _pairs(values: np.ndarray) -> list[list[float]]:
 
 
 def _from_pairs(pairs, what: str) -> np.ndarray:
+    # JSON numbers only, read as int or float: numpy would take true (a bool, which subclasses
+    # int) and the string "1" as floats too
+    if not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and set(map(type, p)) <= {int, float}
+            for p in pairs)):
+        raise ValidationError(f"{what}: entries must be [re, im] pairs of numbers")
     try:
-        arr = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what}: entries must be [re, im] pairs") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValidationError(f"{what}: entries must be [re, im] pairs")
+        arr = np.array(pairs, dtype=float).reshape(-1, 2)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValidationError(f"{what}: entries must be finite") from exc
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{what}: entries must be finite")
     return arr[:, 0] + 1j * arr[:, 1]

@@ -28,7 +28,7 @@ from qudisc import (
 )
 from qudisc.builder import _gauss_newton_step, _overlap_derivatives
 from qudisc.linalg import random_state_from_rng
-from qudisc.protocol import evolve_branches
+from qudisc.protocol import audit_step_slacks, evolve_branches
 from qudisc.tolerances import CEILING_GUARD
 
 I2 = np.eye(2, dtype=complex)
@@ -240,6 +240,59 @@ class TestParallelSimulationPerCopy:
         assert wide >= (1 if dim > 2 else 0)  # plans with theta >= pi are among them
 
 
+def pair_with_phases(u1: np.ndarray, v: np.ndarray, phases: np.ndarray) -> UnitaryPair:
+    """U1 against U1 V diag(e^{i phases}) V†: U1†U2 has the given eigenphases."""
+    return UnitaryPair.of(u1, u1 @ (v * np.exp(1j * phases)) @ v.conj().T)
+
+
+def wide_phase_sets():
+    """(U1, V, phases) with theta >= pi: Haar U1 and V at d = 3, 4 and 8, and diagonal pairs
+    with a repeated phase, which make equal points on the hull."""
+    rng = np.random.default_rng(80)
+    for dim in (3, 4, 8):
+        found = 0
+        while found < 4:
+            u1, v = haar_unitary_from_rng(dim, rng, (2,))
+            phases = rng.uniform(0.0, 2 * np.pi, dim)
+            if smallest_arc(relative_spectrum(pair_with_phases(u1, v, phases))).theta >= np.pi:
+                found += 1
+                yield u1, v, phases
+    for phases in ([0.0, 2.2, 2.2, 4.4], [0.0, 0.0, 2.1, 4.2], [0.0, 2.2, 4.4, 4.4, 4.4]):
+        eye = np.eye(len(phases), dtype=complex)
+        yield eye, eye, np.array(phases)
+
+
+class TestParallelPlanFromHalfTurn:
+    """From theta = pi on, one copy on at most 3 eigenvectors discriminates: the plan is
+    orthogonal after its first query, so its step audit is a function of the pair. Its hull
+    held the arc strings and the strings x_k a^(T-1) together, where a one-ulp change of a
+    phase could pick another triangle and move the slack by up to 1.2."""
+
+    @staticmethod
+    def min_slack(pair: UnitaryPair, t: int) -> float:
+        theta = smallest_arc(relative_spectrum(pair)).theta
+        return min(audit_step_slacks(simulate_parallel(pair, build_parallel(pair, t)), theta))
+
+    @pytest.mark.parametrize("t", [1, 2, 8, 64])
+    def test_one_query_on_at_most_three_eigenvectors(self, t):
+        for u1, v, phases in wide_phase_sets():
+            pair = pair_with_phases(u1, v, phases)
+            plan = build_parallel(pair, t)
+            assert plan.eigenvectors.shape[1] <= 3
+            assert np.all(plan.strings[:, 1:] == plan.strings[0, 1:2])  # one column after copy 0
+            assert abs(plan.weights.sum() - 1.0) <= 1e-12
+            assert simulate_parallel(pair, plan).distances[1] >= 2.0 - 1e-12
+
+    @pytest.mark.parametrize("t", [1, 2, 8, 64])
+    def test_a_one_ulp_nudge_leaves_the_slack(self, t):
+        for u1, v, phases in wide_phase_sets():
+            slack = self.min_slack(pair_with_phases(u1, v, phases), t)
+            for k in range(phases.size):
+                nudged = phases.copy()
+                nudged[k] = np.nextafter(nudged[k], 4.0)
+                assert abs(self.min_slack(pair_with_phases(u1, v, nudged), t) - slack) <= 1e-12
+
+
 class TestParallelPlanFields:
     """A plan checks its fields when built: each case below reached the simulation, which
     ran it silently or failed with an untyped numpy error."""
@@ -273,7 +326,7 @@ class TestParallelPlanFields:
         ("strings", np.zeros((2, 3)), ValidationError),
         ("strings", np.zeros((4, 3), dtype=int), ShapeError),
         ("eigenvectors", np.ones(2, dtype=complex), ShapeError),
-        ("eigenvectors", np.ones((8, 5), dtype=complex), ShapeError),  # only 4 columns are used
+        ("eigenvectors", np.ones((8, 4), dtype=complex), ShapeError),  # only 3 columns are used
     ])
     def test_mistyped_fields_are_refused(self, field, value, error):
         with pytest.raises(error, match="copy count|plan:"):

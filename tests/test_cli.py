@@ -75,6 +75,14 @@ class TestTheta:
                 assert code == 2 and out == "", (command, flag)
                 assert err.startswith(f"error: {flag} is not unitary"), (command, flag, err)
 
+    def test_rejects_entries_that_are_not_numbers(self, fixtures, tmp_path, capsys):
+        # exit 0 and theta = pi/2: numpy read "1" and true as floats
+        bad = tmp_path / "bad.json"
+        write_json({"dim": 2, "entries": [["1", 0], [0, 0], [0, 0], [True, False]]}, str(bad))
+        code, out, err = run_cli(capsys, ["theta", "--u1", str(bad), "--u2", fixtures["i2"]])
+        assert code == 2 and out == ""
+        assert err.startswith("error: u1: entries must be [re, im] pairs of numbers"), err
+
     def test_rejects_a_dimension_mismatch(self, fixtures, tmp_path, capsys):
         three = tmp_path / "three.json"
         write_json(matrix_to_obj(np.eye(3)), str(three))

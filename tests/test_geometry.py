@@ -239,9 +239,9 @@ class TestHullWeights:
 
 
 def plan_candidates(rng) -> np.ndarray:
-    """Phases as ``build_parallel`` forms them: j*theta for j = 0..T, and from theta >= pi the
-    spectrum's other phases turned by the start phase, which can repeat or nearly repeat one
-    of the steps. T*theta runs past 2*pi, so the steps wrap around the circle."""
+    """The arc's steps j*theta for j = 0..T, as ``build_parallel`` forms them below pi, and from
+    theta >= pi other phases beside them, which can repeat or nearly repeat one of the steps.
+    T*theta runs past 2*pi, so the steps wrap around the circle."""
     t = int(rng.integers(1, 40))
     if rng.random() < 0.3:  # a rational turn: candidates on a diameter or repeating exactly
         theta = math.pi * int(rng.integers(1, 8)) / int(rng.integers(1, 16)) % TWO_PI or 0.5
@@ -250,7 +250,7 @@ def plan_candidates(rng) -> np.ndarray:
     phases = list(np.arange(t + 1) * theta)
     if theta >= math.pi:
         phases += list(rng.uniform(0, TWO_PI, int(rng.integers(0, 4))) - rng.uniform(0, TWO_PI))
-        # x_b a^(T-1) beside a^(T-1) b: the step theta again, formed as a difference of phases
+        # the step theta again, formed as a difference of phases
         phases += [theta, np.nextafter(theta, 10.0)][: int(rng.integers(0, 3))]
     return np.array(phases)
 

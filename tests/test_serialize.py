@@ -37,11 +37,42 @@ def test_matrix_validation():
         matrix_from_obj({"entries": []})
     with pytest.raises(ValidationError):
         matrix_from_obj({"dim": 1, "entries": [[float("nan"), 0]]})
+    # an int beyond the float range raised numpy's untyped OverflowError
+    with pytest.raises(ValidationError, match=r"^matrix: entries must be finite$"):
+        matrix_from_obj({"dim": 1, "entries": [[10**400, 0]]})
 
 
 def test_state_validation():
     with pytest.raises(ValidationError):
         state_from_obj({"dim": 3, "amplitudes": [[1, 0]]})
+
+
+# numpy read the string "1" and the JSON bools as floats, and a null as NaN
+NOT_NUMBERS = ["1", True, False, None, [1.0], {"re": 1.0}]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_matrix_entries_must_be_numbers(value):
+    for entry in ([value, 0.0], [0.0, value]):
+        with pytest.raises(ValidationError,
+                           match=r"^matrix: entries must be \[re, im\] pairs of numbers$"):
+            matrix_from_obj({"dim": 2, "entries": [[1, 0], [0, 0], entry, [1, 0]]})
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_state_amplitudes_must_be_numbers(value):
+    with pytest.raises(ValidationError,
+                       match=r"^state: entries must be \[re, im\] pairs of numbers$"):
+        state_from_obj({"dim": 2, "amplitudes": [[1.0, 0.0], [value, 0.5]]})
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_protocol_probe_must_be_numbers(value):
+    obj = protocol_to_obj(Protocol(2, 1, 0, [np.eye(2)], np.array([1.0, 0.0])))
+    obj["probe"]["amplitudes"][1] = [value, 0.0]
+    with pytest.raises(ValidationError,
+                       match=r"^probe: entries must be \[re, im\] pairs of numbers$"):
+        protocol_from_obj(obj)
 
 
 def test_dim_cap_checked_before_entries():
