@@ -46,9 +46,11 @@ class ParallelPlan:
     orthonormal eigenvectors of U1†U2 that the strings use; the probe is sum_s sqrt(weights[s])
     |string s>, over at most 3 strings. Each string only picks up its product phase, so the
     final overlap is |sum_s weights[s] e^{i Phi_s}|: the distance from the origin to the hull of
-    the chosen phases. For the strings ``build_parallel`` picks (the arc strings below theta =
-    pi, one copy on at most 3 eigenvectors from pi on) that is ``bounds.optimal_overlap(theta,
-    T)``, the optimum over all protocols (Acin, PRL 87, 177901, 2001).
+    the chosen phases. For the strings ``build_parallel`` picks that is
+    ``bounds.optimal_overlap(theta, T)``, the optimum over all protocols (Acin, PRL 87, 177901,
+    2001). Below theta = pi they are arc strings a^(T-j) b^j: j = 0 and T at 1/2 each while
+    T*theta < pi, then at most 3 around the origin, in closed form. From pi on, one copy takes
+    at most 3 eigenvectors of the spectrum's own hull.
 
     The fields are checked when the plan is built: a ``ValidationError``
     for a copy count that is not an integer >= 1 or strings that are not
@@ -85,11 +87,12 @@ def build_parallel(pair: UnitaryPair, t: int) -> ParallelPlan:
     """Parallel plan for t simultaneous copies of the unknown unitary.
 
     One family of strings per regime, from the eigenphases, before the at most 3 eigenvectors
-    they use are found. Below pi: a^(T-j) b^j, j = 0..T, for the arc endpoints a, b, whose
-    phases relative to a^T step by theta. From pi on, the spectrum's own hull holds the origin:
-    copy 0 takes its at most 3 eigenvectors and every later copy the first of them, so one query
-    discriminates. The strings are distinct, so orthonormal. Raises IndistinguishableError when
-    the pair has zero phase spread.
+    they use are found. Below pi: a^(T-j) b^j for the arc endpoints a, b, whose phases relative
+    to a^T step by theta, at the closed-form weights of ``_arc_weights``, with no hull search.
+    From pi on, the spectrum's own hull holds the origin: copy 0 takes its at most 3
+    eigenvectors and every later copy the first of them, so one query discriminates. The
+    strings are distinct, so orthonormal. Raises IndistinguishableError when the pair has zero
+    phase spread.
     """
     t = check_copies(t)
     spectrum = relative_spectrum(pair)
@@ -99,14 +102,14 @@ def build_parallel(pair: UnitaryPair, t: int) -> ParallelPlan:
             "the pair differs by a global phase at most; parallel probing cannot help"
         )
     if arc.theta < math.pi:
-        _, weights = closest_hull_point(np.exp(1j * np.arange(t + 1) * arc.theta))
-        chosen = np.flatnonzero(weights)
+        chosen, weights = _arc_weights(arc.theta, t)
         columns = [arc.start, arc.end]
         # string j takes b on its last j copies
-        strings = (np.arange(t) >= t - chosen[:, None]).astype(np.intp)
+        strings = (np.arange(t) >= t - np.array(chosen)[:, None]).astype(np.intp)
     else:
-        _, weights = closest_hull_point(spectrum.points())
-        chosen = np.flatnonzero(weights)
+        _, hull = closest_hull_point(spectrum.points())
+        chosen = np.flatnonzero(hull)
+        weights = hull[chosen]
         columns = chosen.tolist()
         # string s takes x_s on copy 0 and x_0, the first of them, on every later copy
         strings = np.arange(chosen.size)[:, None] * (np.arange(t) == 0)
@@ -114,9 +117,40 @@ def build_parallel(pair: UnitaryPair, t: int) -> ParallelPlan:
         copies=t,
         eigenvectors=_eigenvectors(pair, columns),
         strings=strings,
-        weights=weights[chosen],
+        weights=np.asarray(weights),
         predicted_overlap=optimal_overlap(arc.theta, t),
     )
+
+
+def _arc_weights(theta: float, t: int) -> tuple[list[int], list[float]]:
+    """The arc strings' b-counts j, ascending, and their weights, for 0 < theta < pi.
+
+    The string a^(T-j) b^j has phase j*theta relative to a^T. While t*theta < pi (the test
+    ``optimal_overlap`` makes) the points 1 and e^{iT theta} at 1/2 each give the chord's
+    midpoint, cos(T theta/2) from the origin. From then on, with m the least copy count whose
+    m*theta reaches pi, the triangle 1, e^{i alpha}, e^{i beta}, alpha = (m-1)theta and
+    beta = m*theta as rounded, holds the origin, at the barycentric weights proportional to
+    (sin(beta - alpha), -sin beta, sin alpha): the plan on m copies, padded with T - m idle
+    leading copies of a. beta - alpha is computed exactly and differs from theta by at most
+    an ulp of pi; taking its sine keeps the weights barycentric for the points as rounded. Only the middle weight can fail to be
+    positive, where beta rounds to math.pi, just below pi; that string is then dropped, and
+    the other two take the chord's midpoint, 1/2 each. Python floats throughout: no point is
+    formed, sorted or solved for.
+    """
+    if t * theta < math.pi:
+        return [0, t], [0.5, 0.5]
+    m = math.ceil(math.pi / theta)  # within one of the least m, as the quotient is rounded
+    while (m - 1) * theta >= math.pi:
+        m -= 1
+    while m * theta < math.pi:
+        m += 1
+    alpha, beta = (m - 1) * theta, m * theta
+    middle = -math.sin(beta)
+    if not middle > 0.0:
+        return [0, m], [0.5, 0.5]
+    first, last = math.sin(beta - alpha), math.sin(alpha)
+    total = first + middle + last
+    return [0, m - 1, m], [first / total, middle / total, last / total]
 
 
 def check_copies(t: int) -> int:

@@ -112,9 +112,10 @@ def closest_hull_point(points) -> tuple[float, np.ndarray]:
     Otherwise the minimum is attained on an edge or vertex.
 
     The order comes from numpy's ``angle``, as the phases of a spectrum do: points of one phase
-    (equal phases of a degenerate spectrum, or the arc's steps j*theta = k*theta mod 2*pi) keep
-    the order numpy gives them. Every later step is O(m) work on Python floats, which at the few
-    points of a plan costs less than numpy's per-call overhead; one 3x3 solve is left to LAPACK.
+    (equal phases of a degenerate spectrum) keep the order numpy gives them. Every later step is
+    O(m) work on Python floats, which at a small spectrum's few points costs less than numpy's
+    per-call overhead; one 3x3 solve is left to LAPACK. It serves the parallel plan from
+    theta = pi on and the fidelity oracle; below pi the plan's weights are in closed form.
     """
     pts = np.asarray(points, dtype=complex).ravel()
     zs = pts.tolist()

@@ -61,7 +61,9 @@ def _defects(a: np.ndarray) -> np.ndarray:
     test accepts.
     """
     gram = a.conj().swapaxes(-2, -1) @ a
-    np.einsum("...ii->...i", gram)[...] -= 1  # M†M - I in place, no identity built
+    k = gram.shape[-1]
+    # M†M - I in place through a strided view of each fresh Gram's diagonal: no identity built
+    gram.reshape(*gram.shape[:-2], k * k)[..., ::k + 1] -= 1
     return np.abs(gram).max(axis=(-2, -1))
 
 
@@ -248,11 +250,14 @@ class UnitaryPair:
 
     Build it with ``UnitaryPair.of``, which checks both as that one stack;
     ``u1`` and ``u2`` are views of it, and a query acts on both in one
-    product. Their product U1†U2 is not checked again. Its eigenphases are
-    the pair's one decomposition, found on first use by ``relative_spectrum``
+    product. Their product U1†U2 is not checked again. It is formed once, on
+    first use, and kept, read-only: its eigenphases, the pair's one
+    decomposition, are found from it on first use by ``relative_spectrum``
     and kept, with the smallest covering arc once ``geometry.smallest_arc``
-    has found it. Every builder and simulator takes a pair, so a pair used
-    by several of them is checked, decomposed and given its arc once.
+    has found it, and ``_eigenvectors`` reads it for a plan's few
+    eigenvectors. Every builder and simulator takes a pair, so a pair used
+    by several of them is checked, multiplied, decomposed and given its arc
+    once.
     """
 
     unitaries: np.ndarray
@@ -276,8 +281,14 @@ class UnitaryPair:
         return int(self.unitaries.shape[-1])
 
     @cached_property
+    def _product(self) -> np.ndarray:
+        a = self.u1.conj().T @ self.u2
+        a.flags.writeable = False
+        return a
+
+    @cached_property
     def _spectrum(self) -> PhaseSpectrum:
-        return PhaseSpectrum(_eigenphases(self.u1.conj().T @ self.u2))
+        return PhaseSpectrum(_eigenphases(self._product))
 
 
 def pair_args(u1, u2=None, *rest) -> tuple:
@@ -333,7 +344,7 @@ def _eigenvectors(pair: UnitaryPair, indices: list[int]) -> np.ndarray:
         NumericalError: the residual |A Q - Q diag(e^{i phi})|_F or the
             orthonormality defect exceeds ``EIGEN_TOL``; a NaN fails it.
     """
-    a = pair.u1.conj().T @ pair.u2
+    a = pair._product
     d, m = a.shape[0], len(indices)
     eigenvalues = np.exp(1j * relative_spectrum(pair).phases[indices])
     shifted = np.repeat(a[None], m, axis=0)

@@ -8,11 +8,12 @@ import math
 from functools import reduce
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from qudisc import PhaseSpectrum, UnitaryPair, ValidationError, build_parallel
 from qudisc.linalg import (haar_isometry_from_rng, haar_unitary_from_rng, random_state_from_rng,
                            wrap_phase)
-from qudisc.tolerances import POVM_TOL, UNITARY_TOL
+from qudisc.tolerances import INVERSE_SHIFT, POVM_TOL, UNITARY_TOL
 
 TWO_PI = 2.0 * np.pi
 
@@ -189,6 +190,26 @@ def reference_record(cfg, index: int) -> dict:
         "theorem1_slack": t * theta / 2.0 - need,
         "theorem1_slack_onesided": t * theta / 2.0 - need_onesided,
     }
+
+
+def eigenvectors_forming_the_product(u1, u2, phases, indices) -> np.ndarray:
+    """``linalg._eigenvectors`` as it was when it formed U1†U2 itself, frozen as a reference.
+
+    The package's routine reads the product its pair keeps; the two must
+    agree bit for bit. Two batched steps of inverse iteration from the
+    columns e^{i k sqrt(j + 2)}, then one QR over the columns.
+    """
+    a = u1.conj().T @ u2
+    d, m = a.shape[0], len(indices)
+    eigenvalues = np.exp(1j * phases[indices])
+    shifted = np.repeat(a[None], m, axis=0)
+    shifted.reshape(m, d * d)[:, ::d + 1] -= ((1.0 + INVERSE_SHIFT) * eigenvalues)[:, None]
+    x = np.exp(1j * np.multiply.outer(np.sqrt(np.arange(2.0, m + 2.0)), np.arange(1.0, d + 1.0)))
+    for _ in range(2):
+        x = _umath_linalg.solve(shifted, x[..., None], signature="DD->D")[..., 0]
+    x = x.T.copy()
+    return _umath_linalg.qr_reduced(x, _umath_linalg.qr_r_raw(x, signature="D->D"),
+                                    signature="DD->D")
 
 
 def closest_hull_point_numpy(points) -> tuple[float, np.ndarray]:

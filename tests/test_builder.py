@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -26,10 +27,13 @@ from qudisc import (
     smallest_arc,
     t_perfect,
 )
-from qudisc.builder import _gauss_newton_step, _overlap_derivatives
-from qudisc.linalg import random_state_from_rng
+from qudisc import builder
+from qudisc.builder import _arc_weights, _gauss_newton_step, _overlap_derivatives
+from qudisc.linalg import _eigenvectors, random_state_from_rng
 from qudisc.protocol import audit_step_slacks, evolve_branches
 from qudisc.tolerances import CEILING_GUARD
+
+from .oracles import eigenvectors_forming_the_product
 
 I2 = np.eye(2, dtype=complex)
 EIGHTH_TURN = np.diag([1.0, np.exp(1j * np.pi / 4)])
@@ -190,6 +194,178 @@ class TestParallelPlan:
                 assert abs(trace.final_overlap - plan.predicted_overlap) <= 1e-8
                 checked += 1
         assert checked > 500
+
+
+def arc_overlap(theta: float, chosen: list[int], weights: list[float]) -> float:
+    """|sum_j w_j e^{ij theta}|: the distance from the origin of the arc strings' combination."""
+    return abs(sum(w * cmath.exp(1j * j * theta) for j, w in zip(chosen, weights)))
+
+
+def least_half_turn(theta: float) -> int:
+    """The least copy count m whose m*theta, as rounded, reaches math.pi, by counting up."""
+    m = 1
+    while m * theta < math.pi:
+        m += 1
+    return m
+
+
+def thetas_near(m: int, ulps: int = 40) -> list[float]:
+    """The floats within ``ulps`` steps either side of math.pi / m."""
+    below = [math.pi / m]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], 0.0))
+    above = [math.pi / m]
+    for _ in range(ulps):
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+class TestArcPlanInClosedForm:
+    """Below theta = pi the plan's strings and weights are a function of (theta, T) alone:
+    j = 0 and T at 1/2 each while T*theta < pi, then j = 0, m - 1, m at the barycentric
+    weights around the origin, with m the least copy count whose m*theta reaches pi."""
+
+    @pytest.mark.parametrize("theta", [0.05, 0.3, 1.0, math.pi / 4, 2.0, 3.0, 3.14])
+    def test_strings_and_weights_follow_theta_and_t(self, theta):
+        m = least_half_turn(theta)
+        for t in range(1, m + 6):
+            chosen, weights = _arc_weights(theta, t)
+            if t * theta < math.pi:
+                assert (chosen, weights) == ([0, t], [0.5, 0.5])
+                continue
+            if m * theta == math.pi:  # below pi: the middle weight would be negative
+                assert (chosen, weights) == ([0, m], [0.5, 0.5])
+                assert arc_overlap(theta, chosen, weights) <= 1e-15
+                continue
+            assert chosen == [0, m - 1, m]
+            # the weights solve the barycentric system of the three points, by a dense solve
+            angles = np.array(chosen) * theta
+            system = np.array([np.cos(angles), np.sin(angles), np.ones(3)])
+            assert np.abs(np.array(weights) - np.linalg.solve(system, [0.0, 0.0, 1.0])).max() <= 1e-12
+            assert min(weights) > 0.0 and abs(sum(weights) - 1.0) <= 1e-15
+            assert arc_overlap(theta, chosen, weights) <= 1e-15
+
+    def test_the_plan_holds_the_closed_form_strings(self):
+        # end to end on a diagonal pair at theta = 1, so m = 4: string j takes b on its last j
+        # copies
+        pair = UnitaryPair.of(I2, np.diag([1.0, np.exp(1.0j)]))
+        for t, chosen in [(1, [0, 1]), (3, [0, 3]), (4, [0, 3, 4]), (7, [0, 3, 4])]:
+            plan = build_parallel(pair, t)
+            expected = (np.arange(t) >= t - np.array(chosen)[:, None]).astype(np.intp)
+            assert np.array_equal(plan.strings, expected)
+            assert plan.weights.tolist() == _arc_weights(smallest_arc(relative_spectrum(pair)).theta,
+                                                         t)[1]
+
+    @pytest.mark.parametrize("t", [2, 4, 8, 64])
+    def test_t_theta_within_an_ulp_of_pi(self, t):
+        # t a power of two, so t*theta is exactly prev(pi), pi and next(pi)
+        for target in (math.nextafter(math.pi, 0.0), math.pi, math.nextafter(math.pi, 4.0)):
+            theta = target / t
+            assert t * theta == target
+            chosen, weights = _arc_weights(theta, t)
+            if target < math.pi:
+                assert chosen == [0, t]
+            elif target == math.pi:
+                # -sin(m theta) = -sin(math.pi) < 0, as math.pi lies below pi: the middle string
+                # is dropped, and the chord's midpoint is the nearest point
+                assert (chosen, weights) == ([0, t], [0.5, 0.5])
+            else:
+                assert chosen == [0, t - 1, t]
+            assert arc_overlap(theta, chosen, weights) <= 1e-15
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 8, 16, 100])
+    def test_m_theta_within_an_ulp_of_pi(self, m):
+        # at T = m and with idle leading copies, on every float theta whose m*theta, as rounded,
+        # lies within an ulp of pi
+        near = {math.nextafter(math.pi, 0.0), math.pi, math.nextafter(math.pi, 4.0)}
+        cases = [theta for theta in thetas_near(m) if m * theta in near]
+        assert cases
+        for theta in cases:
+            for t in (m, m + 1, m + 5):
+                chosen, weights = _arc_weights(theta, t)
+                if t * theta < math.pi:
+                    assert chosen == [0, t]
+                else:
+                    mm = least_half_turn(theta)
+                    if mm * theta == math.pi:  # the middle string is dropped
+                        assert (chosen, weights) == ([0, mm], [0.5, 0.5])
+                    else:
+                        assert chosen == [0, mm - 1, mm] and min(weights) > 0.0
+                assert arc_overlap(theta, chosen, weights) <= 1e-15
+
+    def test_theta_up_to_pi(self):
+        theta = math.pi
+        for _ in range(6):
+            theta = math.nextafter(theta, 0.0)
+            assert _arc_weights(theta, 1) == ([0, 1], [0.5, 0.5])
+            for t in (2, 3, 9):
+                chosen, weights = _arc_weights(theta, t)
+                assert chosen == [0, 1, 2] and min(weights) > 0.0
+                assert arc_overlap(theta, chosen, weights) <= 1e-15
+        # end to end: a pair whose spread nears pi from below
+        for gap in (1e-6, 1e-9, 1e-12, 1e-14):
+            pair = UnitaryPair.of(I2, np.diag([1.0, np.exp(1j * (math.pi - gap))]))
+            spread = smallest_arc(relative_spectrum(pair)).theta
+            for t in (1, 2, 5):
+                overlap = simulate_parallel(pair, build_parallel(pair, t)).final_overlap
+                assert abs(overlap - optimal_overlap(spread, t)) <= 1e-12
+
+    def test_a_one_ulp_nudge_away_from_the_boundaries_leaves_the_strings(self):
+        rng = np.random.default_rng(90)
+        for theta in rng.uniform(0.02, math.pi - 0.02, 200).tolist():
+            for t in (1, 2, 3, 8, 64, 200):
+                chosen, weights = _arc_weights(theta, t)
+                for nudged in (math.nextafter(theta, 0.0), math.nextafter(theta, 4.0)):
+                    again, moved = _arc_weights(nudged, t)
+                    assert again == chosen
+                    assert max(abs(x - y) for x, y in zip(weights, moved)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1, 3, 8, 64])
+    def test_a_one_ulp_nudge_of_a_phase_leaves_the_plan(self, t):
+        rng = np.random.default_rng(91)
+        for _ in range(4):
+            u1, v = haar_unitary_from_rng(3, rng, (2,))
+            theta = rng.uniform(0.3, 3.0)
+            phases = np.array([0.0, theta, rng.uniform(0.0, theta)])
+            pair = pair_with_phases(u1, v, phases)
+            plan = build_parallel(pair, t)
+            slack = min(audit_step_slacks(simulate_parallel(pair, plan),
+                                          smallest_arc(relative_spectrum(pair)).theta))
+            for k in range(phases.size):
+                nudged = phases.copy()
+                nudged[k] = np.nextafter(nudged[k], 4.0)
+                other = pair_with_phases(u1, v, nudged)
+                again = build_parallel(other, t)
+                assert np.array_equal(again.strings, plan.strings)
+                spread = smallest_arc(relative_spectrum(other)).theta
+                assert abs(min(audit_step_slacks(simulate_parallel(other, again), spread))
+                           - slack) <= 1e-12
+
+    def test_no_hull_search_below_pi(self, monkeypatch):
+        def refuse(points):
+            raise AssertionError("closest_hull_point called below pi")
+
+        monkeypatch.setattr(builder, "closest_hull_point", refuse)
+        pair = eighth_turn()
+        for t in (1, 4, 64):
+            build_parallel(pair, t)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_eigenvectors_on_the_kept_product_equal_the_parents(self, dim):
+        rng = np.random.default_rng(95 + dim)
+        for _ in range(5):
+            u1, u2 = haar_unitary_from_rng(dim, rng, (2,))
+            pair = UnitaryPair.of(u1, u2)
+            spectrum = relative_spectrum(pair)
+            product = pair._product
+            assert not product.flags.writeable
+            assert product.tobytes() == (u1.conj().T @ u2).tobytes()
+            arc = smallest_arc(spectrum)
+            for indices in ([arc.start, arc.end], [0], list(range(min(dim, 3)))):
+                reference = eigenvectors_forming_the_product(u1, u2, spectrum.phases, indices)
+                assert _eigenvectors(pair, indices).tobytes() == reference.tobytes()
+            build_parallel(pair, 3)
+            assert pair._product is product  # formed once per pair
 
 
 def per_copy_states(pair: UnitaryPair, plan) -> np.ndarray:
