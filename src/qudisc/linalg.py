@@ -8,6 +8,7 @@ All dense objects are capped at dimension ``DIM_CAP`` to bound memory.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass, field
@@ -179,9 +180,15 @@ def wrap_phase(phases) -> np.ndarray:
 
 
 def _eigenphases(a: np.ndarray) -> np.ndarray:
-    """Eigenphases of U1†U2, from the eigenvalues of one Hermitian matrix.
+    """Eigenphases of U1†U2: at d = 2 the roots of its characteristic polynomial, else from the
+    eigenvalues of one Hermitian matrix.
 
-    ``a`` is a product of checked unitaries, so it is normal, and its Cayley
+    At d = 2 the eigenvalues are the roots lambda = (p + s)/2 ± sqrt(((p - s)/2)^2 + qr) of
+    lambda^2 - tr(A) lambda + det(A), on Python complex scalars, with no LAPACK call. Each
+    root's modulus must be within ``EIGEN_TOL`` of 1: a NaN fails it, and a failure is a
+    ``NumericalError``.
+
+    At every other d ``a``, a product of checked unitaries, is normal, and its Cayley
     transform is Hermitian with the same eigenvectors:
     1. The eigenvalues of A + A† are twice the cosines of the phases, so the
        symmetrised set ±arccos c holds every phase. The centre beta of its
@@ -207,6 +214,16 @@ def _eigenphases(a: np.ndarray) -> np.ndarray:
     H fails it, and a NaN eigenvalue is a failure to converge; each is a
     ``NumericalError``.
     """
+    if a.shape[0] == 2:
+        (p, q), (r, s) = a.tolist()
+        diff = 0.5 * (p - s)
+        disc = cmath.sqrt(diff * diff + q * r)
+        plus, minus = 0.5 * (p + s) + disc, 0.5 * (p + s) - disc
+        off = abs(abs(plus) - 1.0), abs(abs(minus) - 1.0)
+        if not (off[0] <= EIGEN_TOL and off[1] <= EIGEN_TOL):
+            raise NumericalError(f"eigendecomposition failed accuracy contract: eigenvalue "
+                                 f"moduli {off[0]:.3e} and {off[1]:.3e} off the unit circle")
+        return _ascending([cmath.phase(plus), cmath.phase(minus)])
     twice_cos = _umath_linalg.eigvalsh_lo(a + a.conj().T, signature="D->d").tolist()
     # the arccos of each cosine, ascending in [0, pi]; rounding can take |c| past 1
     arcs = [math.acos(0.5 * c) if -2.0 <= c <= 2.0 else (0.0 if c > 0.0 else math.pi)
@@ -239,9 +256,14 @@ def _eigenphases(a: np.ndarray) -> np.ndarray:
     phases = [2.0 * math.atan(0.5 * x) - shift for x in w.tolist()]
     if not math.isfinite(sum(phases)):
         raise NumericalError("eigendecomposition did not converge (NaN eigenvalue)")
-    # into [0, 2*pi) as wrap_phase does: a tiny negative phase rounds up to 2*pi, which folds to 0
-    return np.array(sorted(p if p >= 0.0 else (q if (q := p + TWO_PI) < TWO_PI else 0.0)
-                           for p in phases))
+    return _ascending(phases)
+
+
+def _ascending(phases: list[float]) -> np.ndarray:
+    """Phases in (-2*pi, 2*pi) into [0, 2*pi) as ``wrap_phase`` does, ascending: a tiny negative
+    phase rounds up to 2*pi, which folds to 0."""
+    return np.array(sorted([p if p >= 0.0 else (q if (q := p + TWO_PI) < TWO_PI else 0.0)
+                            for p in phases]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,9 +277,10 @@ class UnitaryPair:
     decomposition, are found from it on first use by ``relative_spectrum``
     and kept, with the smallest covering arc once ``geometry.smallest_arc``
     has found it, and ``_eigenvectors`` reads it for a plan's few
-    eigenvectors. Every builder and simulator takes a pair, so a pair used
-    by several of them is checked, multiplied, decomposed and given its arc
-    once.
+    eigenvectors. At d = 2 both solve the 2 x 2 problem in closed form, on
+    Python scalars; at every other d they call LAPACK. Every builder and
+    simulator takes a pair, so a pair used by several of them is checked,
+    multiplied, decomposed and given its arc once.
     """
 
     unitaries: np.ndarray
@@ -323,8 +346,9 @@ def relative_spectrum(u1, u2=None) -> PhaseSpectrum:
     once per pair and kept, so every caller gets the one spectrum.
 
     Raises:
-        NumericalError: the Cayley transform's Hermitian defect, on the
-            scale of U1†U2, exceeds ``EIGEN_TOL``, or an eigenvalue is NaN.
+        NumericalError: at d = 2 a root's modulus is more than ``EIGEN_TOL``
+            from 1; at other d the Cayley transform's Hermitian defect, on
+            the scale of U1†U2, exceeds ``EIGEN_TOL``, or an eigenvalue is NaN.
     """
     (pair,) = pair_args(u1, u2)
     return pair._spectrum
@@ -332,13 +356,20 @@ def relative_spectrum(u1, u2=None) -> PhaseSpectrum:
 
 def _eigenvectors(pair: UnitaryPair, indices: list[int]) -> np.ndarray:
     """Orthonormal eigenvectors of U1†U2 at ``relative_spectrum(pair).phases[indices]``: the
-    columns of a d x m matrix, m <= 3, by two steps of inverse iteration and one QR.
+    columns of a d x m matrix, m <= 3, in the order of ``indices``.
 
-    Each step solves (A - mu_j I) y = x_j for every column j in one call, an LU per column,
-    mu_j being e^{i phi_j} pushed off the circle by ``INVERSE_SHIFT``. Column j starts from
-    e^{i k f_j}, k = 1..d, with f_j = sqrt(j + 2) no rational multiple of pi, so no start is
-    orthogonal to an eigenvector of a diagonal or a circulant matrix. The QR keeps columns of
-    one eigenspace, or of close phases, orthonormal.
+    At d = 2 they are found on Python complex scalars, with no LAPACK call. With
+    lambda = e^{i phi} at the first index, both (q, lambda - p) and (lambda - s, r) solve
+    (A - lambda I) x = 0 when lambda is a root; the longer is normalised, and the other column
+    is (-conj(x1), conj(x0)), orthogonal by construction. Both are exactly 0 only for a
+    multiple of I, whose columns are the standard basis.
+
+    At every other d, by two steps of inverse iteration and one QR. Each step solves
+    (A - mu_j I) y = x_j for every column j in one call, an LU per column, mu_j being
+    e^{i phi_j} pushed off the circle by ``INVERSE_SHIFT``. Column j starts from e^{i k f_j},
+    k = 1..d, with f_j = sqrt(j + 2) no rational multiple of pi, so no start is orthogonal to
+    an eigenvector of a diagonal or a circulant matrix. The QR keeps columns of one
+    eigenspace, or of close phases, orthonormal.
 
     Raises:
         NumericalError: the residual |A Q - Q diag(e^{i phi})|_F or the
@@ -346,21 +377,50 @@ def _eigenvectors(pair: UnitaryPair, indices: list[int]) -> np.ndarray:
     """
     a = pair._product
     d, m = a.shape[0], len(indices)
-    eigenvalues = np.exp(1j * relative_spectrum(pair).phases[indices])
-    shifted = np.repeat(a[None], m, axis=0)
-    shifted.reshape(m, d * d)[:, ::d + 1] -= ((1.0 + INVERSE_SHIFT) * eigenvalues)[:, None]
-    x = np.exp(1j * np.multiply.outer(np.sqrt(np.arange(2.0, m + 2.0)), np.arange(1.0, d + 1.0)))
-    for _ in range(2):
-        x = _umath_linalg.solve(shifted, x[..., None], signature="DD->D")[..., 0]
-    x = x.T.copy()  # d x m; numpy's QR kernels, called directly, factor it in place
-    q = _umath_linalg.qr_reduced(x, _umath_linalg.qr_r_raw(x, signature="D->D"),
-                                 signature="DD->D")
-    diff = a @ q - q * eigenvalues
-    residual, ortho = math.sqrt(np.vdot(diff, diff).real), float(_defects(q))
+    if d == 2:
+        phases = relative_spectrum(pair).phases.tolist()
+        residual, ortho, q = _eigenvectors_2x2(a, [phases[k] for k in indices])
+    else:
+        eigenvalues = np.exp(1j * relative_spectrum(pair).phases[indices])
+        shifted = np.repeat(a[None], m, axis=0)
+        shifted.reshape(m, d * d)[:, ::d + 1] -= ((1.0 + INVERSE_SHIFT) * eigenvalues)[:, None]
+        x = np.exp(1j * np.multiply.outer(np.sqrt(np.arange(2.0, m + 2.0)),
+                                          np.arange(1.0, d + 1.0)))
+        for _ in range(2):
+            x = _umath_linalg.solve(shifted, x[..., None], signature="DD->D")[..., 0]
+        x = x.T.copy()  # d x m; numpy's QR kernels, called directly, factor it in place
+        q = _umath_linalg.qr_reduced(x, _umath_linalg.qr_r_raw(x, signature="D->D"),
+                                     signature="DD->D")
+        diff = a @ q - q * eigenvalues
+        residual, ortho = math.sqrt(np.vdot(diff, diff).real), float(_defects(q))
     if not (residual <= EIGEN_TOL and ortho <= EIGEN_TOL):
         raise NumericalError(f"eigenvectors failed accuracy contract: residual "
                              f"{residual:.3e}, orthonormality defect {ortho:.3e}")
     return q
+
+
+def _eigenvectors_2x2(a: np.ndarray, phases: list[float]) -> tuple[float, float, np.ndarray]:
+    """``_eigenvectors``' columns of a 2 x 2 ``a`` at one or two phases, with the residual and
+    orthonormality defect its contract reads, all on Python scalars."""
+    (p, q), (r, s) = a.tolist()
+    lams = [cmath.rect(1.0, phi) for phi in phases]
+    lam = lams[0]
+    first, second = (q, lam - p), (lam - s, r)
+    n1, n2 = (math.hypot(z.real, z.imag, w.real, w.imag) for z, w in (first, second))
+    (x0, x1), n = (first, n1) if n1 >= n2 else (second, n2)
+    if n == 0.0:
+        # both vanish only where p = s = lambda and q = r = 0: A is lambda I
+        x0, x1, n = 1.0 + 0.0j, 0.0j, 1.0
+    x0, x1 = x0 / n, x1 / n
+    columns = [(x0, x1), (-x1.conjugate(), x0.conjugate())][:len(lams)]
+    # |(A - mu I) v| over every column v and its mu
+    residual = math.hypot(*[abs(e) for (v0, v1), mu in zip(columns, lams)
+                            for e in ((p - mu) * v0 + q * v1, r * v0 + (s - mu) * v1)])
+    # both columns have the norm of x; the off-diagonal Gram entry is 0 up to rounding
+    ortho = abs(abs(x0) ** 2 + abs(x1) ** 2 - 1.0)
+    if len(columns) == 2:
+        ortho = max(ortho, abs(x0.conjugate() * columns[1][0] + x1.conjugate() * columns[1][1]))
+    return residual, ortho, np.array(list(zip(*columns)))
 
 
 def haar_isometry_from_rng(n: int, k: int, rng: np.random.Generator,

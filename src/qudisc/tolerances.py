@@ -8,8 +8,9 @@ bounds; no other module spells a threshold as a literal.
 # Unitarity |M†M - I| of a matrix or isometry, |norm - 1| of a state, |modulus - 1| on the circle.
 UNITARY_TOL = 1e-10
 # Eigendecomposition contract: residual |U V - V e^{i phi}| and defect |V†V - I| of the few
-# eigenvectors found; for the phases, the Hermitian defect |H - H†| of the Cayley transform they
-# are read from, times 2 sin^2(gap/4), which takes it back to the scale of the matrix decomposed.
+# eigenvectors found; for the phases at d = 2, each root's modulus ||lambda| - 1| from the 2x2
+# quadratic formula; at other d, the Hermitian defect |H - H†| of the Cayley transform they are
+# read from, times 2 sin^2(gap/4), which takes it back to the scale of the matrix decomposed.
 EIGEN_TOL = 1e-8
 # Inverse iteration's relative shift of an eigenvalue off the circle: no pivot is exactly 0.
 INVERSE_SHIFT = 1e-12

@@ -195,8 +195,9 @@ def reference_record(cfg, index: int) -> dict:
 def eigenvectors_forming_the_product(u1, u2, phases, indices) -> np.ndarray:
     """``linalg._eigenvectors`` as it was when it formed U1†U2 itself, frozen as a reference.
 
-    The package's routine reads the product its pair keeps; the two must
-    agree bit for bit. Two batched steps of inverse iteration from the
+    The package's routine reads the product its pair keeps; from d = 3 the two must
+    agree bit for bit, and at d = 2, where it solves in closed form, up to each
+    column's phase. Two batched steps of inverse iteration from the
     columns e^{i k sqrt(j + 2)}, then one QR over the columns.
     """
     a = u1.conj().T @ u2

@@ -156,6 +156,13 @@ def nan_eigenvalues(eigvalsh):
     return call
 
 
+def unreachable(original):
+    """A LAPACK call that must not be reached."""
+    def call(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+    return call
+
+
 def nan_result(solve):
     """``solve`` as it reads where LAPACK met an exactly singular matrix: NaN entries."""
     def call(*args, **kwargs):
@@ -192,15 +199,16 @@ class TestEigenSystem:
     """``_eigenphases``, the pair's one decomposition, and ``_eigenvectors``, the few columns a
     plan asks for, as ``UnitaryPair`` and ``build_parallel`` run them."""
 
+    # the roots of lambda^2 - 1 and of (lambda - 1)(lambda - i), exact in the closed form
     def test_pauli_z(self):
-        spec = spectrum_of(np.diag([1.0, -1.0]))
-        assert np.allclose(spec.phases, [0.0, np.pi], atol=1e-12)
+        assert spectrum_of(np.diag([1.0, -1.0])).phases.tolist() == [0.0, np.pi]
 
     def test_hadamard(self):
-        # roots of the characteristic polynomial lambda^2 - 1
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-        spec = spectrum_of(h)
-        assert np.allclose(spec.phases, [0.0, np.pi], atol=1e-10)
+        assert spectrum_of(h).phases.tolist() == [0.0, np.pi]
+
+    def test_phase_gate(self):
+        assert spectrum_of(np.diag([1.0, 1j])).phases.tolist() == [0.0, np.pi / 2]
 
     def test_identity_three(self):
         spec = spectrum_of(np.eye(3))
@@ -295,9 +303,11 @@ class TestEigenSystem:
             assert gaps.min(axis=1).max() <= 1e-13 and gaps.min(axis=0).max() <= 1e-13
 
     def test_spectrum_loads_no_scipy(self):
+        # d = 2 takes the closed form; d = 3 the Cayley route and inverse iteration
         script = ("import sys, numpy as np, qudisc; "
-                  "pair = qudisc.UnitaryPair.of(np.eye(2), np.diag([1, 1j])); "
-                  "qudisc.relative_spectrum(pair); qudisc.build_parallel(pair, 2); "
+                  "pairs = [qudisc.UnitaryPair.of(np.eye(2), np.diag([1, 1j])), "
+                  "qudisc.UnitaryPair.of(np.eye(3), np.diag([1, 1j, 1j]))]; "
+                  "[(qudisc.relative_spectrum(p), qudisc.build_parallel(p, 2)) for p in pairs]; "
                   "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
                   "assert not loaded, loaded")
         # the qudisc under test, whether a checkout's src or site-packages
@@ -314,7 +324,7 @@ class TestEigenSystem:
     def test_nan_eigenbasis_fails_the_accuracy_contract(self, monkeypatch):
         # a NaN defect compares False against the tolerance; the phases are found and kept
         # before the solve is patched, so only the inverse iteration's solves read NaN
-        pair = pair_of(np.diag([1.0, -1.0]))
+        pair = pair_of(np.diag([1.0, -1.0, 1j]))
         relative_spectrum(pair)
         patch_lapack(monkeypatch, "solve", nan_result)
         with pytest.raises(NumericalError, match="eigenvectors failed accuracy contract"):
@@ -334,16 +344,11 @@ class TestEigenSystem:
     def test_schur_failure_is_a_numerical_error(self, monkeypatch):
         patch_lapack(monkeypatch, "eigvalsh_lo", nan_eigenvalues)
         with pytest.raises(NumericalError, match="did not converge"):
-            relative_spectrum(UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0])))
+            spectrum_of(np.diag([1.0, -1.0, 1j]))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
     def test_no_eigenvector_is_formed_for_the_phases(self, d, monkeypatch):
         # the phases come from eigenvalues alone: LAPACK's eigh with vectors is never reached
-        def unreachable(eigh):
-            def call(*args, **kwargs):
-                raise AssertionError("eigh_lo called")
-            return call
-
         patch_lapack(monkeypatch, "eigh_lo", unreachable)
         rng = np.random.default_rng([d, 18])
         u1, u2 = haar_unitary_from_rng(d, rng), haar_unitary_from_rng(d, rng)
@@ -367,7 +372,75 @@ class TestEigenSystem:
 
         patch_lapack(monkeypatch, "solve", injected)
         with pytest.raises(NumericalError, match="accuracy contract"):
-            relative_spectrum(UnitaryPair.of(np.eye(2), np.diag([1.0, -1.0])))
+            spectrum_of(np.diag([1.0, -1.0, 1j]))
+
+
+class TestClosedFormAtDimensionTwo:
+    """At d = 2 the phases are the roots of the characteristic polynomial and the eigenvectors
+    its null vectors, on Python scalars, with no LAPACK call."""
+
+    @pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-6, 1e-3, np.pi - 1e-9, np.pi - 1e-12])
+    def test_phases_equal_eigvals_at_small_and_near_pi_spread(self, theta):
+        rng = np.random.default_rng(70)
+        for _ in range(10):
+            v = haar_unitary_from_rng(2, rng)
+            start = rng.uniform(0.0, TWO_PI)
+            u = v @ np.diag(np.exp(1j * np.array([start, start + theta]))) @ v.conj().T
+            self.assert_phases_equal_eigvals(u)
+
+    def test_phases_equal_eigvals_on_haar_pairs(self):
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            u1, u2 = haar_unitary_from_rng(2, rng, (2,))
+            self.assert_phases_equal_eigvals(u1.conj().T @ u2)
+
+    @staticmethod
+    def assert_phases_equal_eigvals(u):
+        phases = linalg._eigenphases(u)
+        assert np.all(np.diff(phases) >= 0) and np.all((phases >= 0) & (phases < TWO_PI))
+        reference = np.angle(np.linalg.eigvals(u))
+        gaps = np.abs(np.angle(np.exp(1j * (phases[:, None] - reference[None, :]))))
+        assert gaps.min(axis=1).max() <= 1e-14 and gaps.min(axis=0).max() <= 1e-14
+
+    @pytest.mark.parametrize("indices", [[0], [1], [0, 1], [1, 0]])
+    def test_eigenvectors_to_rounding(self, indices):
+        rng = np.random.default_rng(72)
+        spread = [v @ np.diag(np.exp(1j * np.array([0.4, 0.4 + theta]))) @ v.conj().T
+                  for theta, v in zip((1e-9, 1e-3, 1.0, np.pi - 1e-9),
+                                      haar_unitary_from_rng(2, rng, (4,)))]
+        # diagonal: one candidate is exactly 0, or off 0 by the rounding of e^{i phi} alone
+        diagonal = [np.diag(d) for d in ([1j, 1.0], [1.0, 1j], [-1.0, 1.0], [1j, -1j])]
+        for u in [*spread, *diagonal, haar_unitary_from_rng(2, rng)]:
+            vectors, phases = vectors_of(u, indices)
+            assert vectors.shape == (2, len(indices))
+            resid = u @ vectors - vectors * np.exp(1j * phases)
+            assert np.linalg.norm(resid) <= 1e-14
+            assert np.abs(vectors.conj().T @ vectors - np.eye(len(indices))).max() <= 1e-14
+
+    def test_scalar_matrix_gives_the_standard_basis(self):
+        assert np.array_equal(vectors_of(np.eye(2), [0, 1])[0], np.eye(2))
+        assert np.array_equal(vectors_of(np.eye(2), [1])[0], [[1.0], [0.0]])
+
+    @pytest.mark.parametrize("a", [
+        np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex),
+        np.diag([1.0 + 2e-8, 1.0]).astype(complex),
+    ], ids=["nan", "modulus"])
+    def test_roots_off_the_circle_fail_the_accuracy_contract(self, a):
+        with pytest.raises(NumericalError, match="accuracy contract"):
+            linalg._eigenphases(a)
+
+    def test_plan_and_simulation_call_no_lapack(self, monkeypatch):
+        # drawn first: the Haar draw's own QR is not the decomposition's; Z's theta is pi
+        draws = [*haar_unitary_from_rng(2, np.random.default_rng(73), (10, 2)),
+                 (np.eye(2), np.diag([1.0, -1.0]))]
+        for name in ("eigvalsh_lo", "solve", "qr_r_raw"):
+            patch_lapack(monkeypatch, name, unreachable)
+        for u1, u2 in draws:
+            pair = UnitaryPair.of(u1, u2)
+            for t in (1, 2, 5):
+                simulate_parallel(pair, build_parallel(pair, t))
+        with pytest.raises(AssertionError, match="LAPACK called"):
+            spectrum_of(np.diag([1.0, 1j, -1.0]))
 
 
 class TestHaarUnitary:
