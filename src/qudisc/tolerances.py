@@ -13,7 +13,9 @@ UNITARY_TOL = 1e-10
 # read from, times 2 sin^2(gap/4), which takes it back to the scale of the matrix decomposed.
 EIGEN_TOL = 1e-8
 # Inverse iteration's relative shift of an eigenvalue off the circle: no pivot is exactly 0.
-INVERSE_SHIFT = 1e-12
+# Phases closer than about this are not told apart, and their eigenvectors mix; a plan of T
+# copies then carries a phase error of about T times it, so it stays far below 1e-12.
+INVERSE_SHIFT = 1e-14
 # POVM defects: |B - B^H|, depth of a negative eigenvalue or weight, |sum - I|, |basis†basis - I|.
 POVM_TOL = 1e-9
 # States coincide (a 1-D span) when the second's part orthogonal to the first is shorter.

@@ -162,6 +162,7 @@ class TestParallelPlan:
         offset=st.floats(0.0, 2 * np.pi),
     )
     @example(theta=4.4, dim=3, inner=[0.5, 0.5], offset=0.0)  # theta > pi: T = 1 is perfect
+    @example(theta=0.25, dim=4, inner=[1e-12, 1e-12], offset=0.0)  # phases 2.5e-13 apart
     def test_optimal_for_every_t_on_diagonal_pairs(self, theta, dim, inner, offset):
         # phases 0 and theta plus dim - 2 inside [0, theta], on a diagonal u1
         phases = np.array([0.0, theta] + [f * theta for f in inner[: dim - 2]])

@@ -238,6 +238,18 @@ class TestEigenSystem:
             rebuilt = (vectors * np.exp(1j * phases)) @ vectors.conj().T
             assert np.max(np.abs(rebuilt - u)) <= 1e-7
 
+    @pytest.mark.parametrize("dim", [3, 4, 8])
+    @pytest.mark.parametrize("gap", [2.5e-13, 1e-12, 1e-11, 1e-10])
+    def test_close_phases_get_their_own_eigenvectors(self, dim, gap):
+        # phase 0 beside dim - 2 copies of gap on a diagonal: the column found for phase 0 is
+        # e_0, up to a leak into the cluster that falls as gap^-2 (two steps of inverse
+        # iteration); a leak of order 1 puts the cluster's phase into a plan's strings
+        phases = np.array([0.0, 0.25] + [gap] * (dim - 2))
+        pair = UnitaryPair.of(np.eye(dim), np.diag(np.exp(1j * phases)))
+        k = int(np.argmin(relative_spectrum(pair).phases))
+        column = linalg._eigenvectors(pair, [k])[:, 0]
+        assert np.abs(column[2:]).max() <= 1e-2 * (2.5e-13 / gap) ** 2
+
     def test_degenerate_spectrum_keeps_orthonormal_basis(self):
         u = np.kron(np.diag([1.0, -1.0]), np.eye(2))  # each eigenvalue twice
         assert_eigenvectors(u, *vectors_of(u, [0, 1, 2, 3]))
